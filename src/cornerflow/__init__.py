@@ -8,7 +8,6 @@ and frequency formulas), solver (energy descent + first-variation
 validator), classify (trichotomy classifier), cli (batch driver).
 """
 
-from ._dispatch import KERNEL_BACKEND
 from .eos import (
     BernoulliState,
     EosModel,
@@ -44,6 +43,9 @@ from .profiles import (
 )
 
 __version__ = "0.1.0"
+
+# the Bernoulli inversion has one implementation, the numpy kernel eos.invert_many
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "AnalyticField",

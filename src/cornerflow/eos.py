@@ -11,10 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dispatch import kernels
 from .errors import DomainError, NumericalError, StateError, SubsonicityError
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,6 @@ def enthalpy(model: EosModel, rho):
         raise DomainError("density must be positive")
     gm1 = model.gamma - 1.0
     return model.A * model.gamma / gm1 * (rho ** gm1 - model.rho_bar0 ** gm1)
-
-
-def sound_speed_sq(model: EosModel, rho):
-    return pressure_derivative(model, rho)
 
 
 def critical_density(model: EosModel, x2: float) -> float:
@@ -160,11 +153,105 @@ class BernoulliState:
         return -self.d2H
 
 
-def invert_many(model: EosModel, t, s, tol=1e-13):
-    """Vectorized subsonic inversion; returns (rho, d1H, d2H, flag)."""
-    return kernels.invert_bernoulli(
-        t, s, model.gamma, model.A, model.rho_bar0, model.g, tol=tol
-    )
+def _rest_density(model: EosModel, s):
+    """H(0;s): the density with h(rho) = g*s, NaN where no positive one exists."""
+    gm1 = model.gamma - 1.0
+    base = model.rho_bar0 ** gm1 + gm1 * model.g * np.asarray(s, dtype=float) / (model.A * model.gamma)
+    with np.errstate(invalid="ignore"):
+        return np.where(base > 0.0, base, np.nan) ** (1.0 / gm1)
+
+
+def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
+    """Solve g*rho0^2*t/rho^2 + h(rho) = g*s on the subsonic branch.
+
+    h is the gamma-law enthalpy relative to the surface density rho0.
+    Vectorized over ``t`` and ``s`` (broadcast together).  Returns
+    ``(rho, d1H, d2H, flag)`` where d1H = dH/dt < 0, d2H = dH/ds > 0 on
+    the subsonic branch and ``flag`` is 1 where no subsonic root exists
+    (outputs are NaN there).
+
+    The bracket [sonic density, zero-speed density] contains exactly one
+    root when one exists because the residual is strictly increasing
+    there.  Safeguarded Newton runs until the absolute residual is at
+    most ``tol``; a node that gets there takes one last plain Newton step
+    (kept only inside the bracket) and leaves the iteration.
+    """
+    gamma, A, rho0, g = model.gamma, model.A, model.rho_bar0, model.g
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    shape = t.shape
+    t = t.ravel()
+    s = s.ravel()
+    n = t.size
+
+    gm1 = gamma - 1.0
+    c0 = A * gamma / gm1
+    e0 = rho0 ** gm1
+    k = g * rho0 * rho0
+
+    rho = np.full(n, np.nan)
+    flag = np.zeros(n, dtype=np.int32)
+
+    hi = _rest_density(model, s)
+    bad = ~(hi > 0.0) | ~np.isfinite(t) | (t < 0.0)
+    flag[bad] = 1
+    good = ~bad
+
+    # sonic density: rho^2 p'(rho) = 2 g rho0^2 t
+    lo = np.zeros(n)
+    pos = good & (t > 0.0)
+    lo[pos] = (2.0 * k * t[pos] / (A * gamma)) ** (1.0 / (gamma + 1.0))
+
+    # no subsonic root when the residual is still nonnegative at the sonic point
+    chk = pos & (lo > 0.0)
+    x = lo[chk]
+    sup = np.zeros(n, dtype=bool)
+    sup[chk] = (k * t[chk] / (x * x) + c0 * (x ** gm1 - e0) - g * s[chk] >= 0.0) | (x >= hi[chk])
+    flag[sup] = 1
+    good &= ~sup
+
+    # [lo, hi] brackets the root of each node from here on
+    rho[good] = hi[good]
+    idx = np.nonzero(good & (t > 0.0))[0]
+    for _ in range(max_iter):
+        if idx.size == 0:
+            break
+        x = rho[idx]
+        ti = t[idx]
+        f = k * ti / (x * x) + c0 * (x ** gm1 - e0) - g * s[idx]
+        fp = A * gamma * x ** (gamma - 2.0) - 2.0 * k * ti / (x ** 3)
+        # update the bracket from the sign of f (residual increasing in rho)
+        up = f < 0.0
+        lo[idx[up]] = x[up]
+        hi[idx[~up]] = x[~up]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - f / fp
+        out = ~np.isfinite(xn) | (xn <= lo[idx]) | (xn >= hi[idx])
+        # the convergence test comes before the safeguard: a converged
+        # node's Newton step lands on the bracket end just moved to x, and
+        # bisecting from there would cost ~48 more passes for nothing
+        done = np.abs(f) <= tol
+        xn[out] = np.where(done[out], x[out], 0.5 * (lo[idx[out]] + hi[idx[out]]))
+        rho[idx] = xn
+        idx = idx[~done]
+
+    d1H = np.full(n, np.nan)
+    d2H = np.full(n, np.nan)
+    x = rho[good]
+    fp = A * gamma * x ** (gamma - 2.0) - 2.0 * k * t[good] / (x ** 3)
+    d1H[good] = -(k / (x * x)) / fp
+    d2H[good] = g / fp
+
+    return rho.reshape(shape), d1H.reshape(shape), d2H.reshape(shape), flag.reshape(shape)
+
+
+def _checked_inversion(model: EosModel, t, s):
+    """invert_many that raises StateError at the first node without a subsonic root."""
+    rho, d1, d2, flag = invert_many(model, t, s)
+    if np.any(flag):
+        i = np.nonzero(np.ravel(flag))[0][0]
+        t_i, s_i = (np.ravel(np.broadcast_to(a, np.shape(flag)))[i] for a in (t, s))
+        raise StateError(f"subsonic inversion failed at node index {i} (t={t_i!r}, s={s_i!r})")
+    return rho, d1, d2
 
 
 def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
@@ -192,102 +279,40 @@ def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
     return BernoulliState(t=t, s=s, rho=rho, d1H=float(d1), d2H=float(d2))
 
 
-def _gl_panel(f, a, b):
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * (f(x) @ _GL_WEIGHTS)
+def _F_closed(model: EosModel, t, H, s):
+    """F(t;s) and dF2(t;s) from the inverted density H = H(t;s).
+
+    Along the subsonic branch t(rho) = rho^2 (g s - c0 (rho^(gamma-1) - e0)) / (g rho0^2),
+    so F = int_H0^H (1/rho) dt/drho drho, integrated by parts to
+    t/H - c0 H0^gamma/(gamma g rho0^2) ((1+u)^gamma - 1 - gamma u) with
+    u = H/H0 - 1, which keeps full relative accuracy when H sits near H0
+    (stiff gas, small t).  d/ds (1/H) = (dH/dt)/rho0^2 gives
+    dF2 = (H - H0)/rho0^2.  Derivation in docs/decisions.md.
+    """
+    gamma = model.gamma
+    H0 = _rest_density(model, s)
+    u = H / H0 - 1.0
+    c0 = model.A * gamma / (gamma - 1.0)
+    rest = c0 * H0 ** gamma / (gamma * model.g * model.rho_bar0 ** 2)
+    F = t / H - rest * (np.expm1(gamma * np.log1p(u)) - gamma * u)
+    return F, (H - H0) / model.rho_bar0 ** 2
 
 
-def adaptive_gauss_legendre(f, a, b, tol=1e-11, max_depth=30):
-    """Recursive-bisection 15-point Gauss-Legendre quadrature."""
-
-    def rec(a, b, whole, depth):
-        m = 0.5 * (a + b)
-        left = _gl_panel(f, a, m)
-        right = _gl_panel(f, m, b)
-        if abs(left + right - whole) <= tol or depth >= max_depth:
-            return left + right
-        return rec(a, m, left, depth + 1) + rec(m, b, right, depth + 1)
-
-    if a == b:
-        return 0.0
-    return rec(a, b, _gl_panel(f, a, b), 0)
-
-
-def F_of(model: EosModel, t: float, s: float, tol=1e-11):
+def F_of(model: EosModel, t: float, s: float):
     """F(t;s) = integral of 1/H over speeds, with both partial derivatives.
 
-    Returns (F, dF1, dF2) where dF1 = 1/H(t;s) and dF2 is the integral
-    of the s-derivative of 1/H.  Inversion failures at quadrature nodes
-    propagate as StateError.
+    Returns (F, dF1, dF2) where dF1 = 1/H(t;s) and dF2 = dF/ds.  Raises
+    like ``invert_density`` at (t, s).
     """
-    if t < 0 or s < 0:
-        raise DomainError("t and s must be nonnegative")
-    if t == 0.0:
-        st = invert_density(model, 0.0, s)
-        return 0.0, 1.0 / st.rho, 0.0
-
-    def inv_h(tau):
-        rho, _, _, flag = invert_many(model, tau, s)
-        if np.any(flag):
-            raise StateError(f"inversion failed inside F quadrature at s={s}")
-        return 1.0 / rho
-
-    def dinv_h(tau):
-        rho, _, d2, flag = invert_many(model, tau, s)
-        if np.any(flag):
-            raise StateError(f"inversion failed inside F quadrature at s={s}")
-        return -d2 / (rho * rho)
-
-    F = adaptive_gauss_legendre(inv_h, 0.0, t, tol=tol)
-    dF2 = adaptive_gauss_legendre(dinv_h, 0.0, t, tol=tol)
     st = invert_density(model, t, s)
-    return F, 1.0 / st.rho, dF2
+    F, dF2 = _F_closed(model, t, st.rho, s)
+    return float(F), 1.0 / st.rho, float(dF2)
 
 
-def _F_many(model: EosModel, t, s, npanel=1):
-    """Fixed-panel vectorized F and dF2 on arrays of states."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    F = np.zeros_like(t)
-    dF2 = np.zeros_like(t)
-    for k in range(npanel):
-        a = t * (k / npanel)
-        b = t * ((k + 1) / npanel)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            tau = half * xi + mid
-            rho, _, d2, flag = invert_many(model, tau, s)
-            if np.any(flag):
-                bad = np.nonzero(flag.ravel())[0][0]
-                raise StateError(
-                    f"inversion failed in F_many at node t={tau.ravel()[bad]!r}, "
-                    f"s={np.broadcast_arrays(tau, s)[1].ravel()[bad]!r}"
-                )
-            F += wi * half / rho
-            dF2 += wi * half * (-d2 / (rho * rho))
-    return F, dF2
-
-
-def F_many(model: EosModel, t, s, tol=1e-11):
-    """Vectorized F(t;s), dF2(t;s).
-
-    One 15-point panel is exact to machine precision for the smooth
-    subsonic integrand; a spot-check against the two-panel rule on a
-    subsample guards the tolerance and triggers a full refinement pass
-    when it ever trips.
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    F1, d1 = _F_many(model, t, s, npanel=1)
-    n = t.size
-    if n:
-        idx = np.arange(0, n, max(1, n // 64))
-        F2s, _ = _F_many(model, t.ravel()[idx], np.broadcast_to(s, t.shape).ravel()[idx], npanel=2)
-        if np.max(np.abs(F2s - F1.ravel()[idx])) > tol:
-            F2, d2 = _F_many(model, t, s, npanel=4)
-            return F2, d2
-    return F1, d1
+def F_many(model: EosModel, t, s):
+    """Vectorized F(t;s), dF2(t;s) in closed form from one inversion."""
+    rho, _, _ = _checked_inversion(model, t, s)
+    return _F_closed(model, np.asarray(t, dtype=float), rho, s)
 
 
 def lambda_of(model: EosModel, x2: float) -> float:
@@ -306,18 +331,6 @@ def lambda_prime(model: EosModel, x2: float) -> float:
     return 1.0 / model.rho_bar0 - dF2
 
 
-def lambda_alt(model: EosModel, x2: float, tol=1e-11) -> float:
-    """Alternate expression x2/rho0 + int_0^{x2} d/dtau(1/H) * tau dtau."""
-
-    def f(tau):
-        rho, d1, _, flag = invert_many(model, tau, x2)
-        if np.any(flag):
-            raise StateError("inversion failed in lambda_alt")
-        return (-d1 / (rho * rho)) * tau
-
-    return x2 / model.rho_bar0 + adaptive_gauss_legendre(f, 0.0, x2, tol=tol)
-
-
 class GammaLawMedium:
     """Vectorized EOS evaluations used by the discrete functionals."""
 
@@ -328,14 +341,7 @@ class GammaLawMedium:
     compressible = True
 
     def H_d1_d2(self, t, s):
-        rho, d1, d2, flag = invert_many(self.model, t, s)
-        if np.any(flag):
-            i = np.nonzero(np.ravel(flag))[0][0]
-            raise StateError(
-                f"subsonic inversion failed at node index {i} "
-                f"(t={np.ravel(t)[i]!r}, s={np.ravel(np.broadcast_to(s, np.shape(t)))[i]!r})"
-            )
-        return rho, d1, d2
+        return _checked_inversion(self.model, t, s)
 
     def F_dF2(self, t, s):
         return F_many(self.model, t, s)

@@ -131,11 +131,6 @@ def energy_EH_ball(field_, medium, center, r, half=False):
     return float(dirich + np.sum(ev.w * ev.x1 * (ev.x2 / medium.rho0) * ev.chi))
 
 
-def energy_EF_arc(field_, medium, center, r, half=False, n_arc=4096):
-    ev, _ = _arc_eval(field_, medium, center, r, half, n_arc)
-    return float(np.sum(ev.w * ev.x1 * (ev.F + ev.lam * ev.chi)))
-
-
 # ---------------------------------------------------------------------------
 # per-radius record
 # ---------------------------------------------------------------------------
@@ -258,11 +253,6 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
         )
     rec["K_sum"] = rec["k1"] + rec["k2"] + rec["k3"] + rec["k4"] + rec["k5"] + rec["k6"]
     return rec
-
-
-def monotonicity_M(field_, medium, center, r, kind, n_arc=4096):
-    """I(r), J(r), M(r) and the kind's K error terms at one radius."""
-    return monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from cornerflow.eos import (
     GammaLawMedium,
     IncompressibleMedium,
     invert_density,
-    lambda_alt,
     lambda_of,
     lambda_prime,
 )
@@ -53,6 +52,7 @@ from cornerflow.solver import (
 )
 
 from conftest import bump_phi, gaussian_field, perturbed_flat_field
+from oracles import lambda_alt
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 INC = IncompressibleMedium(1.0)

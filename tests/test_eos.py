@@ -1,11 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cornerflow import _kernels_py
-from cornerflow._dispatch import kernels
+import cornerflow
 from cornerflow.eos import (
     EosModel,
     F_many,
@@ -14,13 +14,49 @@ from cornerflow.eos import (
     enthalpy,
     invert_density,
     invert_many,
-    lambda_alt,
     lambda_of,
     lambda_prime,
     pressure,
     pressure_derivative,
 )
 from cornerflow.errors import DomainError, StateError, SubsonicityError
+
+from oracles import F_quadrature, lambda_alt
+
+
+def random_states(rng, n):
+    """Subsonic (t, s) pairs over the range the functionals visit."""
+    s = rng.uniform(0.0, 0.8, n)
+    t = rng.uniform(0.0, 0.25, n) * np.maximum(s, 0.05)
+    return t, s
+
+
+def mp_bernoulli(model, s, q):
+    """State at rho = q * rho_sonic(s) on the branch through fixed s, at 50 digits.
+
+    rho_sonic(s) = H(0;s) (2/(gamma+1))^(1/(gamma-1)) is where t(rho; s)
+    peaks.  Returns the double ``t`` of that state and the 50-digit root
+    (rho, d1H, d2H) of the Bernoulli law at that rounded ``t``, plus the
+    peak speed t_max.
+    """
+    with mpmath.workdps(50):
+        gamma, A, rho0, g = (mpmath.mpf(v) for v in (model.gamma, model.A, model.rho_bar0, model.g))
+        s = mpmath.mpf(s)
+        gm1 = gamma - 1
+        c0 = A * gamma / gm1
+        e0 = rho0**gm1
+        H0 = (e0 + g * s / c0) ** (1 / gm1)
+        r_sonic = H0 * (2 / (gamma + 1)) ** (1 / gm1)
+
+        def t_of(r):
+            return r * r * (g * s - c0 * (r**gm1 - e0)) / (g * rho0 * rho0)
+
+        r = mpmath.mpf(float(q)) * r_sonic
+        t = float(t_of(r))
+        G = lambda x: g * rho0 * rho0 * t / (x * x) + c0 * (x**gm1 - e0) - g * s  # noqa: E731
+        x = mpmath.findroot(G, r)
+        fp = A * gamma * x ** (gamma - 2) - 2 * g * rho0 * rho0 * t / x**3
+        return t, (x, -(g * rho0 * rho0 / (x * x)) / fp, g / fp), float(t_of(r_sonic))
 
 
 class TestPressure:
@@ -161,44 +197,44 @@ class TestInversion:
         with pytest.raises(DomainError):
             invert_density(model_g2, -0.1, 0.1)
 
-    def test_pure_backend_selectable(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+    def test_newton_converges_within_eight_passes(self, gamma):
+        # a converged node leaves the iteration instead of bisecting its
+        # bracket down to roundoff, so 8 passes give the default's roots
+        model = EosModel(gamma=gamma)
+        t, s = random_states(np.random.default_rng(11), 10**4)
+        full = invert_many(model, t, s)
+        short = invert_many(model, t, s, max_iter=8)
+        assert not np.any(full[3]) and not np.any(short[3])
+        assert np.max(np.abs(short[0] - full[0]) / full[0]) <= 1e-15
 
-        import cornerflow
+    def test_matches_mpmath_oracle(self):
+        rng = np.random.default_rng(5)
+        for gamma in (1.4, 2.0, 3.0):
+            model = EosModel(gamma=gamma)
+            q_rest = ((gamma + 1.0) / 2.0) ** (1.0 / (gamma - 1.0))  # H(0;s)/rho_sonic
+            for s in (0.05, 0.3, 0.8):
+                bands = (
+                    (np.append(rng.uniform(1.1, q_rest, 15), 1.1), 1e-13, 1e-13),
+                    (np.append(1.0 + 10.0 ** rng.uniform(-3.0, -1.0, 15), 1.001), 1e-12, 1e-9),
+                )
+                for qs, rho_tol, d_tol in bands:
+                    states = [mp_bernoulli(model, s, q) for q in qs]
+                    t = np.array([st[0] for st in states])
+                    got = invert_many(model, t, s)
+                    assert not np.any(got[3])
+                    for k, tol in ((0, rho_tol), (1, d_tol), (2, d_tol)):
+                        want = np.array([float(st[1][k]) for st in states])
+                        assert np.max(np.abs(got[k] - want) / np.abs(want)) <= tol, (gamma, s, k)
+                t_max = states[0][2]
+                sup = invert_many(model, np.array([t_max * (1.0 + 1e-9), 2.0 * t_max]), s)
+                assert np.all(sup[3] == 1)
+                assert np.all(np.isnan(np.stack(sup[:3])))
 
-        # The child imports the package this process imported (the working
-        # tree or an install), whether its path came from PYTHONPATH or from
-        # pytest's own path settings.
-        here = Path(cornerflow.__file__).resolve()
-        path = os.pathsep.join(
-            p for p in (str(here.parents[1]), os.environ.get("PYTHONPATH")) if p
-        )
-        env = dict(os.environ, CORNERFLOW_PURE="1", PYTHONPATH=path)
-        code = (
-            "import cornerflow, cornerflow.eos as e;"
-            "print(cornerflow.__file__);"
-            "print(cornerflow.KERNEL_BACKEND);"
-            "m = e.EosModel(gamma=2.0);"
-            "print(e.invert_density(m, 0.01, 0.05).rho)"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        origin, backend, rho = out.stdout.splitlines()
-        assert Path(origin).resolve() == here
-        assert backend == "python"
-        assert float(rho) == pytest.approx(1.0201960025372609, rel=1e-12)
-
-    def test_kernel_twins_agree(self, model_g2):
-        t = np.linspace(0.0, 0.4, 23)
-        s = np.linspace(0.0, 0.6, 23)[:, None] + 0.0 * t
-        tt = np.broadcast_to(t, s.shape)
-        a = kernels.invert_bernoulli(tt, s, 2.0, 1.0, 1.0, 1.0)
-        b = _kernels_py.invert_bernoulli(tt, s, 2.0, 1.0, 1.0, 1.0)
-        for x, y in zip(a, b):
-            assert np.allclose(x, y, rtol=1e-12, atol=1e-13, equal_nan=True)
+    def test_frozen_state_and_backend(self, model_g2):
+        assert cornerflow.KERNEL_BACKEND == "python"
+        rho = invert_density(model_g2, 0.01, 0.05).rho
+        assert rho == pytest.approx(1.0201960025372609, rel=1e-12)
 
     def test_incompressible_stiffening(self):
         # as A grows, the density pins to the surface value monotonically
@@ -235,6 +271,28 @@ class TestF:
         assert F == pytest.approx(oracle, abs=1e-9)
         # frozen high-precision value for the same state
         assert F == pytest.approx(0.039401036047264968, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+    def test_closed_form_matches_quadrature_oracle(self, gamma):
+        model = EosModel(gamma=gamma)
+        t, s = random_states(np.random.default_rng(7), 200)
+        F, dF2 = F_many(model, t, s)
+        for i in range(t.size):
+            F_q, dF2_q = F_quadrature(model, t[i], s[i], tol=1e-15)
+            assert abs(F[i] - F_q) <= 1e-15
+            assert abs(dF2[i] - dF2_q) <= 1e-13
+
+    @pytest.mark.parametrize("A", [1e3, 1e8])
+    def test_closed_form_accurate_for_stiff_gas(self, A):
+        # H barely moves from H(0;s) here, so F must not be formed as a
+        # difference of two O(c0) antiderivative values
+        model = EosModel(gamma=2.0, A=A)
+        t = np.array([1e-4, 0.01, 0.04, 0.2])
+        s = np.array([0.05, 0.05, 0.3, 0.6])
+        F, _ = F_many(model, t, s)
+        for i in range(t.size):
+            F_q, _ = F_quadrature(model, t[i], s[i], tol=1e-15)
+            assert F[i] == pytest.approx(F_q, rel=1e-14)
 
     def test_vectorized_matches_scalar(self, model_g2):
         t = np.array([0.01, 0.04, 0.1])
