@@ -55,9 +55,12 @@ def _get(cfg, key, cast=float, default=None, required=False):
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return cast(cfg[key])
+        val = cast(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}")
+    if cast is float and not np.isfinite(val):
+        raise ConfigError(f"key {key!r} must be finite, got {cfg[key]!r}")
+    return val
 
 
 def _medium(cfg):
@@ -228,13 +231,13 @@ def run_profile_table(cfg, out, opts):
     h = _get(cfg, "h", required=True)
     fld = profiles.profile_field(spec, offset=off)
     grid = fld.resample(x1_min, x1_max, x2_min, x2_max, h)
-    rows = []
-    for i, x1 in enumerate(grid.cell_x1):
-        for j, x2 in enumerate(grid.cell_x2):
-            g1, g2 = profiles.eval_profile_gradient(spec, x1 - off[0], x2 - off[1])
-            rows.append((x1, x2, grid.values[i, j], float(g1), float(g2)))
+    X1, X2 = np.meshgrid(grid.cell_x1, grid.cell_x2, indexing="ij")
+    g1, g2 = profiles.eval_profile_gradient(spec, X1 - off[0], X2 - off[1])
+    cols = (X1, X2, grid.values, g1, g2)
     _write_csv(
-        os.path.join(out, "profile_table.csv"), ["x1", "x2", "u", "ux1", "ux2"], rows
+        os.path.join(out, "profile_table.csv"),
+        ["x1", "x2", "u", "ux1", "ux2"],
+        zip(*(c.ravel() for c in cols)),
     )
     if _get(cfg, "write_field", cast=int, default=0):
         grid.write(os.path.join(out, "field.txt"))
@@ -286,7 +289,9 @@ def _sweep_radii(cfg, fld, center, kind):
     r_max = _get(cfg, "r_max", default=None)
     if r_min is None or r_max is None:
         return functionals.default_radii(fld, center, kind)
-    n = int(_get(cfg, "n_radii", cast=int, default=0))
+    n = _get(cfg, "n_radii", cast=int, default=0)
+    if n < 0:
+        raise ConfigError(f"n_radii must be nonnegative (0 picks the count), got {n}")
     if n == 0:
         n = max(5, int(np.ceil(24 * np.log10(r_max / r_min))))
     return np.geomspace(r_min, r_max, n)
@@ -300,10 +305,10 @@ def run_sweep(cfg, out, opts):
         raise ConfigError(f"kind must be one of {functionals.KINDS}")
     center = (_get(cfg, "center_x1", default=0.0), _get(cfg, "center_x2", default=0.0))
     radii = _sweep_radii(cfg, fld, center, kind)
-    n_arc = int(_get(cfg, "n_arc", cast=int, default=4096))
-    sweep = functionals.radial_sweep(
-        fld, med, center, kind, radii, n_arc=n_arc, threads=opts.threads
-    )
+    n_arc = _get(cfg, "n_arc", cast=int, default=4096)
+    if n_arc < 1:
+        raise ConfigError(f"n_arc must be at least 1, got {n_arc}")
+    sweep = functionals.radial_sweep(fld, med, center, kind, radii, n_arc=n_arc)
     cols = sweep.columns
     zero = np.zeros_like(radii)
     # the frequency block is undefined where J = 0 (zero field): report 0
@@ -311,23 +316,17 @@ def run_sweep(cfg, out, opts):
     freq = {k: cols.get(k, zero) for k in ("D", "V", "N", "e", "Pi")}
     for k, v in freq.items():
         freq[k] = np.where(defined & np.isfinite(v), v, 0.0)
-    poh = []
-    eni = []
-    for r in radii:
-        poh.append(functionals.pohozaev_residual(fld, med, center, float(r), kind, n_arc=n_arc)["residual"])
-        eni.append(functionals.energy_identity_residual(fld, med, center, float(r), kind, n_arc=n_arc)["residual"])
     header = [
         "r", "I", "J", "M", "dM_fd",
         "k1", "k2", "k3", "k4", "k5", "k6",
         "D", "V", "N", "e", "Pi", "pohozaev_residual", "energy_identity_residual",
     ]
     dmfd = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
-    rows = list(
-        zip(
-            radii, cols["I"], cols["J"], cols["M"], dmfd,
-            cols["k1"], cols["k2"], cols["k3"], cols["k4"], cols["k5"], cols["k6"],
-            freq["D"], freq["V"], freq["N"], freq["e"], freq["Pi"], poh, eni,
-        )
+    rows = zip(
+        radii, cols["I"], cols["J"], cols["M"], dmfd,
+        cols["k1"], cols["k2"], cols["k3"], cols["k4"], cols["k5"], cols["k6"],
+        freq["D"], freq["V"], freq["N"], freq["e"], freq["Pi"],
+        cols["pohozaev_residual"], cols["energy_identity_residual"],
     )
     _write_csv(os.path.join(out, "sweep.csv"), header, rows)
     if opts.plots:
@@ -391,7 +390,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--plots", action="store_true", help="also write SVG plots")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect (runs are serial)")
     parser.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
     opts = parser.parse_args(argv)
 

@@ -168,13 +168,16 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
     Vectorized over ``t`` and ``s`` (broadcast together).  Returns
     ``(rho, d1H, d2H, flag)`` where d1H = dH/dt < 0, d2H = dH/ds > 0 on
     the subsonic branch and ``flag`` is 1 where no subsonic root exists
-    (outputs are NaN there).
+    and 2 where a node is still unconverged after ``max_iter`` passes
+    (outputs are NaN at flagged nodes).
 
     The bracket [sonic density, zero-speed density] contains exactly one
     root when one exists because the residual is strictly increasing
     there.  Safeguarded Newton runs until the absolute residual is at
-    most ``tol``; a node that gets there takes one last plain Newton step
-    (kept only inside the bracket) and leaves the iteration.
+    most ``tol``, or at most 16 ulps of the sum of its terms' sizes where
+    that rounding floor is larger (stiff gases, large c0); a node
+    that gets there takes one last plain Newton step (kept only inside
+    the bracket) and leaves the iteration.
     """
     gamma, A, rho0, g = model.gamma, model.A, model.rho_bar0, model.g
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
@@ -212,6 +215,9 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
     # [lo, hi] brackets the root of each node from here on
     rho[good] = hi[good]
     idx = np.nonzero(good & (t > 0.0))[0]
+    # at the root the residual's terms sum to 2 (g s + c0 e0); 16 ulps of
+    # that is its rounding floor, which tops tol for stiff gases (large c0)
+    tol_n = np.maximum(tol, 32.0 * np.finfo(float).eps * (g * s + c0 * e0))
     for _ in range(max_iter):
         if idx.size == 0:
             break
@@ -229,10 +235,13 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
         # the convergence test comes before the safeguard: a converged
         # node's Newton step lands on the bracket end just moved to x, and
         # bisecting from there would cost ~48 more passes for nothing
-        done = np.abs(f) <= tol
+        done = np.abs(f) <= tol_n[idx]
         xn[out] = np.where(done[out], x[out], 0.5 * (lo[idx[out]] + hi[idx[out]]))
         rho[idx] = xn
         idx = idx[~done]
+    flag[idx] = 2
+    good[idx] = False
+    rho[idx] = np.nan
 
     d1H = np.full(n, np.nan)
     d2H = np.full(n, np.nan)
@@ -264,7 +273,7 @@ def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
         raise DomainError("t and s must be nonnegative")
     rho, d1, d2, flag = invert_many(model, t, s)
     if int(flag) != 0:
-        raise StateError(f"no subsonic root at (t={t}, s={s})")
+        raise StateError(f"no subsonic root found at (t={t}, s={s})")
     rho = float(rho)
     x2_phys = model.x2_st - s
     if 0.0 <= x2_phys:

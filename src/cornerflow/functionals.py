@@ -14,7 +14,6 @@ origin kind the frequency quantities D, V, N with their cumulative
 corrections.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +74,8 @@ class _NodeEval:
     lam_p: np.ndarray
 
 
-def _evaluate(field_, medium, x1, x2, w, w_inv):
+def _evaluate(field_, medium, x1, x2, w=None, w_inv=None):
+    """Field, speed and thermodynamics at nodes, stored with the given weights."""
     u = field_.value(x1, x2)
     g1, g2 = field_.gradient(x1, x2)
     safe = np.maximum(x1, 1e-300)
@@ -107,8 +107,7 @@ def _ball_eval(field_, medium, center, r, half):
 
 def _arc_eval(field_, medium, center, r, half, n_arc):
     n = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
-    ev = _evaluate(field_, medium, n.x1, n.x2, n.w, n.w / np.maximum(n.x1, 1e-300))
-    return ev, n
+    return _evaluate(field_, medium, n.x1, n.x2, n.w), n
 
 
 def _mask_axis(arr, x1):
@@ -127,8 +126,12 @@ def energy_EF_ball(field_, medium, center, r, half=False):
 
 def energy_EH_ball(field_, medium, center, r, half=False):
     ev = _ball_eval(field_, medium, center, r, half)
-    dirich = np.sum(ev.w_inv * (ev.g1**2 + ev.g2**2) / ev.H)
-    return float(dirich + np.sum(ev.w * ev.x1 * (ev.x2 / medium.rho0) * ev.chi))
+    return float(_dirichlet_sum(ev) + np.sum(ev.w * ev.x1 * (ev.x2 / medium.rho0) * ev.chi))
+
+
+def _dirichlet_sum(ev):
+    """Weighted Dirichlet sum of grad u / (x1 H) over ball nodes."""
+    return np.sum(ev.w_inv * (ev.g1**2 + ev.g2**2) / ev.H)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +156,8 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
 
     E_F = float(np.sum(bv.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bv.x2, 0.0)
-    E_H = float(
-        np.sum(bv.w_inv * (bv.g1**2 + bv.g2**2) / bv.H)
-        + np.sum(bv.w * bv.x1 * (bv.x2 / rho0) * bv.chi)
-    )
-    dirichlet = float(np.sum(bv.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))
+    dirichlet = float(_dirichlet_sum(bv))
+    E_H = float(dirichlet + np.sum(bv.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
 
     u_arc = _mask_axis(av.u, av.x1)
     un = av.g1 * an.n1 + av.g2 * an.n2
@@ -259,10 +259,9 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
 # identities
 # ---------------------------------------------------------------------------
 
-def pohozaev_residual(field_, medium, center, r, kind, n_arc=4096):
-    """Left minus right side of the kind's Pohozaev identity, with scale."""
-    check_kind_center(kind, center)
-    rec = monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
+def pohozaev_residual(rec, kind):
+    """Left minus right side of the kind's Pohozaev identity for one record, with scale."""
+    r = rec["r"]
     lhs_coeff = {"stagnation": 3.0, "axis": 3.0, "origin": 4.0}[kind]
     dir_coeff = {"stagnation": 3.0, "axis": 4.0, "origin": 5.0}[kind]
     lhs = lhs_coeff * rec["E_F"] - r * rec["E_F_arc"]
@@ -277,10 +276,8 @@ def pohozaev_residual(field_, medium, center, r, kind, n_arc=4096):
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs, "scale": max(scale, 1e-300)}
 
 
-def energy_identity_residual(field_, medium, center, r, kind, n_arc=4096):
-    """|bulk weighted Dirichlet energy - boundary flux| for the kind's ball."""
-    check_kind_center(kind, center)
-    rec = monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
+def energy_identity_residual(rec):
+    """Bulk weighted Dirichlet energy minus boundary flux for one record, with scale."""
     resid = rec["dirichlet"] - rec["arc_uun"]
     scale = abs(rec["dirichlet"]) + abs(rec["arc_uun"])
     return {"residual": resid, "scale": max(scale, 1e-300)}
@@ -301,24 +298,24 @@ class RadialSweep:
         return self.columns[name]
 
 
-def radial_sweep(field_, medium, center, kind, radii, n_arc=4096, threads=1):
-    """Monotonicity + frequency sweep over strictly increasing radii."""
+def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):
+    """Monotonicity + frequency sweep over strictly increasing radii.
+
+    One record per radius; every column, the Pohozaev and energy-identity
+    residuals included, is read from it.
+    """
     check_kind_center(kind, center)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing (need at least 2)")
 
-    def work(r):
-        return monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            recs = list(ex.map(work, radii))
-    else:
-        recs = [work(r) for r in radii]
-
+    recs = [monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc) for r in radii]
     keys = sorted(recs[0].keys())
     cols = {k: np.array([rec.get(k, 0.0) for rec in recs]) for k in keys}
+    cols["pohozaev_residual"] = np.array([pohozaev_residual(rec, kind)["residual"] for rec in recs])
+    cols["energy_identity_residual"] = np.array(
+        [energy_identity_residual(rec)["residual"] for rec in recs]
+    )
     sweep = RadialSweep(center=tuple(center), kind=kind, radii=radii, columns=cols)
 
     # centered finite-difference derivative of M on the (log-spaced) radii
@@ -369,14 +366,14 @@ def _attach_frequency(sweep: RadialSweep, medium):
     c["grad_vm_norm_sq"] = vm2
 
 
-def frequency_quantities(field_, medium, center, radii, n_arc=4096, threads=1):
+def frequency_quantities(field_, medium, center, radii, n_arc=4096):
     """Frequency sweep D, V, N, e, V+, Vtilde, script-J, Pi at the origin.
 
     Raises FrequencyUndefinedError if J vanishes at any radius.
     """
     if tuple(center) != (0.0, 0.0):
         raise DomainError("frequency quantities are defined at the origin kind")
-    sweep = radial_sweep(field_, medium, center, "origin", radii, n_arc=n_arc, threads=threads)
+    sweep = radial_sweep(field_, medium, center, "origin", radii, n_arc=n_arc)
     if np.any(sweep.columns["J"] <= 0.0):
         bad = sweep.radii[np.argmax(sweep.columns["J"] <= 0.0)]
         raise FrequencyUndefinedError(f"J(r) = 0 at r = {bad}")

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DomainError, GeometryError, StateError
 from .eos import IncompressibleMedium, invert_many
 from .fields import GridField
+from .functionals import _evaluate
 
 ARMIJO_C = 1e-4
 
@@ -274,34 +275,19 @@ def first_variation_terms(field_, medium, phi, dphi, h=None):
     if h is None:
         h = getattr(field_, "h", 1.0 / 256.0)
     X1, X2 = _lattice(field_, h)
-    x1 = X1.ravel()
-    x2 = X2.ravel()
-    u = field_.value(x1, x2)
-    g1, g2 = field_.gradient(x1, x2)
+    ev = _evaluate(field_, medium, X1.ravel(), X2.ravel())
+    x1, x2, g1, g2, t, chi, H = ev.x1, ev.x2, ev.g1, ev.g2, ev.t, ev.chi, ev.H
     p1, p2 = phi(x1, x2)
     d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
     divp = d1p1 + d2p2
-    chi = field_.chi(u)
     safe = np.maximum(x1, 1e-300)
-    t = (g1 * g1 + g2 * g2) / (safe * safe)
-    H = np.full_like(t, medium.rho0)
-    F = np.zeros_like(t)
-    dF2 = np.zeros_like(t)
-    lam = np.zeros_like(t)
-    lam_p = np.zeros_like(t)
-    act = (t > 0) | chi
-    if np.any(act):
-        H[act], _, _ = medium.H_d1_d2(t[act], x2[act])
-        F[act], dF2[act] = medium.F_dF2(t[act], x2[act])
-    if np.any(chi):
-        lam[chi], lam_p[chi] = medium.lam_pair(x2[chi])
 
     w = h * h
     gDg = g1 * (d1p1 * g1 + d2p1 * g2) + g2 * (d1p2 * g1 + d2p2 * g2)
-    T1 = np.sum(x1 * (F + lam * chi) * divp) * w
+    T1 = np.sum(x1 * (ev.F + ev.lam * chi) * divp) * w
     T2 = -2.0 * np.sum(gDg / (safe * H)) * w
-    T3 = np.sum((F - 2.0 * t / H + lam * chi) * p1) * w
-    T4 = np.sum(x1 * (dF2 + lam_p * chi) * p2) * w
+    T3 = np.sum((ev.F - 2.0 * t / H + ev.lam * chi) * p1) * w
+    T4 = np.sum(x1 * (ev.dF2 + ev.lam_p * chi) * p2) * w
     return {"T1": float(T1), "T2": float(T2), "T3": float(T3), "T4": float(T4),
             "total": float(T1 + T2 + T3 + T4)}
 

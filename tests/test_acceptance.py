@@ -28,6 +28,7 @@ from cornerflow.functionals import (
     energy_identity_residual,
     frequency_quantities,
     monotonicity_derivative_check,
+    monotonicity_record,
     pohozaev_residual,
 )
 from cornerflow.legendre import find_theta_star, legendre_P_prime
@@ -256,8 +257,9 @@ def test_criterion_07_pohozaev_and_energy_identities():
         ("garabedian", profile_field(garabedian_bubble()), (0.0, 0.0), "origin", 0.2),
     ]
     for name, fld, center, kind, r in cases:
-        p = pohozaev_residual(fld, INC, center, r, kind)
-        e = energy_identity_residual(fld, INC, center, r, kind)
+        rec = monotonicity_record(fld, INC, center, r, kind)
+        p = pohozaev_residual(rec, kind)
+        e = energy_identity_residual(rec)
         rel_p = abs(p["residual"]) / p["scale"]
         rel_e = abs(e["residual"]) / e["scale"]
         checks.append(
@@ -271,14 +273,9 @@ def test_criterion_07_pohozaev_and_energy_identities():
         cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, h, stokes.value, medium=INC,
                              max_iter=1500, tol=1e-12, eps_chi=2 * h * h, pgs_sweeps=1500)
         fld, _ = minimize_EF(cfg)
-        poh = np.mean([
-            abs(pohozaev_residual(fld, INC, (1.0, 0.0), r, "stagnation")["residual"])
-            for r in (0.05, 0.08, 0.11)
-        ])
-        eni = np.mean([
-            abs(energy_identity_residual(fld, INC, (1.0, 0.0), r, "stagnation")["residual"])
-            for r in (0.05, 0.08, 0.11)
-        ])
+        recs = [monotonicity_record(fld, INC, (1.0, 0.0), r, "stagnation") for r in (0.05, 0.08, 0.11)]
+        poh = np.mean([abs(pohozaev_residual(rec, "stagnation")["residual"]) for rec in recs])
+        eni = np.mean([abs(energy_identity_residual(rec)["residual"]) for rec in recs])
         res[h] = (poh, eni)
     rp = res[1 / 128][0] / res[1 / 256][0]
     re = res[1 / 128][1] / res[1 / 256][1]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cornerflow import cli
+from cornerflow import cli, functionals, profiles
 from cornerflow.fields import GridField
 
 
@@ -80,6 +80,27 @@ class TestProfileTableAndClassify:
         assert abs(data["density"] - math.sqrt(3.0) / 3.0) < 1e-2
         assert (tmp_path / "oc" / "blowup.svg").exists()
 
+    @pytest.mark.parametrize("profile, box", [
+        (dict(profile="stokes_corner", x1_circ=1.0, offset_x1=1.0), (0.75, 1.25, -0.25, 0.25)),
+        (dict(profile="garabedian_bubble"), (0.0, 0.5, -0.5, 0.25)),
+    ])
+    def test_table_matches_pointwise_gradient(self, tmp_path, profile, box):
+        # one array-wide gradient call writes the same bytes as per-cell calls
+        h = 1 / 16
+        cfg = write_cfg(tmp_path / "p.cfg", **profile, x1_min=box[0], x1_max=box[1],
+                        x2_min=box[2], x2_max=box[3], h=h)
+        assert run("profile-table", cfg, tmp_path / "o") == 0
+        spec = cli._profile_spec(cli.parse_config(cfg))
+        off = (profile.get("offset_x1", 0.0), 0.0)
+        grid = profiles.profile_field(spec, offset=off).resample(*box, h)
+        lines = ["x1,x2,u,ux1,ux2"]
+        for i, x1 in enumerate(grid.cell_x1):
+            for j, x2 in enumerate(grid.cell_x2):
+                g1, g2 = profiles.eval_profile_gradient(spec, x1 - off[0], x2 - off[1])
+                lines.append(",".join(cli._fmt(v) for v in (x1, x2, grid.values[i, j], g1, g2)))
+        assert np.any(grid.values > 0)
+        assert (tmp_path / "o" / "profile_table.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_csv_round_trip_columns(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", profile="axis_parabola", alpha=1.0,
                         x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 32)
@@ -118,6 +139,34 @@ class TestSweep:
         assert run("sweep", cfg, tmp_path / "t1") == 0
         assert run("sweep", cfg, tmp_path / "t4", "--threads", "4") == 0
         assert filecmp.cmp(tmp_path / "t1" / "sweep.csv", tmp_path / "t4" / "sweep.csv", shallow=False)
+
+    def test_one_record_per_radius(self, tmp_path, monkeypatch):
+        calls = []
+        record = functionals.monotonicity_record
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "monotonicity_record", counted)
+        cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",
+                        r_min=0.05, r_max=0.5, n_radii=6)
+        assert run("sweep", cfg, tmp_path / "o") == 0
+        rows = np.loadtxt(tmp_path / "o" / "sweep.csv", delimiter=",", skiprows=1)
+        assert calls == list(rows[:, 0])
+
+    @pytest.mark.parametrize("bad", [
+        dict(n_arc=0), dict(n_radii=-5), dict(center_x1="nan"), dict(center_x2="inf"),
+        dict(r_min="nan"), dict(r_max="inf"),
+    ], ids=["n_arc", "n_radii", "center_x1", "center_x2", "r_min", "r_max"])
+    def test_bad_sweep_input_is_config_error(self, tmp_path, capsys, bad):
+        kv = dict(profile="flat_origin", kind="stagnation", center_x1=0.5,
+                  center_x2=0.0, r_min=0.05, r_max=0.2, n_radii=5)
+        cfg = write_cfg(tmp_path / "s.cfg", **{**kv, **bad})
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(bad)) in err
 
     def test_bad_kind(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", profile="zero", kind="nowhere",

@@ -208,6 +208,23 @@ class TestInversion:
         assert not np.any(full[3]) and not np.any(short[3])
         assert np.max(np.abs(short[0] - full[0]) / full[0]) <= 1e-15
 
+    @pytest.mark.parametrize("A", [1e3, 1e8])
+    def test_stiff_gas_converges_within_eight_passes(self, A):
+        # the residual's rounding floor grows like c0 = A gamma/(gamma-1):
+        # an absolute stopping test alone keeps these nodes iterating
+        model = EosModel(gamma=2.0, A=A)
+        t, s = random_states(np.random.default_rng(11), 10**4)
+        full = invert_many(model, t, s)
+        short = invert_many(model, t, s, max_iter=8)
+        assert not np.any(full[3]) and not np.any(short[3])
+        assert np.max(np.abs(short[0] - full[0]) / full[0]) <= 1e-15
+
+    def test_unconverged_node_flagged(self, model_g2):
+        t = np.array([0.0, 0.01, 0.05])
+        rho, d1, _, flag = invert_many(model_g2, t, 0.3, max_iter=1)
+        assert list(flag) == [0, 2, 2]
+        assert rho[0] > 0 and np.all(np.isnan(rho[1:])) and np.all(np.isnan(d1[1:]))
+
     def test_matches_mpmath_oracle(self):
         rng = np.random.default_rng(5)
         for gamma in (1.4, 2.0, 3.0):

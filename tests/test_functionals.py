@@ -158,19 +158,31 @@ class TestPohozaevAndEnergyIdentity:
             (garabedian_field, (0.0, 0.0), "origin", 0.2, 1e-12),
         ]
         for fld, center, kind, r, tol in cases:
-            poh = pohozaev_residual(fld, incompressible, center, r, kind)
+            rec = monotonicity_record(fld, incompressible, center, r, kind)
+            poh = pohozaev_residual(rec, kind)
             assert abs(poh["residual"]) < tol * poh["scale"]
-            eni = energy_identity_residual(fld, incompressible, center, r, kind)
+            eni = energy_identity_residual(rec)
             assert abs(eni["residual"]) < tol * eni["scale"]
 
     def test_stokes_small_radius_tight(self, stokes_field, incompressible):
         # the identity defect of the frozen-weight profile decays like r^2
-        poh = pohozaev_residual(stokes_field, incompressible, (1.0, 0.0), 0.005, "stagnation")
+        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.005, "stagnation")
+        poh = pohozaev_residual(rec, "stagnation")
         assert abs(poh["residual"]) < 1e-6 * poh["scale"]
+
+    def test_sweep_columns_are_record_residuals(self, garabedian_field, incompressible):
+        radii = np.geomspace(0.05, 0.2, 3)
+        sw = radial_sweep(garabedian_field, incompressible, (0.0, 0.0), "origin", radii)
+        for i, r in enumerate(radii):
+            rec = monotonicity_record(garabedian_field, incompressible, (0.0, 0.0), r, "origin")
+            assert sw.columns["pohozaev_residual"][i] == pohozaev_residual(rec, "origin")["residual"]
+            assert sw.columns["energy_identity_residual"][i] == energy_identity_residual(rec)["residual"]
 
     def test_zero_field(self, incompressible):
         f = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 2.0, -1.0, 1.0, 1 / 64)
-        poh = pohozaev_residual(f, incompressible, (1.0, 0.0), 0.3, "stagnation")
+        poh = pohozaev_residual(
+            monotonicity_record(f, incompressible, (1.0, 0.0), 0.3, "stagnation"), "stagnation"
+        )
         assert poh["lhs"] == 0.0 and poh["rhs"] == 0.0
 
 
