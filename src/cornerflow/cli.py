@@ -18,7 +18,7 @@ from . import classify as classify_mod
 from . import functionals, profiles, solver
 from .eos import EosModel, F_of, GammaLawMedium, IncompressibleMedium, invert_density, lambda_of
 from .errors import ConfigError, CornerflowError, DomainError, GeometryError, NumericalError
-from .fields import GridField
+from .fields import GridField, write_rows
 from .legendre import find_theta_star, legendre_ode_residual
 from .svgplot import write_svg_levels, write_svg_lines
 
@@ -63,16 +63,26 @@ def _get(cfg, key, cast=float, default=None, required=False):
     return val
 
 
+def _positive(cfg, key, cast=float, default=None):
+    val = _get(cfg, key, cast=cast, default=default, required=default is None)
+    if not val > 0:
+        raise ConfigError(f"{key} must be positive, got {val}")
+    return val
+
+
+def _eos_model(cfg):
+    return EosModel(
+        gamma=_get(cfg, "gamma", required=True),
+        A=_get(cfg, "A", default=1.0),
+        rho_bar0=_get(cfg, "rho_bar0", default=1.0),
+        g=_get(cfg, "g", default=1.0),
+        eps0=_get(cfg, "eps0", default=None),
+    )
+
+
 def _medium(cfg):
     if "gamma" in cfg:
-        model = EosModel(
-            gamma=_get(cfg, "gamma", required=True),
-            A=_get(cfg, "A", default=1.0),
-            rho_bar0=_get(cfg, "rho_bar0", default=1.0),
-            g=_get(cfg, "g", default=1.0),
-            eps0=_get(cfg, "eps0", default=None),
-        )
-        return GammaLawMedium(model)
+        return GammaLawMedium(_eos_model(cfg))
     return IncompressibleMedium(_get(cfg, "rho_bar0", default=1.0))
 
 
@@ -109,8 +119,7 @@ def _load_field(cfg):
 def _write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        write_rows(f, rows, len(header), ",")
 
 
 def _write_json(path, obj):
@@ -124,22 +133,16 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def run_eos_table(cfg, out, opts):
-    model = EosModel(
-        gamma=_get(cfg, "gamma", required=True),
-        A=_get(cfg, "A", default=1.0),
-        rho_bar0=_get(cfg, "rho_bar0", default=1.0),
-        g=_get(cfg, "g", default=1.0),
-        eps0=_get(cfg, "eps0", default=None),
-    )
+    model = _eos_model(cfg)
     tv = np.linspace(
         _get(cfg, "t_min", default=0.0),
         _get(cfg, "t_max", required=True),
-        int(_get(cfg, "t_count", cast=int, default=5)),
+        _positive(cfg, "t_count", int, default=5),
     )
     sv = np.linspace(
         _get(cfg, "s_min", default=0.0),
         _get(cfg, "s_max", required=True),
-        int(_get(cfg, "s_count", cast=int, default=5)),
+        _positive(cfg, "s_count", int, default=5),
     )
     rows = []
     for s in sv:
@@ -228,7 +231,7 @@ def run_profile_table(cfg, out, opts):
     x1_max = _get(cfg, "x1_max", required=True)
     x2_min = _get(cfg, "x2_min", required=True)
     x2_max = _get(cfg, "x2_max", required=True)
-    h = _get(cfg, "h", required=True)
+    h = _positive(cfg, "h")
     fld = profiles.profile_field(spec, offset=off)
     grid = fld.resample(x1_min, x1_max, x2_min, x2_max, h)
     X1, X2 = np.meshgrid(grid.cell_x1, grid.cell_x2, indexing="ij")
@@ -258,7 +261,7 @@ def run_minimize(cfg, out, opts):
         x1_max=_get(cfg, "x1_max", required=True),
         x2_min=_get(cfg, "x2_min", required=True),
         x2_max=_get(cfg, "x2_max", required=True),
-        h=_get(cfg, "h", required=True),
+        h=_positive(cfg, "h"),
         boundary=boundary,
         medium=med,
         eps_chi=_get(cfg, "eps_chi", default=None),
@@ -305,9 +308,7 @@ def run_sweep(cfg, out, opts):
         raise ConfigError(f"kind must be one of {functionals.KINDS}")
     center = (_get(cfg, "center_x1", default=0.0), _get(cfg, "center_x2", default=0.0))
     radii = _sweep_radii(cfg, fld, center, kind)
-    n_arc = _get(cfg, "n_arc", cast=int, default=4096)
-    if n_arc < 1:
-        raise ConfigError(f"n_arc must be at least 1, got {n_arc}")
+    n_arc = _positive(cfg, "n_arc", int, default=4096)
     sweep = functionals.radial_sweep(fld, med, center, kind, radii, n_arc=n_arc)
     cols = sweep.columns
     zero = np.zeros_like(radii)
@@ -358,7 +359,7 @@ def run_classify(cfg, out, opts):
         radii = np.geomspace(
             r_min,
             _get(cfg, "r_max", required=True),
-            int(_get(cfg, "n_radii", cast=int, default=10)),
+            _positive(cfg, "n_radii", int, default=10),
         )
     result = classify_mod.classify(fld, point, radii=radii)
     _write_json(os.path.join(out, "classification.json"), result.to_dict())

@@ -6,12 +6,22 @@ machinery can query exact values and gradients at quadrature nodes.
 """
 
 import io
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
 
 CHI_REL_THRESHOLD = 1e-10  # positivity threshold relative to max(u)
+_CHUNK = 2048  # values formatted per write: memory stays bounded
+
+
+def write_rows(f, rows, width, sep):
+    """Write rows of ``width`` floats as ``format(v, ".17g")``, one % per chunk."""
+    line = sep.join(["%.17g"] * width) + "\n"
+    rows = iter(rows)
+    while chunk := list(islice(rows, max(1, _CHUNK // max(width, 1)))):
+        f.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 class GridField:
@@ -139,8 +149,7 @@ class GridField:
     def write(self, path):
         with open(path, "w") as f:
             f.write(self.header_line() + "\n")
-            for i in range(self.n1):
-                f.write(" ".join(format(v, ".17g") for v in self.values[i]) + "\n")
+            write_rows(f, self.values, self.n2, " ")
 
     def header_line(self):
         vals = (self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h)

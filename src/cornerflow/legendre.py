@@ -1,44 +1,68 @@
 """Fractional-degree Legendre functions and the cone-angle constants.
 
-P_nu is evaluated through the hypergeometric series
-2F1(-nu, nu+1; 1; (1-s)/2); derivatives use the shifted-parameter
-series, which stay regular at s = 1.  The series converges for
--1 < s <= 1 but slows near s = -1, where summation is capped and
-checked (the root hunted below sits at s ~ -0.42, well inside).
+P_nu is 2F1(-nu, nu+1; 1; (1-s)/2); derivatives use the shifted series,
+regular at s = 1.  Each series is summed by Horner's rule over cached
+coefficients, with a term count fixed per band of z = (1-s)/2, so a node's
+value never depends on its array; near s = -1 (z > 0.97) the count is capped
+and checked (docs/decisions.md).  The root hunted below sits at s ~ -0.42.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, NumericalError
 
-_RTOL = 1e-16
-_MAX_TERMS = 2000
-_SLOW_CAP = 200  # near s = -1 (z -> 1) cap the summation and check convergence
+_TAIL = 1e-17  # absolute tail bound; every series starts with the term 1
+_BANDS = ((0.75, 2000), (0.97, 2000), (1.0, 200))  # (upper z edge, term cap)
 
 
-def _hyp2f1(a, b, c, z):
-    """Term-ratio summation of 2F1; z scalar or array in [0, 1)."""
-    z = np.asarray(z, dtype=float)
-    cap = _SLOW_CAP if np.any(z > 0.97) else _MAX_TERMS
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    settled = np.zeros_like(z, dtype=int)
-    for k in range(cap):
-        term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * z
-        total = total + term
-        small = np.abs(term) <= _RTOL * np.abs(total)
-        settled = np.where(small, settled + 1, 0)
-        if np.all(settled >= 3):
-            return total
-    if not np.all(np.abs(term) <= 1e-12 * np.maximum(1.0, np.abs(total))):
-        raise NumericalError(
-            "hypergeometric series not converged (argument too close to -1)",
-            residual=float(np.max(np.abs(term))),
-        )
-    return total
+@lru_cache(maxsize=None)
+def _series(a, b, c):
+    """Coefficients of 2F1(a, b; c; z) and the term count of each z-band."""
+    coef = [1.0]
+    while len(coef) < 2000 and coef[-1] != 0.0:  # an exact 0 ends the series
+        k = len(coef) - 1
+        coef.append(coef[-1] * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)))
+    # past `turn` the ratio c_{k+1}/c_k is monotone in k (docs/decisions.md)
+    turn = 1.0 + abs(a) + abs(b) + abs(c) + abs(a * b - c) * (abs(c) + 3.0)
+    counts = []
+    for edge, cap in _BANDS:
+        n = 1
+        while n < min(cap, len(coef)) and coef[n] != 0.0:
+            # tail from term n <= |c_n| z^n / (1 - q), q = z max(1, c_{n+1}/c_n)
+            q = edge * max(1.0, (a + n) * (b + n) / ((c + n) * (n + 1.0)))
+            if n > turn and q < 1.0 and abs(coef[n]) * edge**n <= _TAIL * (1.0 - q):
+                break
+            n += 1
+        counts.append(n)
+    return tuple(coef), tuple(counts)
+
+
+def _hyp2f1(a, b, c, s):
+    """2F1(a, b; c; (1-s)/2) for s in (-1, 1], by bands of z."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= -1.0) or np.any(s > 1.0):
+        raise DomainError("argument must lie in (-1, 1]")
+    z = 0.5 * (1.0 - s.reshape(-1))
+    out = np.empty_like(z)
+    coef, counts = _series(a, b, c)
+    band = np.searchsorted([edge for edge, _ in _BANDS[:-1]], z)
+    for i in np.flatnonzero(np.bincount(band)):
+        n, sel = counts[i], band == i
+        zb = z[sel]
+        tot = np.full_like(zb, coef[n - 1])
+        for ck in coef[n - 2::-1]:
+            tot *= zb
+            tot += ck
+        last = abs(coef[n - 1]) * zb ** (n - 1) if n == _BANDS[i][1] else 0.0
+        if not np.all(last <= 1e-12 * np.maximum(1.0, np.abs(tot))):
+            raise NumericalError("hypergeometric series not converged near s = -1",
+                                 residual=float(np.max(last)))
+        out[sel] = tot
+    return out.reshape(s.shape)
 
 
 def _check_open_interval(s):
@@ -50,27 +74,18 @@ def _check_open_interval(s):
 
 def legendre_P(nu: float, s):
     """Legendre function of the first kind, degree nu, on (-1, 1]."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= -1.0) or np.any(s > 1.0):
-        raise DomainError("argument must lie in (-1, 1]")
-    return _hyp2f1(-nu, nu + 1.0, 1.0, 0.5 * (1.0 - s))
+    return _hyp2f1(-nu, nu + 1.0, 1.0, s)
 
 
 def legendre_P_prime(nu: float, s):
     """d/ds P_nu(s); regular at s = 1 with value nu(nu+1)/2."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= -1.0) or np.any(s > 1.0):
-        raise DomainError("argument must lie in (-1, 1]")
-    return 0.5 * nu * (nu + 1.0) * _hyp2f1(1.0 - nu, nu + 2.0, 2.0, 0.5 * (1.0 - s))
+    return 0.5 * nu * (nu + 1.0) * _hyp2f1(1.0 - nu, nu + 2.0, 2.0, s)
 
 
 def legendre_P_second(nu: float, s):
     """d^2/ds^2 P_nu(s) through the twice-shifted series."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= -1.0) or np.any(s > 1.0):
-        raise DomainError("argument must lie in (-1, 1]")
     coeff = -nu * (nu + 1.0) * (1.0 - nu) * (nu + 2.0) / 8.0
-    return coeff * _hyp2f1(2.0 - nu, nu + 3.0, 3.0, 0.5 * (1.0 - s))
+    return coeff * _hyp2f1(2.0 - nu, nu + 3.0, 3.0, s)
 
 
 def legendre_ode_residual(nu: float, s):

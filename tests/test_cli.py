@@ -5,8 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from cornerflow import cli, functionals, profiles
+from cornerflow import cli, fields, functionals, profiles
 from cornerflow.fields import GridField
+
+# values whose 17-digit text is easy to get wrong: signed zero, the smallest
+# subnormal, near-overflow, a repeating fraction, and the non-finite values
+SPECIAL = (-0.0, 5e-324, 1e308, 1 / 3, -1e-300, 0.1, 2.0**60, math.inf, -math.inf, math.nan)
+
+
+def reference_text(rows, sep):
+    """The per-value writer: format(float(v), ".17g") for every value."""
+    return "".join(sep.join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+
+
+def awkward_table(n, width):
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-300, 300, (n, width))
+    vals.flat[: len(SPECIAL)] = SPECIAL[: vals.size]
+    return vals
 
 
 def write_cfg(path, **kv):
@@ -35,6 +51,43 @@ class TestConfigParsing:
         p = tmp_path / "c.cfg"
         p.write_text("\n# comment only\ngamma = 2.0\nt_max = 0.05 # trailing\ns_max = 0.2\n")
         assert run("eos-table", p, tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("sub, kv", [
+        ("classify", dict(profile="flat_origin", kind="origin", r_min=0.05, r_max=0.2, n_radii=-3)),
+        ("eos-table", dict(gamma=2.0, t_max=0.05, s_max=0.2, t_count=0)),
+        ("eos-table", dict(gamma=2.0, t_max=0.05, s_max=0.2, s_count=-2)),
+        ("profile-table", dict(profile="axis_parabola", x1_min=0.0, x1_max=0.25,
+                               x2_min=0.0, x2_max=0.25, h=0)),
+        ("minimize", dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=-1 / 32)),
+    ], ids=["classify-n_radii", "eos-t_count", "eos-s_count", "profile-table-h", "minimize-h"])
+    def test_bad_count_or_step_is_config_error(self, tmp_path, capsys, sub, kv):
+        cfg = write_cfg(tmp_path / "c.cfg", **kv)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        key = list(kv)[-1]  # the bad key comes last
+        assert err.startswith(f"error: {key} must be positive") and err.count("\n") == 1
+
+
+class TestWriters:
+    # k full chunks plus r rows: 0 rows, a partial chunk, and chunk edges
+    @pytest.mark.parametrize("k, r", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3)])
+    def test_write_csv_matches_per_value_format(self, tmp_path, k, r):
+        vals = awkward_table(k * (fields._CHUNK // 5) + r, 5)
+        header = ["a", "b", "c", "d", "e"]
+        expect = "a,b,c,d,e\n" + reference_text(vals, ",")
+        cli._write_csv(tmp_path / "cols.csv", header, zip(*vals.T))
+        # the eos-table path: a list of tuples mixing numpy and Python floats
+        cli._write_csv(tmp_path / "rows.csv", header, [(row[0], *row[1:].tolist()) for row in vals])
+        assert (tmp_path / "cols.csv").read_text() == expect
+        assert (tmp_path / "rows.csv").read_text() == expect
+
+    @pytest.mark.parametrize("k, r", [(0, 0), (0, 1), (1, 0), (2, 3)])
+    def test_field_write_matches_per_value_format(self, tmp_path, k, r):
+        n1, n2, h = k * (fields._CHUNK // 7) + r, 7, 1 / 8
+        fld = GridField(0.0, n1 * h, -0.5, n2 * h - 0.5, h, awkward_table(n1, n2))
+        fld.write(tmp_path / "field.txt")
+        expect = fld.header_line() + "\n" + reference_text(fld.values, " ")
+        assert (tmp_path / "field.txt").read_text() == expect
 
 
 class TestEosTable:

@@ -1,14 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from cornerflow.errors import DomainError
+from cornerflow.errors import DomainError, NumericalError
 from cornerflow.legendre import (
     find_theta_star,
     legendre_ode_residual,
     legendre_P,
     legendre_P_prime,
+    legendre_P_second,
     legendre_Q1,
     legendre_Q1_prime,
     legendre_Q1_second,
@@ -26,16 +28,58 @@ def test_normalization_at_one():
 
 
 def test_half_integer_values_vs_high_precision_oracle():
-    # frozen mpmath (40-digit) values
-    assert float(legendre_P(1.5, 0.5)) == pytest.approx(0.1724386030742277798, abs=1e-12)
-    assert float(legendre_P_prime(1.5, 0.5)) == pytest.approx(1.4180592132978199347, abs=1e-12)
-    assert float(legendre_P(0.5, 0.3)) == pytest.approx(0.70093853096965508, abs=1e-12)
+    # frozen mpmath (40-digit) values; the series meet them within 2.2e-16
+    assert float(legendre_P(1.5, 0.5)) == pytest.approx(0.1724386030742277798, abs=3e-16)
+    assert float(legendre_P_prime(1.5, 0.5)) == pytest.approx(1.4180592132978199347, abs=3e-16)
+    assert float(legendre_P(0.5, 0.3)) == pytest.approx(0.70093853096965508, abs=3e-16)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+def test_matches_mpmath_oracle(nu):
+    # 40-digit Ferrers functions and their derivatives by mpmath's own
+    # differentiation; at s = 1 the closed values P = 1, P' = nu(nu+1)/2,
+    # P'' = (nu-1) nu (nu+1) (nu+2)/8 from the ODE
+    s = np.append(np.linspace(-0.9, 0.99, 28), [-0.5, find_theta_star().s_star])
+    for order, fn in enumerate((legendre_P, legendre_P_prime, legendre_P_second)):
+        with mp.workdps(40):
+            ref = [float(mp.diff(lambda x: mp.legenp(nu, 0, x, type=2), mp.mpf(float(x)), order))
+                   for x in s]
+        ref.append((1.0, nu * (nu + 1) / 2, (nu - 1) * nu * (nu + 1) * (nu + 2) / 8)[order])
+        got = fn(nu, np.append(s, 1.0))
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
+
+
+def test_terminating_series_near_minus_one():
+    # integer degrees end the series: no cap, no convergence error at z > 0.97
+    s = np.array([-0.999, -0.97, -0.95])
+    assert np.max(np.abs(legendre_P(2.0, s) - (3 * s * s - 1) / 2)) < 1e-14
+    assert np.max(np.abs(legendre_P_prime(2.0, s) - 3 * s)) < 1e-14
+
+
+def test_array_value_independent_of_other_nodes():
+    # the term count is fixed per z-band, so a node gives the same bits in an
+    # array as alone; z = (1-s)/2 in [0, 0.97] spans both bands, and the nodes
+    # around the root of P'_{3/2} are where the bubble's cone edge sits
+    s_star = find_theta_star().s_star
+    s = np.append(np.linspace(-0.94, 1.0, 97), s_star + np.linspace(-1e-12, 1e-12, 9))
+    for fn in (legendre_P, legendre_P_prime, legendre_P_second):
+        for nu in (0.5, 1.5):
+            arr = fn(nu, s)
+            assert np.array_equal(arr, [float(fn(nu, x)) for x in s])
+            assert np.array_equal(fn(nu, s[::-1])[::-1], arr)
+
+
+def test_slow_series_near_minus_one_raises():
+    with pytest.raises(NumericalError):
+        legendre_P_prime(1.5, -0.99)
+    with pytest.raises(NumericalError):
+        legendre_P_prime(1.5, np.array([0.5, -0.2, -0.995]))
 
 
 def test_ode_residual():
     s = np.linspace(-0.9, 0.95, 50)
     for nu in (0.5, 1.5, 2.5):
-        assert np.max(np.abs(legendre_ode_residual(nu, s))) < 1e-9
+        assert np.max(np.abs(legendre_ode_residual(nu, s))) < 1e-12
 
 
 def test_domain_errors():
