@@ -16,14 +16,15 @@ import numpy as np
 from .errors import DomainError, InternalConsistencyError, NumericalError
 
 _TAIL = 1e-17  # absolute tail bound; every series starts with the term 1
-_BANDS = ((0.75, 2000), (0.97, 2000), (1.0, 200))  # (upper z edge, term cap)
+_MAX_TERMS = 2000  # coefficients kept per series; _BANDS: (upper z edge, term cap)
+_BANDS = ((0.75, _MAX_TERMS), (0.9, _MAX_TERMS), (0.97, _MAX_TERMS), (1.0, 200))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _series(a, b, c):
     """Coefficients of 2F1(a, b; c; z) and the term count of each z-band."""
     coef = [1.0]
-    while len(coef) < 2000 and coef[-1] != 0.0:  # an exact 0 ends the series
+    while len(coef) < _MAX_TERMS and coef[-1] != 0.0:  # an exact 0 ends the series
         k = len(coef) - 1
         coef.append(coef[-1] * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)))
     # past `turn` the ratio c_{k+1}/c_k is monotone in k (docs/decisions.md)
@@ -51,17 +52,16 @@ def _hyp2f1(a, b, c, s):
     coef, counts = _series(a, b, c)
     band = np.searchsorted([edge for edge, _ in _BANDS[:-1]], z)
     for i in np.flatnonzero(np.bincount(band)):
-        n, sel = counts[i], band == i
-        zb = z[sel]
+        n, zb = counts[i], z[band == i]
         tot = np.full_like(zb, coef[n - 1])
-        for ck in coef[n - 2::-1]:
+        for ck in reversed(coef[:n - 1]):
             tot *= zb
             tot += ck
         last = abs(coef[n - 1]) * zb ** (n - 1) if n == _BANDS[i][1] else 0.0
         if not np.all(last <= 1e-12 * np.maximum(1.0, np.abs(tot))):
             raise NumericalError("hypergeometric series not converged near s = -1",
                                  residual=float(np.max(last)))
-        out[sel] = tot
+        out[band == i] = tot
     return out.reshape(s.shape)
 
 

@@ -54,12 +54,19 @@ def test_terminating_series_near_minus_one():
     s = np.array([-0.999, -0.97, -0.95])
     assert np.max(np.abs(legendre_P(2.0, s) - (3 * s * s - 1) / 2)) < 1e-14
     assert np.max(np.abs(legendre_P_prime(2.0, s) - 3 * s)) < 1e-14
+    # one-term series (c_1 = 0), in every band and at s = 1
+    s = np.array([-0.99, -0.95, -0.85, -0.6, 0.3, 1.0])
+    for nu in (0.0, -1.0):
+        assert np.array_equal(legendre_P(nu, s), np.ones_like(s))
+    assert np.array_equal(legendre_P_prime(1.0, s), np.ones_like(s))
+    assert np.array_equal(legendre_P_second(2.0, s), np.full_like(s, 3.0))
+    assert np.max(np.abs(legendre_P(1.0, s) - s)) < 1e-15
 
 
 def test_array_value_independent_of_other_nodes():
     # the term count is fixed per z-band, so a node gives the same bits in an
-    # array as alone; z = (1-s)/2 in [0, 0.97] spans both bands, and the nodes
-    # around the root of P'_{3/2} are where the bubble's cone edge sits
+    # array as alone; z = (1-s)/2 in [0, 0.97] spans every uncapped band, and
+    # the nodes around the root of P'_{3/2} are where the bubble's cone edge sits
     s_star = find_theta_star().s_star
     s = np.append(np.linspace(-0.94, 1.0, 97), s_star + np.linspace(-1e-12, 1e-12, 9))
     for fn in (legendre_P, legendre_P_prime, legendre_P_second):
