@@ -7,7 +7,6 @@ profile and the trivial full-positivity case, so the blow-up norm
 breaks the tie (the trivial case is flagged as such).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -225,9 +224,6 @@ class Classification:
             "candidates": self.candidates,
             "notes": self.notes,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=False):

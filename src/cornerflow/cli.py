@@ -70,6 +70,15 @@ def _positive(cfg, key, cast=float, default=None):
     return val
 
 
+def _window(cfg, lo_key, hi_key, positive=False):
+    """Required keys lo < hi, and 0 < lo if ``positive``."""
+    lo = _get(cfg, lo_key, required=True)
+    hi = _get(cfg, hi_key, required=True)
+    if not (lo < hi and (lo > 0 or not positive)):
+        raise ConfigError(f"need {'0 < ' if positive else ''}{lo_key} < {hi_key}, got {lo} and {hi}")
+    return lo, hi
+
+
 def _eos_model(cfg):
     return EosModel(
         gamma=_get(cfg, "gamma", required=True),
@@ -227,10 +236,8 @@ def _interior_points(spec, rng, n):
 def run_profile_table(cfg, out, opts):
     spec = _profile_spec(cfg)
     off = (_get(cfg, "offset_x1", default=0.0), _get(cfg, "offset_x2", default=0.0))
-    x1_min = _get(cfg, "x1_min", required=True)
-    x1_max = _get(cfg, "x1_max", required=True)
-    x2_min = _get(cfg, "x2_min", required=True)
-    x2_max = _get(cfg, "x2_max", required=True)
+    x1_min, x1_max = _window(cfg, "x1_min", "x1_max")
+    x2_min, x2_max = _window(cfg, "x2_min", "x2_max")
     h = _positive(cfg, "h")
     fld = profiles.profile_field(spec, offset=off)
     grid = fld.resample(x1_min, x1_max, x2_min, x2_max, h)
@@ -257,10 +264,8 @@ def run_minimize(cfg, out, opts):
     else:
         boundary = lambda x1, x2: np.zeros_like(np.asarray(x1))
     mc = solver.MinimizeConfig(
-        x1_min=_get(cfg, "x1_min", required=True),
-        x1_max=_get(cfg, "x1_max", required=True),
-        x2_min=_get(cfg, "x2_min", required=True),
-        x2_max=_get(cfg, "x2_max", required=True),
+        *_window(cfg, "x1_min", "x1_max"),
+        *_window(cfg, "x2_min", "x2_max"),
         h=_positive(cfg, "h"),
         boundary=boundary,
         medium=med,
@@ -288,10 +293,9 @@ def run_minimize(cfg, out, opts):
 
 
 def _sweep_radii(cfg, fld, center, kind):
-    r_min = _get(cfg, "r_min", default=None)
-    r_max = _get(cfg, "r_max", default=None)
-    if r_min is None or r_max is None:
+    if "r_min" not in cfg or "r_max" not in cfg:
         return functionals.default_radii(fld, center, kind)
+    r_min, r_max = _window(cfg, "r_min", "r_max", positive=True)
     n = _get(cfg, "n_radii", cast=int, default=0)
     if n < 0:
         raise ConfigError(f"n_radii must be nonnegative (0 picks the count), got {n}")
@@ -353,14 +357,10 @@ def run_classify(cfg, out, opts):
         x2=_get(cfg, "point_x2", default=0.0),
         kind=cfg.get("kind"),
     )
-    r_min = _get(cfg, "r_min", default=None)
     radii = None
-    if r_min is not None:
-        radii = np.geomspace(
-            r_min,
-            _get(cfg, "r_max", required=True),
-            _positive(cfg, "n_radii", int, default=10),
-        )
+    if "r_min" in cfg:
+        r_min, r_max = _window(cfg, "r_min", "r_max", positive=True)
+        radii = np.geomspace(r_min, r_max, _positive(cfg, "n_radii", int, default=10))
     result = classify_mod.classify(fld, point, radii=radii)
     _write_json(os.path.join(out, "classification.json"), result.to_dict())
     if opts.plots:

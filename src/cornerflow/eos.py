@@ -259,7 +259,7 @@ def _checked_inversion(model: EosModel, t, s):
     if np.any(flag):
         i = np.nonzero(np.ravel(flag))[0][0]
         t_i, s_i = (np.ravel(np.broadcast_to(a, np.shape(flag)))[i] for a in (t, s))
-        raise StateError(f"subsonic inversion failed at node index {i} (t={t_i!r}, s={s_i!r})")
+        raise StateError(f"subsonic inversion failed at node index {i} (t={t_i!r}, s={s_i!r})", i)
     return rho, d1, d2
 
 
@@ -347,7 +347,10 @@ class GammaLawMedium:
         self.model = model
         self.rho0 = model.rho_bar0
 
-    compressible = True
+    def thermo(self, t, s):
+        """H, d1H, d2H, F and dF2 at the states (t, s) from one inversion."""
+        H, d1, d2 = _checked_inversion(self.model, t, s)
+        return (H, d1, d2, *_F_closed(self.model, np.asarray(t, dtype=float), H, s))
 
     def H_d1_d2(self, t, s):
         return _checked_inversion(self.model, t, s)
@@ -377,22 +380,21 @@ class GammaLawMedium:
 class IncompressibleMedium:
     """Exact incompressible limit: H == rho_bar0, F = t/rho0, lambda = s/rho0."""
 
-    compressible = False
-
     def __init__(self, rho_bar0: float = 1.0):
         if rho_bar0 <= 0:
             raise DomainError("rho_bar0 must be positive")
         self.rho0 = rho_bar0
 
-    def H_d1_d2(self, t, s):
+    def thermo(self, t, s):
         t = np.asarray(t, dtype=float)
-        H = np.full_like(t, self.rho0)
         z = np.zeros_like(t)
-        return H, z, z
+        return np.full_like(t, self.rho0), z, z, t / self.rho0, z
+
+    def H_d1_d2(self, t, s):
+        return self.thermo(t, s)[:3]
 
     def F_dF2(self, t, s):
-        t = np.asarray(t, dtype=float)
-        return t / self.rho0, np.zeros_like(t)
+        return self.thermo(t, s)[3:]
 
     def lam(self, s):
         return np.asarray(s, dtype=float) / self.rho0

@@ -10,7 +10,14 @@ class DomainError(CornerflowError, ValueError):
 
 
 class StateError(CornerflowError):
-    """Thermodynamic state error (e.g. no subsonic root exists)."""
+    """Thermodynamic state error (e.g. no subsonic root exists).
+
+    ``index`` is the flat index of the first failing node, when known.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class SubsonicityError(StateError):

@@ -65,8 +65,8 @@ class _NodeEval:
     u: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    t: np.ndarray
     chi: np.ndarray
+    t: np.ndarray
     H: np.ndarray
     F: np.ndarray
     dF2: np.ndarray
@@ -74,13 +74,10 @@ class _NodeEval:
     lam_p: np.ndarray
 
 
-def _evaluate(field_, medium, x1, x2, w=None, w_inv=None):
-    """Field, speed and thermodynamics at nodes, stored with the given weights."""
-    u = field_.value(x1, x2)
-    g1, g2 = field_.gradient(x1, x2)
+def _thermo(medium, x1, x2, g1, g2, chi):
+    """Speed t and (H, F, dF2, lambda, lambda') at nodes with gradient g and positivity chi."""
     safe = np.maximum(x1, 1e-300)
     t = (g1 * g1 + g2 * g2) / (safe * safe)
-    chi = field_.chi(u)
     H = np.full_like(t, medium.rho0)
     F = np.zeros_like(t)
     dF2 = np.zeros_like(t)
@@ -91,13 +88,18 @@ def _evaluate(field_, medium, x1, x2, w=None, w_inv=None):
     # and is undefined below the free-surface height for compressible media)
     active = (t > _T_ACTIVE) | chi
     if np.any(active):
-        ta = t[active]
-        sa = x2[active]
-        H[active], _, _ = medium.H_d1_d2(ta, sa)
-        F[active], dF2[active] = medium.F_dF2(ta, sa)
+        H[active], _, _, F[active], dF2[active] = medium.thermo(t[active], x2[active])
     if np.any(chi):
         lam[chi], lam_p[chi] = medium.lam_pair(x2[chi])
-    return _NodeEval(x1, x2, w, w_inv, u, g1, g2, t, chi, H, F, dF2, lam, lam_p)
+    return t, H, F, dF2, lam, lam_p
+
+
+def _evaluate(field_, medium, x1, x2, w=None, w_inv=None):
+    """Field, speed and thermodynamics at nodes, stored with the given weights."""
+    u = field_.value(x1, x2)
+    g1, g2 = field_.gradient(x1, x2)
+    chi = field_.chi(u)
+    return _NodeEval(x1, x2, w, w_inv, u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
 
 
 def _ball_eval(field_, medium, center, r, half):
@@ -293,9 +295,6 @@ class RadialSweep:
     kind: str
     radii: np.ndarray
     columns: dict = field(default_factory=dict)
-
-    def col(self, name):
-        return self.columns[name]
 
 
 def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GeometryError, StateError
-from .eos import IncompressibleMedium, invert_many
+from .eos import IncompressibleMedium
 from .fields import GridField
-from .functionals import _evaluate
+from .functionals import _evaluate, _thermo
 
 ARMIJO_C = 1e-4
 
@@ -74,29 +74,30 @@ class _Discretization:
         self.lam = np.maximum(med.lam(np.maximum(self.X2, 0.0)), 0.0)
         self.on_axis = abs(cfg.x1_min) < 1e-12
 
-    def speed_sq(self, v):
-        h = self.cfg.h
+    def state(self, v):
+        """Energy of v, and the (d1, d2, H) its gradient and the PGS sweep need.
+
+        One thermo evaluation per call; raises StateError where a cell has
+        no subsonic density.
+        """
+        cfg = self.cfg
+        h = cfg.h
         d1 = (v[1:, :-1] - v[:-1, :-1]) / h
         d2 = (v[:-1, 1:] - v[:-1, :-1]) / h
         X1 = self.X1[:-1, :-1]
-        return (d1 * d1 + d2 * d2) / (X1 * X1), d1, d2
+        t = (d1 * d1 + d2 * d2) / (X1 * X1)
+        H, _, _, F, _ = cfg.medium.thermo(t, self.X2[:-1, :-1])
+        s = _smoothed_chi(v[:-1, :-1], cfg.eps_chi)
+        dens = X1 * (F + self.lam[:-1, :-1] * s)
+        return float(np.sum(dens) * h * h), (d1, d2, H)
 
     def energy(self, v):
-        cfg = self.cfg
-        t, _, _ = self.speed_sq(v)
-        med = cfg.medium
-        F, _ = med.F_dF2(t, self.X2[:-1, :-1])
-        s = _smoothed_chi(v[:-1, :-1], cfg.eps_chi)
-        dens = self.X1[:-1, :-1] * (F + self.lam[:-1, :-1] * s)
-        return float(np.sum(dens) * cfg.h * cfg.h)
+        return self.state(v)[0]
 
-    def gradient(self, v):
-        """Exact gradient of the smoothed discrete energy."""
+    def gradient(self, v, d1, d2, H):
+        """Exact gradient of the smoothed discrete energy at v, from its state."""
         cfg = self.cfg
         h = cfg.h
-        t, d1, d2 = self.speed_sq(v)
-        med = cfg.medium
-        H, _, _ = med.H_d1_d2(t, self.X2[:-1, :-1])
         a = 1.0 / (self.X1[:-1, :-1] * H)  # x1 * dF/dt / x1^2
         g = np.zeros_like(v)
         # d/dv of sum a*((vE - v)^2 + (vN - v)^2)
@@ -118,7 +119,8 @@ def minimize_EF(cfg: MinimizeConfig):
 
     Returns (GridField, ConvergenceLog).  Dirichlet data is pinned on
     the outermost cell ring; iterates are projected onto v >= 0.
-    Raises StateError if the subsonic inversion fails at any cell.
+    Raises StateError if the subsonic inversion fails at any cell of the
+    initial guess; a trial that fails it is rejected like an uphill one.
     """
     disc = _Discretization(cfg)
     v = np.asarray(cfg.boundary(disc.X1, disc.X2), dtype=float).copy()
@@ -128,23 +130,21 @@ def minimize_EF(cfg: MinimizeConfig):
     interior = np.zeros_like(v, dtype=bool)
     interior[1:-1, 1:-1] = True
 
-    med = cfg.medium
-    if getattr(med, "compressible", False):
-        t, _, _ = disc.speed_sq(v)
-        _, _, _, flags = invert_many(med.model, t, disc.X2[:-1, :-1])
-        if np.any(flags):
-            i, j = np.unravel_index(np.argmax(flags != 0), flags.shape)
-            raise StateError(
-                f"subsonicity violated at cell ({i}, {j}), "
-                f"x = ({disc.x1[i]:.6g}, {disc.x2[j]:.6g})"
-            )
+    try:
+        E, st = disc.state(v)
+    except StateError as exc:
+        i, j = np.unravel_index(exc.index, (disc.n1 - 1, disc.n2 - 1))
+        raise StateError(
+            f"subsonicity violated at cell ({i}, {j}), "
+            f"x = ({disc.x1[i]:.6g}, {disc.x2[j]:.6g})"
+        ) from None
 
     log = ConvergenceLog()
-    E = disc.energy(v)
     step = cfg.step0
     recent = []
     for it in range(cfg.max_iter):
-        g = disc.gradient(v)
+        # the accepted trial's state gives the gradient: no second inversion
+        g = disc.gradient(v, *st)
         g_eff = np.where(interior & ((v > 0) | (g < 0)), g, 0.0)
         gmax = float(np.max(np.abs(g_eff))) if g_eff.size else 0.0
         accepted = False
@@ -153,7 +153,7 @@ def minimize_EF(cfg: MinimizeConfig):
             trial = np.where(interior, np.maximum(trial, 0.0), v)
             decrease = float(np.sum(g_eff * (v - trial)))
             try:
-                E_trial = disc.energy(trial)
+                E_trial, st_trial = disc.state(trial)
             except StateError:
                 # the trial overshot into supersonic states: reject it
                 step *= 0.5
@@ -167,7 +167,7 @@ def minimize_EF(cfg: MinimizeConfig):
             log.message = f"backtracking exhausted at iteration {it}"
             break
         rel_drop = (E - E_trial) / max(abs(E), 1e-300)
-        v, E = trial, E_trial
+        v, E, st = trial, E_trial, st_trial
         log.iterations.append((it, E, step, gmax))
         step = min(step * 2.0, 1e3)
         recent.append(rel_drop)
@@ -181,26 +181,25 @@ def minimize_EF(cfg: MinimizeConfig):
         log.message = "max iterations reached"
 
     for _ in range(cfg.pgs_sweeps):
-        v = _pgs_sweep(disc, v)
+        v = _pgs_sweep(disc, v, st[2])
+        E, st = disc.state(v)
     if cfg.pgs_sweeps:
-        log.iterations.append((cfg.max_iter, disc.energy(v), 0.0, 0.0))
+        log.iterations.append((cfg.max_iter, E, 0.0, 0.0))
 
     out = GridField(cfg.x1_min, cfg.x1_max, cfg.x2_min, cfg.x2_max, cfg.h, v)
     return out, log
 
 
-def _pgs_sweep(disc: _Discretization, v):
+def _pgs_sweep(disc: _Discretization, v, H):
     """One red-black projected Gauss-Seidel sweep of the smoothed energy.
 
     Exact per-cell minimization of the frozen-coefficient quadratic plus
-    the piecewise-linear indicator term, projected onto v >= 0.
+    the piecewise-linear indicator term, projected onto v >= 0; H is the
+    density of ``disc.state(v)``.
     """
     cfg = disc.cfg
     eps = cfg.eps_chi
     v = v.copy()
-    t, _, _ = disc.speed_sq(v)
-    med = cfg.medium
-    H, _, _ = med.H_d1_d2(t, disc.X2[:-1, :-1])
     a_full = np.zeros_like(v)
     a_full[:-1, :-1] = 1.0 / (disc.X1[:-1, :-1] * H)
     # indicator term x1*lam*s(v)*h^2 (the edge terms' h^2 cancels, this does not)
@@ -316,16 +315,8 @@ def flow_energy(field_, medium, phi, eps, h=None, dphi=None):
         G2 = eps * d2p1 * g1 + (1.0 + eps * d2p2) * g2
     else:
         G1, G2 = g1, g2
-    chi = u > 0 if not hasattr(field_, "umax") else field_.chi(u)
-    safe = np.maximum(x1, 1e-300)
-    t = (G1 * G1 + G2 * G2) / (safe * safe)
-    F = np.zeros_like(t)
-    lam = np.zeros_like(t)
-    act = (t > 0) | chi
-    if np.any(act):
-        F[act], _ = medium.F_dF2(t[act], x2[act])
-    if np.any(chi):
-        lam[chi] = medium.lam(x2[chi])
+    chi = field_.chi(u)
+    _, _, F, _, lam, _ = _thermo(medium, x1, x2, G1, G2, chi)
     return float(np.sum(x1 * (F + lam * chi)) * h * h)
 
 

@@ -68,6 +68,27 @@ class TestConfigParsing:
         assert err.startswith(f"error: {key} must be positive") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("sub, kv, msg", [
+        ("sweep", dict(profile="flat_origin", kind="origin", r_min=-0.1, r_max=0.1, n_radii=5),
+         "need 0 < r_min < r_max"),
+        ("classify", dict(profile="flat_origin", kind="origin", r_min=0.0, r_max=0.2),
+         "need 0 < r_min < r_max"),
+        ("classify", dict(profile="flat_origin", kind="origin", r_min=-0.05, r_max=0.2),
+         "need 0 < r_min < r_max"),
+        ("minimize", dict(x1_min=0.25, x1_max=0.0, x2_min=0.0, x2_max=0.25, h=1 / 32),
+         "need x1_min < x1_max"),
+        ("minimize", dict(x1_min=0.0, x1_max=0.25, x2_min=0.25, x2_max=0.0, h=1 / 32),
+         "need x2_min < x2_max"),
+    ], ids=["sweep-negative-r_min", "classify-zero-r_min", "classify-negative-r_min",
+            "minimize-inverted-x1", "minimize-inverted-x2"])
+    def test_bad_window_is_config_error(self, tmp_path, capsys, sub, kv, msg):
+        # each used to exit 0 with NaN rows or end in a numpy traceback
+        cfg = write_cfg(tmp_path / "c.cfg", **kv)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {msg}") and err.count("\n") == 1
+
+
 class TestWriters:
     # k full chunks plus r rows: 0 rows, a partial chunk, and chunk edges
     @pytest.mark.parametrize("k, r", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3)])

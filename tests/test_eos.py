@@ -9,6 +9,8 @@ import cornerflow
 from cornerflow.eos import (
     EosModel,
     F_many,
+    GammaLawMedium,
+    IncompressibleMedium,
     F_of,
     critical_density,
     enthalpy,
@@ -264,6 +266,34 @@ class TestInversion:
             assert not np.any(flag)
             sups.append(float(np.max(np.abs(rho - 1.0))))
         assert all(b < a for a, b in zip(sups, sups[1:]))
+
+
+class TestThermo:
+    def test_matches_separate_calls(self, model_g2):
+        med = GammaLawMedium(model_g2)
+        t, s = random_states(np.random.default_rng(5), 500)
+        got = med.thermo(t, s)
+        want = (*med.H_d1_d2(t, s), *med.F_dF2(t, s))
+        assert len(got) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_incompressible_closed_forms(self):
+        t, s = random_states(np.random.default_rng(5), 500)
+        H, d1, d2, F, dF2 = IncompressibleMedium(1.3).thermo(t, s)
+        assert np.all(H == 1.3) and not np.any(d1) and not np.any(d2) and not np.any(dF2)
+        assert np.array_equal(F, t / 1.3)
+
+    def test_eps0_margin_left_to_scalar_path(self, model_g2):
+        # docs/decisions.md: eps0 is enforced by invert_density only; a
+        # state within eps0 of the critical density is evaluated by thermo
+        s = 0.3
+        rho = critical_density(model_g2, model_g2.x2_st - s) + 0.5 * model_g2.eps0
+        t = rho * rho * (s - 2.0 * (rho - 1.0))  # Bernoulli at gamma = 2, A = g = rho0 = 1
+        with pytest.raises(SubsonicityError):
+            invert_density(model_g2, t, s)
+        H, d1, d2, F, dF2 = GammaLawMedium(model_g2).thermo(np.array([t]), np.array([s]))
+        assert H[0] == pytest.approx(rho, rel=1e-12)
+        assert np.all(np.isfinite(np.concatenate([d1, d2, F, dF2])))
 
 
 class TestF:

@@ -69,6 +69,24 @@ class TestEnergies:
         assert abs((rec["E_H"] - rec["E_F"]) - rec["k1"]) <= 1e-12 * max(scale, 1.0)
 
 
+    def test_record_inverts_each_node_set_once(self, stokes_field, gamma_medium, monkeypatch):
+        # H, F and dF2 of the ball and of the arc come from one inversion
+        # each; lambda on each positivity set takes one more
+        from cornerflow import eos
+
+        node_sets = []
+        invert = eos.invert_many
+
+        def counting_invert(model, t, s, *args, **kwargs):
+            node_sets.append((np.asarray(t, float).tobytes(), np.asarray(s, float).tobytes()))
+            return invert(model, t, s, *args, **kwargs)
+
+        monkeypatch.setattr(eos, "invert_many", counting_invert)
+        monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1, "stagnation")
+        assert len(node_sets) == 4
+        assert len(set(node_sets)) == 4
+
+
 class TestStagnation:
     def test_M_constant_and_value(self, stokes_field, incompressible):
         radii = np.geomspace(0.008, 0.08, 9)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cornerflow import eos, solver
 from cornerflow.eos import GammaLawMedium
 from cornerflow.errors import DomainError, StateError
 from cornerflow.profiles import flat_origin, profile_field, stokes_corner
@@ -86,6 +87,47 @@ class TestMinimize:
         assert log.converged
         assert np.min(fld.values) >= 0.0
 
+    def test_one_inversion_per_trial_energy(self, model_g2, monkeypatch):
+        # minimize-gamma2's config: each energy evaluation inverts its state
+        # once, and the gradient reuses the accepted trial's state
+        states = []  # (node-set bytes, any flag) of every lattice inversion
+        in_gradient = [False]
+        inverted_in_gradient = []
+        energies = []
+        invert, gradient, chi = eos.invert_many, _Discretization.gradient, solver._smoothed_chi
+
+        def counting_invert(model, t, s, *args, **kwargs):
+            out = invert(model, t, s, *args, **kwargs)
+            if np.ndim(t) == 2:
+                states.append((np.asarray(t).tobytes(), bool(np.any(out[3]))))
+            if in_gradient[0]:
+                inverted_in_gradient.append(np.size(t))
+            return out
+
+        def flagged_gradient(self, *args, **kwargs):
+            in_gradient[0] = True
+            try:
+                return gradient(self, *args, **kwargs)
+            finally:
+                in_gradient[0] = False
+
+        def counting_chi(v, eps):
+            energies.append(1)  # once per energy evaluation that reaches the sum
+            return chi(v, eps)
+
+        monkeypatch.setattr(eos, "invert_many", counting_invert)
+        # a solver-side check through a direct import is counted too
+        monkeypatch.setattr(solver, "invert_many", counting_invert, raising=False)
+        monkeypatch.setattr(_Discretization, "gradient", flagged_gradient)
+        monkeypatch.setattr(solver, "_smoothed_chi", counting_chi)
+        flat = profile_field(flat_origin(beta=0.3))
+        cfg = MinimizeConfig(0.0, 0.25, 0.0, 0.25, 1 / 32, flat.value, medium=GammaLawMedium(model_g2))
+        _, log = minimize_EF(cfg)
+        assert log.converged and len(log.iterations) > 100
+        assert inverted_in_gradient == []
+        assert sum(not flagged for _, flagged in states) == len(energies)
+        assert len({key for key, _ in states}) == len(states)  # no state inverted twice
+
     def test_subsonicity_abort(self, model_g2):
         med = GammaLawMedium(model_g2)
 
@@ -93,7 +135,8 @@ class TestMinimize:
             return 5.0 * X1  # |grad u|^2/x1^2 = 25, far beyond sonic
 
         cfg = MinimizeConfig(0.5, 1.0, 0.0, 0.5, 1 / 32, wild, medium=med, max_iter=10)
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match=r"^subsonicity violated at cell \(0, 0\), "
+                                             r"x = \(0\.515625, 0\.015625\)$"):
             minimize_EF(cfg)
 
     def test_negative_boundary_rejected(self, incompressible):
