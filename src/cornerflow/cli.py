@@ -25,10 +25,6 @@ from .svgplot import write_svg_levels, write_svg_lines
 SUBCOMMANDS = ("eos-table", "profile-check", "profile-table", "minimize", "sweep", "classify")
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def parse_config(path):
     cfg = {}
     try:

@@ -1,7 +1,7 @@
 """Energy descent for approximate variational solutions, and the
 domain-variation (first variation) validator.
 
-The minimizer runs projected gradient descent on the energy with the
+The minimizer runs Jacobi-scaled projected descent on the energy with the
 positivity indicator smoothed over a width eps_chi (sub-grid by
 default, so invisible at the quadrature order used).  The gradient of
 the compressible term needs no lagging: dF/dt = 1/H(t; x2) is available
@@ -30,7 +30,7 @@ class MinimizeConfig:
     boundary: callable  # (x1, x2) -> Dirichlet data, also the initial guess
     medium: object = field(default_factory=IncompressibleMedium)
     eps_chi: float = None  # default 2h
-    step0: float = 1.0
+    step0: float = 1.0  # the initial and largest step (1 = one Jacobi sweep)
     armijo: float = ARMIJO_C
     max_iter: int = 50_000
     tol: float = 1e-10
@@ -115,7 +115,7 @@ class _Discretization:
 
 
 def minimize_EF(cfg: MinimizeConfig):
-    """Projected gradient descent on the smoothed energy.
+    """Jacobi-scaled projected descent on the smoothed energy.
 
     Returns (GridField, ConvergenceLog).  Dirichlet data is pinned on
     the outermost cell ring; iterates are projected onto v >= 0.
@@ -147,9 +147,13 @@ def minimize_EF(cfg: MinimizeConfig):
         g = disc.gradient(v, *st)
         g_eff = np.where(interior & ((v > 0) | (g < 0)), g, 0.0)
         gmax = float(np.max(np.abs(g_eff))) if g_eff.size else 0.0
+        # Jacobi scaling by the energy's diagonal 2A: step 1 minimizes each
+        # cell's frozen quadratic exactly
+        p = np.divide(g, 2.0 * _coefficients(disc, st[2])[3], out=np.zeros_like(g), where=interior)
+        step_in = step
         accepted = False
         while step >= 1e-14:
-            trial = v - step * g
+            trial = v - step * p
             trial = np.where(interior, np.maximum(trial, 0.0), v)
             decrease = float(np.sum(g_eff * (v - trial)))
             try:
@@ -169,7 +173,8 @@ def minimize_EF(cfg: MinimizeConfig):
         rel_drop = (E - E_trial) / max(abs(E), 1e-300)
         v, E, st = trial, E_trial, st_trial
         log.iterations.append((it, E, step, gmax))
-        step = min(step * 2.0, 1e3)
+        if step == step_in:  # no doubling right after a halving
+            step = min(step * 2.0, cfg.step0)
         recent.append(rel_drop)
         if len(recent) > cfg.tol_window:
             recent.pop(0)
@@ -190,6 +195,17 @@ def minimize_EF(cfg: MinimizeConfig):
     return out, log
 
 
+def _coefficients(disc: _Discretization, H):
+    """Edge weights a = 1/(x1 H) on the cell lattice (zero past the last
+    difference), their west and south neighbours, and A = 2a_c + a_w + a_s,
+    half the energy's diagonal; H is the density of ``disc.state(v)``."""
+    a_c = np.zeros((disc.n1, disc.n2))
+    a_c[:-1, :-1] = 1.0 / (disc.X1[:-1, :-1] * H)
+    a_w = np.roll(a_c, 1, axis=0)
+    a_s = np.roll(a_c, 1, axis=1)
+    return a_c, a_w, a_s, 2.0 * a_c + a_w + a_s
+
+
 def _pgs_sweep(disc: _Discretization, v, H):
     """One red-black projected Gauss-Seidel sweep of the smoothed energy.
 
@@ -200,25 +216,20 @@ def _pgs_sweep(disc: _Discretization, v, H):
     cfg = disc.cfg
     eps = cfg.eps_chi
     v = v.copy()
-    a_full = np.zeros_like(v)
-    a_full[:-1, :-1] = 1.0 / (disc.X1[:-1, :-1] * H)
-    # indicator term x1*lam*s(v)*h^2 (the edge terms' h^2 cancels, this does not)
+    a_c, a_w, a_s, A = _coefficients(disc, H)
+    # slope keeps the cell area h^2; in the edge terms it cancels the differences' 1/h^2
     slope = disc.X1 * disc.lam * cfg.h * cfg.h
+    m = slope / eps
     n1, n2 = v.shape
     I, J = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     interior = (I > 0) & (I < n1 - 1) & (J > 0) & (J < n2 - 1)
     for color in (0, 1):
         mask = interior & (((I + J) % 2) == color)
-        a_c = a_full
-        a_w = np.roll(a_full, 1, axis=0)
-        a_s = np.roll(a_full, 1, axis=1)
         vE = np.roll(v, -1, axis=0)
         vN = np.roll(v, -1, axis=1)
         vW = np.roll(v, 1, axis=0)
         vS = np.roll(v, 1, axis=1)
-        A = 2.0 * a_c + a_w + a_s
         B = a_c * (vE + vN) + a_w * vW + a_s * vS
-        m = slope / eps  # h^2 cancels against the edge terms' 1/h^2... both carry h^2
         # candidates: within the smoothing band, above it, and at zero
         with np.errstate(divide="ignore", invalid="ignore"):
             v_band = np.clip((B - 0.5 * m) / A, 0.0, eps)

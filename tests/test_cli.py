@@ -171,7 +171,8 @@ class TestProfileTableAndClassify:
         for i, x1 in enumerate(grid.cell_x1):
             for j, x2 in enumerate(grid.cell_x2):
                 g1, g2 = profiles.eval_profile_gradient(spec, x1 - off[0], x2 - off[1])
-                lines.append(",".join(cli._fmt(v) for v in (x1, x2, grid.values[i, j], g1, g2)))
+                row = (x1, x2, grid.values[i, j], g1, g2)
+                lines.append(",".join(format(float(v), ".17g") for v in row))
         assert np.any(grid.values > 0)
         assert (tmp_path / "o" / "profile_table.csv").read_text() == "\n".join(lines) + "\n"
 

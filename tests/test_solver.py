@@ -88,8 +88,9 @@ class TestMinimize:
         assert np.min(fld.values) >= 0.0
 
     def test_one_inversion_per_trial_energy(self, model_g2, monkeypatch):
-        # minimize-gamma2's config: each energy evaluation inverts its state
-        # once, and the gradient reuses the accepted trial's state
+        # test_compressible_run's box at h = 1/64 (over 100 iterations): each
+        # energy evaluation inverts its state once, and the gradient reuses
+        # the accepted trial's state
         states = []  # (node-set bytes, any flag) of every lattice inversion
         in_gradient = [False]
         inverted_in_gradient = []
@@ -121,7 +122,8 @@ class TestMinimize:
         monkeypatch.setattr(_Discretization, "gradient", flagged_gradient)
         monkeypatch.setattr(solver, "_smoothed_chi", counting_chi)
         flat = profile_field(flat_origin(beta=0.3))
-        cfg = MinimizeConfig(0.0, 0.25, 0.0, 0.25, 1 / 32, flat.value, medium=GammaLawMedium(model_g2))
+        cfg = MinimizeConfig(0.0, 0.25, 0.0, 0.25, 1 / 64, flat.value,
+                             medium=GammaLawMedium(model_g2), max_iter=5000)
         _, log = minimize_EF(cfg)
         assert log.converged and len(log.iterations) > 100
         assert inverted_in_gradient == []
@@ -166,6 +168,51 @@ class TestMinimize:
         disc_sharp = _Discretization(cfg_sharp)
         sharp = disc_sharp.energy(np.asarray(stokes.value(disc_sharp.X1, disc_sharp.X2)))
         assert vals[0] <= vals[1] <= vals[2] <= sharp + 1e-12
+
+
+class TestJacobiDescent:
+    """Guards for the Jacobi-scaled descent and its step policy."""
+
+    @staticmethod
+    def _flat_g2(model, h, **kwargs):
+        flat = profile_field(flat_origin(beta=0.3))
+        return MinimizeConfig(0.0, 0.25, 0.0, 0.25, h, flat.value,
+                              medium=GammaLawMedium(model), **kwargs)
+
+    def test_minimize_gamma2_iterations_and_energy(self, model_g2):
+        # minimize-gamma2's config: 197 plain gradient iterations, 81 scaled
+        _, log = minimize_EF(self._flat_g2(model_g2, 1 / 32))
+        assert log.converged and len(log.iterations) <= 90
+        assert abs(log.iterations[-1][1] - 5.628654813553062e-05) <= 1e-8 * 5.628654813553062e-05
+
+    def test_fine_grid_iterations(self, model_g2):
+        # h = 1/64: 1,676 plain gradient iterations, 335 scaled
+        _, log = minimize_EF(self._flat_g2(model_g2, 1 / 64, max_iter=5000))
+        assert log.converged and len(log.iterations) <= 400
+
+    @pytest.mark.parametrize("step0", [1.0, 0.25])
+    def test_steps_capped_and_energy_monotone(self, model_g2, step0):
+        cfg = self._flat_g2(model_g2, 1 / 32, step0=step0)
+        _, log = minimize_EF(cfg)
+        assert log.converged
+        assert all(0.0 < step <= cfg.step0 for (_, _, step, _) in log.iterations)
+        energies = [E for (_, E, _, _) in log.iterations]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+    def test_lab_minimize_energy_not_above_gradient_descent(self, incompressible):
+        # the lab's minimize step; plain gradient descent stopped at 0.019340606887
+        stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, 1 / 128, stokes.value,
+                             medium=incompressible)
+        _, log = minimize_EF(cfg)
+        assert log.converged
+        assert log.iterations[-1][1] <= 0.019340606887
+        steps = [step for (_, _, step, _) in log.iterations]
+        assert any(b < a for a, b in zip(steps, steps[1:]))  # the run does backtrack
+        # an iteration that halved its step does not double it for the next one
+        for k in range(1, len(steps) - 1):
+            if steps[k] < steps[k - 1]:
+                assert steps[k + 1] <= steps[k]
 
 
 class TestFirstVariation:
