@@ -267,7 +267,7 @@ def run_minimize(cfg, out, opts):
         medium=med,
         eps_chi=_get(cfg, "eps_chi", default=None),
         max_iter=int(_get(cfg, "max_iter", cast=int, default=50000)),
-        tol=_get(cfg, "tol", default=1e-10) * opts.tol_scale,
+        tol=_get(cfg, "tol", default=1e-10),
     )
     fld_out, log = solver.minimize_EF(mc)
     fld_out.write(os.path.join(out, "field.txt"))
@@ -388,7 +388,6 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--plots", action="store_true", help="also write SVG plots")
     parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect (runs are serial)")
-    parser.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
     opts = parser.parse_args(argv)
 
     try:

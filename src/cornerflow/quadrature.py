@@ -221,50 +221,3 @@ def _apex_splits(field: AnalyticField, center):
     if dx < 1e-12:
         return tuple(field.rays_phi) + base
     return base
-
-
-# ---------------------------------------------------------------------------
-# fixed integrand selectors (CLI / tests convenience)
-# ---------------------------------------------------------------------------
-
-def _selector(name, medium):
-    def x2p(x1, x2, u, chi):
-        return np.maximum(x2, 0.0)
-
-    table = {
-        "one": lambda x1, x2, u, chi: np.ones_like(x1),
-        "x2_plus": x2p,
-        "x2_plus_chi": lambda x1, x2, u, chi: np.maximum(x2, 0.0) * chi,
-        "x1": lambda x1, x2, u, chi: x1,
-        "x1_chi": lambda x1, x2, u, chi: x1 * chi,
-        "x1_x2_plus": lambda x1, x2, u, chi: x1 * np.maximum(x2, 0.0),
-        "x1_x2_plus_chi": lambda x1, x2, u, chi: x1 * np.maximum(x2, 0.0) * chi,
-    }
-    if name not in table:
-        raise KeyError(f"unknown integrand selector {name!r}")
-    return table[name]
-
-
-def integrate_ball(field, center, r, selector, half=False):
-    """Midpoint/cut-cell (grid) or polar (analytic) ball integral."""
-    nodes = ball_nodes(field, center, r, half=half)
-    u = field.value(nodes.x1, nodes.x2)
-    chi = field.chi(u)
-    if selector == "u_sq_weighted":
-        return float(np.sum(nodes.w_inv * u * u))
-    fn = _selector(selector, None)
-    return float(np.sum(nodes.w * fn(nodes.x1, nodes.x2, u, chi)))
-
-
-def integrate_arc(field, center, r, selector, half=False, n_arc=4096):
-    """Trapezoid (grid) or polar-panel (analytic) arc integral."""
-    nodes = arc_nodes(field, center, r, half=half, n_arc=n_arc)
-    u = field.value(nodes.x1, nodes.x2)
-    chi = field.chi(u)
-    if selector == "u_sq_weighted":
-        safe = nodes.x1 > 1e-12
-        out = np.zeros_like(u)
-        out[safe] = u[safe] ** 2 / nodes.x1[safe]
-        return float(np.sum(nodes.w * out))
-    fn = _selector(selector, None)
-    return float(np.sum(nodes.w * fn(nodes.x1, nodes.x2, u, chi)))

@@ -18,6 +18,7 @@ from .fields import GridField
 from .functionals import _evaluate, _thermo
 
 ARMIJO_C = 1e-4
+TOL_WINDOW = 10  # stop when the relative drops of this many accepted iterations sum below tol
 
 
 @dataclass
@@ -31,10 +32,8 @@ class MinimizeConfig:
     medium: object = field(default_factory=IncompressibleMedium)
     eps_chi: float = None  # default 2h
     step0: float = 1.0  # the initial and largest step (1 = one Jacobi sweep)
-    armijo: float = ARMIJO_C
     max_iter: int = 50_000
     tol: float = 1e-10
-    tol_window: int = 10
     # post-descent projected Gauss-Seidel sweeps: the energy-based stopping
     # rule certifies the energy, not the iterate; the polish drives cellwise
     # stationarity of the same discrete functional when sweeps > 0
@@ -60,7 +59,12 @@ def _smoothed_chi(v, eps):
 
 
 class _Discretization:
-    """Forward-difference energy on the (n1-1) x (n2-1) sub-lattice."""
+    """Forward-difference energy on the (n1-1) x (n2-1) sub-lattice.
+
+    With H frozen, the energy depends on one cell's value w through the
+    quadratic A w^2 - 2 B w (``_coefficients``, ``_neighbour_sum``) plus the
+    indicator term, whose slope on 0 < w < eps_chi is ``m``.
+    """
 
     def __init__(self, cfg: MinimizeConfig):
         self.cfg = cfg
@@ -73,9 +77,17 @@ class _Discretization:
         med = cfg.medium
         self.lam = np.maximum(med.lam(np.maximum(self.X2, 0.0)), 0.0)
         self.on_axis = abs(cfg.x1_min) < 1e-12
+        # indicator weight x1*lam*h^2 over eps_chi; zero past the last
+        # difference, where no cell of the energy sum lies
+        self.m = np.zeros((n1, n2))
+        self.m[:-1, :-1] = self.X1[:-1, :-1] * self.lam[:-1, :-1] * cfg.h * cfg.h / cfg.eps_chi
+        self.interior = np.zeros((n1, n2), dtype=bool)
+        self.interior[1:-1, 1:-1] = True
+        parity = np.add.outer(np.arange(n1), np.arange(n2)) % 2
+        self.colors = (self.interior & (parity == 0), self.interior & (parity == 1))
 
     def state(self, v):
-        """Energy of v, and the (d1, d2, H) its gradient and the PGS sweep need.
+        """Energy of v, and the density H its gradient and the PGS sweep need.
 
         One thermo evaluation per call; raises StateError where a cell has
         no subsonic density.
@@ -89,29 +101,17 @@ class _Discretization:
         H, _, _, F, _ = cfg.medium.thermo(t, self.X2[:-1, :-1])
         s = _smoothed_chi(v[:-1, :-1], cfg.eps_chi)
         dens = X1 * (F + self.lam[:-1, :-1] * s)
-        return float(np.sum(dens) * h * h), (d1, d2, H)
+        return float(np.sum(dens) * h * h), H
 
     def energy(self, v):
         return self.state(v)[0]
 
-    def gradient(self, v, d1, d2, H):
-        """Exact gradient of the smoothed discrete energy at v, from its state."""
-        cfg = self.cfg
-        h = cfg.h
-        a = 1.0 / (self.X1[:-1, :-1] * H)  # x1 * dF/dt / x1^2
-        g = np.zeros_like(v)
-        # d/dv of sum a*((vE - v)^2 + (vN - v)^2)
-        f1 = 2.0 * a * d1 / h
-        f2 = 2.0 * a * d2 / h
-        g[:-1, :-1] -= f1 + f2
-        g[1:, :-1] += f1
-        g[:-1, 1:] += f2
-        g *= h * h
-        s_in = (v[:-1, :-1] > 0.0) & (v[:-1, :-1] < cfg.eps_chi)
-        g[:-1, :-1] += np.where(
-            s_in, self.X1[:-1, :-1] * self.lam[:-1, :-1] / cfg.eps_chi, 0.0
-        ) * (h * h)
-        return g
+    def gradient(self, v, coef):
+        """Exact gradient of the smoothed discrete energy at v: 2(A v - B),
+        plus m where 0 < v < eps_chi; ``coef = _coefficients(self, H)``."""
+        a_c, a_w, a_s, A = coef
+        band = (v > 0.0) & (v < self.cfg.eps_chi)
+        return 2.0 * (A * v - _neighbour_sum(v, a_c, a_w, a_s)) + np.where(band, self.m, 0.0)
 
 
 def minimize_EF(cfg: MinimizeConfig):
@@ -127,11 +127,10 @@ def minimize_EF(cfg: MinimizeConfig):
     if np.any(v[0, :] < 0) or np.any(v[-1, :] < 0) or np.any(v[:, 0] < 0) or np.any(v[:, -1] < 0):
         raise DomainError("boundary data must be nonnegative")
     v = np.maximum(v, 0.0)
-    interior = np.zeros_like(v, dtype=bool)
-    interior[1:-1, 1:-1] = True
+    interior = disc.interior
 
     try:
-        E, st = disc.state(v)
+        E, H = disc.state(v)
     except StateError as exc:
         i, j = np.unravel_index(exc.index, (disc.n1 - 1, disc.n2 - 1))
         raise StateError(
@@ -143,13 +142,14 @@ def minimize_EF(cfg: MinimizeConfig):
     step = cfg.step0
     recent = []
     for it in range(cfg.max_iter):
-        # the accepted trial's state gives the gradient: no second inversion
-        g = disc.gradient(v, *st)
+        # the accepted trial's H gives the frozen quadratic: no second inversion
+        coef = _coefficients(disc, H)
+        g = disc.gradient(v, coef)
         g_eff = np.where(interior & ((v > 0) | (g < 0)), g, 0.0)
         gmax = float(np.max(np.abs(g_eff))) if g_eff.size else 0.0
         # Jacobi scaling by the energy's diagonal 2A: step 1 minimizes each
         # cell's frozen quadratic exactly
-        p = np.divide(g, 2.0 * _coefficients(disc, st[2])[3], out=np.zeros_like(g), where=interior)
+        p = np.divide(g, 2.0 * coef[3], out=np.zeros_like(g), where=interior)
         step_in = step
         accepted = False
         while step >= 1e-14:
@@ -157,12 +157,12 @@ def minimize_EF(cfg: MinimizeConfig):
             trial = np.where(interior, np.maximum(trial, 0.0), v)
             decrease = float(np.sum(g_eff * (v - trial)))
             try:
-                E_trial, st_trial = disc.state(trial)
+                E_trial, H_trial = disc.state(trial)
             except StateError:
                 # the trial overshot into supersonic states: reject it
                 step *= 0.5
                 continue
-            if E_trial <= E - cfg.armijo * decrease:
+            if E_trial <= E - ARMIJO_C * decrease:
                 accepted = True
                 break
             step *= 0.5
@@ -171,12 +171,12 @@ def minimize_EF(cfg: MinimizeConfig):
             log.message = f"backtracking exhausted at iteration {it}"
             break
         rel_drop = (E - E_trial) / max(abs(E), 1e-300)
-        v, E, st = trial, E_trial, st_trial
+        v, E, H = trial, E_trial, H_trial
         log.iterations.append((it, E, step, gmax))
         if step == step_in:  # no doubling right after a halving
             step = min(step * 2.0, cfg.step0)
         recent.append(rel_drop)
-        if len(recent) > cfg.tol_window:
+        if len(recent) > TOL_WINDOW:
             recent.pop(0)
             if sum(recent) < cfg.tol:
                 log.converged = True
@@ -186,8 +186,8 @@ def minimize_EF(cfg: MinimizeConfig):
         log.message = "max iterations reached"
 
     for _ in range(cfg.pgs_sweeps):
-        v = _pgs_sweep(disc, v, st[2])
-        E, st = disc.state(v)
+        v = _pgs_sweep(disc, v, H)
+        E, H = disc.state(v)
     if cfg.pgs_sweeps:
         log.iterations.append((cfg.max_iter, E, 0.0, 0.0))
 
@@ -198,7 +198,7 @@ def minimize_EF(cfg: MinimizeConfig):
 def _coefficients(disc: _Discretization, H):
     """Edge weights a = 1/(x1 H) on the cell lattice (zero past the last
     difference), their west and south neighbours, and A = 2a_c + a_w + a_s,
-    half the energy's diagonal; H is the density of ``disc.state(v)``."""
+    the quadratic coefficient of each cell; H is from ``disc.state(v)``."""
     a_c = np.zeros((disc.n1, disc.n2))
     a_c[:-1, :-1] = 1.0 / (disc.X1[:-1, :-1] * H)
     a_w = np.roll(a_c, 1, axis=0)
@@ -206,47 +206,33 @@ def _coefficients(disc: _Discretization, H):
     return a_c, a_w, a_s, 2.0 * a_c + a_w + a_s
 
 
+def _neighbour_sum(v, a_c, a_w, a_s):
+    """B = a_c (vE + vN) + a_w vW + a_s vS, the linear coefficient of each
+    cell; the zero last row and column of a_c cancel np.roll's wrap-around."""
+    vE = np.roll(v, -1, axis=0)
+    vN = np.roll(v, -1, axis=1)
+    return a_c * (vE + vN) + a_w * np.roll(v, 1, axis=0) + a_s * np.roll(v, 1, axis=1)
+
+
 def _pgs_sweep(disc: _Discretization, v, H):
     """One red-black projected Gauss-Seidel sweep of the smoothed energy.
 
-    Exact per-cell minimization of the frozen-coefficient quadratic plus
-    the piecewise-linear indicator term, projected onto v >= 0; H is the
-    density of ``disc.state(v)``.
+    Each cell of a color takes the minimizer over w >= 0 of its frozen
+    quadratic plus indicator, q(w) = A w^2 - 2B w + m min(w, eps_chi).  q is
+    a convex quadratic on [0, eps] and on [eps, inf), so the minimizer is the
+    lower-q of the two pieces' minimizers; H is from ``disc.state(v)``.
     """
-    cfg = disc.cfg
-    eps = cfg.eps_chi
-    v = v.copy()
+    eps, m = disc.cfg.eps_chi, disc.m
     a_c, a_w, a_s, A = _coefficients(disc, H)
-    # slope keeps the cell area h^2; in the edge terms it cancels the differences' 1/h^2
-    slope = disc.X1 * disc.lam * cfg.h * cfg.h
-    m = slope / eps
-    n1, n2 = v.shape
-    I, J = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    interior = (I > 0) & (I < n1 - 1) & (J > 0) & (J < n2 - 1)
-    for color in (0, 1):
-        mask = interior & (((I + J) % 2) == color)
-        vE = np.roll(v, -1, axis=0)
-        vN = np.roll(v, -1, axis=1)
-        vW = np.roll(v, 1, axis=0)
-        vS = np.roll(v, 1, axis=1)
-        B = a_c * (vE + vN) + a_w * vW + a_s * vS
-        # candidates: within the smoothing band, above it, and at zero
+    for color in disc.colors:
+        B = _neighbour_sum(v, a_c, a_w, a_s)
+        # A = 0 only at the last corner cell, which is in no color
         with np.errstate(divide="ignore", invalid="ignore"):
-            v_band = np.clip((B - 0.5 * m) / A, 0.0, eps)
-            v_up = np.maximum(B / A, eps)
-        cand = np.stack([np.zeros_like(v), v_band, v_up])
-
-        def local_energy(w):
-            return (
-                a_c * ((vE - w) ** 2 + (vN - w) ** 2)
-                + a_w * (w - vW) ** 2
-                + a_s * (w - vS) ** 2
-                + slope * np.clip(w / eps, 0.0, 1.0)
-            )
-
-        vals = np.stack([local_energy(c) for c in cand])
-        best = cand[np.argmin(vals, axis=0), I, J]
-        v = np.where(mask, best, v)
+            lo = np.clip((B - 0.5 * m) / A, 0.0, eps)
+            hi = np.maximum(B / A, eps)
+        q_lo = (A * lo - 2.0 * B) * lo + m * lo
+        q_hi = (A * hi - 2.0 * B) * hi + m * eps
+        v = np.where(color, np.where(q_lo <= q_hi, lo, hi), v)
     return v
 
 

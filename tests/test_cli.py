@@ -270,6 +270,19 @@ class TestMinimize:
                         h=1 / 64, max_iter=3)
         assert run("minimize", cfg, tmp_path / "o") == 2
 
+    def test_tol_key_sets_the_stop(self, tmp_path):
+        # minimize-gamma2's config: a looser tol stops the descent sooner
+        kv = dict(gamma=2.0, profile="flat_origin", beta=0.3,
+                  x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 32)
+        counts = []
+        for name, extra in (("default", {}), ("loose", {"tol": 1e-6})):
+            cfg = write_cfg(tmp_path / f"{name}.cfg", **kv, **extra)
+            assert run("minimize", cfg, tmp_path / name) == 0
+            log = json.loads((tmp_path / name / "minimize_log.json").read_text())
+            assert log["converged"]
+            counts.append(len(log["iterations"]))
+        assert counts[1] < counts[0]
+
 
 class TestGeometryErrors:
     def test_classify_outside_grid(self, tmp_path):

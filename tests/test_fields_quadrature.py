@@ -7,12 +7,19 @@ from cornerflow.errors import DomainError, GeometryError
 from cornerflow.fields import GridField
 from cornerflow.profiles import flat_origin, profile_field
 from cornerflow.quadrature import (
+    arc_nodes,
+    ball_nodes,
     grid_ball_nodes,
-    integrate_arc,
-    integrate_ball,
     polar_arc_nodes,
     polar_ball_nodes,
 )
+
+
+def _u_sq_over_x1(fld, nodes):
+    """Sum of weights times u^2 / x1, skipping nodes on the axis."""
+    u = fld.value(nodes.x1, nodes.x2)
+    safe = nodes.x1 > 1e-12
+    return float(np.sum(nodes.w[safe] * u[safe] ** 2 / nodes.x1[safe]))
 
 
 class TestGridField:
@@ -62,20 +69,22 @@ class TestGridField:
 class TestBallQuadrature:
     def test_full_disk_area_exact(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 2.0, -1.0, 1.0, 1 / 64)
-        val = integrate_ball(f, (1.0, 0.0), 0.5, "one")
+        val = float(np.sum(ball_nodes(f, (1.0, 0.0), 0.5).w))
         assert val == pytest.approx(math.pi * 0.25, abs=1e-12)
 
     def test_second_order_on_smooth_weights(self):
         errs = []
         for h in (1 / 64, 1 / 128, 1 / 256):
             f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 2.0, -1.0, 1.0, h)
-            errs.append(abs(integrate_ball(f, (1.0, 0.0), 1.0, "x2_plus") - 2.0 / 3.0))
+            nodes = ball_nodes(f, (1.0, 0.0), 1.0)
+            errs.append(abs(float(np.sum(nodes.w * np.maximum(nodes.x2, 0.0))) - 2.0 / 3.0))
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
 
     def test_half_ball_quarter_weight(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.25, -1.25, 1.25, 1 / 256)
-        val = integrate_ball(f, (0.0, 0.0), 1.0, "x1_x2_plus", half=True)
+        nodes = ball_nodes(f, (0.0, 0.0), 1.0, half=True)
+        val = float(np.sum(nodes.w * nodes.x1 * np.maximum(nodes.x2, 0.0)))
         assert val == pytest.approx(0.125, abs=5e-6)
 
     def test_inverse_weight_integral(self):
@@ -92,13 +101,13 @@ class TestBallQuadrature:
     def test_geometry_error(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.0, 0.0, 1.0, 1 / 16)
         with pytest.raises(GeometryError):
-            integrate_ball(f, (0.5, 0.5), 0.75, "one")
+            ball_nodes(f, (0.5, 0.5), 0.75)
 
 
 class TestArcQuadrature:
     def test_half_circumference(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.5, -1.5, 1.5, 1 / 64)
-        val = integrate_arc(f, (0.0, 0.0), 1.0, "one", half=True)
+        val = float(np.sum(arc_nodes(f, (0.0, 0.0), 1.0, half=True).w))
         assert val == pytest.approx(math.pi, rel=1e-10)
 
     def test_flat_profile_weighted_arc(self):
@@ -106,20 +115,20 @@ class TestArcQuadrature:
         f = GridField.from_function(
             lambda X1, X2: X1**2 * np.maximum(X2, 0.0), 0.0, 1.5, -1.5, 1.5, 1 / 512
         )
-        val = integrate_arc(f, (0.0, 0.0), 1.0, "u_sq_weighted", half=True, n_arc=4096)
+        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True, n_arc=4096))
         assert val == pytest.approx(2.0 / 15.0, abs=1e-6)
 
     def test_normalized_flat_profile_unit_norm(self):
         # analytic path: exact profile evaluation through the polar panels
         fld = profile_field(flat_origin())
-        val = integrate_arc(fld, (0.0, 0.0), 1.0, "u_sq_weighted", half=True)
+        val = _u_sq_over_x1(fld, arc_nodes(fld, (0.0, 0.0), 1.0, half=True))
         assert val == pytest.approx(1.0, abs=1e-10)
         # grid-interpolation path carries the documented O(h^2) floor
         beta = math.sqrt(7.5)
         f = GridField.from_function(
             lambda X1, X2: beta * X1**2 * np.maximum(X2, 0.0), 0.0, 1.5, -1.5, 1.5, 1 / 512
         )
-        val = integrate_arc(f, (0.0, 0.0), 1.0, "u_sq_weighted", half=True, n_arc=4096)
+        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True, n_arc=4096))
         assert val == pytest.approx(1.0, abs=1e-5)
 
 
@@ -138,5 +147,7 @@ class TestPolarQuadrature:
 
     def test_analytic_field_dispatch(self):
         fld = profile_field(flat_origin())
-        val = integrate_ball(fld, (0.0, 0.0), 1.0, "x1_x2_plus_chi", half=True)
+        nodes = ball_nodes(fld, (0.0, 0.0), 1.0, half=True)
+        chi = fld.chi(fld.value(nodes.x1, nodes.x2))
+        val = float(np.sum(nodes.w * nodes.x1 * np.maximum(nodes.x2, 0.0) * chi))
         assert val == pytest.approx(0.125, abs=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cornerflow import eos, solver
-from cornerflow.eos import GammaLawMedium
+from cornerflow.eos import GammaLawMedium, IncompressibleMedium
 from cornerflow.errors import DomainError, StateError
 from cornerflow.profiles import flat_origin, profile_field, stokes_corner
 from cornerflow.solver import (
@@ -213,6 +213,67 @@ class TestJacobiDescent:
         for k in range(1, len(steps) - 1):
             if steps[k] < steps[k - 1]:
                 assert steps[k + 1] <= steps[k]
+
+
+class TestFrozenQuadratic:
+    """Oracles for the frozen-coefficient quadratic behind the gradient and PGS."""
+
+    @staticmethod
+    def _trace(setup, model, eps_chi=None):
+        """The lattice and the boundary data sampled on it (h = 1/32)."""
+        if setup == "stokes":
+            fld = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+            cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, 1 / 32, fld.value,
+                                 medium=IncompressibleMedium(1.0), eps_chi=eps_chi)
+        else:
+            fld = profile_field(flat_origin(beta=0.3))
+            cfg = MinimizeConfig(0.0, 0.25, 0.0, 0.25, 1 / 32, fld.value,
+                                 medium=GammaLawMedium(model))
+        disc = _Discretization(cfg)
+        return disc, np.maximum(np.asarray(fld.value(disc.X1, disc.X2), dtype=float), 0.0)
+
+    @pytest.mark.parametrize("setup", ["stokes", "flat_gamma2"])
+    def test_gradient_matches_central_differences(self, model_g2, setup):
+        disc, v = self._trace(setup, model_g2)
+        _, H = disc.state(v)
+        g = disc.gradient(v, solver._coefficients(disc, H))
+        d, eps = 1e-7, disc.cfg.eps_chi
+        # interior cells off the indicator's kinks at 0 and eps_chi
+        cells = np.zeros_like(v, dtype=bool)
+        cells[1:-1, 1:-1] = True
+        cells &= (v > 2 * d) & (np.abs(v - eps) > 2 * d)
+        assert np.count_nonzero(cells) >= 30
+        err = 0.0
+        for i, j in zip(*np.nonzero(cells)):
+            up, down = v.copy(), v.copy()
+            up[i, j] += d
+            down[i, j] -= d
+            fd = (disc.energy(up) - disc.energy(down)) / (2 * d)
+            err = max(err, abs(fd - g[i, j]))
+        assert err <= 1e-6 * np.max(np.abs(g[cells]))
+
+    # the default band holds every cell; criterion 7's eps_chi = 2h^2 puts
+    # cells above it and at zero too
+    @pytest.mark.parametrize("eps_chi", [None, 2 / 32**2])
+    def test_pgs_descends_to_cellwise_minima(self, eps_chi):
+        disc, v = self._trace("stokes", None, eps_chi)
+        E, H = disc.state(v)
+        for _ in range(20):
+            v = solver._pgs_sweep(disc, v, H)
+            E_next, H = disc.state(v)
+            assert E_next <= E + 1e-15
+            E = E_next
+        v = solver._pgs_sweep(disc, v, H)
+        E = disc.energy(v)
+        # the sweep's second color (odd i + j) is updated last, so each of
+        # its interior cells minimizes the energy with all others fixed
+        I, J = np.meshgrid(np.arange(disc.n1), np.arange(disc.n2), indexing="ij")
+        second = ((I + J) % 2 == 1) & (I > 0) & (I < disc.n1 - 1) & (J > 0) & (J < disc.n2 - 1)
+        for i, j in zip(*np.nonzero(second)):
+            for d in (1e-6, -1e-6):
+                w = v.copy()
+                w[i, j] = max(v[i, j] + d, 0.0)
+                assert disc.energy(w) >= E
 
 
 class TestFirstVariation:
