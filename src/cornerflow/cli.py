@@ -122,9 +122,10 @@ def _load_field(cfg):
 
 
 def _write_csv(path, header, rows):
+    """``rows``: a 2-D array, or a sequence of rows, of len(header) floats."""
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        write_rows(f, rows, len(header), ",")
+        write_rows(f, np.reshape(np.asarray(rows, dtype=float), (-1, len(header))), ",")
 
 
 def _write_json(path, obj):
@@ -243,7 +244,7 @@ def run_profile_table(cfg, out, opts):
     _write_csv(
         os.path.join(out, "profile_table.csv"),
         ["x1", "x2", "u", "ux1", "ux2"],
-        zip(*(c.ravel() for c in cols)),
+        np.column_stack([c.ravel() for c in cols]),
     )
     if _get(cfg, "write_field", cast=int, default=0):
         grid.write(os.path.join(out, "field.txt"))
@@ -276,8 +277,8 @@ def run_minimize(cfg, out, opts):
         "stagnated": log.stagnated,
         "message": log.message,
         "iterations": [
-            {"it": it, "energy": E, "step": st, "max_gradient": gm}
-            for (it, E, st, gm) in log.iterations[-2000:]
+            {"it": it, "energy": E, "step": st, "certificate": cert}
+            for (it, E, st, cert) in log.iterations[-2000:]
         ],
     }
     if fld_out.on_axis:
@@ -323,12 +324,12 @@ def run_sweep(cfg, out, opts):
         "D", "V", "N", "e", "Pi", "pohozaev_residual", "energy_identity_residual",
     ]
     dmfd = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
-    rows = zip(
+    rows = np.column_stack([
         radii, cols["I"], cols["J"], cols["M"], dmfd,
         cols["k1"], cols["k2"], cols["k3"], cols["k4"], cols["k5"], cols["k6"],
         freq["D"], freq["V"], freq["N"], freq["e"], freq["Pi"],
         cols["pohozaev_residual"], cols["energy_identity_residual"],
-    )
+    ])
     _write_csv(os.path.join(out, "sweep.csv"), header, rows)
     if opts.plots:
         series = [("M(r)", list(cols["M"]))]

@@ -161,7 +161,7 @@ def _rest_density(model: EosModel, s):
         return np.where(base > 0.0, base, np.nan) ** (1.0 / gm1)
 
 
-def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
+def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120, rest=None):
     """Solve g*rho0^2*t/rho^2 + h(rho) = g*s on the subsonic branch.
 
     h is the gamma-law enthalpy relative to the surface density rho0.
@@ -169,7 +169,8 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
     ``(rho, d1H, d2H, flag)`` where d1H = dH/dt < 0, d2H = dH/ds > 0 on
     the subsonic branch and ``flag`` is 1 where no subsonic root exists
     and 2 where a node is still unconverged after ``max_iter`` passes
-    (outputs are NaN at flagged nodes).
+    (outputs are NaN at flagged nodes).  ``rest`` is ``_rest_density(model, s)``
+    where the caller has it already.
 
     The bracket [sonic density, zero-speed density] contains exactly one
     root when one exists because the residual is strictly increasing
@@ -194,7 +195,7 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
     rho = np.full(n, np.nan)
     flag = np.zeros(n, dtype=np.int32)
 
-    hi = _rest_density(model, s)
+    hi = _rest_density(model, s) if rest is None else np.broadcast_to(rest, shape).ravel().copy()
     bad = ~(hi > 0.0) | ~np.isfinite(t) | (t < 0.0)
     flag[bad] = 1
     good = ~bad
@@ -253,9 +254,9 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120):
     return rho.reshape(shape), d1H.reshape(shape), d2H.reshape(shape), flag.reshape(shape)
 
 
-def _checked_inversion(model: EosModel, t, s):
+def _checked_inversion(model: EosModel, t, s, rest=None):
     """invert_many that raises StateError at the first node without a subsonic root."""
-    rho, d1, d2, flag = invert_many(model, t, s)
+    rho, d1, d2, flag = invert_many(model, t, s, rest=rest)
     if np.any(flag):
         i = np.nonzero(np.ravel(flag))[0][0]
         t_i, s_i = (np.ravel(np.broadcast_to(a, np.shape(flag)))[i] for a in (t, s))
@@ -288,7 +289,7 @@ def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
     return BernoulliState(t=t, s=s, rho=rho, d1H=float(d1), d2H=float(d2))
 
 
-def _F_closed(model: EosModel, t, H, s):
+def _F_closed(model: EosModel, t, H, s, H0=None):
     """F(t;s) and dF2(t;s) from the inverted density H = H(t;s).
 
     Along the subsonic branch t(rho) = rho^2 (g s - c0 (rho^(gamma-1) - e0)) / (g rho0^2),
@@ -296,10 +297,12 @@ def _F_closed(model: EosModel, t, H, s):
     t/H - c0 H0^gamma/(gamma g rho0^2) ((1+u)^gamma - 1 - gamma u) with
     u = H/H0 - 1, which keeps full relative accuracy when H sits near H0
     (stiff gas, small t).  d/ds (1/H) = (dH/dt)/rho0^2 gives
-    dF2 = (H - H0)/rho0^2.  Derivation in docs/decisions.md.
+    dF2 = (H - H0)/rho0^2, with H0 = ``_rest_density(model, s)`` unless given.
+    Derivation in docs/decisions.md.
     """
     gamma = model.gamma
-    H0 = _rest_density(model, s)
+    if H0 is None:
+        H0 = _rest_density(model, s)
     u = H / H0 - 1.0
     c0 = model.A * gamma / (gamma - 1.0)
     rest = c0 * H0 ** gamma / (gamma * model.g * model.rho_bar0 ** 2)
@@ -349,8 +352,9 @@ class GammaLawMedium:
 
     def thermo(self, t, s):
         """H, d1H, d2H, F and dF2 at the states (t, s) from one inversion."""
-        H, d1, d2 = _checked_inversion(self.model, t, s)
-        return (H, d1, d2, *_F_closed(self.model, np.asarray(t, dtype=float), H, s))
+        H0 = _rest_density(self.model, s)
+        H, d1, d2 = _checked_inversion(self.model, t, s, H0)
+        return (H, d1, d2, *_F_closed(self.model, np.asarray(t, dtype=float), H, s, H0))
 
     def H_d1_d2(self, t, s):
         return _checked_inversion(self.model, t, s)

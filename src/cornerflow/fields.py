@@ -6,7 +6,6 @@ machinery can query exact values and gradients at quadrature nodes.
 """
 
 import io
-from itertools import chain, islice
 
 import numpy as np
 
@@ -16,12 +15,14 @@ CHI_REL_THRESHOLD = 1e-10  # positivity threshold relative to max(u)
 _CHUNK = 2048  # values formatted per write: memory stays bounded
 
 
-def write_rows(f, rows, width, sep):
-    """Write rows of ``width`` floats as ``format(v, ".17g")``, one % per chunk."""
+def write_rows(f, rows, sep):
+    """Write the rows of a 2-D float array as ``format(v, ".17g")``, one % per chunk."""
+    width = rows.shape[1]
     line = sep.join(["%.17g"] * width) + "\n"
-    rows = iter(rows)
-    while chunk := list(islice(rows, max(1, _CHUNK // max(width, 1)))):
-        f.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+    step = max(1, _CHUNK // max(width, 1))
+    for i in range(0, len(rows), step):
+        chunk = rows[i:i + step]
+        f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 class GridField:
@@ -149,7 +150,7 @@ class GridField:
     def write(self, path):
         with open(path, "w") as f:
             f.write(self.header_line() + "\n")
-            write_rows(f, self.values, self.n2, " ")
+            write_rows(f, self.values, " ")
 
     def header_line(self):
         vals = (self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h)

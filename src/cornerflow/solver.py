@@ -1,7 +1,7 @@
-"""Energy descent for approximate variational solutions, and the
+"""Energy minimization for approximate variational solutions, and the
 domain-variation (first variation) validator.
 
-The minimizer runs Jacobi-scaled projected descent on the energy with the
+The minimizer runs truncated monotone multigrid on the energy with the
 positivity indicator smoothed over a width eps_chi (sub-grid by
 default, so invisible at the quadrature order used).  The gradient of
 the compressible term needs no lagging: dF/dt = 1/H(t; x2) is available
@@ -9,6 +9,7 @@ in closed form at the current iterate.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +18,10 @@ from .eos import IncompressibleMedium
 from .fields import GridField
 from .functionals import _evaluate, _thermo
 
-ARMIJO_C = 1e-4
-TOL_WINDOW = 10  # stop when the relative drops of this many accepted iterations sum below tol
+# energies are sums of positive cell terms: two within this relative distance
+# are equal up to rounding, so a step that moves E by less is not uphill
+ROUNDING = 32 * np.finfo(float).eps
+HALVINGS = 30  # damped trials per step before it counts as no descent
 
 
 @dataclass
@@ -31,13 +34,8 @@ class MinimizeConfig:
     boundary: callable  # (x1, x2) -> Dirichlet data, also the initial guess
     medium: object = field(default_factory=IncompressibleMedium)
     eps_chi: float = None  # default 2h
-    step0: float = 1.0  # the initial and largest step (1 = one Jacobi sweep)
-    max_iter: int = 50_000
-    tol: float = 1e-10
-    # post-descent projected Gauss-Seidel sweeps: the energy-based stopping
-    # rule certifies the energy, not the iterate; the polish drives cellwise
-    # stationarity of the same discrete functional when sweeps > 0
-    pgs_sweeps: int = 0
+    max_iter: int = 50_000  # multigrid cycles
+    tol: float = 1e-10  # bound on the certificate max|PGS(v) - v| / max|boundary data|
 
     def __post_init__(self):
         if self.eps_chi is None:
@@ -48,7 +46,7 @@ class MinimizeConfig:
 
 @dataclass
 class ConvergenceLog:
-    iterations: list = field(default_factory=list)  # (it, energy, step, gmax)
+    iterations: list = field(default_factory=list)  # (cycle, energy, coarse step, certificate)
     converged: bool = False
     stagnated: bool = False
     message: str = ""
@@ -83,8 +81,7 @@ class _Discretization:
         self.m[:-1, :-1] = self.X1[:-1, :-1] * self.lam[:-1, :-1] * cfg.h * cfg.h / cfg.eps_chi
         self.interior = np.zeros((n1, n2), dtype=bool)
         self.interior[1:-1, 1:-1] = True
-        parity = np.add.outer(np.arange(n1), np.arange(n2)) % 2
-        self.colors = (self.interior & (parity == 0), self.interior & (parity == 1))
+        self.colors = tuple(self.interior & c for c in _colors((n1, n2)))
 
     def state(self, v):
         """Energy of v, and the density H its gradient and the PGS sweep need.
@@ -109,25 +106,32 @@ class _Discretization:
     def gradient(self, v, coef):
         """Exact gradient of the smoothed discrete energy at v: 2(A v - B),
         plus m where 0 < v < eps_chi; ``coef = _coefficients(self, H)``."""
-        a_c, a_w, a_s, A = coef
         band = (v > 0.0) & (v < self.cfg.eps_chi)
-        return 2.0 * (A * v - _neighbour_sum(v, a_c, a_w, a_s)) + np.where(band, self.m, 0.0)
+        return 2.0 * _apply(v, *coef) + np.where(band, self.m, 0.0)
 
 
 def minimize_EF(cfg: MinimizeConfig):
-    """Jacobi-scaled projected descent on the smoothed energy.
+    """Truncated monotone multigrid on the smoothed energy, to a certificate.
+
+    Each cycle makes two projected Gauss-Seidel sweeps, a coarse correction
+    on the cells off the constraint and the indicator's kink, and two more
+    sweeps.  The run is converged when the last sweep moved no cell by more
+    than ``tol`` times the largest boundary value: v is then a fixed point of
+    PGS, a cellwise minimizer.  No step that raises the energy beyond
+    rounding is accepted (docs/decisions.md).
 
     Returns (GridField, ConvergenceLog).  Dirichlet data is pinned on
     the outermost cell ring; iterates are projected onto v >= 0.
     Raises StateError if the subsonic inversion fails at any cell of the
-    initial guess; a trial that fails it is rejected like an uphill one.
+    initial guess; a trial that fails it is damped like an uphill one.
     """
     disc = _Discretization(cfg)
     v = np.asarray(cfg.boundary(disc.X1, disc.X2), dtype=float).copy()
-    if np.any(v[0, :] < 0) or np.any(v[-1, :] < 0) or np.any(v[:, 0] < 0) or np.any(v[:, -1] < 0):
+    ring = v[~disc.interior]
+    if np.any(ring < 0):
         raise DomainError("boundary data must be nonnegative")
     v = np.maximum(v, 0.0)
-    interior = disc.interior
+    scale = float(np.max(ring)) or 1.0
 
     try:
         E, H = disc.state(v)
@@ -139,79 +143,119 @@ def minimize_EF(cfg: MinimizeConfig):
         ) from None
 
     log = ConvergenceLog()
-    step = cfg.step0
-    recent = []
     for it in range(cfg.max_iter):
-        # the accepted trial's H gives the frozen quadratic: no second inversion
-        coef = _coefficients(disc, H)
-        g = disc.gradient(v, coef)
-        g_eff = np.where(interior & ((v > 0) | (g < 0)), g, 0.0)
-        gmax = float(np.max(np.abs(g_eff))) if g_eff.size else 0.0
-        # Jacobi scaling by the energy's diagonal 2A: step 1 minimizes each
-        # cell's frozen quadratic exactly
-        p = np.divide(g, 2.0 * coef[3], out=np.zeros_like(g), where=interior)
-        step_in = step
-        accepted = False
-        while step >= 1e-14:
-            trial = v - step * p
-            trial = np.where(interior, np.maximum(trial, 0.0), v)
-            decrease = float(np.sum(g_eff * (v - trial)))
-            try:
-                E_trial, H_trial = disc.state(trial)
-            except StateError:
-                # the trial overshot into supersonic states: reject it
-                step *= 0.5
-                continue
-            if E_trial <= E - ARMIJO_C * decrease:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        v, E, H, cert = _smooth(disc, v, E, H, 2)
+        step = 0.0
+        if cert is not None:
+            v, E, H, step = _coarse_step(disc, v, E, H)
+            v, E, H, cert = _smooth(disc, v, E, H, 2)
+        if cert is None:
             log.stagnated = True
-            log.message = f"backtracking exhausted at iteration {it}"
+            log.message = f"no PGS sweep lowers the energy in cycle {it}"
             break
-        rel_drop = (E - E_trial) / max(abs(E), 1e-300)
-        v, E, H = trial, E_trial, H_trial
-        log.iterations.append((it, E, step, gmax))
-        if step == step_in:  # no doubling right after a halving
-            step = min(step * 2.0, cfg.step0)
-        recent.append(rel_drop)
-        if len(recent) > TOL_WINDOW:
-            recent.pop(0)
-            if sum(recent) < cfg.tol:
-                log.converged = True
-                log.message = f"energy stationary after {it + 1} iterations"
-                break
+        log.iterations.append((it, E, step, cert / scale))
+        if cert <= cfg.tol * scale:
+            log.converged = True
+            log.message = f"certified after {it + 1} cycles"
+            break
     else:
         log.message = "max iterations reached"
-
-    for _ in range(cfg.pgs_sweeps):
-        v = _pgs_sweep(disc, v, H)
-        E, H = disc.state(v)
-    if cfg.pgs_sweeps:
-        log.iterations.append((cfg.max_iter, E, 0.0, 0.0))
 
     out = GridField(cfg.x1_min, cfg.x1_max, cfg.x2_min, cfg.x2_max, cfg.h, v)
     return out, log
 
 
+def _descend(disc, v, E, H, d):
+    """The first of v + d, v + d/2, ... (projected onto v >= 0) that is
+    subsonic and not above E beyond rounding: (v, E, H, factor), or None."""
+    theta = 1.0
+    for _ in range(HALVINGS):
+        trial = np.maximum(v + theta * d, 0.0)
+        if np.array_equal(trial, v):  # nothing moves: no evaluation
+            return v, E, H, theta
+        try:
+            E_t, H_t = disc.state(trial)
+        except StateError:
+            pass
+        else:
+            if E_t <= E + ROUNDING * abs(E):
+                return trial, E_t, H_t, theta
+        theta *= 0.5
+    return None
+
+
+def _smooth(disc, v, E, H, sweeps):
+    """``sweeps`` PGS sweeps, each damped until the true energy does not
+    rise: (v, E, H, max|PGS(v) - v| of the last); the certificate is None
+    when a sweep finds no descent."""
+    cert = None
+    for _ in range(sweeps):
+        d = _pgs_sweep(disc, v, H) - v
+        out = _descend(disc, v, E, H, d)
+        if out is None:
+            return v, E, H, None
+        v, E, H, _ = out
+        cert = float(np.max(np.abs(d)))
+    return v, E, H, cert
+
+
+def _coarse_step(disc, v, E, H):
+    """Truncated coarse correction: (v, E, H, step), step 0 if rejected.
+
+    On the inactive cells (interior, v > 0, v != eps_chi) the frozen
+    quadratic's Newton system L c = -g/2 is solved approximately by one
+    V-cycle over 2x2 aggregates of those cells; c is scaled by the exact
+    minimizing step of the quadratic model along it, and halved until the
+    true energy does not rise.
+    """
+    coef = _coefficients(disc, H)
+    free = disc.interior & (v > 0.0) & (v != disc.cfg.eps_chi)
+    g = disc.gradient(v, coef)
+    c = _vcycle(_hierarchy(coef, free), 0, np.where(free, -0.5 * g, 0.0))
+    curv = float(np.sum(c * _apply(c, *coef)))
+    slope = float(np.sum(g * c))
+    if not (curv > 0.0 and slope < 0.0):
+        return v, E, H, 0.0
+    alpha = -slope / (2.0 * curv)
+    out = _descend(disc, v, E, H, alpha * c)
+    if out is None:
+        return v, E, H, 0.0
+    v, E, H, theta = out
+    return v, E, H, alpha * theta
+
+
 def _coefficients(disc: _Discretization, H):
-    """Edge weights a = 1/(x1 H) on the cell lattice (zero past the last
-    difference), their west and south neighbours, and A = 2a_c + a_w + a_s,
-    the quadratic coefficient of each cell; H is from ``disc.state(v)``."""
-    a_c = np.zeros((disc.n1, disc.n2))
-    a_c[:-1, :-1] = 1.0 / (disc.X1[:-1, :-1] * H)
-    a_w = np.roll(a_c, 1, axis=0)
-    a_s = np.roll(a_c, 1, axis=1)
-    return a_c, a_w, a_s, 2.0 * a_c + a_w + a_s
+    """The frozen quadratic's stencil (wE, wN, A) on the cell lattice: east
+    and north edge weights a = 1/(x1 H), zero past the last difference, and
+    A = 2a_c + a_w + a_s; H is from ``disc.state(v)``."""
+    a = np.zeros((disc.n1, disc.n2))
+    a[:-1, :-1] = 1.0 / (disc.X1[:-1, :-1] * H)
+    A = 2.0 * a
+    A[1:] += a[:-1]
+    A[:, 1:] += a[:, :-1]
+    return a, a, A
 
 
-def _neighbour_sum(v, a_c, a_w, a_s):
-    """B = a_c (vE + vN) + a_w vW + a_s vS, the linear coefficient of each
-    cell; the zero last row and column of a_c cancel np.roll's wrap-around."""
-    vE = np.roll(v, -1, axis=0)
-    vN = np.roll(v, -1, axis=1)
-    return a_c * (vE + vN) + a_w * np.roll(v, 1, axis=0) + a_s * np.roll(v, 1, axis=1)
+def _neighbour_sum(v, wE, wN):
+    """B = wE vE + wN vN + wW vW + wS vS, the linear coefficient of each cell
+    of a 5-point stencil; wW and wS are the east and north weights of the
+    west and south neighbours, and the last row of wE and column of wN are 0."""
+    B = np.zeros_like(v)
+    B[:-1] = wE[:-1] * v[1:]
+    B[1:] += wE[:-1] * v[:-1]
+    B[:, :-1] += wN[:, :-1] * v[:, 1:]
+    B[:, 1:] += wN[:, :-1] * v[:, :-1]
+    return B
+
+
+def _apply(c, wE, wN, A):
+    """L c = A c - B(c), half the gradient of the quadratic part at c."""
+    return A * c - _neighbour_sum(c, wE, wN)
+
+
+def _colors(shape):
+    parity = np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 2
+    return parity == 0, parity == 1
 
 
 def _pgs_sweep(disc: _Discretization, v, H):
@@ -223,9 +267,9 @@ def _pgs_sweep(disc: _Discretization, v, H):
     lower-q of the two pieces' minimizers; H is from ``disc.state(v)``.
     """
     eps, m = disc.cfg.eps_chi, disc.m
-    a_c, a_w, a_s, A = _coefficients(disc, H)
+    wE, wN, A = _coefficients(disc, H)
     for color in disc.colors:
-        B = _neighbour_sum(v, a_c, a_w, a_s)
+        B = _neighbour_sum(v, wE, wN)
         # A = 0 only at the last corner cell, which is in no color
         with np.errstate(divide="ignore", invalid="ignore"):
             lo = np.clip((B - 0.5 * m) / A, 0.0, eps)
@@ -234,6 +278,99 @@ def _pgs_sweep(disc: _Discretization, v, H):
         q_hi = (A * hi - 2.0 * B) * hi + m * eps
         v = np.where(color, np.where(q_lo <= q_hi, lo, hi), v)
     return v
+
+
+# ---------------------------------------------------------------------------
+# the coarse levels: Galerkin aggregation of a 5-point stencil
+# ---------------------------------------------------------------------------
+
+class _Level(NamedTuple):
+    """A 5-point stencil on the free cells (A > 0) of one lattice."""
+
+    wE: np.ndarray
+    wN: np.ndarray
+    A: np.ndarray
+    inv: np.ndarray  # 1/A on the free cells, 0 elsewhere
+    colors: tuple  # the free cells of each red/black color
+
+    @classmethod
+    def of(cls, wE, wN, A):
+        free = A > 0.0
+        inv = np.divide(1.0, A, out=np.zeros_like(A), where=free)
+        return cls(wE, wN, A, inv, tuple(free & c for c in _colors(A.shape)))
+
+
+def _hierarchy(coef, free):
+    """The stencil ``coef`` restricted to the ``free`` cells (the others held
+    at 0: edges to a held cell drop out of the coupling but stay in A), and
+    its aggregates down to one cell."""
+    wE, wN, A = coef
+    fE = np.zeros_like(free)
+    fE[:-1] = free[:-1] & free[1:]
+    fN = np.zeros_like(free)
+    fN[:, :-1] = free[:, :-1] & free[:, 1:]
+    levels = [_Level.of(np.where(fE, wE, 0.0), np.where(fN, wN, 0.0), np.where(free, A, 0.0))]
+    while levels[-1].A.shape != (1, 1):
+        levels.append(_coarsen(levels[-1]))
+    return levels
+
+
+def _coarsen(level):
+    """P^T L P for P the piecewise-constant prolongation from 2x2 aggregates.
+
+    Edges inside an aggregate cancel (twice, from A), edges between two
+    aggregates add up, so the coarse operator is again a 5-point stencil.
+    """
+    wE, wN, A = (_even(x) for x in level[:3])
+    Ac = (A[0::2, 0::2] + A[1::2, 0::2] + A[0::2, 1::2] + A[1::2, 1::2]
+          - 2.0 * (wE[0::2, 0::2] + wE[0::2, 1::2] + wN[0::2, 0::2] + wN[1::2, 0::2]))
+    return _Level.of(wE[1::2, 0::2] + wE[1::2, 1::2], wN[0::2, 1::2] + wN[1::2, 1::2],
+                     np.maximum(Ac, 0.0))
+
+
+def _even(x):
+    """x padded with zeros to even dimensions (an odd lattice's last aggregates
+    hold one or two cells)."""
+    n1, n2 = x.shape
+    if n1 % 2 == 0 and n2 % 2 == 0:
+        return x
+    out = np.zeros((n1 + n1 % 2, n2 + n2 % 2))
+    out[:n1, :n2] = x
+    return out
+
+
+def _restrict(r):
+    r = _even(r)
+    return r[0::2, 0::2] + r[1::2, 0::2] + r[0::2, 1::2] + r[1::2, 1::2]
+
+
+def _prolong(c, shape):
+    return np.repeat(np.repeat(c, 2, axis=0), 2, axis=1)[:shape[0], :shape[1]]
+
+
+def _vcycle(levels, k, r):
+    """One V-cycle for L_k c = r from c = 0, exact on the 1 x 1 level.
+
+    A red/black Gauss-Seidel sweep before and after the coarse correction,
+    which is scaled to minimize the energy norm of the error: piecewise-
+    constant transfer alone corrects smooth errors by about half.
+    """
+    lv = levels[k]
+    if k == len(levels) - 1:
+        return r * lv.inv
+    c = _gs(lv, np.zeros_like(r), r)
+    res = r - _apply(c, *lv[:3])
+    e = np.where(lv.A > 0.0, _prolong(_vcycle(levels, k + 1, _restrict(res)), r.shape), 0.0)
+    curv = float(np.sum(e * _apply(e, *lv[:3])))
+    if curv > 0.0:
+        c = c + (float(np.sum(e * res)) / curv) * e
+    return _gs(lv, c, r)
+
+
+def _gs(lv, c, r):
+    for color in lv.colors:
+        c = np.where(color, (r + _neighbour_sum(c, lv.wE, lv.wN)) * lv.inv, c)
+    return c
 
 
 def axis_compatibility_residual(field_: GridField):

@@ -271,7 +271,7 @@ def test_criterion_07_pohozaev_and_energy_identities():
     res = {}
     for h in (1 / 128, 1 / 256):
         cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, h, stokes.value, medium=INC,
-                             max_iter=1500, tol=1e-12, eps_chi=2 * h * h, pgs_sweeps=1500)
+                             max_iter=1500, tol=1e-12, eps_chi=2 * h * h)
         fld, _ = minimize_EF(cfg)
         recs = [monotonicity_record(fld, INC, (1.0, 0.0), r, "stagnation") for r in (0.05, 0.08, 0.11)]
         poh = np.mean([abs(pohozaev_residual(rec, "stagnation")["residual"]) for rec in recs])

@@ -1,11 +1,12 @@
 import filecmp
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cornerflow import cli, fields, functionals, profiles
+from cornerflow import cli, fields, functionals, profiles, solver
 from cornerflow.fields import GridField
 
 # values whose 17-digit text is easy to get wrong: signed zero, the smallest
@@ -96,11 +97,23 @@ class TestWriters:
         vals = awkward_table(k * (fields._CHUNK // 5) + r, 5)
         header = ["a", "b", "c", "d", "e"]
         expect = "a,b,c,d,e\n" + reference_text(vals, ",")
-        cli._write_csv(tmp_path / "cols.csv", header, zip(*vals.T))
-        # the eos-table path: a list of tuples mixing numpy and Python floats
+        cli._write_csv(tmp_path / "cols.csv", header, vals)
+        # a list of tuples mixing numpy and Python floats
         cli._write_csv(tmp_path / "rows.csv", header, [(row[0], *row[1:].tolist()) for row in vals])
         assert (tmp_path / "cols.csv").read_text() == expect
         assert (tmp_path / "rows.csv").read_text() == expect
+
+    def test_write_rows_across_a_chunk_edge(self):
+        # one full chunk plus one row of signed zero, the smallest subnormal,
+        # near-overflow values and exact integers
+        width = 3
+        n = fields._CHUNK // width + 1
+        vals = np.tile([-0.0, 5e-324, 1e300, 3.0, -(2.0**53), 12345678901234567.0], n)
+        vals = vals[: n * width].reshape(n, width)
+        buf = io.StringIO()
+        fields.write_rows(buf, vals, ",")
+        assert buf.getvalue() == "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in vals.tolist())
 
     @pytest.mark.parametrize("k, r", [(0, 0), (0, 1), (1, 0), (2, 3)])
     def test_field_write_matches_per_value_format(self, tmp_path, k, r):
@@ -262,6 +275,24 @@ class TestMinimize:
         assert log["converged"]
         energies = [rec["energy"] for rec in log["iterations"]]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+
+    def test_converged_means_certified(self, tmp_path):
+        # the lab's minimize config: converged means that the last PGS sweep
+        # moved no cell by more than tol (default 1e-10) times the largest
+        # boundary value, and so does one more sweep from the written field
+        cfg = write_cfg(tmp_path / "m.cfg", profile="stokes_corner", x1_circ=1.0,
+                        offset_x1=1.0, x1_min=0.75, x1_max=1.25, x2_min=-0.25, x2_max=0.25,
+                        h=1 / 128)
+        assert run("minimize", cfg, tmp_path / "o") == 0
+        log = json.loads((tmp_path / "o" / "minimize_log.json").read_text())
+        assert log["converged"]
+        assert log["iterations"][-1]["certificate"] <= 1e-10
+        v = GridField.read(tmp_path / "o" / "field.txt").values
+        stokes = profiles.profile_field(profiles.stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        disc = solver._Discretization(solver.MinimizeConfig(
+            0.75, 1.25, -0.25, 0.25, 1 / 128, stokes.value))
+        moved = solver._pgs_sweep(disc, v, disc.state(v)[1]) - v
+        assert np.max(np.abs(moved)) <= 1e-10 * np.max(v[~disc.interior])
 
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path / "m.cfg", profile="stokes_corner", x1_circ=1.0,

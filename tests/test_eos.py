@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import cornerflow
+from cornerflow import eos
 from cornerflow.eos import (
     EosModel,
     F_many,
@@ -22,6 +23,7 @@ from cornerflow.eos import (
     pressure_derivative,
 )
 from cornerflow.errors import DomainError, StateError, SubsonicityError
+from cornerflow.profiles import flat_origin, profile_field
 
 from oracles import F_quadrature, lambda_alt
 
@@ -276,6 +278,24 @@ class TestThermo:
         want = (*med.H_d1_d2(t, s), *med.F_dF2(t, s))
         assert len(got) == 5
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_rest_density_formed_once(self, model_g2, monkeypatch):
+        # minimize-gamma2's 7 x 7 state: one H(0; s) per call, shared by the
+        # inversion's bracket and the closed-form F, with every output
+        # bitwise equal to the two separate evaluations
+        flat = profile_field(flat_origin(beta=0.3))
+        x = (np.arange(7) + 0.5) / 32
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        g1, g2 = flat.gradient(X1, X2)
+        t, s = (g1 * g1 + g2 * g2) / (X1 * X1), X2
+        med = GammaLawMedium(model_g2)
+        want = (*med.H_d1_d2(t, s), *med.F_dF2(t, s))
+        calls = []
+        rest = eos._rest_density
+        monkeypatch.setattr(eos, "_rest_density", lambda *a: calls.append(1) or rest(*a))
+        got = med.thermo(t, s)
+        assert len(calls) == 1
+        assert all(a.shape == (7, 7) and np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_incompressible_closed_forms(self):
         t, s = random_states(np.random.default_rng(5), 500)

@@ -254,8 +254,7 @@ class TestFrequency:
         flat = profile_field(flat_origin())
         h = 1 / 128
         cfg = MinimizeConfig(0.0, 0.5, 0.0, 0.25, h, flat.value,
-                             medium=incompressible, max_iter=3000, tol=1e-12,
-                             pgs_sweeps=400)
+                             medium=incompressible, max_iter=3000, tol=1e-12)
         fld, _ = minimize_EF(cfg)
         n1, n2 = fld.values.shape
         ext = np.zeros((n1, 2 * n2))
