@@ -192,9 +192,16 @@ class TestJacobiDescent:
         _, log = minimize_EF(self._flat_g2(model_g2, 1 / 64, max_iter=5000))
         assert log.converged and len(log.iterations) <= 400
 
-    def test_energy_monotone(self, model_g2):
-        _, log = minimize_EF(self._flat_g2(model_g2, 1 / 32))
-        assert log.converged
+    @pytest.mark.parametrize("eps_scale", [1.0, 0.25])
+    def test_steps_capped_and_energy_monotone(self, model_g2, eps_scale):
+        # eps_chi at its default 2h and at h/2: the cycles stay under the
+        # h = 1/32 cap, every coarse correction is accepted (a rejected one
+        # logs step 0) and no cycle raises the energy
+        h = 1 / 32
+        cfg = self._flat_g2(model_g2, h, eps_chi=eps_scale * 2 * h)
+        _, log = minimize_EF(cfg)
+        assert log.converged and len(log.iterations) <= 90
+        assert all(0.0 < step < math.inf for (_, _, step, _) in log.iterations)
         energies = [E for (_, E, _, _) in log.iterations]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
 
