@@ -11,18 +11,17 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import classify as classify_mod
 from . import functionals, profiles, solver
 from .eos import EosModel, F_of, GammaLawMedium, IncompressibleMedium, invert_density, lambda_of
-from .errors import ConfigError, CornerflowError, DomainError, GeometryError, NumericalError
+from .errors import ConfigError, CornerflowError, NumericalError
 from .fields import GridField, write_rows
 from .legendre import find_theta_star, legendre_ode_residual
 from .svgplot import write_svg_levels, write_svg_lines
-
-SUBCOMMANDS = ("eos-table", "profile-check", "profile-table", "minimize", "sweep", "classify")
 
 
 def parse_config(path):
@@ -30,7 +29,7 @@ def parse_config(path):
     try:
         with open(path) as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -45,80 +44,132 @@ def parse_config(path):
     return cfg
 
 
-def _get(cfg, key, cast=float, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+# a key's type is float, int, str or the tuple of its allowed strings; its
+# bound, if any, is "positive" or "nonnegative"
+Key = namedtuple("Key", "type default bound", defaults=(None, None))
+REQUIRED = object()  # the default of a key that every config must set
+
+
+PROFILES = {
+    "stokes_corner": lambda c: profiles.stokes_corner(
+        coeff=c["coeff"], x1_circ=c["x1_circ"], rho_bar0=c["rho_bar0"]),
+    "axis_parabola": lambda c: profiles.axis_parabola(alpha=c["alpha"]),
+    "garabedian_bubble": lambda c: profiles.garabedian_bubble(beta0=c["beta0"]),
+    "flat_origin": lambda c: profiles.flat_origin(beta=c["beta"]),
+    "zero": lambda c: profiles.zero_profile(),
+}
+
+# shared key blocks; a medium without gamma is incompressible
+_MEDIUM = {"gamma": Key(float), "A": Key(float, 1.0), "rho_bar0": Key(float, 1.0), "g": Key(float, 1.0)}
+_PROFILE = {
+    "profile": Key(tuple(PROFILES)), "coeff": Key(float), "x1_circ": Key(float),
+    "rho_bar0": Key(float, 1.0), "alpha": Key(float, 1.0), "beta0": Key(float), "beta": Key(float),
+    "offset_x1": Key(float, 0.0), "offset_x2": Key(float, 0.0),
+}
+_SOURCE = {"field": Key(str), **_PROFILE}  # a field file, else the profile
+_BOX = {
+    "x1_min": Key(float, REQUIRED), "x1_max": Key(float, REQUIRED),
+    "x2_min": Key(float, REQUIRED), "x2_max": Key(float, REQUIRED),
+    "h": Key(float, REQUIRED, "positive"),
+}
+_RADII = {"r_min": Key(float), "r_max": Key(float)}
+
+KEYS = {
+    "eos-table": {
+        **_MEDIUM, "gamma": Key(float, REQUIRED), "eps0": Key(float),
+        "t_min": Key(float, 0.0), "t_max": Key(float, REQUIRED), "t_count": Key(int, 5, "positive"),
+        "s_min": Key(float, 0.0), "s_max": Key(float, REQUIRED), "s_count": Key(int, 5, "positive"),
+    },
+    "profile-check": {},
+    "profile-table": {
+        **_PROFILE, "profile": Key(tuple(PROFILES), REQUIRED), **_BOX, "write_field": Key(int, 0),
+    },
+    "minimize": {
+        **_MEDIUM, **_PROFILE, **_BOX,
+        "eps_chi": Key(float), "max_iter": Key(int, 50000), "tol": Key(float, 1e-10),
+    },
+    "sweep": {
+        **_SOURCE, **_MEDIUM, "kind": Key(functionals.KINDS, REQUIRED),
+        "center_x1": Key(float, 0.0), "center_x2": Key(float, 0.0),
+        **_RADII, "n_radii": Key(int, 0, "nonnegative"), "n_arc": Key(int, 4096, "positive"),
+    },
+    "classify": {
+        **_SOURCE, "point_x1": Key(float, 0.0), "point_x2": Key(float, 0.0),
+        "kind": Key(functionals.KINDS), **_RADII, "n_radii": Key(int, 10, "positive"),
+    },
+}
+
+# (lo, hi, floor): lo < hi wherever both are set, and 0 < lo if floor
+WINDOWS = (("x1_min", "x1_max", ""), ("x2_min", "x2_max", ""), ("r_min", "r_max", "0 < "))
+
+
+def _typed(key, text, spec):
+    if isinstance(spec.type, tuple):
+        if text not in spec.type:
+            raise ConfigError(f"{key} must be one of {spec.type}, got {text!r}")
+        return text
     try:
-        val = cast(cfg[key])
+        val = spec.type(text)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}")
-    if cast is float and not np.isfinite(val):
-        raise ConfigError(f"key {key!r} must be finite, got {cfg[key]!r}")
+    if spec.type is float and not np.isfinite(val):
+        raise ConfigError(f"key {key!r} must be finite, got {text!r}")
+    if spec.bound == "positive" and not val > 0 or spec.bound == "nonnegative" and not val >= 0:
+        raise ConfigError(f"{key} must be {spec.bound}, got {val}")
     return val
 
 
-def _positive(cfg, key, cast=float, default=None):
-    val = _get(cfg, key, cast=cast, default=default, required=default is None)
-    if not val > 0:
-        raise ConfigError(f"{key} must be positive, got {val}")
-    return val
+def typed_config(raw, sub):
+    """The keys of subcommand ``sub`` from the parsed text ``raw``: typed, bounded, defaulted.
+
+    Raises ConfigError on a key outside the subcommand's table, a missing
+    required key, a bad or out-of-bound value, or a window out of order.
+    """
+    table = KEYS[sub]
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} for {sub}")
+    cfg = {}
+    for key, spec in table.items():
+        if key in raw:
+            cfg[key] = _typed(key, raw[key], spec)
+        elif spec.default is REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        else:
+            cfg[key] = spec.default
+    for lo_key, hi_key, floor in WINDOWS:
+        lo, hi = cfg.get(lo_key), cfg.get(hi_key)
+        if lo is None and hi is None:
+            continue
+        if lo is None or hi is None or not (lo < hi and (lo > 0 or not floor)):
+            raise ConfigError(f"need {floor}{lo_key} < {hi_key}, got {lo} and {hi}")
+    return cfg
 
 
-def _window(cfg, lo_key, hi_key, positive=False):
-    """Required keys lo < hi, and 0 < lo if ``positive``."""
-    lo = _get(cfg, lo_key, required=True)
-    hi = _get(cfg, hi_key, required=True)
-    if not (lo < hi and (lo > 0 or not positive)):
-        raise ConfigError(f"need {'0 < ' if positive else ''}{lo_key} < {hi_key}, got {lo} and {hi}")
-    return lo, hi
-
-
-def _eos_model(cfg):
-    return EosModel(
-        gamma=_get(cfg, "gamma", required=True),
-        A=_get(cfg, "A", default=1.0),
-        rho_bar0=_get(cfg, "rho_bar0", default=1.0),
-        g=_get(cfg, "g", default=1.0),
-        eps0=_get(cfg, "eps0", default=None),
-    )
+def _eos_model(cfg, eps0=None):
+    return EosModel(gamma=cfg["gamma"], A=cfg["A"], rho_bar0=cfg["rho_bar0"], g=cfg["g"], eps0=eps0)
 
 
 def _medium(cfg):
-    if "gamma" in cfg:
-        return GammaLawMedium(_eos_model(cfg))
-    return IncompressibleMedium(_get(cfg, "rho_bar0", default=1.0))
+    return IncompressibleMedium(cfg["rho_bar0"]) if cfg["gamma"] is None else GammaLawMedium(_eos_model(cfg))
 
 
 def _profile_spec(cfg):
-    name = cfg.get("profile")
-    if name is None:
+    if cfg["profile"] is None:
         raise ConfigError("missing required key 'profile'")
-    if name == "stokes_corner":
-        coeff = _get(cfg, "coeff", default=None)
-        x1c = _get(cfg, "x1_circ", default=None)
-        return profiles.stokes_corner(coeff=coeff, x1_circ=x1c, rho_bar0=_get(cfg, "rho_bar0", default=1.0))
-    if name == "axis_parabola":
-        return profiles.axis_parabola(alpha=_get(cfg, "alpha", default=1.0))
-    if name == "garabedian_bubble":
-        return profiles.garabedian_bubble(beta0=_get(cfg, "beta0", default=None))
-    if name == "flat_origin":
-        return profiles.flat_origin(beta=_get(cfg, "beta", default=None))
-    if name == "zero":
-        return profiles.zero_profile()
-    raise ConfigError(f"unknown profile {name!r}")
+    return PROFILES[cfg["profile"]](cfg)
+
+
+def _profile_field(cfg):
+    return profiles.profile_field(_profile_spec(cfg), offset=(cfg["offset_x1"], cfg["offset_x2"]))
 
 
 def _load_field(cfg):
-    if "field" in cfg:
-        path = cfg["field"]
-        if not os.path.exists(path):
-            raise ConfigError(f"field file {path!r} not found")
-        return GridField.read(path)
-    spec = _profile_spec(cfg)
-    off = (_get(cfg, "offset_x1", default=0.0), _get(cfg, "offset_x2", default=0.0))
-    return profiles.profile_field(spec, offset=off)
+    return _profile_field(cfg) if cfg["field"] is None else GridField.read(cfg["field"])
+
+
+def _box(cfg):
+    return cfg["x1_min"], cfg["x1_max"], cfg["x2_min"], cfg["x2_max"], cfg["h"]
 
 
 def _write_csv(path, header, rows):
@@ -139,17 +190,9 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def run_eos_table(cfg, out, opts):
-    model = _eos_model(cfg)
-    tv = np.linspace(
-        _get(cfg, "t_min", default=0.0),
-        _get(cfg, "t_max", required=True),
-        _positive(cfg, "t_count", int, default=5),
-    )
-    sv = np.linspace(
-        _get(cfg, "s_min", default=0.0),
-        _get(cfg, "s_max", required=True),
-        _positive(cfg, "s_count", int, default=5),
-    )
+    model = _eos_model(cfg, eps0=cfg["eps0"])
+    tv = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_count"])
+    sv = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_count"])
     rows = []
     for s in sv:
         for t in tv:
@@ -157,11 +200,7 @@ def run_eos_table(cfg, out, opts):
             F, _, _ = F_of(model, float(t), float(s))
             lam = lambda_of(model, float(s))
             rows.append((t, s, st.rho, st.d1H, st.d2H, F, lam))
-    _write_csv(
-        os.path.join(out, "eos_table.csv"),
-        ["t", "s", "H", "d1H", "d2H", "F", "lambda"],
-        rows,
-    )
+    _write_csv(os.path.join(out, "eos_table.csv"), ["t", "s", "H", "d1H", "d2H", "F", "lambda"], rows)
     return 0
 
 
@@ -232,44 +271,28 @@ def _interior_points(spec, rng, n):
 
 def run_profile_table(cfg, out, opts):
     spec = _profile_spec(cfg)
-    off = (_get(cfg, "offset_x1", default=0.0), _get(cfg, "offset_x2", default=0.0))
-    x1_min, x1_max = _window(cfg, "x1_min", "x1_max")
-    x2_min, x2_max = _window(cfg, "x2_min", "x2_max")
-    h = _positive(cfg, "h")
-    fld = profiles.profile_field(spec, offset=off)
-    grid = fld.resample(x1_min, x1_max, x2_min, x2_max, h)
+    off = (cfg["offset_x1"], cfg["offset_x2"])
+    grid = profiles.profile_field(spec, offset=off).resample(*_box(cfg))
     X1, X2 = np.meshgrid(grid.cell_x1, grid.cell_x2, indexing="ij")
     g1, g2 = profiles.eval_profile_gradient(spec, X1 - off[0], X2 - off[1])
     cols = (X1, X2, grid.values, g1, g2)
     _write_csv(
         os.path.join(out, "profile_table.csv"),
         ["x1", "x2", "u", "ux1", "ux2"],
-        np.column_stack([c.ravel() for c in cols]),
+        np.column_stack([col.ravel() for col in cols]),
     )
-    if _get(cfg, "write_field", cast=int, default=0):
+    if cfg["write_field"]:
         grid.write(os.path.join(out, "field.txt"))
     return 0
 
 
 def run_minimize(cfg, out, opts):
-    med = _medium(cfg)
-    if "profile" in cfg:
-        spec = _profile_spec(cfg)
-        off = (_get(cfg, "offset_x1", default=0.0), _get(cfg, "offset_x2", default=0.0))
-        fld = profiles.profile_field(spec, offset=off)
-        boundary = fld.value
+    if cfg["profile"] is not None:
+        boundary = _profile_field(cfg).value
     else:
         boundary = lambda x1, x2: np.zeros_like(np.asarray(x1))
-    mc = solver.MinimizeConfig(
-        *_window(cfg, "x1_min", "x1_max"),
-        *_window(cfg, "x2_min", "x2_max"),
-        h=_positive(cfg, "h"),
-        boundary=boundary,
-        medium=med,
-        eps_chi=_get(cfg, "eps_chi", default=None),
-        max_iter=int(_get(cfg, "max_iter", cast=int, default=50000)),
-        tol=_get(cfg, "tol", default=1e-10),
-    )
+    mc = solver.MinimizeConfig(*_box(cfg), boundary=boundary, medium=_medium(cfg), eps_chi=cfg["eps_chi"],
+                               max_iter=cfg["max_iter"], tol=cfg["tol"])
     fld_out, log = solver.minimize_EF(mc)
     fld_out.write(os.path.join(out, "field.txt"))
     payload = {
@@ -289,28 +312,15 @@ def run_minimize(cfg, out, opts):
     return 0
 
 
-def _sweep_radii(cfg, fld, center, kind):
-    if "r_min" not in cfg or "r_max" not in cfg:
-        return functionals.default_radii(fld, center, kind)
-    r_min, r_max = _window(cfg, "r_min", "r_max", positive=True)
-    n = _get(cfg, "n_radii", cast=int, default=0)
-    if n < 0:
-        raise ConfigError(f"n_radii must be nonnegative (0 picks the count), got {n}")
-    if n == 0:
-        n = max(5, int(np.ceil(24 * np.log10(r_max / r_min))))
-    return np.geomspace(r_min, r_max, n)
-
-
 def run_sweep(cfg, out, opts):
     fld = _load_field(cfg)
-    med = _medium(cfg)
-    kind = cfg.get("kind")
-    if kind not in functionals.KINDS:
-        raise ConfigError(f"kind must be one of {functionals.KINDS}")
-    center = (_get(cfg, "center_x1", default=0.0), _get(cfg, "center_x2", default=0.0))
-    radii = _sweep_radii(cfg, fld, center, kind)
-    n_arc = _positive(cfg, "n_arc", int, default=4096)
-    sweep = functionals.radial_sweep(fld, med, center, kind, radii, n_arc=n_arc)
+    kind = cfg["kind"]
+    center = (cfg["center_x1"], cfg["center_x2"])
+    if cfg["r_min"] is None:
+        radii = functionals.default_radii(fld, center, kind)
+    else:
+        radii = functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
+    sweep = functionals.radial_sweep(fld, _medium(cfg), center, kind, radii, n_arc=cfg["n_arc"])
     cols = sweep.columns
     zero = np.zeros_like(radii)
     # the frequency block is undefined where J = 0 (zero field): report 0
@@ -349,15 +359,8 @@ def run_sweep(cfg, out, opts):
 
 def run_classify(cfg, out, opts):
     fld = _load_field(cfg)
-    point = classify_mod.DegeneratePoint(
-        x1=_get(cfg, "point_x1", default=0.0),
-        x2=_get(cfg, "point_x2", default=0.0),
-        kind=cfg.get("kind"),
-    )
-    radii = None
-    if "r_min" in cfg:
-        r_min, r_max = _window(cfg, "r_min", "r_max", positive=True)
-        radii = np.geomspace(r_min, r_max, _positive(cfg, "n_radii", int, default=10))
+    point = classify_mod.DegeneratePoint(x1=cfg["point_x1"], x2=cfg["point_x2"], kind=cfg["kind"])
+    radii = None if cfg["r_min"] is None else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
     result = classify_mod.classify(fld, point, radii=radii)
     _write_json(os.path.join(out, "classification.json"), result.to_dict())
     if opts.plots:
@@ -384,20 +387,16 @@ def main(argv=None):
         prog="cornerflow",
         description="Free-boundary singularity laboratory (batch runs)",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(RUNNERS))
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--plots", action="store_true", help="also write SVG plots")
-    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect (runs are serial)")
     opts = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(opts.config)
+        cfg = typed_config(parse_config(opts.config), opts.subcommand)
         os.makedirs(opts.out, exist_ok=True)
         return RUNNERS[opts.subcommand](cfg, opts.out, opts)
-    except (ConfigError, DomainError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

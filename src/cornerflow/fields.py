@@ -5,7 +5,7 @@ file format; AnalyticField wraps closed-form profiles so the sweep
 machinery can query exact values and gradients at quadrature nodes.
 """
 
-import io
+import math
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class GridField:
 
     def __init__(self, x1_min, x1_max, x2_min, x2_max, h, values, chi_threshold=None):
         values = np.asarray(values, dtype=float)
+        if not (0 < h < math.inf and math.isfinite((x1_max - x1_min) / h + (x2_max - x2_min) / h)):
+            raise DomainError(f"need a finite box and 0 < h < inf, got h = {h}")
         n1 = int(round((x1_max - x1_min) / h))
         n2 = int(round((x2_max - x2_min) / h))
         if abs(n1 * h - (x1_max - x1_min)) > 1e-9 * h or abs(n2 * h - (x2_max - x2_min)) > 1e-9 * h:
@@ -158,13 +160,22 @@ class GridField:
 
     @classmethod
     def read(cls, path):
-        with open(path) as f:
-            header = f.readline().split()
+        """Read a field file; a missing or malformed file raises DomainError naming ``path``."""
+        try:
+            with open(path) as f:
+                header = f.readline().split()
+                body = f.read()
             if len(header) != 6 or header[0] != "grid":
-                raise DomainError(f"{path}: bad field header")
-            x1_min, x1_max, x2_min, x2_max, h = map(float, header[1:])
-            values = np.loadtxt(io.StringIO(f.read()), ndmin=2)
-        return cls(x1_min, x1_max, x2_min, x2_max, h, values)
+                raise DomainError("bad field header")
+            bounds = [float(v) for v in header[1:]]
+            if not body.strip():
+                raise DomainError("no cell values")
+            values = np.loadtxt(body.splitlines(), ndmin=2, comments=None)
+            if not np.all(np.isfinite(values)):
+                raise DomainError("cell values must be finite")
+            return cls(*bounds, values)
+        except (OSError, ValueError) as exc:  # DomainError is a ValueError
+            raise DomainError(f"{path}: {exc}") from None
 
 
 class AnalyticField:

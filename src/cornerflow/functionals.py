@@ -28,6 +28,8 @@ _T_ACTIVE = 1e-300
 
 
 def check_kind_center(kind, center):
+    if kind not in KINDS:
+        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     c1, c2 = center
     if kind == "stagnation" and not (c1 > 0 and c2 == 0):
         raise DomainError("stagnation centers have x1 > 0 and x2 = 0")
@@ -45,15 +47,21 @@ def delta_radius(field_, center, kind):
     return 0.5 * d
 
 
-def default_radii(field_, center, kind, per_decade=24):
+def log_radii(r_min, r_max, n=0):
+    """``n`` log-spaced radii from r_min to r_max; n = 0 takes 24 per decade, at least 5."""
+    if n == 0:
+        n = max(5, int(np.ceil(24 * np.log10(r_max / r_min))))
+    return np.geomspace(r_min, r_max, n)
+
+
+def default_radii(field_, center, kind):
     """Log-spaced radii between 4h and 0.9*delta (grid fields)."""
     delta = delta_radius(field_, center, kind)
     r_min = 4.0 * getattr(field_, "h", delta / 256.0)
     r_max = 0.9 * delta
     if not r_max > r_min:
         raise GeometryError("no admissible radius window for this center")
-    n = max(5, int(np.ceil(per_decade * np.log10(r_max / r_min))))
-    return np.geomspace(r_min, r_max, n)
+    return log_radii(r_min, r_max)
 
 
 @dataclass
@@ -118,25 +126,6 @@ def _mask_axis(arr, x1):
 
 
 # ---------------------------------------------------------------------------
-# energies
-# ---------------------------------------------------------------------------
-
-def energy_EF_ball(field_, medium, center, r, half=False):
-    ev = _ball_eval(field_, medium, center, r, half)
-    return float(np.sum(ev.w * ev.x1 * (ev.F + ev.lam * ev.chi)))
-
-
-def energy_EH_ball(field_, medium, center, r, half=False):
-    ev = _ball_eval(field_, medium, center, r, half)
-    return float(_dirichlet_sum(ev) + np.sum(ev.w * ev.x1 * (ev.x2 / medium.rho0) * ev.chi))
-
-
-def _dirichlet_sum(ev):
-    """Weighted Dirichlet sum of grad u / (x1 H) over ball nodes."""
-    return np.sum(ev.w_inv * (ev.g1**2 + ev.g2**2) / ev.H)
-
-
-# ---------------------------------------------------------------------------
 # per-radius record
 # ---------------------------------------------------------------------------
 
@@ -158,7 +147,7 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
 
     E_F = float(np.sum(bv.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bv.x2, 0.0)
-    dirichlet = float(_dirichlet_sum(bv))
+    dirichlet = float(np.sum(bv.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))  # weighted by 1/(x1 H)
     E_H = float(dirichlet + np.sum(bv.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
 
     u_arc = _mask_axis(av.u, av.x1)

@@ -63,6 +63,11 @@ class TestDegeneratePoint:
         with pytest.raises(DomainError):
             DegeneratePoint(0.5, 0.5)
 
+    def test_unknown_kind(self):
+        # used to be accepted, and to fail only deep inside the density sweep
+        with pytest.raises(DomainError, match="kind must be one of"):
+            DegeneratePoint(1.0, 0.0, kind="nowhere")
+
 
 class TestBlowup:
     def test_homogeneous_field_blowup_invariant(self):

@@ -89,6 +89,66 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {msg}") and err.count("\n") == 1
 
+    # one valid config per subcommand
+    VALID = {
+        "eos-table": dict(gamma=2.0, t_max=0.05, s_max=0.2),
+        "profile-check": {},
+        "profile-table": dict(profile="zero", x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 8),
+        "minimize": dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 16),
+        "sweep": dict(profile="zero", kind="origin", r_min=0.05, r_max=0.2),
+        "classify": dict(profile="zero", kind="origin", r_min=0.05, r_max=0.2),
+    }
+
+    @pytest.mark.parametrize("sub", sorted(VALID))
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, sub):
+        # a misspelled key used to be ignored and its default used
+        assert run(sub, write_cfg(tmp_path / "ok.cfg", **self.VALID[sub]), tmp_path / "ok") == 0
+        cfg = write_cfg(tmp_path / "c.cfg", **self.VALID[sub], n_radi=7)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'n_radi'") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub, key, kv", [
+        ("sweep", "kind", dict(profile="zero", kind="nowhere")),
+        ("classify", "kind", dict(profile="zero", kind="nowhere")),
+        ("profile-table", "profile", dict(profile="nowhere", x1_min=0.0, x1_max=0.25,
+                                          x2_min=0.0, x2_max=0.25, h=1 / 8)),
+    ])
+    def test_bad_choice_is_config_error(self, tmp_path, capsys, sub, key, kv):
+        # classify with kind = nowhere used to run the whole density sweep first
+        cfg = write_cfg(tmp_path / "c.cfg", **kv)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("sub", ["sweep", "minimize"])
+    def test_eps0_is_an_eos_table_key(self, tmp_path, capsys, sub):
+        kv = {**self.VALID[sub], "gamma": 2.0, "eps0": 1e-3}
+        assert run(sub, write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith("error: unknown key 'eps0'")
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", **self.VALID["eos-table"])
+        with pytest.raises(SystemExit):
+            run("eos-table", cfg, tmp_path / "o", "--threads", "1")
+
+
+class TestFieldFiles:
+    @pytest.mark.parametrize("text", [
+        "grid 0 0.5 -0.25 x 0.25\n1 2\n3 4\n",
+        "grid 0 0.5 -0.25 0.25 0.25\n1 2\n3\n",
+        "grid 0 0.5 -0.25 0.25 0\n1 2\n3 4\n",
+        "grid 0 0.5 -0.25 0.25 0.25\n1 nan\n3 4\n",
+    ], ids=["non-numeric-header", "ragged-row", "zero-h", "nan-cell"])
+    def test_malformed_field_is_one_error_line(self, tmp_path, capsys, text):
+        # each used to end in a traceback, or (nan) to run on silently
+        (tmp_path / "f.txt").write_text(text)
+        cfg = write_cfg(tmp_path / "c.cfg", field=tmp_path / "f.txt", kind="stagnation",
+                        center_x1=0.25, r_min=0.05, r_max=0.1)
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'f.txt'}: ") and err.count("\n") == 1
+
 
 class TestWriters:
     # k full chunks plus r rows: 0 rows, a partial chunk, and chunk edges
@@ -138,7 +198,7 @@ class TestEosTable:
 
 class TestProfileCheck:
     def test_constants(self, tmp_path):
-        cfg = write_cfg(tmp_path / "c.cfg", unused=0)
+        cfg = write_cfg(tmp_path / "c.cfg")
         assert run("profile-check", cfg, tmp_path / "o") == 0
         data = json.loads((tmp_path / "o" / "profile_check.json").read_text())
         assert data["theta_star_deg"] == pytest.approx(114.799, abs=0.01)
@@ -177,7 +237,7 @@ class TestProfileTableAndClassify:
         cfg = write_cfg(tmp_path / "p.cfg", **profile, x1_min=box[0], x1_max=box[1],
                         x2_min=box[2], x2_max=box[3], h=h)
         assert run("profile-table", cfg, tmp_path / "o") == 0
-        spec = cli._profile_spec(cli.parse_config(cfg))
+        spec = cli._profile_spec(cli.typed_config(cli.parse_config(cfg), "profile-table"))
         off = (profile.get("offset_x1", 0.0), 0.0)
         grid = profiles.profile_field(spec, offset=off).resample(*box, h)
         lines = ["x1,x2,u,ux1,ux2"]
@@ -220,13 +280,6 @@ class TestSweep:
             header = f.readline().strip().split(",")
         D = rows[:, header.index("D")]
         assert np.max(np.abs(D - 3.0)) < 1e-6
-
-    def test_threads_deterministic(self, tmp_path):
-        cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",
-                        r_min=0.05, r_max=0.5, n_radii=6)
-        assert run("sweep", cfg, tmp_path / "t1") == 0
-        assert run("sweep", cfg, tmp_path / "t4", "--threads", "4") == 0
-        assert filecmp.cmp(tmp_path / "t1" / "sweep.csv", tmp_path / "t4" / "sweep.csv", shallow=False)
 
     def test_one_record_per_radius(self, tmp_path, monkeypatch):
         calls = []

@@ -8,8 +8,6 @@ from cornerflow.fields import AnalyticField, GridField
 from cornerflow.functionals import (
     default_radii,
     delta_radius,
-    energy_EF_ball,
-    energy_EH_ball,
     energy_identity_residual,
     frequency_quantities,
     monotonicity_derivative_check,
@@ -54,12 +52,12 @@ def flat_field():
 class TestEnergies:
     def test_zero_field_has_zero_energy(self, incompressible):
         f = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -0.5, 0.5, 1 / 64)
-        assert energy_EF_ball(f, incompressible, (0.5, 0.0), 0.3) == 0.0
+        # r = 0.2: the record admits radii below delta = 0.25 at this center
+        assert monotonicity_record(f, incompressible, (0.5, 0.0), 0.2, "stagnation")["E_F"] == 0.0
 
     def test_incompressible_EF_equals_EH(self, stokes_field, incompressible):
-        ef = energy_EF_ball(stokes_field, incompressible, (1.0, 0.0), 0.2)
-        eh = energy_EH_ball(stokes_field, incompressible, (1.0, 0.0), 0.2)
-        assert ef == pytest.approx(eh, rel=1e-12)
+        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.2, "stagnation")
+        assert rec["E_F"] == pytest.approx(rec["E_H"], rel=1e-12)
 
     def test_EH_minus_EF_is_K1_same_nodes(self, stokes_field, gamma_medium):
         # algebraic identity on shared quadrature nodes (compressible)
