@@ -27,7 +27,6 @@ from .legendre import (
     find_theta_star,
     legendre_P,
     legendre_P_prime,
-    legendre_Q1,
 )
 from .profiles import (
     ProfileSpec,
@@ -70,7 +69,6 @@ __all__ = [
     "lambda_prime",
     "legendre_P",
     "legendre_P_prime",
-    "legendre_Q1",
     "pressure",
     "pressure_derivative",
     "profile_field",

@@ -338,8 +338,8 @@ def frequency_blowup(field_, medium, radii, n_blow=128, annulus=(0.5, 0.9)):
         vr_arc = field_.value(r * arc.x1, r * arc.x2) / c
         norm = math.sqrt(float(np.sum(arc.w * vr_arc**2 / np.maximum(arc.x1, 1e-300))))
         # blow-up values/gradient on the unit half-ball
-        vr = field_.value(r * pn.x1, r * pn.x2) / c
-        g1, g2 = field_.gradient(r * pn.x1, r * pn.x2)
+        vr, g1, g2 = field_.evaluate(r * pn.x1, r * pn.x2)
+        vr = vr / c
         g1 = r * g1 / c
         g2 = r * g2 / c
         num = float(np.sum(wgt * vr * shape))

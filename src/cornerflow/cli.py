@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import classify as classify_mod
 from . import functionals, profiles, solver
 from .eos import EosModel, F_of, GammaLawMedium, IncompressibleMedium, invert_density, lambda_of
 from .errors import ConfigError, CornerflowError, NumericalError
-from .fields import GridField, write_rows
+from .fields import _CHUNK, GridField, format_values, header_line, write_columns, write_rows
 from .legendre import find_theta_star, legendre_ode_residual
 from .svgplot import write_svg_levels, write_svg_lines
 
@@ -50,21 +51,23 @@ Key = namedtuple("Key", "type default bound", defaults=(None, None))
 REQUIRED = object()  # the default of a key that every config must set
 
 
+# each profile: its constructor and the keys of its parameters, named as the
+# constructor's arguments
+Profile = namedtuple("Profile", "make keys")
 PROFILES = {
-    "stokes_corner": lambda c: profiles.stokes_corner(
-        coeff=c["coeff"], x1_circ=c["x1_circ"], rho_bar0=c["rho_bar0"]),
-    "axis_parabola": lambda c: profiles.axis_parabola(alpha=c["alpha"]),
-    "garabedian_bubble": lambda c: profiles.garabedian_bubble(beta0=c["beta0"]),
-    "flat_origin": lambda c: profiles.flat_origin(beta=c["beta"]),
-    "zero": lambda c: profiles.zero_profile(),
+    "stokes_corner": Profile(profiles.stokes_corner, {
+        "coeff": Key(float), "x1_circ": Key(float), "rho_bar0": Key(float, 1.0)}),
+    "axis_parabola": Profile(profiles.axis_parabola, {"alpha": Key(float, 1.0)}),
+    "garabedian_bubble": Profile(profiles.garabedian_bubble, {"beta0": Key(float)}),
+    "flat_origin": Profile(profiles.flat_origin, {"beta": Key(float)}),
+    "zero": Profile(profiles.zero_profile, {}),
 }
 
 # shared key blocks; a medium without gamma is incompressible
 _MEDIUM = {"gamma": Key(float), "A": Key(float, 1.0), "rho_bar0": Key(float, 1.0), "g": Key(float, 1.0)}
 _PROFILE = {
-    "profile": Key(tuple(PROFILES)), "coeff": Key(float), "x1_circ": Key(float),
-    "rho_bar0": Key(float, 1.0), "alpha": Key(float, 1.0), "beta0": Key(float), "beta": Key(float),
-    "offset_x1": Key(float, 0.0), "offset_x2": Key(float, 0.0),
+    "profile": Key(tuple(PROFILES)), "offset_x1": Key(float, 0.0), "offset_x2": Key(float, 0.0),
+    **{key: spec for p in PROFILES.values() for key, spec in p.keys.items()},
 }
 _SOURCE = {"field": Key(str), **_PROFILE}  # a field file, else the profile
 _BOX = {
@@ -86,7 +89,7 @@ KEYS = {
     },
     "minimize": {
         **_MEDIUM, **_PROFILE, **_BOX,
-        "eps_chi": Key(float), "max_iter": Key(int, 50000), "tol": Key(float, 1e-10),
+        "eps_chi": Key(float), "max_iter": Key(int, 50000, "positive"), "tol": Key(float, 1e-10),
     },
     "sweep": {
         **_SOURCE, **_MEDIUM, "kind": Key(functionals.KINDS, REQUIRED),
@@ -137,6 +140,8 @@ def typed_config(raw, sub):
             raise ConfigError(f"missing required key {key!r}")
         else:
             cfg[key] = spec.default
+    if "profile" in table:
+        _check_profile_keys(raw, cfg, table)
     for lo_key, hi_key, floor in WINDOWS:
         lo, hi = cfg.get(lo_key), cfg.get(hi_key)
         if lo is None and hi is None:
@@ -144,6 +149,19 @@ def typed_config(raw, sub):
         if lo is None or hi is None or not (lo < hi and (lo > 0 or not floor)):
             raise ConfigError(f"need {floor}{lo_key} < {hi_key}, got {lo} and {hi}")
     return cfg
+
+
+def _check_profile_keys(raw, cfg, table):
+    """Reject a profile key that the config's source of u does not read."""
+    name = cfg["profile"] if cfg.get("field") is None else None
+    read = set(_MEDIUM) if _MEDIUM.keys() <= table.keys() else set()  # rho_bar0 is both
+    if name is not None:
+        read |= {"profile", "offset_x1", "offset_x2", *PROFILES[name].keys}
+    for key in raw:
+        if key in _PROFILE and key not in read:
+            where = (f"to profile {name}" if name
+                     else "next to field" if cfg.get("field") else "without a profile")
+            raise ConfigError(f"key {key!r} does not apply {where}")
 
 
 def _eos_model(cfg, eps0=None):
@@ -157,7 +175,8 @@ def _medium(cfg):
 def _profile_spec(cfg):
     if cfg["profile"] is None:
         raise ConfigError("missing required key 'profile'")
-    return PROFILES[cfg["profile"]](cfg)
+    make, keys = PROFILES[cfg["profile"]]
+    return make(**{key: cfg[key] for key in keys})
 
 
 def _profile_field(cfg):
@@ -270,20 +289,31 @@ def _interior_points(spec, rng, n):
 
 
 def run_profile_table(cfg, out, opts):
-    spec = _profile_spec(cfg)
-    off = (cfg["offset_x1"], cfg["offset_x2"])
-    grid = profiles.profile_field(spec, offset=off).resample(*_box(cfg))
-    X1, X2 = np.meshgrid(grid.cell_x1, grid.cell_x2, indexing="ij")
-    g1, g2 = profiles.eval_profile_gradient(spec, X1 - off[0], X2 - off[1])
-    cols = (X1, X2, grid.values, g1, g2)
-    _write_csv(
-        os.path.join(out, "profile_table.csv"),
-        ["x1", "x2", "u", "ux1", "ux2"],
-        np.column_stack([col.ravel() for col in cols]),
-    )
-    if cfg["write_field"]:
-        grid.write(os.path.join(out, "field.txt"))
+    _write_profile_table(out, _box(cfg), _profile_field(cfg).evaluate, cfg["write_field"])
     return 0
+
+
+def _write_profile_table(out, box, evaluate, write_field):
+    """Write ``evaluate(X1, X2) -> (u, ux1, ux2)`` on the box's cells as the table and field file.
+
+    Blocks of grid rows are evaluated and formatted once each; the u strings
+    go into both files, and each distinct x1 and x2 is formatted once.
+    """
+    X1, X2 = GridField.lattice(*box)
+    n1, n2 = X1.shape
+    x1s, x2s = format_values(X1[:, 0]), format_values(X2[0])
+    step = max(1, _CHUNK // n2)  # grid rows per block
+    field_file = open(os.path.join(out, "field.txt"), "w") if write_field else nullcontext()
+    with open(os.path.join(out, "profile_table.csv"), "w") as f, field_file as ff:
+        f.write("x1,x2,u,ux1,ux2\n")
+        if ff:
+            ff.write(header_line(*box) + "\n")
+        for i in range(0, n1, step):
+            us, a, b = (format_values(v) for v in evaluate(X1[i:i + step], X2[i:i + step]))
+            rows = len(us) // n2
+            write_columns(f, ([s for s in x1s[i:i + rows] for _ in range(n2)], x2s * rows, us, a, b), ",")
+            if ff:
+                write_columns(ff, [us[c::n2] for c in range(n2)], " ")
 
 
 def run_minimize(cfg, out, opts):

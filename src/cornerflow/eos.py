@@ -39,23 +39,6 @@ class EosModel:
         """Stagnation height p'(rho_bar0)/(2g)."""
         return self.A * self.gamma * self.rho_bar0 ** (self.gamma - 1.0) / (2.0 * self.g)
 
-    def to_text(self) -> str:
-        keys = ["gamma", "A", "rho_bar0", "g", "eps0"]
-        return "\n".join(f"{k} = {format(getattr(self, k), '.17g')}" for k in keys) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "EosModel":
-        vals = {}
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"line {ln}: expected key = value, got {raw!r}")
-            k, v = (p.strip() for p in line.split("=", 1))
-            vals[k] = float(v)
-        return cls(**vals)
-
 
 def pressure(model: EosModel, rho):
     """p(rho) = A*rho^gamma; see pressure_derivative for p'."""

@@ -15,14 +15,31 @@ CHI_REL_THRESHOLD = 1e-10  # positivity threshold relative to max(u)
 _CHUNK = 2048  # values formatted per write: memory stays bounded
 
 
+def format_values(values):
+    """``'%.17g'`` strings of ``values`` in C order: the one float format of every written file."""
+    v = np.ravel(values).tolist()
+    return ("%.17g\n" * len(v) % tuple(v)).split("\n")[:-1]
+
+
+def write_columns(f, columns, sep):
+    """Write line k as the k-th strings of ``columns`` joined by ``sep``."""
+    lines = "\n".join(map(sep.join, zip(*columns)))
+    if lines:
+        f.write(lines + "\n")
+
+
 def write_rows(f, rows, sep):
-    """Write the rows of a 2-D float array as ``format(v, ".17g")``, one % per chunk."""
+    """Write the rows of a 2-D float array through ``format_values``, one chunk at a time."""
     width = rows.shape[1]
-    line = sep.join(["%.17g"] * width) + "\n"
     step = max(1, _CHUNK // max(width, 1))
     for i in range(0, len(rows), step):
-        chunk = rows[i:i + step]
-        f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        s = format_values(rows[i:i + step])
+        write_columns(f, [s[c::width] for c in range(width)], sep)
+
+
+def header_line(x1_min, x1_max, x2_min, x2_max, h):
+    """The first line of a field file on this box."""
+    return "grid " + " ".join(format(float(v), ".17g") for v in (x1_min, x1_max, x2_min, x2_max, h))
 
 
 class GridField:
@@ -35,12 +52,7 @@ class GridField:
 
     def __init__(self, x1_min, x1_max, x2_min, x2_max, h, values, chi_threshold=None):
         values = np.asarray(values, dtype=float)
-        if not (0 < h < math.inf and math.isfinite((x1_max - x1_min) / h + (x2_max - x2_min) / h)):
-            raise DomainError(f"need a finite box and 0 < h < inf, got h = {h}")
-        n1 = int(round((x1_max - x1_min) / h))
-        n2 = int(round((x2_max - x2_min) / h))
-        if abs(n1 * h - (x1_max - x1_min)) > 1e-9 * h or abs(n2 * h - (x2_max - x2_min)) > 1e-9 * h:
-            raise DomainError("box dimensions must be integer multiples of h")
+        n1, n2 = self._cell_counts(x1_min, x1_max, x2_min, x2_max, h)
         if values.shape != (n1, n2):
             raise DomainError(f"values shape {values.shape} != grid shape {(n1, n2)}")
         self.x1_min = float(x1_min)
@@ -57,13 +69,29 @@ class GridField:
         self._grad = None
 
     # -- construction ---------------------------------------------------
-    @classmethod
-    def from_function(cls, fn, x1_min, x1_max, x2_min, x2_max, h):
+    @staticmethod
+    def _cell_counts(x1_min, x1_max, x2_min, x2_max, h):
+        """Cells (n1, n2) of the box; DomainError unless h divides a finite box."""
+        if not (0 < h < math.inf and math.isfinite((x1_max - x1_min) / h + (x2_max - x2_min) / h)):
+            raise DomainError(f"need a finite box and 0 < h < inf, got h = {h}")
         n1 = int(round((x1_max - x1_min) / h))
         n2 = int(round((x2_max - x2_min) / h))
-        x1 = x1_min + (np.arange(n1) + 0.5) * h
-        x2 = x2_min + (np.arange(n2) + 0.5) * h
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+        if abs(n1 * h - (x1_max - x1_min)) > 1e-9 * h or abs(n2 * h - (x2_max - x2_min)) > 1e-9 * h:
+            raise DomainError("box dimensions must be integer multiples of h")
+        return n1, n2
+
+    @classmethod
+    def lattice(cls, x1_min, x1_max, x2_min, x2_max, h):
+        """The cell centers of a box holding at least one cell, as ij-indexed (X1, X2)."""
+        n1, n2 = cls._cell_counts(x1_min, x1_max, x2_min, x2_max, h)
+        if min(n1, n2) < 1:
+            raise DomainError("the box holds no cell")
+        return np.meshgrid(x1_min + (np.arange(n1) + 0.5) * h, x2_min + (np.arange(n2) + 0.5) * h,
+                           indexing="ij")
+
+    @classmethod
+    def from_function(cls, fn, x1_min, x1_max, x2_min, x2_max, h):
+        X1, X2 = cls.lattice(x1_min, x1_max, x2_min, x2_max, h)
         return cls(x1_min, x1_max, x2_min, x2_max, h, fn(X1, X2))
 
     @property
@@ -79,8 +107,9 @@ class GridField:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     # -- interpolation ---------------------------------------------------
-    def _pad(self, arr, odd_axis):
-        p = np.empty((arr.shape[0] + 2, arr.shape[1] + 2))
+    def _pad(self, arr, odd_axis, p=None):
+        """``arr`` with a ghost ring (odd across the axis if ``odd_axis``), into ``p`` if given."""
+        p = np.empty((arr.shape[0] + 2, arr.shape[1] + 2)) if p is None else p
         p[1:-1, 1:-1] = arr
         if odd_axis and self.on_axis:
             p[0, 1:-1] = -arr[0, :]
@@ -92,6 +121,7 @@ class GridField:
         return p
 
     def _interp(self, padded, x1, x2):
+        """Bilinear interpolation of ``padded[..., i, j]`` (one array or a stack) at the points."""
         fx = (np.asarray(x1, float) - self.x1_min) / self.h + 0.5
         fy = (np.asarray(x2, float) - self.x2_min) / self.h + 0.5
         if np.any(fx < -0.5) or np.any(fx > self.n1 + 1.5) or np.any(fy < -0.5) or np.any(fy > self.n2 + 1.5):
@@ -102,11 +132,12 @@ class GridField:
         j0 = np.floor(fy).astype(int)
         ax = fx - i0
         ay = fy - j0
-        v00 = padded[i0, j0]
-        v10 = padded[i0 + 1, j0]
-        v01 = padded[i0, j0 + 1]
-        v11 = padded[i0 + 1, j0 + 1]
-        return (1 - ax) * (1 - ay) * v00 + ax * (1 - ay) * v10 + (1 - ax) * ay * v01 + ax * ay * v11
+        # summed in place, in the order of the four-term expression
+        out = (1 - ax) * (1 - ay) * padded[..., i0, j0]
+        out += ax * (1 - ay) * padded[..., i0 + 1, j0]
+        out += (1 - ax) * ay * padded[..., i0, j0 + 1]
+        out += ax * ay * padded[..., i0 + 1, j0 + 1]
+        return out
 
     def value(self, x1, x2):
         if self._padded is None:
@@ -114,18 +145,26 @@ class GridField:
         return self._interp(self._padded, x1, x2)
 
     def _gradient_arrays(self):
+        """Padded u, du/dx1 and du/dx2 stacked on a leading axis, built once."""
         if self._grad is None:
+            if min(self.n1, self.n2) < 3:
+                raise DomainError(f"the gradient stencil needs 3 cells per axis, got {self.n1} x {self.n2}")
             g1 = np.gradient(self.values, self.h, axis=0, edge_order=2)
             g2 = np.gradient(self.values, self.h, axis=1, edge_order=2)
             if self.on_axis:
                 # central difference through the odd ghost column
                 g1[0, :] = (self.values[1, :] + self.values[0, :]) / (2.0 * self.h)
-            self._grad = (self._pad(g1, odd_axis=False), self._pad(g2, odd_axis=True))
+            self._grad = np.empty((3, self.n1 + 2, self.n2 + 2))
+            for k, (arr, odd) in enumerate(((self.values, True), (g1, False), (g2, True))):
+                self._pad(arr, odd, self._grad[k])
         return self._grad
 
+    def evaluate(self, x1, x2):
+        """u, du/dx1 and du/dx2 at the points from one bilinear stencil."""
+        return tuple(self._interp(self._gradient_arrays(), x1, x2))
+
     def gradient(self, x1, x2):
-        p1, p2 = self._gradient_arrays()
-        return self._interp(p1, x1, x2), self._interp(p2, x1, x2)
+        return self.evaluate(x1, x2)[1:]
 
     def chi(self, u):
         return u > self.chi_threshold * max(self.umax, 1e-300)
@@ -155,8 +194,7 @@ class GridField:
             write_rows(f, self.values, " ")
 
     def header_line(self):
-        vals = (self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h)
-        return "grid " + " ".join(format(v, ".17g") for v in vals)
+        return header_line(self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h)
 
     @classmethod
     def read(cls, path):
@@ -183,12 +221,14 @@ class AnalyticField:
 
     ``rays_phi`` lists polar angles (about ``apex``, measured from the
     +x1 axis) along which the field or its gradient has a kink; the
-    polar quadrature backend splits panels there.
+    polar quadrature backend splits panels there.  ``joint_fn``, if
+    given, returns (u, g1, g2) from one pass for ``evaluate``.
     """
 
-    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), name=""):
+    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), name="", joint_fn=None):
         self.fn = fn
         self.grad_fn = grad_fn
+        self.joint_fn = joint_fn
         self.apex = (float(apex[0]), float(apex[1]))
         self.rays_phi = tuple(float(a) for a in rays_phi)
         self.name = name
@@ -199,6 +239,12 @@ class AnalyticField:
 
     def gradient(self, x1, x2):
         return self.grad_fn(np.asarray(x1, float), np.asarray(x2, float))
+
+    def evaluate(self, x1, x2):
+        """u, du/dx1 and du/dx2 at the points."""
+        if self.joint_fn is not None:
+            return self.joint_fn(np.asarray(x1, float), np.asarray(x2, float))
+        return (self.value(x1, x2), *self.gradient(x1, x2))
 
     def chi(self, u):
         return u > 0.0

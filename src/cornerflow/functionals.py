@@ -14,7 +14,7 @@ origin kind the frequency quantities D, V, N with their cumulative
 corrections.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,8 +68,6 @@ def default_radii(field_, center, kind):
 class _NodeEval:
     x1: np.ndarray
     x2: np.ndarray
-    w: np.ndarray
-    w_inv: np.ndarray
     u: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
@@ -80,6 +78,11 @@ class _NodeEval:
     dF2: np.ndarray
     lam: np.ndarray
     lam_p: np.ndarray
+
+    def split(self, n):
+        """The first ``n`` nodes and the rest, as views."""
+        vals = [getattr(self, f.name) for f in fields(self)]
+        return _NodeEval(*(v[:n] for v in vals)), _NodeEval(*(v[n:] for v in vals))
 
 
 def _thermo(medium, x1, x2, g1, g2, chi):
@@ -102,22 +105,11 @@ def _thermo(medium, x1, x2, g1, g2, chi):
     return t, H, F, dF2, lam, lam_p
 
 
-def _evaluate(field_, medium, x1, x2, w=None, w_inv=None):
-    """Field, speed and thermodynamics at nodes, stored with the given weights."""
-    u = field_.value(x1, x2)
-    g1, g2 = field_.gradient(x1, x2)
+def _evaluate(field_, medium, x1, x2):
+    """Field, speed and thermodynamics at nodes: one field, thermo and lambda call each."""
+    u, g1, g2 = field_.evaluate(x1, x2)
     chi = field_.chi(u)
-    return _NodeEval(x1, x2, w, w_inv, u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
-
-
-def _ball_eval(field_, medium, center, r, half):
-    n = ball_nodes(field_, center, r, half=half)
-    return _evaluate(field_, medium, n.x1, n.x2, n.w, n.w_inv)
-
-
-def _arc_eval(field_, medium, center, r, half, n_arc):
-    n = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
-    return _evaluate(field_, medium, n.x1, n.x2, n.w), n
+    return _NodeEval(x1, x2, u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
 
 
 def _mask_axis(arr, x1):
@@ -142,35 +134,38 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
     if np.isfinite(delta) and r >= delta * (1.0 + 1e-12):
         raise DomainError(f"radius {r} at or beyond the admissible delta {delta}")
     rho0 = medium.rho0
-    bv = _ball_eval(field_, medium, center, r, half)
-    av, an = _arc_eval(field_, medium, center, r, half, n_arc)
+    bn = ball_nodes(field_, center, r, half=half)
+    an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+    # one evaluation of the ball and arc nodes together, split back after
+    ev = _evaluate(field_, medium, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2)))
+    bv, av = ev.split(bn.x1.size)
 
-    E_F = float(np.sum(bv.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
+    E_F = float(np.sum(bn.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bv.x2, 0.0)
-    dirichlet = float(np.sum(bv.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))  # weighted by 1/(x1 H)
-    E_H = float(dirichlet + np.sum(bv.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
+    dirichlet = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))  # weighted by 1/(x1 H)
+    E_H = float(dirichlet + np.sum(bn.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
 
     u_arc = _mask_axis(av.u, av.x1)
     un = av.g1 * an.n1 + av.g2 * an.n2
     j_int = _mask_axis(u_arc * u_arc / np.maximum(av.x1, 1e-300), av.x1)
-    J = float(np.sum(av.w * j_int)) / rho0
-    E_F_arc = float(np.sum(av.w * av.x1 * (av.F + av.lam * av.chi)))
+    J = float(np.sum(an.w * j_int)) / rho0
+    E_F_arc = float(np.sum(an.w * av.x1 * (av.F + av.lam * av.chi)))
 
     # boundary kernels
     inv_wH = _mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * av.H), av.x1)
     dw = inv_wH - _mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * rho0), av.x1)
     uun = u_arc * un
     u_sq = u_arc * u_arc
-    arc_un_sq = float(np.sum(av.w * inv_wH * un * un))
-    arc_uun = float(np.sum(av.w * inv_wH * uun))
+    arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
+    arc_uun = float(np.sum(an.w * inv_wH * uun))
 
     kappa = SCALING_POWER[kind]
     square_kernel = inv_wH * (un - kappa * u_arc / r) ** 2
-    square_base = float(np.sum(av.w * square_kernel))
+    square_base = float(np.sum(an.w * square_kernel))
 
     # volume error terms shared by the kinds
     K1_x2 = E_H - E_F  # definition of the first error term
-    vol_dF2 = bv.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi)
+    vol_dF2 = bn.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi)
     K_x1x2 = float(np.sum(vol_dF2))
 
     rec = {
@@ -196,52 +191,32 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
         rec["square"] = 2.0 * r**-3 * square_base
         rec["k1"] = K1_x2
         rec["k2"] = K_x1x2
-        rec["k3"] = float(
-            np.sum(
-                bv.w
-                * (bv.x1 - center[0])
-                * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)
-            )
-        )
-        rec["k4"] = 3.0 * float(np.sum(av.w * dw * uun))
-        rec["k5"] = 4.5 / r * float(np.sum(av.w * (-dw) * u_sq))
-        rec["k6"] = (
-            1.5
-            / r
-            * float(
-                np.sum(
-                    av.w
-                    * _mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
-                    * u_sq
-                )
-            )
-            / rho0
-        )
+        rec["k3"] = float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)))
+        rec["k4"] = 3.0 * float(np.sum(an.w * dw * uun))
+        rec["k5"] = 4.5 / r * float(np.sum(an.w * (-dw) * u_sq))
+        k6_kernel = _mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
+        rec["k6"] = 1.5 / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0
         rec["k_scale"] = r**-4
     elif kind == "axis":
         rec["M"] = r**-3 * E_F - 2.0 * r**-4 * J
         rec["square"] = 2.0 * r**-3 * square_base
-        rec["k1"] = float(
-            np.sum(bv.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi))
-        )
-        rec["k2"] = 4.0 * float(np.sum(av.w * dw * uun))
-        rec["k3"] = 8.0 / r * float(np.sum(av.w * (-dw) * u_sq))
+        rec["k1"] = float(np.sum(bn.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))
+        rec["k2"] = 4.0 * float(np.sum(an.w * dw * uun))
+        rec["k3"] = 8.0 / r * float(np.sum(an.w * (-dw) * u_sq))
         rec["k_scale"] = r**-4
     else:  # origin
         rec["M"] = r**-4 * E_F - 2.5 * r**-5 * J
         rec["square"] = 2.0 * r**-4 * square_base
         rec["k1"] = K1_x2
         rec["k2"] = K_x1x2
-        rec["k3"] = 5.0 * float(np.sum(av.w * dw * uun))
-        rec["k4"] = 12.5 / r * float(np.sum(av.w * (-dw) * u_sq))
+        rec["k3"] = 5.0 * float(np.sum(an.w * dw * uun))
+        rec["k4"] = 12.5 / r * float(np.sum(an.w * (-dw) * u_sq))
         rec["k_scale"] = r**-5
         # frequency ingredients
-        rec["S_void"] = float(np.sum(bv.w * bv.x1 * x2p * (1.0 - bv.chi)))
-        rec["S_pos"] = float(np.sum(bv.w * bv.x1 * x2p * bv.chi))
-        rec["script_J"] = float(np.sum(av.w * dw * u_sq))
-        rec["grad_w_norm"] = float(
-            np.sum(bv.w_inv * (bv.g1**2 + bv.g2**2))
-        )
+        rec["S_void"] = float(np.sum(bn.w * bv.x1 * x2p * (1.0 - bv.chi)))
+        rec["S_pos"] = float(np.sum(bn.w * bv.x1 * x2p * bv.chi))
+        rec["script_J"] = float(np.sum(an.w * dw * u_sq))
+        rec["grad_w_norm"] = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2)))
     rec["K_sum"] = rec["k1"] + rec["k2"] + rec["k3"] + rec["k4"] + rec["k5"] + rec["k6"]
     return rec
 

@@ -97,22 +97,6 @@ def legendre_ode_residual(nu: float, s):
     return (1.0 - s * s) * Ppp - 2.0 * s * Pp + nu * (nu + 1.0) * P
 
 
-def legendre_Q1(s):
-    """Second Legendre solution at degree 1: (s/2) log((1+s)/(1-s)) - 1."""
-    s = _check_open_interval(s)
-    return 0.5 * s * np.log((1.0 + s) / (1.0 - s)) - 1.0
-
-
-def legendre_Q1_prime(s):
-    s = _check_open_interval(s)
-    return 0.5 * np.log((1.0 + s) / (1.0 - s)) + s / (1.0 - s * s)
-
-
-def legendre_Q1_second(s):
-    s = _check_open_interval(s)
-    return 1.0 / (1.0 - s * s) + (1.0 + s * s) / (1.0 - s * s) ** 2
-
-
 @dataclass(frozen=True)
 class LegendreConstants:
     """Cone constants of the degree-3/2 Legendre derivative root."""

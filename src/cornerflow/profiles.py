@@ -120,83 +120,71 @@ def _polar(x1, x2):
     return rho, theta
 
 
-def eval_profile(spec: ProfileSpec, x1, x2):
-    """Profile value at local coordinates (vectorized)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if spec.kind == "Zero":
-        return np.zeros(np.broadcast(x1, x2).shape)
-    if spec.kind == "AxisParabola":
-        return spec.params["alpha"] * x1 * x1
-    if spec.kind == "FlatOrigin":
-        return spec.params["beta"] * x1 * x1 * np.maximum(x2, 0.0)
-    rho, theta = _polar(x1, x2)
-    if spec.kind == "StokesCorner":
-        inside = np.abs(theta) <= np.pi / 3.0
-        u = np.where(
-            inside,
-            spec.params["coeff"] * rho ** 1.5 * np.cos(1.5 * theta),
-            0.0,
-        )
-        return np.where(rho > 0, u, 0.0)
-    if spec.kind == "GarabedianBubble":
-        c = theta_star_constants()
-        inside = (theta >= np.pi - c.theta_star_rad) & (x1 >= 0.0) & (rho > 0)
-        # the series argument stays in [s*, 1] inside the cone only
-        s = np.where(inside, np.clip(-x2 / np.where(rho > 0, rho, 1.0), -1.0, 1.0), 1.0)
-        pp = legendre_P_prime(1.5, s)
-        u = spec.params["beta0"] * x1 * x1 * np.sqrt(rho) * pp
-        return np.where(inside, u, 0.0)
-    raise DomainError(f"unknown profile kind {spec.kind!r}")
+def evaluate_profile(spec: ProfileSpec, x1, x2, grad=True):
+    """Value and closed-form gradient (u, g1, g2) at local coordinates (vectorized).
 
-
-def eval_profile_gradient(spec: ProfileSpec, x1, x2):
-    """Closed-form gradient; one-sided (interior) limit on the cone edges."""
+    The gradient is the one-sided (interior) limit on the cone edges.
+    Shared factors, P'_{3/2} among them, are formed once per node.  With
+    ``grad`` false the gradient may be returned as None.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     shape = np.broadcast(x1, x2).shape
     if spec.kind == "Zero":
-        z = np.zeros(shape)
-        return z, z.copy()
+        return np.zeros(shape), np.zeros(shape), np.zeros(shape)
     if spec.kind == "AxisParabola":
-        return 2.0 * spec.params["alpha"] * (x1 + np.zeros(shape)), np.zeros(shape)
+        a = spec.params["alpha"]
+        return a * x1 * x1, 2.0 * a * (x1 + np.zeros(shape)), np.zeros(shape)
     if spec.kind == "FlatOrigin":
         b = spec.params["beta"]
         pos = x2 > 0
-        g1 = np.where(pos, 2.0 * b * x1 * x2, 0.0)
-        g2 = np.where(pos, b * x1 * x1, 0.0)
-        return g1 + np.zeros(shape), g2 + np.zeros(shape)
+        g1 = np.where(pos, 2.0 * b * x1 * x2, 0.0) + np.zeros(shape)
+        g2 = np.where(pos, b * x1 * x1, 0.0) + np.zeros(shape)
+        return b * x1 * x1 * np.maximum(x2, 0.0), g1, g2
+    if spec.kind not in ("StokesCorner", "GarabedianBubble"):
+        raise DomainError(f"unknown profile kind {spec.kind!r}")
     rho, theta = _polar(x1, x2)
     safe_rho = np.where(rho > 0, rho, 1.0)
     sin_t = np.where(rho > 0, x1 / safe_rho, 0.0)
     cos_t = np.where(rho > 0, x2 / safe_rho, 1.0)
     if spec.kind == "StokesCorner":
-        inside = np.abs(theta) <= np.pi / 3.0
         c = spec.params["coeff"]
-        du_drho = 1.5 * c * np.sqrt(safe_rho) * np.cos(1.5 * theta)
+        inside = np.abs(theta) <= np.pi / 3.0
+        cos15 = np.cos(1.5 * theta)
+        u = np.where(rho > 0, np.where(inside, c * rho ** 1.5 * cos15, 0.0), 0.0)
+        if not grad:
+            return u, None, None
+        du_drho = 1.5 * c * np.sqrt(safe_rho) * cos15
         du_dtheta_over_rho = -1.5 * c * np.sqrt(safe_rho) * np.sin(1.5 * theta)
-        # e_rho = (sin t, cos t), e_theta = (cos t, -sin t)
-        g1 = du_drho * sin_t + du_dtheta_over_rho * cos_t
-        g2 = du_drho * cos_t - du_dtheta_over_rho * sin_t
-        g1 = np.where(inside & (rho > 0), g1, 0.0)
-        g2 = np.where(inside & (rho > 0), g2, 0.0)
-        return g1, g2
-    if spec.kind == "GarabedianBubble":
-        cst = theta_star_constants()
-        inside = (theta >= np.pi - cst.theta_star_rad) & (x1 >= 0.0) & (rho > 0)
+        inside &= rho > 0
+    else:
         b0 = spec.params["beta0"]
+        inside = (theta >= np.pi - theta_star_constants().theta_star_rad) & (x1 >= 0.0) & (rho > 0)
+        # the series argument stays in [s*, 1] inside the cone only
         s = np.where(inside, np.clip(-cos_t, -1.0, 1.0), 1.0)
         pp = legendre_P_prime(1.5, s)
-        pps = legendre_P_second(1.5, s)
+        u = np.where(inside, b0 * x1 * x1 * np.sqrt(rho) * pp, 0.0)
+        if not grad:
+            return u, None, None
         # u = b0 rho^{5/2} sin^2 t P'(s), s = -cos t
         du_drho = 2.5 * b0 * safe_rho ** 1.5 * sin_t ** 2 * pp
         du_dtheta_over_rho = b0 * safe_rho ** 1.5 * (
-            2.0 * sin_t * cos_t * pp + sin_t ** 3 * pps
+            2.0 * sin_t * cos_t * pp + sin_t ** 3 * legendre_P_second(1.5, s)
         )
-        g1 = du_drho * sin_t + du_dtheta_over_rho * cos_t
-        g2 = du_drho * cos_t - du_dtheta_over_rho * sin_t
-        return np.where(inside, g1, 0.0), np.where(inside, g2, 0.0)
-    raise DomainError(f"unknown profile kind {spec.kind!r}")
+    # e_rho = (sin t, cos t), e_theta = (cos t, -sin t)
+    g1 = du_drho * sin_t + du_dtheta_over_rho * cos_t
+    g2 = du_drho * cos_t - du_dtheta_over_rho * sin_t
+    return u, np.where(inside, g1, 0.0), np.where(inside, g2, 0.0)
+
+
+def eval_profile(spec: ProfileSpec, x1, x2):
+    """Profile value at local coordinates (vectorized)."""
+    return evaluate_profile(spec, x1, x2, grad=False)[0]
+
+
+def eval_profile_gradient(spec: ProfileSpec, x1, x2):
+    """Closed-form gradient; one-sided (interior) limit on the cone edges."""
+    return evaluate_profile(spec, x1, x2)[1:]
 
 
 def profile_rays_phi(spec: ProfileSpec):
@@ -216,15 +204,11 @@ def profile_field(spec: ProfileSpec, offset=(0.0, 0.0)):
     from .fields import AnalyticField
 
     o1, o2 = float(offset[0]), float(offset[1])
-
-    def fn(x1, x2):
-        return eval_profile(spec, x1 - o1, x2 - o2)
-
-    def grad(x1, x2):
-        return eval_profile_gradient(spec, x1 - o1, x2 - o2)
-
     return AnalyticField(
-        fn, grad, apex=(o1, o2), rays_phi=profile_rays_phi(spec), name=spec.kind
+        lambda x1, x2: eval_profile(spec, x1 - o1, x2 - o2),
+        lambda x1, x2: eval_profile_gradient(spec, x1 - o1, x2 - o2),
+        apex=(o1, o2), rays_phi=profile_rays_phi(spec), name=spec.kind,
+        joint_fn=lambda x1, x2: evaluate_profile(spec, x1 - o1, x2 - o2),
     )
 
 

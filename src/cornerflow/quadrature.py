@@ -49,10 +49,8 @@ def _angle_panels(center, r, splits, half):
     cuts = {lo, hi}
     for a in splits:
         a = (a + np.pi) % (2.0 * np.pi) - np.pi
-        if lo + 1e-14 < a < hi - 1e-14:
+        if lo + 1e-14 < a < hi - 1e-14:  # the seam at +-pi is a panel edge already
             cuts.add(a)
-        if not half and abs(a - np.pi) < 1e-14:
-            pass  # seam already a panel edge
     edges = np.array(sorted(cuts))
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 

@@ -436,8 +436,7 @@ def flow_energy(field_, medium, phi, eps, h=None, dphi=None):
     y1 = x1 + eps * p1
     y2 = x2 + eps * p2
     try:
-        u = field_.value(y1, y2)
-        g1, g2 = field_.gradient(y1, y2)
+        u, g1, g2 = field_.evaluate(y1, y2)
     except GeometryError:
         raise GeometryError("phi transports lattice points outside the field")
     # gradient of x -> u(x + eps*phi): (I + eps*Dphi)^T grad u(y)

@@ -1,15 +1,25 @@
-"""Test-only quadrature oracles for the EOS layer.
+"""Test-only oracles: independent or earlier forms of what the library computes.
 
-The library evaluates F(t;s) and lambda(x2) in closed form
-(docs/decisions.md).  These routines integrate the defining expressions
-numerically instead, so they check the closed form independently of its
-derivation.
+* Quadrature oracles for the EOS layer.  The library evaluates F(t;s) and
+  lambda(x2) in closed form (docs/decisions.md); these routines integrate
+  the defining expressions numerically instead, so they check the closed
+  form independently of its derivation.
+* The separate value and gradient evaluations that ``GridField.evaluate``,
+  ``profiles.evaluate_profile`` and the one-evaluation-per-radius
+  ``monotonicity_record`` replaced; the new paths must match them bit for bit.
+* Helpers that only the tests use: the degree-1 Legendre Q function and
+  the EOS model's text round trip.
 """
 
 import numpy as np
 
-from cornerflow.eos import invert_many
-from cornerflow.errors import StateError
+from cornerflow import functionals
+from cornerflow.eos import EosModel, invert_many
+from cornerflow.errors import DomainError, StateError
+from cornerflow.fields import GridField
+from cornerflow.legendre import _check_open_interval, legendre_P_prime, legendre_P_second
+from cornerflow.profiles import _polar, theta_star_constants
+from cornerflow.quadrature import ball_nodes
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -67,3 +77,163 @@ def lambda_alt(model, x2, tol=1e-11):
         return (-d1 / (rho * rho)) * tau
 
     return x2 / model.rho_bar0 + adaptive_gauss_legendre(f, 0.0, x2, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+def legendre_Q1(s):
+    """Second Legendre solution at degree 1: (s/2) log((1+s)/(1-s)) - 1."""
+    s = _check_open_interval(s)
+    return 0.5 * s * np.log((1.0 + s) / (1.0 - s)) - 1.0
+
+
+def legendre_Q1_prime(s):
+    s = _check_open_interval(s)
+    return 0.5 * np.log((1.0 + s) / (1.0 - s)) + s / (1.0 - s * s)
+
+
+def legendre_Q1_second(s):
+    s = _check_open_interval(s)
+    return 1.0 / (1.0 - s * s) + (1.0 + s * s) / (1.0 - s * s) ** 2
+
+
+def eos_to_text(model):
+    keys = ["gamma", "A", "rho_bar0", "g", "eps0"]
+    return "\n".join(f"{k} = {format(getattr(model, k), '.17g')}" for k in keys) + "\n"
+
+
+def eos_from_text(text):
+    vals = {}
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"line {ln}: expected key = value, got {raw!r}")
+        k, v = (p.strip() for p in line.split("=", 1))
+        vals[k] = float(v)
+    return EosModel(**vals)
+
+
+# ---------------------------------------------------------------------------
+# separate value and gradient evaluations
+# ---------------------------------------------------------------------------
+
+def profile_value_separate(spec, x1, x2):
+    """Profile value, computed apart from the gradient."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if spec.kind == "Zero":
+        return np.zeros(np.broadcast(x1, x2).shape)
+    if spec.kind == "AxisParabola":
+        return spec.params["alpha"] * x1 * x1
+    if spec.kind == "FlatOrigin":
+        return spec.params["beta"] * x1 * x1 * np.maximum(x2, 0.0)
+    rho, theta = _polar(x1, x2)
+    if spec.kind == "StokesCorner":
+        inside = np.abs(theta) <= np.pi / 3.0
+        u = np.where(inside, spec.params["coeff"] * rho ** 1.5 * np.cos(1.5 * theta), 0.0)
+        return np.where(rho > 0, u, 0.0)
+    c = theta_star_constants()
+    inside = (theta >= np.pi - c.theta_star_rad) & (x1 >= 0.0) & (rho > 0)
+    s = np.where(inside, np.clip(-x2 / np.where(rho > 0, rho, 1.0), -1.0, 1.0), 1.0)
+    pp = legendre_P_prime(1.5, s)
+    u = spec.params["beta0"] * x1 * x1 * np.sqrt(rho) * pp
+    return np.where(inside, u, 0.0)
+
+
+def profile_gradient_separate(spec, x1, x2):
+    """Closed-form profile gradient, computed apart from the value."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    shape = np.broadcast(x1, x2).shape
+    if spec.kind == "Zero":
+        return np.zeros(shape), np.zeros(shape)
+    if spec.kind == "AxisParabola":
+        return 2.0 * spec.params["alpha"] * (x1 + np.zeros(shape)), np.zeros(shape)
+    if spec.kind == "FlatOrigin":
+        b = spec.params["beta"]
+        pos = x2 > 0
+        g1 = np.where(pos, 2.0 * b * x1 * x2, 0.0)
+        g2 = np.where(pos, b * x1 * x1, 0.0)
+        return g1 + np.zeros(shape), g2 + np.zeros(shape)
+    rho, theta = _polar(x1, x2)
+    safe_rho = np.where(rho > 0, rho, 1.0)
+    sin_t = np.where(rho > 0, x1 / safe_rho, 0.0)
+    cos_t = np.where(rho > 0, x2 / safe_rho, 1.0)
+    if spec.kind == "StokesCorner":
+        inside = (np.abs(theta) <= np.pi / 3.0) & (rho > 0)
+        c = spec.params["coeff"]
+        du_drho = 1.5 * c * np.sqrt(safe_rho) * np.cos(1.5 * theta)
+        du_dtheta_over_rho = -1.5 * c * np.sqrt(safe_rho) * np.sin(1.5 * theta)
+    else:
+        inside = (theta >= np.pi - theta_star_constants().theta_star_rad) & (x1 >= 0.0) & (rho > 0)
+        b0 = spec.params["beta0"]
+        s = np.where(inside, np.clip(-cos_t, -1.0, 1.0), 1.0)
+        pp = legendre_P_prime(1.5, s)
+        pps = legendre_P_second(1.5, s)
+        du_drho = 2.5 * b0 * safe_rho ** 1.5 * sin_t ** 2 * pp
+        du_dtheta_over_rho = b0 * safe_rho ** 1.5 * (2.0 * sin_t * cos_t * pp + sin_t ** 3 * pps)
+    g1 = du_drho * sin_t + du_dtheta_over_rho * cos_t
+    g2 = du_drho * cos_t - du_dtheta_over_rho * sin_t
+    return np.where(inside, g1, 0.0), np.where(inside, g2, 0.0)
+
+
+def _interp_one(fld, padded, x1, x2):
+    """Bilinear interpolation of one padded array, as a four-term sum."""
+    fx = (np.asarray(x1, float) - fld.x1_min) / fld.h + 0.5
+    fy = (np.asarray(x2, float) - fld.x2_min) / fld.h + 0.5
+    fx = np.clip(fx, 0.0, float(fld.n1 + 1) - 1e-12)
+    fy = np.clip(fy, 0.0, float(fld.n2 + 1) - 1e-12)
+    i0 = np.floor(fx).astype(int)
+    j0 = np.floor(fy).astype(int)
+    ax = fx - i0
+    ay = fy - j0
+    v00 = padded[i0, j0]
+    v10 = padded[i0 + 1, j0]
+    v01 = padded[i0, j0 + 1]
+    v11 = padded[i0 + 1, j0 + 1]
+    return (1 - ax) * (1 - ay) * v00 + ax * (1 - ay) * v10 + (1 - ax) * ay * v01 + ax * ay * v11
+
+
+def grid_gradient_separate(fld, x1, x2):
+    """Grid-field gradient, each component interpolated from its own padded array."""
+    g1 = np.gradient(fld.values, fld.h, axis=0, edge_order=2)
+    g2 = np.gradient(fld.values, fld.h, axis=1, edge_order=2)
+    if fld.on_axis:
+        g1[0, :] = (fld.values[1, :] + fld.values[0, :]) / (2.0 * fld.h)
+    return (_interp_one(fld, fld._pad(g1, odd_axis=False), x1, x2),
+            _interp_one(fld, fld._pad(g2, odd_axis=True), x1, x2))
+
+
+def grid_value_separate(fld, x1, x2):
+    return _interp_one(fld, fld._pad(fld.values, odd_axis=True), x1, x2)
+
+
+def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
+    """Ball nodes and arc nodes evaluated apart, each with separate value and gradient calls."""
+    parts = []
+    for sl in (slice(0, n_ball), slice(n_ball, None)):
+        a1, a2 = x1[sl], x2[sl]
+        if isinstance(field_, GridField):
+            u = grid_value_separate(field_, a1, a2)
+            g1, g2 = grid_gradient_separate(field_, a1, a2)
+        else:
+            u = field_.value(a1, a2)
+            g1, g2 = field_.gradient(a1, a2)
+        chi = field_.chi(u)
+        parts.append((a1, a2, u, g1, g2, chi, *functionals._thermo(medium, a1, a2, g1, g2, chi)))
+    return functionals._NodeEval(*(np.concatenate(p) for p in zip(*parts)))
+
+
+def record_two_sets(field_, medium, center, r, kind, n_arc=4096):
+    """``monotonicity_record`` with its ball and arc nodes evaluated as two node sets."""
+    n_ball = ball_nodes(field_, center, r, half=kind != "stagnation").x1.size
+    one_set = functionals._evaluate
+    functionals._evaluate = lambda f, m, x1, x2: _evaluate_two_sets(f, m, x1, x2, n_ball)
+    try:
+        return functionals.monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
+    finally:
+        functionals._evaluate = one_set

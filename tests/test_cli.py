@@ -60,7 +60,13 @@ class TestConfigParsing:
         ("profile-table", dict(profile="axis_parabola", x1_min=0.0, x1_max=0.25,
                                x2_min=0.0, x2_max=0.25, h=0)),
         ("minimize", dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=-1 / 32)),
-    ], ids=["classify-n_radii", "eos-t_count", "eos-s_count", "profile-table-h", "minimize-h"])
+        # max_iter <= 0 used to exit 2, as if the solver had not converged
+        ("minimize", dict(profile="axis_parabola", x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25,
+                          h=1 / 16, max_iter=0)),
+        ("minimize", dict(profile="axis_parabola", x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25,
+                          h=1 / 16, max_iter=-1)),
+    ], ids=["classify-n_radii", "eos-t_count", "eos-s_count", "profile-table-h", "minimize-h",
+            "minimize-max_iter-0", "minimize-max_iter-negative"])
     def test_bad_count_or_step_is_config_error(self, tmp_path, capsys, sub, kv):
         cfg = write_cfg(tmp_path / "c.cfg", **kv)
         assert run(sub, cfg, tmp_path / "o") == 1
@@ -121,6 +127,47 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
+    BOX = dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 16)
+
+    @pytest.mark.parametrize("sub, kv, msg", [
+        ("profile-table", dict(profile="axis_parabola", beta=5, **BOX),
+         "key 'beta' does not apply to profile axis_parabola"),
+        ("profile-table", dict(profile="axis_parabola", rho_bar0=2.0, **BOX),
+         "key 'rho_bar0' does not apply to profile axis_parabola"),
+        ("minimize", dict(profile="flat_origin", alpha=2.0, **BOX),
+         "key 'alpha' does not apply to profile flat_origin"),
+        ("minimize", dict(beta0=1.0, **BOX), "key 'beta0' does not apply without a profile"),
+        ("sweep", dict(field="f.txt", kind="origin", beta=1.0), "key 'beta' does not apply next to field"),
+        ("classify", dict(field="f.txt", profile="zero"), "key 'profile' does not apply next to field"),
+        ("classify", dict(field="f.txt", offset_x1=1.0), "key 'offset_x1' does not apply next to field"),
+    ], ids=["table-beta", "table-rho_bar0", "minimize-alpha", "minimize-no-profile",
+            "sweep-field-beta", "classify-field-profile", "classify-field-offset"])
+    def test_key_of_another_source_is_config_error(self, tmp_path, capsys, sub, kv, msg):
+        # each used to be ignored: profile-table with axis_parabola and beta = 5 exited 0
+        cfg = write_cfg(tmp_path / "c.cfg", **kv)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {msg}\n"
+
+    def test_rho_bar0_is_also_a_medium_key(self, tmp_path):
+        # minimize and sweep read rho_bar0 for the medium whatever the profile
+        kv = dict(profile="axis_parabola", rho_bar0=2.0, **self.BOX)
+        assert run("minimize", write_cfg(tmp_path / "m.cfg", **kv), tmp_path / "m") == 0
+        kv = dict(profile="flat_origin", rho_bar0=2.0, kind="origin", r_min=0.05, r_max=0.2)
+        assert run("sweep", write_cfg(tmp_path / "s.cfg", **kv), tmp_path / "s") == 0
+
+    @pytest.mark.parametrize("sub, kv", [
+        ("sweep", dict(field="f.txt", kind="stagnation", center_x1=0.25, r_min=0.05, r_max=0.1)),
+        ("minimize", dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 8)),
+    ], ids=["sweep-2x2-file", "minimize-2x2-box"])
+    def test_grid_below_three_cells_is_one_error_line(self, tmp_path, monkeypatch, capsys, sub, kv):
+        # both used to end in numpy's ValueError from the gradient stencil
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("grid 0 0.5 -0.25 0.25 0.25\n1 2\n3 4\n")
+        assert run(sub, write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == "error: the gradient stencil needs 3 cells per axis, got 2 x 2\n"
+
     @pytest.mark.parametrize("sub", ["sweep", "minimize"])
     def test_eps0_is_an_eos_table_key(self, tmp_path, capsys, sub):
         kv = {**self.VALID[sub], "gamma": 2.0, "eps0": 1e-3}
@@ -174,6 +221,35 @@ class TestWriters:
         fields.write_rows(buf, vals, ",")
         assert buf.getvalue() == "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in vals.tolist())
+
+    # block rows plus r rows (never a whole number of blocks unless r = 0)
+    @pytest.mark.parametrize("k, r, write_field", [(1, 3, 1), (2, 0, 1), (0, 5, 1), (1, 3, 0)])
+    def test_profile_table_matches_write_rows_on_column_stack(self, tmp_path, k, r, write_field):
+        n2, h = 7, 1 / 8
+        n1 = k * (fields._CHUNK // n2) + r
+        box = (0.5, 0.5 + n1 * h, -0.25, -0.25 + n2 * h, h)
+        cols = [awkward_table(n1 * n2 + c, 1)[c:].reshape(n1, n2) for c in range(3)]
+        for c in cols:
+            c.flat[:3] = (-0.0, 5e-324, 1e300)
+
+        def evaluate(x1, x2):
+            # the columns' values at the points' cells
+            i = np.rint((x1 - box[0]) / h - 0.5).astype(int)
+            j = np.rint((x2 - box[2]) / h - 0.5).astype(int)
+            return tuple(c[i, j] for c in cols)
+
+        cli._write_profile_table(str(tmp_path), box, evaluate, write_field)
+        X1, X2 = GridField.lattice(*box)
+        buf = io.StringIO()
+        buf.write("x1,x2,u,ux1,ux2\n")
+        fields.write_rows(buf, np.column_stack([a.ravel() for a in (X1, X2, *cols)]), ",")
+        assert (tmp_path / "profile_table.csv").read_text() == buf.getvalue()
+        assert buf.getvalue().count("\n") == n1 * n2 + 1
+        if write_field:
+            GridField(*box, cols[0]).write(tmp_path / "reference.txt")
+            assert filecmp.cmp(tmp_path / "field.txt", tmp_path / "reference.txt", shallow=False)
+        else:
+            assert not (tmp_path / "field.txt").exists()
 
     @pytest.mark.parametrize("k, r", [(0, 0), (0, 1), (1, 0), (2, 3)])
     def test_field_write_matches_per_value_format(self, tmp_path, k, r):

@@ -14,6 +14,8 @@ from cornerflow.quadrature import (
     polar_ball_nodes,
 )
 
+from oracles import grid_gradient_separate, grid_value_separate
+
 
 def _u_sq_over_x1(fld, nodes):
     """Sum of weights times u^2 / x1, skipping nodes on the axis."""
@@ -64,6 +66,30 @@ class TestGridField:
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             GridField(0.0, 1.0, 0.0, 1.0, 1 / 16, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("x1_min", [0.0, 0.25], ids=["on-axis", "off-axis"])
+    def test_evaluate_bitwise_equals_separate_interpolation(self, x1_min):
+        # one stencil for u, g1 and g2 reproduces three separate interpolations
+        # bit for bit, the odd ghost column included (points with x1 < h/2)
+        f = GridField.from_function(lambda X1, X2: np.cos(3 * X1) * np.exp(X2) + X1 * X2,
+                                    x1_min, x1_min + 0.5, -0.25, 0.25, 1 / 32)
+        rng = np.random.default_rng(7)
+        x1 = np.concatenate(([x1_min, x1_min + 1e-3, x1_min + 0.5], x1_min + 0.5 * rng.random(497)))
+        x2 = np.concatenate(([-0.25, 0.0, 0.25], -0.25 + 0.5 * rng.random(497)))
+        u, g1, g2 = f.evaluate(x1, x2)
+        e1, e2 = grid_gradient_separate(f, x1, x2)
+        assert u.tobytes() == grid_value_separate(f, x1, x2).tobytes() == f.value(x1, x2).tobytes()
+        assert g1.tobytes() == e1.tobytes() and g2.tobytes() == e2.tobytes()
+        X1, X2 = x1.reshape(20, -1), x2.reshape(20, -1)  # any shape, evaluated pointwise
+        assert all(a.shape == X1.shape for a in f.evaluate(X1, X2))
+        assert f.evaluate(X1, X2)[1].tobytes() == g1.tobytes()
+
+    @pytest.mark.parametrize("n1, n2", [(2, 8), (8, 2), (2, 2)])
+    def test_gradient_needs_three_cells_per_axis(self, n1, n2):
+        f = GridField(0.0, n1 / 8, 0.0, n2 / 8, 1 / 8, np.ones((n1, n2)))
+        assert f.value(np.array([0.1]), np.array([0.1])).item() == 1.0
+        with pytest.raises(DomainError, match="3 cells per axis"):
+            f.evaluate(np.array([0.1]), np.array([0.1]))
 
 
 class TestBallQuadrature:

@@ -25,6 +25,7 @@ from cornerflow.profiles import (
 )
 
 from conftest import perturbed_flat_field
+from oracles import record_two_sets
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 
@@ -68,8 +69,8 @@ class TestEnergies:
 
 
     def test_record_inverts_each_node_set_once(self, stokes_field, gamma_medium, monkeypatch):
-        # H, F and dF2 of the ball and of the arc come from one inversion
-        # each; lambda on each positivity set takes one more
+        # the ball and arc nodes are evaluated together: H, F and dF2 come
+        # from one inversion, lambda on the positivity set from one more
         from cornerflow import eos
 
         node_sets = []
@@ -81,8 +82,35 @@ class TestEnergies:
 
         monkeypatch.setattr(eos, "invert_many", counting_invert)
         monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1, "stagnation")
-        assert len(node_sets) == 4
-        assert len(set(node_sets)) == 4
+        assert len(node_sets) == 2
+        assert len(set(node_sets)) == 2
+
+
+class TestOneEvaluationPerRadius:
+    # (profile, apex, center, radius, kind, grid box or None for the analytic field)
+    CASES = [
+        (stokes_corner(x1_circ=1.0), (1.0, 0.0), (1.0, 0.0), 0.1, "stagnation", (0.75, 1.25, -0.25, 0.25)),
+        (stokes_corner(x1_circ=1.0), (1.0, 0.0), (1.0, 0.0), 0.1, "stagnation", None),
+        (axis_parabola(0.7), (0.0, 0.0), (0.0, 0.5), 0.2, "axis", (0.0, 0.5, 0.0, 1.0)),
+        (axis_parabola(0.7), (0.0, 0.0), (0.0, 0.5), 0.2, "axis", None),
+        (garabedian_bubble(), (0.0, 0.0), (0.0, 0.0), 0.2, "origin", (0.0, 0.5, -0.5, 0.5)),
+        (garabedian_bubble(), (0.0, 0.0), (0.0, 0.0), 0.2, "origin", None),
+    ]
+
+    @pytest.mark.parametrize("spec, apex, center, r, kind, box", CASES,
+                             ids=[f"{c[4]}-{'grid' if c[5] else 'analytic'}" for c in CASES])
+    def test_record_bitwise_equals_two_set_evaluation(self, spec, apex, center, r, kind, box,
+                                                        incompressible, gamma_medium):
+        # the ball and arc nodes evaluated as one set give every entry of the
+        # record bit for bit as the two sets evaluated apart did
+        fld = profile_field(spec, offset=apex)
+        if box is not None:
+            fld = fld.resample(*box, 1 / 64)
+        media = [incompressible] + [gamma_medium] * (kind == "stagnation")
+        for medium in media:
+            rec = monotonicity_record(fld, medium, center, r, kind, n_arc=1024)
+            assert rec == record_two_sets(fld, medium, center, r, kind, n_arc=1024)
+            assert rec["J"] > 0 and rec["E_F"] != 0
 
 
 class TestStagnation:

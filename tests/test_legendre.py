@@ -11,10 +11,9 @@ from cornerflow.legendre import (
     legendre_P,
     legendre_P_prime,
     legendre_P_second,
-    legendre_Q1,
-    legendre_Q1_prime,
-    legendre_Q1_second,
 )
+
+from oracles import legendre_Q1, legendre_Q1_prime, legendre_Q1_second
 
 
 def test_degree_one_is_identity():

@@ -10,6 +10,7 @@ from cornerflow.profiles import (
     cone_density_constants,
     eval_profile,
     eval_profile_gradient,
+    evaluate_profile,
     flat_origin,
     garabedian_beta0,
     garabedian_bubble,
@@ -21,6 +22,8 @@ from cornerflow.profiles import (
     theta_star_constants,
     zero_profile,
 )
+
+from oracles import profile_gradient_separate, profile_value_separate
 
 ALL_SPECS = [
     stokes_corner(),
@@ -97,6 +100,42 @@ class TestGradients:
             f2 = (float(eval_profile(spec, x1, x2 + d)) - float(eval_profile(spec, x1, x2 - d))) / (2 * d)
             assert float(g1) == pytest.approx(f1, rel=1e-6, abs=1e-10)
             assert float(g2) == pytest.approx(f2, rel=1e-6, abs=1e-10)
+
+
+class TestJointEvaluation:
+    @pytest.mark.parametrize("spec", ALL_SPECS + [zero_profile()], ids=lambda s: s.kind)
+    def test_bitwise_equal_to_separate_value_and_gradient(self, spec):
+        # value and gradient from one pass equal the separate computations bit
+        # for bit, in and out of the cones, on their edges and at the apex
+        rng = np.random.default_rng(5)
+        rho = np.concatenate(([0.0, 0.5, 1.0], rng.random(400)))
+        th = np.concatenate(([0.0, np.pi / 3, np.pi - theta_star_constants().theta_star_rad],
+                             np.pi * rng.random(400)))
+        x1, x2 = rho * np.sin(th), rho * np.cos(th)
+        u0 = profile_value_separate(spec, x1, x2)
+        g0 = profile_gradient_separate(spec, x1, x2)
+        u, g1, g2 = evaluate_profile(spec, x1, x2)
+        assert u.tobytes() == u0.tobytes() == eval_profile(spec, x1, x2).tobytes()
+        assert g1.tobytes() == g0[0].tobytes() and g2.tobytes() == g0[1].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(eval_profile_gradient(spec, x1, x2), g0))
+        # through the field wrapper, with the apex moved off the origin
+        p1, p2 = x1 + 0.5, x2 - 0.25
+        u, g1, g2 = profile_field(spec, offset=(0.5, -0.25)).evaluate(p1, p2)
+        assert u.tobytes() == profile_value_separate(spec, p1 - 0.5, p2 + 0.25).tobytes()
+        e1, e2 = profile_gradient_separate(spec, p1 - 0.5, p2 + 0.25)
+        assert g1.tobytes() == e1.tobytes() and g2.tobytes() == e2.tobytes()
+
+    def test_pointed_bubble_sums_each_series_once(self, monkeypatch):
+        from cornerflow import profiles
+
+        field = profile_field(garabedian_bubble())
+        calls = []
+        for name in ("legendre_P_prime", "legendre_P_second"):
+            fn = getattr(profiles, name)
+            monkeypatch.setattr(profiles, name, lambda nu, s, fn=fn, name=name: calls.append(name) or fn(nu, s))
+        x1, x2 = np.array([0.1, 0.2]), np.array([-0.3, -0.2])
+        field.evaluate(x1, x2)
+        assert calls == ["legendre_P_prime", "legendre_P_second"]
 
 
 class TestHomogeneity:
