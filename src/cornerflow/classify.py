@@ -18,7 +18,7 @@ from .errors import (
     GeometryError,
     InsufficientDataError,
 )
-from .fields import AnalyticField, GridField
+from .fields import GridField
 from .functionals import SCALING_POWER, check_kind_center
 from .profiles import eval_profile, flat_origin, theta_star_constants
 from .quadrature import ball_nodes, polar_arc_nodes
@@ -211,20 +211,6 @@ class Classification:
     candidates: list = field(default_factory=list)
     notes: str = ""
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "density": self.density,
-            "uncertainty": self.uncertainty,
-            "label": self.label,
-            "nearest_density": self.nearest_density,
-            "gap": self.gap,
-            "fit_param": self.fit_param,
-            "fit_residual": self.fit_residual,
-            "candidates": self.candidates,
-            "notes": self.notes,
-        }
-
 
 def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=False):
     """Trichotomy classification by nearest weighted density.
@@ -368,48 +354,3 @@ def frequency_blowup(field_, medium, radii, n_blow=128, annulus=(0.5, 0.9)):
             }
         )
     return {"records": out, "sweep": sweep, "N0": N0}
-
-
-def homogeneous_replacement(field_, degree, n_theta=2048):
-    """Degree-d homogeneous extension of the field's unit-half-circle trace."""
-    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_theta)
-    trace = field_.value(np.cos(phi), np.sin(phi))
-
-    def fn(x1, x2):
-        x1 = np.asarray(x1, float)
-        x2 = np.asarray(x2, float)
-        rr = np.hypot(x1, x2)
-        ang = np.arctan2(x2, np.maximum(x1, 0.0))
-        vals = np.interp(ang, phi, trace)
-        return np.where(rr > 0, rr**degree * vals, 0.0)
-
-    def grad(x1, x2, d=1e-6):
-        return (
-            (fn(x1 + d, x2) - fn(x1 - d, x2)) / (2 * d),
-            (fn(x1, x2 + d) - fn(x1, x2 - d)) / (2 * d),
-        )
-
-    return AnalyticField(fn, grad, apex=(0.0, 0.0), rays_phi=(0.0,))
-
-
-def measure_corner_slopes(blow: GridField, band=(0.15, 0.9)):
-    """Free-boundary ray slopes x2/x1 of a Stokes-corner blow-up."""
-    X1, X2 = np.meshgrid(blow.cell_x1, blow.cell_x2, indexing="ij")
-    chi = blow.chi(blow.values)
-    edge = chi & (
-        ~np.roll(chi, 1, axis=0)
-        | ~np.roll(chi, -1, axis=0)
-        | ~np.roll(chi, 1, axis=1)
-        | ~np.roll(chi, -1, axis=1)
-    )
-    edge[[0, -1], :] = False
-    edge[:, [0, -1]] = False
-    rr = np.hypot(X1, X2)
-    sel = edge & (rr > band[0]) & (rr < band[1]) & (X2 > 0)
-    slopes = []
-    for side in (X1[sel] > 0, X1[sel] < 0):
-        x1s = X1[sel][side]
-        x2s = X2[sel][side]
-        if x1s.size >= 3:
-            slopes.append(float(np.sum(x2s * x1s) / np.sum(x1s * x1s)))
-    return sorted(slopes)  # sigma2/sigma1 per ray; +-1/sqrt(3) for the corner

@@ -8,6 +8,7 @@ identical configs produce byte-identical outputs.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import classify as classify_mod
 from . import functionals, profiles, solver
-from .eos import EosModel, F_of, GammaLawMedium, IncompressibleMedium, invert_density, lambda_of
+from .eos import EosModel, GammaLawMedium, IncompressibleMedium, _F_closed, invert_admissible
 from .errors import ConfigError, CornerflowError, NumericalError
 from .fields import _CHUNK, GridField, format_values, header_line, write_columns, write_rows
 from .legendre import find_theta_star, legendre_ode_residual
@@ -212,14 +213,15 @@ def run_eos_table(cfg, out, opts):
     model = _eos_model(cfg, eps0=cfg["eps0"])
     tv = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_count"])
     sv = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_count"])
-    rows = []
-    for s in sv:
-        for t in tv:
-            st = invert_density(model, float(t), float(s))
-            F, _, _ = F_of(model, float(t), float(s))
-            lam = lambda_of(model, float(s))
-            rows.append((t, s, st.rho, st.d1H, st.d2H, F, lam))
-    _write_csv(os.path.join(out, "eos_table.csv"), ["t", "s", "H", "d1H", "d2H", "F", "lambda"], rows)
+    T, S = np.meshgrid(tv, sv)  # one row per (s, t), t fastest
+    H, d1, d2 = invert_admissible(model, T, S)
+    F, _ = _F_closed(model, T, H, S)
+    # lambda(s) = 2 s/rho_bar0 - F(s; s), from one inversion of the (s, s) column
+    Hs, _, _ = invert_admissible(model, sv, sv)
+    lam = 2.0 * sv / model.rho_bar0 - _F_closed(model, sv, Hs, sv)[0]
+    cols = (T, S, H, d1, d2, F, np.broadcast_to(lam[:, None], T.shape))
+    _write_csv(os.path.join(out, "eos_table.csv"), ["t", "s", "H", "d1H", "d2H", "F", "lambda"],
+               np.stack([c.ravel() for c in cols], axis=1))
     return 0
 
 
@@ -392,7 +394,7 @@ def run_classify(cfg, out, opts):
     point = classify_mod.DegeneratePoint(x1=cfg["point_x1"], x2=cfg["point_x2"], kind=cfg["kind"])
     radii = None if cfg["r_min"] is None else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
     result = classify_mod.classify(fld, point, radii=radii)
-    _write_json(os.path.join(out, "classification.json"), result.to_dict())
+    _write_json(os.path.join(out, "classification.json"), dataclasses.asdict(result))
     if opts.plots:
         r_plot = radii[-1] if radii is not None else 8 * getattr(fld, "h", 0.05)
         blow = classify_mod.blowup(fld, point, float(r_plot))
@@ -432,6 +434,9 @@ def main(argv=None):
         return 2
     except CornerflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # counts and h have no upper bound
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

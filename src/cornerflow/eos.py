@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, StateError, SubsonicityError
+from .errors import DomainError, StateError, SubsonicityError
 
 
 @dataclass(frozen=True)
@@ -64,56 +64,24 @@ def enthalpy(model: EosModel, rho):
     return model.A * model.gamma / gm1 * (rho ** gm1 - model.rho_bar0 ** gm1)
 
 
-def critical_density(model: EosModel, x2: float) -> float:
-    """Local critical density at physical height x2 in [0, x2_st].
+def critical_density(model: EosModel, x2):
+    """Local critical density at physical heights x2 in [0, x2_st], vectorized.
 
-    Solves p'(rho)/2 + h(rho) + g*x2 = p'(rho_bar0)/2 by safeguarded
-    Newton; strictly decreasing in x2 with value rho_bar0 at x2 = 0.
+    The sonic condition p'(rho)/2 + h(rho) + g*x2 = p'(rho_bar0)/2 is linear
+    in rho^(gamma-1):
+
+        rho_cr^(gamma-1) = rho_bar0^(gamma-1) - 2 (gamma-1) g x2 / (A gamma (gamma+1)),
+
+    which falls from rho_bar0^(gamma-1) at x2 = 0 (returned exactly as
+    rho_bar0) to 2 rho_bar0^(gamma-1)/(gamma+1) > 0 at x2_st.
     """
-    if not 0.0 <= x2 <= model.x2_st * (1.0 + 1e-12):
-        raise DomainError(f"height {x2} outside [0, {model.x2_st}]")
-    return _critical_density_unchecked(model, x2)
-
-
-def _critical_density_unchecked(model: EosModel, x2: float) -> float:
-    if x2 == 0.0:
-        return model.rho_bar0
-    target = 0.5 * model.A * model.gamma * model.rho_bar0 ** (model.gamma - 1.0) - model.g * x2
-
-    def f(r):
-        return 0.5 * float(pressure_derivative(model, r)) + float(enthalpy(model, r)) - target
-
-    def fp(r):
-        # (p'/2 + h)' = p''/2 + p'/r
-        gm1 = model.gamma - 1.0
-        return 0.5 * model.A * model.gamma * gm1 * r ** (model.gamma - 2.0) + model.A * model.gamma * r ** (model.gamma - 2.0)
-
-    lo, hi = 1e-300, model.rho_bar0
-    if f(hi) < 0:
-        raise DomainError("critical density undefined: height beyond vacuum limit")
-    # the residual floor scales with the pressure derivative, not the target
-    scale = max(1.0, abs(target), 0.5 * float(pressure_derivative(model, model.rho_bar0)))
-    x = model.rho_bar0 * 0.9
-    for _ in range(200):
-        r = f(x)
-        if abs(r) <= 1e-13 * scale:
-            return x
-        if r > 0:
-            hi = x
-        else:
-            lo = x
-        step = r / fp(x)
-        xn = x - step
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-16 * x:
-            x = xn
-            break
-        x = xn
-    res = f(x)
-    if abs(res) > 1e-10 * scale:
-        raise NumericalError("critical-density iteration stalled", residual=res)
-    return x
+    x2 = np.asarray(x2, dtype=float)
+    out = ~((0.0 <= x2) & (x2 <= model.x2_st * (1.0 + 1e-12)))
+    if np.any(out):
+        raise DomainError(f"height {float(x2[out][0])} outside [0, {model.x2_st}]")
+    gamma, gm1 = model.gamma, model.gamma - 1.0
+    base = model.rho_bar0 ** gm1 - 2.0 * gm1 * model.g * x2 / (model.A * gamma * (gamma + 1.0))
+    return np.where(x2 == 0.0, model.rho_bar0, base ** (1.0 / gm1))[()]
 
 
 @dataclass(frozen=True)
@@ -242,34 +210,43 @@ def _checked_inversion(model: EosModel, t, s, rest=None):
     rho, d1, d2, flag = invert_many(model, t, s, rest=rest)
     if np.any(flag):
         i = np.nonzero(np.ravel(flag))[0][0]
-        t_i, s_i = (np.ravel(np.broadcast_to(a, np.shape(flag)))[i] for a in (t, s))
+        t_i, s_i = (float(np.ravel(np.broadcast_to(a, np.shape(flag)))[i]) for a in (t, s))
         raise StateError(f"subsonic inversion failed at node index {i} (t={t_i!r}, s={s_i!r})", i)
     return rho, d1, d2
 
 
-def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
-    """Invert the Bernoulli law at one admissible state.
+def invert_admissible(model: EosModel, t, s):
+    """(rho, d1H, d2H) at states (t, s) that the paper admits, vectorized.
 
-    Raises StateError when no subsonic root exists and SubsonicityError
-    when the root sits within eps0 of the local critical density.
+    Raises DomainError at a negative t or s, StateError where no subsonic
+    root exists and SubsonicityError where the root sits within eps0 of the
+    critical density at the physical height x2_st - s (where that height is
+    nonnegative).  Each error names the first failing (t, s).
     """
-    if t < 0 or s < 0:
-        raise DomainError("t and s must be nonnegative")
-    rho, d1, d2, flag = invert_many(model, t, s)
-    if int(flag) != 0:
-        raise StateError(f"no subsonic root found at (t={t}, s={s})")
-    rho = float(rho)
-    x2_phys = model.x2_st - s
-    if 0.0 <= x2_phys:
-        try:
-            rcr = _critical_density_unchecked(model, x2_phys)
-        except DomainError:
-            rcr = None
-        if rcr is not None and rho - rcr < model.eps0:
-            raise SubsonicityError(
-                f"margin violated at (t={t}, s={s}): rho={rho:.12g}, rho_cr={rcr:.12g}"
-            )
-    return BernoulliState(t=t, s=s, rho=rho, d1H=float(d1), d2H=float(d2))
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    neg = (t < 0) | (s < 0)
+    if np.any(neg):
+        i = np.flatnonzero(neg)[0]
+        raise DomainError(f"t and s must be nonnegative, got (t={t.flat[i]}, s={s.flat[i]})")
+    rho, d1, d2 = _checked_inversion(model, t, s)
+    x2 = model.x2_st - s
+    high = x2 >= 0.0
+    rcr = np.full(rho.shape, -np.inf)
+    rcr[high] = critical_density(model, x2[high])
+    close = rho - rcr < model.eps0
+    if np.any(close):
+        i = np.flatnonzero(close)[0]
+        raise SubsonicityError(
+            f"margin violated at (t={t.flat[i]}, s={s.flat[i]}): "
+            f"rho={rho.flat[i]:.12g}, rho_cr={rcr.flat[i]:.12g}"
+        )
+    return rho, d1, d2
+
+
+def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
+    """Invert the Bernoulli law at one admissible state; raises like ``invert_admissible``."""
+    rho, d1, d2 = invert_admissible(model, t, s)
+    return BernoulliState(t=t, s=s, rho=float(rho), d1H=float(d1), d2H=float(d2))
 
 
 def _F_closed(model: EosModel, t, H, s, H0=None):
@@ -297,11 +274,14 @@ def F_of(model: EosModel, t: float, s: float):
     """F(t;s) = integral of 1/H over speeds, with both partial derivatives.
 
     Returns (F, dF1, dF2) where dF1 = 1/H(t;s) and dF2 = dF/ds.  Raises
-    like ``invert_density`` at (t, s).
+    like ``invert_admissible`` at (t, s).  It works on one-element arrays:
+    numpy's scalar ``**`` can round differently from its array ``power``, and
+    the arrays keep F bitwise equal to the vectorized ``eos-table`` column.
     """
-    st = invert_density(model, t, s)
-    F, dF2 = _F_closed(model, t, st.rho, s)
-    return float(F), 1.0 / st.rho, float(dF2)
+    t, s = np.full(1, t, dtype=float), np.full(1, s, dtype=float)
+    rho, _, _ = invert_admissible(model, t, s)
+    F, dF2 = _F_closed(model, t, rho, s)
+    return float(F[0]), 1.0 / float(rho[0]), float(dF2[0])
 
 
 def F_many(model: EosModel, t, s):

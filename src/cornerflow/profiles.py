@@ -111,9 +111,6 @@ def zero_profile() -> ProfileSpec:
     return ProfileSpec(kind="Zero", degree=0.0, params={})
 
 
-PROFILE_KINDS = ("StokesCorner", "AxisParabola", "GarabedianBubble", "FlatOrigin", "Zero")
-
-
 def _polar(x1, x2):
     rho = np.hypot(x1, x2)
     theta = np.arctan2(x1, x2)  # measured from the +x2 axis

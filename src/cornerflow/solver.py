@@ -66,12 +66,10 @@ class _Discretization:
 
     def __init__(self, cfg: MinimizeConfig):
         self.cfg = cfg
-        n1 = int(round((cfg.x1_max - cfg.x1_min) / cfg.h))
-        n2 = int(round((cfg.x2_max - cfg.x2_min) / cfg.h))
-        self.n1, self.n2 = n1, n2
-        self.x1 = cfg.x1_min + (np.arange(n1) + 0.5) * cfg.h
-        self.x2 = cfg.x2_min + (np.arange(n2) + 0.5) * cfg.h
-        self.X1, self.X2 = np.meshgrid(self.x1, self.x2, indexing="ij")
+        self.X1, self.X2 = GridField.lattice(cfg.x1_min, cfg.x1_max, cfg.x2_min, cfg.x2_max, cfg.h)
+        n1, n2 = self.n1, self.n2 = self.X1.shape
+        if min(n1, n2) < 3:
+            raise DomainError(f"the gradient stencil needs 3 cells per axis, got {n1} x {n2}")
         med = cfg.medium
         self.lam = np.maximum(med.lam(np.maximum(self.X2, 0.0)), 0.0)
         self.on_axis = abs(cfg.x1_min) < 1e-12
@@ -139,7 +137,7 @@ def minimize_EF(cfg: MinimizeConfig):
         i, j = np.unravel_index(exc.index, (disc.n1 - 1, disc.n2 - 1))
         raise StateError(
             f"subsonicity violated at cell ({i}, {j}), "
-            f"x = ({disc.x1[i]:.6g}, {disc.x2[j]:.6g})"
+            f"x = ({disc.X1[i, j]:.6g}, {disc.X2[i, j]:.6g})"
         ) from None
 
     log = ConvergenceLog()

@@ -7,8 +7,8 @@
 * The separate value and gradient evaluations that ``GridField.evaluate``,
   ``profiles.evaluate_profile`` and the one-evaluation-per-radius
   ``monotonicity_record`` replaced; the new paths must match them bit for bit.
-* Helpers that only the tests use: the degree-1 Legendre Q function and
-  the EOS model's text round trip.
+* Helpers that only the tests use: the degree-1 Legendre Q function, the
+  EOS model's text round trip and the ray slopes of a Stokes-corner blow-up.
 """
 
 import numpy as np
@@ -115,6 +115,29 @@ def eos_from_text(text):
         k, v = (p.strip() for p in line.split("=", 1))
         vals[k] = float(v)
     return EosModel(**vals)
+
+
+def measure_corner_slopes(blow: GridField, band=(0.15, 0.9)):
+    """Free-boundary ray slopes x2/x1 of a Stokes-corner blow-up."""
+    X1, X2 = np.meshgrid(blow.cell_x1, blow.cell_x2, indexing="ij")
+    chi = blow.chi(blow.values)
+    edge = chi & (
+        ~np.roll(chi, 1, axis=0)
+        | ~np.roll(chi, -1, axis=0)
+        | ~np.roll(chi, 1, axis=1)
+        | ~np.roll(chi, -1, axis=1)
+    )
+    edge[[0, -1], :] = False
+    edge[:, [0, -1]] = False
+    rr = np.hypot(X1, X2)
+    sel = edge & (rr > band[0]) & (rr < band[1]) & (X2 > 0)
+    slopes = []
+    for side in (X1[sel] > 0, X1[sel] < 0):
+        x1s = X1[sel][side]
+        x2s = X2[sel][side]
+        if x1s.size >= 3:
+            slopes.append(float(np.sum(x2s * x1s) / np.sum(x1s * x1s)))
+    return sorted(slopes)  # sigma2/sigma1 per ray; +-1/sqrt(3) for the corner
 
 
 # ---------------------------------------------------------------------------

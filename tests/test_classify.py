@@ -9,8 +9,6 @@ from cornerflow.classify import (
     candidate_densities,
     classify,
     frequency_blowup,
-    homogeneous_replacement,
-    measure_corner_slopes,
     weighted_density,
 )
 from cornerflow.errors import AmbiguousMatchError, DomainError, GeometryError, InsufficientDataError
@@ -24,6 +22,8 @@ from cornerflow.profiles import (
     theta_star_constants,
 )
 from cornerflow.quadrature import polar_arc_nodes, polar_ball_nodes
+
+from oracles import measure_corner_slopes
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 H = 1 / 256
@@ -114,6 +114,22 @@ class TestWeightedDensity:
         out = weighted_density(fld, DegeneratePoint(1.0, 0.0), np.geomspace(0.02, 0.2, 6))
         drift = np.max(np.abs(out["densities"] - out["densities"][0]))
         assert drift < 1e-12
+
+    def test_cone_quarter_identity(self):
+        # a homogeneous cone field's weighted ball mass is a quarter of its
+        # weighted boundary mass (polar factorization with rho^3)
+        c = theta_star_constants()
+        splits = (0.0, c.theta_star_rad - 0.5 * np.pi)
+        pb = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
+        pa = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
+
+        def chi_cone(x1, x2):
+            th = 0.5 * np.pi - np.arctan2(x2, x1)
+            return (th >= np.pi - c.theta_star_rad).astype(float)
+
+        ball = float(np.sum(pb.w * pb.x1 * np.maximum(pb.x2, 0) * chi_cone(pb.x1, pb.x2)))
+        arc = float(np.sum(pa.w * pa.x1 * np.maximum(pa.x2, 0) * chi_cone(pa.x1, pa.x2)))
+        assert ball == pytest.approx(arc / 4.0, abs=1e-10)
 
 
 class TestClassify:
@@ -227,28 +243,3 @@ class TestFrequencyBlowup:
         out = frequency_blowup(fld, incompressible, np.geomspace(0.05, 0.8, 8))
         fr = [rec["fit_residual"] for rec in out["records"]]
         assert all(a < b for a, b in zip(fr, fr[1:]))
-
-
-class TestHomogeneousReplacement:
-    def test_fixed_point(self):
-        fld = profile_field(flat_origin())
-        rep = homogeneous_replacement(fld, 3.0)
-        pts1 = np.array([0.3, 0.5, 0.2])
-        pts2 = np.array([0.4, 0.1, -0.3])
-        assert np.max(np.abs(rep.value(pts1, pts2) - fld.value(pts1, pts2))) < 1e-6
-
-    def test_cone_quarter_identity(self):
-        # a homogeneous cone field's weighted ball mass is a quarter of its
-        # weighted boundary mass (polar factorization with rho^3)
-        c = theta_star_constants()
-        splits = (0.0, c.theta_star_rad - 0.5 * np.pi)
-        pb = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
-        pa = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
-
-        def chi_cone(x1, x2):
-            th = 0.5 * np.pi - np.arctan2(x2, x1)
-            return (th >= np.pi - c.theta_star_rad).astype(float)
-
-        ball = float(np.sum(pb.w * pb.x1 * np.maximum(pb.x2, 0) * chi_cone(pb.x1, pb.x2)))
-        arc = float(np.sum(pa.w * pa.x1 * np.maximum(pa.x2, 0) * chi_cone(pa.x1, pa.x2)))
-        assert ball == pytest.approx(arc / 4.0, abs=1e-10)

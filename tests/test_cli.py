@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cornerflow import cli, fields, functionals, profiles, solver
+from cornerflow import cli, eos, fields, functionals, profiles, solver
+from cornerflow.eos import EosModel, F_of, invert_density, lambda_of
 from cornerflow.fields import GridField
 
 # values whose 17-digit text is easy to get wrong: signed zero, the smallest
@@ -168,6 +169,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == "error: the gradient stencil needs 3 cells per axis, got 2 x 2\n"
 
+    @pytest.mark.parametrize("h", [1 / 8, 0.1], ids=["2x2-box", "h-not-dividing-box"])
+    def test_minimize_checks_its_lattice_before_it_solves(self, tmp_path, capsys, h):
+        # h = 1/8 used to write field.txt before failing, h = 0.1 to run the whole solve
+        kv = dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=h)
+        assert run("minimize", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize("sub", ["sweep", "minimize"])
     def test_eps0_is_an_eos_table_key(self, tmp_path, capsys, sub):
         kv = {**self.VALID[sub], "gamma": 2.0, "eps0": 1e-3}
@@ -270,6 +280,52 @@ class TestEosTable:
         with open(tmp_path / "o1" / "eos_table.csv") as f:
             header = f.readline().strip().split(",")
         assert header == ["t", "s", "H", "d1H", "d2H", "F", "lambda"]
+
+    @pytest.mark.parametrize("kv", [
+        dict(gamma=2.0, A=1.0, rho_bar0=1.0, g=1.0, t_max=0.05, t_count=3, s_max=0.2, s_count=3),
+        dict(gamma=5 / 3, A=2.0, rho_bar0=2.0, g=9.81, t_max=0.01, t_count=3, s_max=0.25, s_count=30),
+    ], ids=["gamma2", "gamma5_3"])
+    def test_rows_match_the_scalar_api(self, tmp_path, kv):
+        # the table inverts all its states at once; each row must carry the
+        # bytes of invert_density, F_of and lambda_of at that state
+        assert run("eos-table", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 0
+        model = EosModel(**{k: kv[k] for k in ("gamma", "A", "rho_bar0", "g")})
+        rows = []
+        for s in np.linspace(0.0, kv["s_max"], kv["s_count"]):
+            for t in np.linspace(0.0, kv["t_max"], kv["t_count"]):
+                st = invert_density(model, float(t), float(s))
+                F, _, _ = F_of(model, float(t), float(s))
+                rows.append((t, s, st.rho, st.d1H, st.d2H, F, lambda_of(model, float(s))))
+        text = (tmp_path / "o" / "eos_table.csv").read_text()
+        assert text == "t,s,H,d1H,d2H,F,lambda\n" + reference_text(rows, ",")
+
+    def test_table_beyond_the_address_space_is_one_error_line(self, tmp_path, capsys):
+        # 2.5e13 rows need 182 TiB per column, more than a 47-bit address
+        # space holds, so the allocation fails at once: one error line, no traceback
+        cfg = write_cfg(tmp_path / "c.cfg", gamma=2.0, t_max=0.05, t_count=5 * 10**6, s_max=0.2, s_count=5 * 10**6)
+        assert run("eos-table", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    def test_two_inversions_per_run(self, tmp_path, monkeypatch):
+        # one for the (t, s) table, one for the (s, s) column behind lambda
+        calls = []
+        invert = eos.invert_many
+        monkeypatch.setattr(eos, "invert_many", lambda *a, **k: calls.append(1) or invert(*a, **k))
+        cfg = write_cfg(tmp_path / "c.cfg", gamma=2.0, t_max=0.05, t_count=40, s_max=0.2, s_count=50)
+        assert run("eos-table", cfg, tmp_path / "o") == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("kv, msg", [
+        (dict(gamma=2.0, t_max=5.0, s_max=0.2), "subsonic inversion failed at node index 1 (t=1.25, s=0.0)"),
+        (dict(gamma=2.0, t_max=0.05, s_max=0.2, eps0=0.5), "margin violated at (t=0.0, s=0.0): rho=1, "),
+        (dict(gamma=2.0, t_min=-0.1, t_max=0.05, s_max=0.2), "t and s must be nonnegative, got (t=-0.1, s=0.0)"),
+    ], ids=["supersonic", "eps0-margin", "negative-t"])
+    def test_inadmissible_state_is_one_error_line(self, tmp_path, capsys, kv, msg):
+        assert run("eos-table", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + msg) and err.count("\n") == 1
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestProfileCheck:

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cornerflow
@@ -116,29 +118,32 @@ class TestCriticalDensity:
         vals = [critical_density(model_g2, float(x)) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_residual_and_bisection_oracle(self, model_g2):
-        x2 = 0.5 * model_g2.x2_st
-        rho = critical_density(model_g2, x2)
-        # defining scalar equation residual
-        res = (
-            0.5 * pressure_derivative(model_g2, rho)
-            + enthalpy(model_g2, rho)
-            + model_g2.g * x2
-            - 0.5 * pressure_derivative(model_g2, model_g2.rho_bar0)
-        )
-        assert abs(res) < 1e-12
-        # bisection oracle
-        lo, hi = 1e-6, model_g2.rho_bar0
-        f = lambda r: 0.5 * pressure_derivative(model_g2, r) + enthalpy(model_g2, r) + x2 - 0.5 * pressure_derivative(model_g2, 1.0)
-        for _ in range(60):
+    @pytest.mark.parametrize("A", [1.0, 1e3])
+    @pytest.mark.parametrize("gamma", [1.1, 1.4, 5 / 3, 2.0, 3.0])
+    def test_residual_and_bisection_oracle(self, gamma, A):
+        model = EosModel(gamma=gamma, A=A, rho_bar0=1.3, g=2.5)
+        x2 = model.x2_st * np.array([0.1, 0.5, 0.9, 1.0])
+        rho = critical_density(model, x2)
+
+        def f(r, x2):
+            # the sonic condition p'(rho)/2 + h(rho) + g x2 = p'(rho_bar0)/2
+            return (
+                0.5 * pressure_derivative(model, r)
+                + enthalpy(model, r)
+                + model.g * x2
+                - 0.5 * pressure_derivative(model, model.rho_bar0)
+            )
+
+        scale = 0.5 * pressure_derivative(model, model.rho_bar0)
+        assert np.max(np.abs(f(rho, x2))) < 1e-14 * scale
+        # bisection oracle: f increases in rho, and its root lies below rho_bar0
+        lo, hi = np.full(x2.size, 1e-6), np.full(x2.size, model.rho_bar0)
+        for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if f(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        assert rho == pytest.approx(0.5 * (lo + hi), abs=1e-12)
-        # closed form for gamma = 2: rho_cr = 1 - x2/3
-        assert rho == pytest.approx(1.0 - x2 / 3.0, abs=1e-12)
+            up = f(mid, x2) > 0
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        assert np.max(np.abs(rho - 0.5 * (lo + hi)) / rho) < 1e-12
 
     def test_domain(self, model_g2):
         with pytest.raises(DomainError):
@@ -268,6 +273,74 @@ class TestInversion:
             assert not np.any(flag)
             sups.append(float(np.max(np.abs(rho - 1.0))))
         assert all(b < a for a, b in zip(sups, sups[1:]))
+
+
+def peak_speed(model, s):
+    """t_max(s) = t(rho_sonic(s); s), the largest speed with a subsonic root at height s."""
+    gm1 = model.gamma - 1.0
+    c0 = model.A * model.gamma / gm1
+    base = model.rho_bar0**gm1 + model.g * s / c0  # H(0;s)^(gamma-1)
+    r = (2.0 * base / (model.gamma + 1.0)) ** (1.0 / gm1)
+    return r * r * (model.g * s + c0 * model.rho_bar0**gm1) * gm1 / ((model.gamma + 1.0) * model.g * model.rho_bar0**2)
+
+
+def bernoulli_residual(model, t, s, rho):
+    gm1 = model.gamma - 1.0
+    c0 = model.A * model.gamma / gm1
+    k = model.g * model.rho_bar0**2
+    return k * t / (rho * rho) + c0 * (rho**gm1 - model.rho_bar0**gm1) - model.g * s
+
+
+KERNEL = settings(max_examples=60, derandomize=True, deadline=None)
+GAMMAS = st.floats(1.05, 4.0)
+STIFFNESS = st.floats(-1.0, 4.0).map(lambda e: 10.0**e)
+HEIGHTS = st.floats(0.0, 2.0)
+
+
+class TestKernelProperties:
+    """invert_many over generated gamma, A, t and s (rho_bar0 = g = 1)."""
+
+    @KERNEL
+    @given(gamma=GAMMAS, A=STIFFNESS, s=HEIGHTS, q=st.floats(0.0, 0.9),
+           dq=st.floats(0.01, 0.09), ds=st.floats(0.01, 1.0))
+    def test_H_decreases_in_t_and_increases_in_s(self, gamma, A, s, q, dq, ds):
+        model = EosModel(gamma=gamma, A=A)
+        t = np.array([q, q + dq, q]) * peak_speed(model, s)
+        rho, d1, d2, flag = invert_many(model, t, np.array([s, s, s + ds]))
+        assert not np.any(flag)
+        assert rho[1] < rho[0] < rho[2]
+        assert np.all(d1 < 0) and np.all(d2 > 0)
+
+    @KERNEL
+    @given(gamma=GAMMAS, A=STIFFNESS, s=HEIGHTS, q=st.lists(st.floats(0.0, 0.9999), min_size=1, max_size=8))
+    def test_residual_meets_the_stopping_bound(self, gamma, A, s, q):
+        model = EosModel(gamma=gamma, A=A)
+        t = np.array(q) * peak_speed(model, s)
+        rho, _, _, flag = invert_many(model, t, s)
+        assert not np.any(flag)
+        # invert_many's tol_n: tol, or 16 ulps of the residual terms' sum at the root
+        c0 = model.A * model.gamma / (model.gamma - 1.0)
+        tol_n = max(1e-13, 32.0 * np.finfo(float).eps * (model.g * s + c0 * model.rho_bar0 ** (model.gamma - 1.0)))
+        assert np.max(np.abs(bernoulli_residual(model, t, s, rho))) <= tol_n
+
+    @KERNEL
+    @given(gamma=GAMMAS, A=STIFFNESS, s=HEIGHTS, q=st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=1, max_size=8))
+    def test_flag_exactly_where_the_sonic_residual_is_nonnegative(self, gamma, A, s, q):
+        model = EosModel(gamma=gamma, A=A)
+        q = np.array(q)
+        t = q * peak_speed(model, s)
+        rho, _, _, flag = invert_many(model, t, s)
+        # the sonic density solves rho^2 p'(rho) = 2 g rho_bar0^2 t (no
+        # subnormal q: the sonic density would round to 0); at t = 0 the root
+        # is the rest density H(0; s), which exists for every s >= 0
+        sonic = (2.0 * model.g * model.rho_bar0**2 * t / (model.A * model.gamma)) ** (1.0 / (model.gamma + 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            no_root = (t > 0) & (bernoulli_residual(model, t, s, sonic) >= 0)
+        assert np.array_equal(flag == 1, no_root) and not np.any(flag == 2)
+        assert np.all(np.isnan(rho[no_root])) and np.all(rho[~no_root] > 0)
+        # away from the peak speed, the flag agrees with t > t_max(s)
+        far = np.abs(q - 1.0) > 1e-6
+        assert np.array_equal(no_root[far], q[far] > 1.0)
 
 
 class TestThermo:
