@@ -6,6 +6,7 @@ machinery can query exact values and gradients at quadrature nodes.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -17,8 +18,12 @@ _CHUNK = 2048  # values formatted per write: memory stays bounded
 
 def format_values(values):
     """``'%.17g'`` strings of ``values`` in C order: the one float format of every written file."""
-    v = np.ravel(values).tolist()
-    return ("%.17g\n" * len(v) % tuple(v)).split("\n")[:-1]
+    a = np.ravel(values)
+    formatted = (a != 0.0) | np.signbit(a)  # an exact +0.0 (most of a profile table) is just "0"
+    v = a[formatted].tolist()
+    out = np.full(a.size, "0", dtype=object)
+    out[formatted] = ("%.17g\n" * len(v) % tuple(v)).split("\n")[:-1]
+    return out.tolist()
 
 
 def write_columns(f, columns, sep):
@@ -102,7 +107,7 @@ class GridField:
     def cell_x2(self):
         return self.x2_min + (np.arange(self.n2) + 0.5) * self.h
 
-    @property
+    @cached_property
     def umax(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
@@ -222,17 +227,20 @@ class AnalyticField:
     ``rays_phi`` lists polar angles (about ``apex``, measured from the
     +x1 axis) along which the field or its gradient has a kink; the
     polar quadrature backend splits panels there.  ``joint_fn``, if
-    given, returns (u, g1, g2) from one pass for ``evaluate``.
+    given, returns (u, g1, g2) from one pass for ``evaluate``.  ``degree``,
+    if given, is the k with u(apex + r x) = r^k u(apex + x) for r > 0.
     """
 
-    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), name="", joint_fn=None):
+    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), name="", joint_fn=None, degree=None):
         self.fn = fn
         self.grad_fn = grad_fn
         self.joint_fn = joint_fn
         self.apex = (float(apex[0]), float(apex[1]))
         self.rays_phi = tuple(float(a) for a in rays_phi)
         self.name = name
+        self.degree = None if degree is None else float(degree)
         self.on_axis = True
+        self._unit = {}
 
     def value(self, x1, x2):
         return self.fn(np.asarray(x1, float), np.asarray(x2, float))
@@ -245,6 +253,18 @@ class AnalyticField:
         if self.joint_fn is not None:
             return self.joint_fn(np.asarray(x1, float), np.asarray(x2, float))
         return (self.value(x1, x2), *self.gradient(x1, x2))
+
+    def evaluate_scaled(self, r, key, unit_points):
+        """``evaluate`` at apex + r p, for the points apex + p that ``unit_points()`` gives.
+
+        Homogeneity of degree k gives u as r^k and grad u as r^(k-1) times
+        their values at apex + p, evaluated once per ``key`` and kept.
+        """
+        if key not in self._unit:
+            self._unit[key] = self.evaluate(*unit_points())
+        u, g1, g2 = self._unit[key]
+        s = r ** (self.degree - 1.0)
+        return u * (r * s), g1 * s, g2 * s
 
     def chi(self, u):
         return u > 0.0

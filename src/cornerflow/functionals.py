@@ -105,11 +105,22 @@ def _thermo(medium, x1, x2, g1, g2, chi):
     return t, H, F, dF2, lam, lam_p
 
 
-def _evaluate(field_, medium, x1, x2):
-    """Field, speed and thermodynamics at nodes: one field, thermo and lambda call each."""
-    u, g1, g2 = field_.evaluate(x1, x2)
+def _with_thermo(field_, medium, x1, x2, u, g1, g2):
+    """Positivity, speed and thermodynamics at nodes with field values u and (g1, g2)."""
     chi = field_.chi(u)
     return _NodeEval(x1, x2, u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
+
+
+def _evaluate(field_, medium, x1, x2):
+    """Field, speed and thermodynamics at nodes: one field, thermo and lambda call each."""
+    return _with_thermo(field_, medium, x1, x2, *field_.evaluate(x1, x2))
+
+
+def _nodes(field_, center, r, half, n_arc):
+    """Ball and arc nodes of radius ``r``, and the ball's then the arc's as one point set (x1, x2)."""
+    bn = ball_nodes(field_, center, r, half=half)
+    an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+    return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
 def _mask_axis(arr, x1):
@@ -134,10 +145,15 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
     if np.isfinite(delta) and r >= delta * (1.0 + 1e-12):
         raise DomainError(f"radius {r} at or beyond the admissible delta {delta}")
     rho0 = medium.rho0
-    bn = ball_nodes(field_, center, r, half=half)
-    an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
     # one evaluation of the ball and arc nodes together, split back after
-    ev = _evaluate(field_, medium, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2)))
+    bn, an, x1, x2 = _nodes(field_, center, r, half, n_arc)
+    if getattr(field_, "degree", None) is not None and tuple(center) == field_.apex:
+        # about a homogeneous field's apex the (polar) nodes are apex + r p for
+        # one unit pattern p at every radius: field values scale from r = 1
+        vals = field_.evaluate_scaled(r, half, lambda: _nodes(field_, center, 1.0, half, n_arc)[2:])
+        ev = _with_thermo(field_, medium, x1, x2, *vals)
+    else:
+        ev = _evaluate(field_, medium, x1, x2)
     bv, av = ev.split(bn.x1.size)
 
     E_F = float(np.sum(bn.w * bv.x1 * (bv.F + bv.lam * bv.chi)))

@@ -205,7 +205,7 @@ def profile_field(spec: ProfileSpec, offset=(0.0, 0.0)):
         lambda x1, x2: eval_profile(spec, x1 - o1, x2 - o2),
         lambda x1, x2: eval_profile_gradient(spec, x1 - o1, x2 - o2),
         apex=(o1, o2), rays_phi=profile_rays_phi(spec), name=spec.kind,
-        joint_fn=lambda x1, x2: evaluate_profile(spec, x1 - o1, x2 - o2),
+        joint_fn=lambda x1, x2: evaluate_profile(spec, x1 - o1, x2 - o2), degree=spec.degree,
     )
 
 

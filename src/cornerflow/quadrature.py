@@ -14,13 +14,14 @@ per-cell integral of 1/x1 is taken exactly across the cell width.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GeometryError
 from .fields import AnalyticField, GridField
 
-_GL = {n: np.polynomial.legendre.leggauss(n) for n in (8, 16, 24, 32, 48)}
+_GL = {n: np.polynomial.legendre.leggauss(n) for n in (32, 48)}
 
 
 @dataclass
@@ -44,7 +45,7 @@ class ArcNodes:
 # polar backend (analytic fields)
 # ---------------------------------------------------------------------------
 
-def _angle_panels(center, r, splits, half):
+def _angle_panels(splits, half):
     lo, hi = (-0.5 * np.pi, 0.5 * np.pi) if half else (-np.pi, np.pi)
     cuts = {lo, hi}
     for a in splits:
@@ -55,49 +56,55 @@ def _angle_panels(center, r, splits, half):
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
-def polar_ball_nodes(center, r, splits=(), half=False, nr=48, nt=32):
-    c1, c2 = center
-    xr, wr = _GL[nr if nr in _GL else 48]
-    rho = 0.5 * r * (xr + 1.0)
-    wrho = 0.5 * r * wr
-    xt, wt = _GL[nt if nt in _GL else 32]
-    xs, ys, ws = [], [], []
-    for a, b in _angle_panels(center, r, splits, half):
+def _frozen(*parts):
+    """Each list of arrays in ``parts`` joined into one read-only array: a cached pattern is shared."""
+    out = tuple(np.concatenate(p) for p in parts)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _ball_pattern(splits, half):
+    """Unit-disk nodes (p1, p2, w) about the origin: 48 radial x 32 angular per panel."""
+    xr, wr = _GL[48]
+    rho = 0.5 * (xr + 1.0)
+    xt, wt = _GL[32]
+    ps1, ps2, ws = [], [], []
+    for a, b in _angle_panels(splits, half):
         phi = 0.5 * (b - a) * xt + 0.5 * (a + b)
-        wphi = 0.5 * (b - a) * wt
         R, P = np.meshgrid(rho, phi, indexing="ij")
-        W = np.outer(wrho * rho, wphi)
-        xs.append((c1 + R * np.cos(P)).ravel())
-        ys.append((c2 + R * np.sin(P)).ravel())
-        ws.append(W.ravel())
-    x1 = np.concatenate(xs)
-    x2 = np.concatenate(ys)
-    w = np.concatenate(ws)
+        ps1.append((R * np.cos(P)).ravel())
+        ps2.append((R * np.sin(P)).ravel())
+        ws.append(np.outer(0.5 * wr * rho, 0.5 * (b - a) * wt).ravel())
+    return _frozen(ps1, ps2, ws)
+
+
+@lru_cache(maxsize=64)
+def _arc_pattern(splits, half):
+    """Unit-circle nodes (p1, p2, w) about the origin: 48 per panel; (p1, p2) is the normal."""
+    xt, wt = _GL[48]
+    panels = _angle_panels(splits, half)
+    phi = np.concatenate([0.5 * (b - a) * xt + 0.5 * (a + b) for a, b in panels])
+    return _frozen([np.cos(phi)], [np.sin(phi)], [0.5 * (b - a) * wt for a, b in panels])
+
+
+def polar_ball_nodes(center, r, splits=(), half=False):
+    """Nodes ``center + r p`` and weights ``r^2 w`` of the cached unit pattern (p, w)."""
+    p1, p2, w = _ball_pattern(tuple(splits), half)
+    x1 = center[0] + r * p1
+    x2 = center[1] + r * p2
+    w = r * r * w
     keep = x1 > 0.0
     if half and not np.all(keep):
         x1, x2, w = x1[keep], x2[keep], w[keep]
     return BallNodes(x1=x1, x2=x2, w=w, w_inv=w / x1)
 
 
-def polar_arc_nodes(center, r, splits=(), half=False, nt=48):
-    c1, c2 = center
-    xt, wt = _GL[nt if nt in _GL else 48]
-    xs, ys, ws, ns1, ns2 = [], [], [], [], []
-    for a, b in _angle_panels(center, r, splits, half):
-        phi = 0.5 * (b - a) * xt + 0.5 * (a + b)
-        wphi = 0.5 * (b - a) * wt * r
-        xs.append(c1 + r * np.cos(phi))
-        ys.append(c2 + r * np.sin(phi))
-        ws.append(wphi)
-        ns1.append(np.cos(phi))
-        ns2.append(np.sin(phi))
-    return ArcNodes(
-        x1=np.concatenate(xs),
-        x2=np.concatenate(ys),
-        w=np.concatenate(ws),
-        n1=np.concatenate(ns1),
-        n2=np.concatenate(ns2),
-    )
+def polar_arc_nodes(center, r, splits=(), half=False):
+    """Nodes ``center + r p``, weights ``r w`` and normals ``p`` of the cached unit pattern."""
+    p1, p2, w = _arc_pattern(tuple(splits), half)
+    return ArcNodes(x1=center[0] + r * p1, x2=center[1] + r * p2, w=r * w, n1=p1, n2=p2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +146,8 @@ def _cell_fractions(cx, cy, h, center, r):
     x_hi = cx + 0.5 * h - center[0]
     y_lo = cy - 0.5 * h - center[1]
     y_hi = cy + 0.5 * h - center[1]
-    area = (
-        _corner_area(x_hi, y_hi, r)
-        - _corner_area(x_lo, y_hi, r)
-        - _corner_area(x_hi, y_lo, r)
-        + _corner_area(x_lo, y_lo, r)
-    )
+    a = _corner_area(np.stack((x_hi, x_lo, x_hi, x_lo)), np.stack((y_hi, y_hi, y_lo, y_lo)), r)
+    area = a[0] - a[1] - a[2] + a[3]
     return np.clip(area / (h * h), 0.0, 1.0)
 
 

@@ -28,6 +28,11 @@ def gamma_medium(model_g14):
     return GammaLawMedium(model_g14)
 
 
+@pytest.fixture(scope="session")
+def gamma2_medium(model_g2):
+    return GammaLawMedium(model_g2)
+
+
 def bump_phi(c1, c2, w, a1=0.1, a2=0.6):
     """Smooth compactly supported vector field with analytic Jacobian."""
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerflow.errors import DomainError, GeometryError
-from cornerflow.fields import GridField
+from cornerflow.fields import GridField, format_values
 from cornerflow.profiles import flat_origin, profile_field
 from cornerflow.quadrature import (
     arc_nodes,
@@ -90,6 +92,21 @@ class TestGridField:
         assert f.value(np.array([0.1]), np.array([0.1])).item() == 1.0
         with pytest.raises(DomainError, match="3 cells per axis"):
             f.evaluate(np.array([0.1]), np.array([0.1]))
+
+
+# finite doubles, with the zeros and the subnormals drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(FINITE, max_size=40))
+def test_format_values_writes_percent_17g(values):
+    # exact +0.0 skips the formatting; every string is still '%.17g' of its value
+    assert format_values(np.array(values, dtype=float)) == ["%.17g" % v for v in values]
 
 
 class TestBallQuadrature:

@@ -113,6 +113,42 @@ class TestOneEvaluationPerRadius:
             assert rec["J"] > 0 and rec["E_F"] != 0
 
 
+class TestHomogeneousApex:
+    # (profile, apex and center, kind, medium fixture, radii)
+    CASES = [
+        (stokes_corner(x1_circ=1.0), (1.0, 0.0), "stagnation", "incompressible", np.geomspace(0.005, 0.3, 6)),
+        (stokes_corner(x1_circ=1.0), (1.0, 0.0), "stagnation", "gamma2_medium", np.geomspace(0.005, 0.3, 6)),
+        (garabedian_bubble(), (0.0, 0.0), "origin", "incompressible", np.geomspace(0.02, 0.2, 6)),
+    ]
+
+    @pytest.mark.parametrize("spec, apex, kind, medium, radii", CASES,
+                             ids=[f"{c[2]}-{c[3]}" for c in CASES])
+    def test_records_scaled_from_one_evaluation_equal_direct_ones(self, spec, apex, kind, medium, radii,
+                                                                  request):
+        # at the apex every radius reuses one evaluation of the unit-radius nodes;
+        # the same profile without a degree evaluates each radius directly
+        medium = request.getfixturevalue(medium)
+        fld = profile_field(spec, offset=apex)
+        joint, calls = fld.joint_fn, []
+        fld.joint_fn = lambda x1, x2: calls.append(x1.size) or joint(x1, x2)
+        direct = AnalyticField(fld.fn, fld.grad_fn, apex=fld.apex, rays_phi=fld.rays_phi, joint_fn=joint)
+        for r in radii:
+            got = monotonicity_record(fld, medium, apex, float(r), kind)
+            want = monotonicity_record(direct, medium, apex, float(r), kind)
+            assert got.keys() == want.keys()
+            # the error terms vanish on an exact profile: they are compared on the
+            # scale of the Pohozaev identity they enter, the square on that of M'
+            k_scale = pohozaev_residual(want, kind)["scale"]
+            for key, val in want.items():
+                ref = abs(val)
+                if key in ("k1", "k2", "k3", "k4", "k5", "k6", "K_sum"):
+                    ref = k_scale
+                elif key == "square":
+                    ref = abs(want["M"]) / r
+                assert abs(got[key] - val) <= 1e-12 * ref, key
+        assert len(calls) == 1
+
+
 class TestStagnation:
     def test_M_constant_and_value(self, stokes_field, incompressible):
         radii = np.geomspace(0.008, 0.08, 9)

@@ -150,6 +150,21 @@ class TestHomogeneity:
             u1 = float(eval_profile(spec, lam * x1, lam * x2))
             assert u1 == pytest.approx(lam**spec.degree * u0, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS + [zero_profile()], ids=lambda s: s.kind)
+    def test_value_and_gradient_scale_with_the_declared_degree(self, spec):
+        # u(r x) = r^k u(x) and grad u(r x) = r^(k-1) grad u(x) for unit x: the
+        # apex sweeps scale one unit-radius evaluation by the declared degree k.
+        # Relative to the largest value over the directions, because a value
+        # near a free boundary is ill-conditioned in its own size
+        rng = np.random.default_rng(13)
+        phi = rng.uniform(-np.pi, np.pi, 400)
+        r = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 400))
+        x1, x2 = np.cos(phi), np.sin(phi)
+        unit = evaluate_profile(spec, x1, x2)
+        scaled = evaluate_profile(spec, r * x1, r * x2)
+        for got, want, k in zip(scaled, unit, (spec.degree, spec.degree - 1, spec.degree - 1)):
+            assert np.all(np.abs(got - r**k * want) <= 1e-13 * r**k * np.max(np.abs(want)))
+
 
 class TestPdeResiduals:
     def test_parabola_exact(self):
