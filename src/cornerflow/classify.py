@@ -21,7 +21,7 @@ from .errors import (
 from .fields import GridField
 from .functionals import SCALING_POWER, check_kind_center
 from .profiles import eval_profile, flat_origin, theta_star_constants
-from .quadrature import ball_nodes, polar_arc_nodes
+from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 
@@ -103,12 +103,8 @@ def blowup(field_, point: DegeneratePoint, r, n=128):
 # weighted density
 # ---------------------------------------------------------------------------
 
-def _density_at(field_, point, r):
-    kind = point.kind
-    half = kind != "stagnation"
-    nodes = ball_nodes(field_, point.coords, r, half=half)
-    u = field_.value(nodes.x1, nodes.x2)
-    chi = field_.chi(u)
+def _density(kind, nodes, chi, r):
+    """The kind's weighted positivity density of one ball: its nodes and their chi."""
     if kind == "stagnation":
         val = np.sum(nodes.w * np.maximum(nodes.x2, 0.0) * chi) / r**3
     elif kind == "axis":
@@ -129,7 +125,17 @@ def weighted_density(field_, point: DegeneratePoint, radii):
     if radii.size < 3:
         raise InsufficientDataError("need at least 3 radii for extrapolation")
     radii = np.sort(radii)
-    dens = np.array([_density_at(field_, point, r) for r in radii])
+    kind, half = point.kind, point.kind != "stagnation"
+    if isinstance(field_, GridField):
+        # every ball is a selection from the cells of the largest one, evaluated once
+        cells = grid_ball_cells(field_, point.coords, float(radii[-1]), half=half)
+        chi = field_.chi(field_.value(cells[0], cells[1]))
+        selected = (grid_ball_select(field_, cells, point.coords, r) for r in radii)
+        balls = ((nodes, chi[index]) for index, nodes in selected)
+    else:
+        balls = ((b, field_.chi(field_.value(b.x1, b.x2)))
+                 for b in (ball_nodes(field_, point.coords, r, half=half) for r in radii))
+    dens = np.array([_density(kind, nodes, pos, r) for r, (nodes, pos) in zip(radii, balls)])
     use = radii <= radii[0] * 10.0
     ru, du = radii[use], dens[use]
     if ru.size >= 3:

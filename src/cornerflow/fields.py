@@ -137,11 +137,13 @@ class GridField:
         j0 = np.floor(fy).astype(int)
         ax = fx - i0
         ay = fy - j0
-        # summed in place, in the order of the four-term expression
-        out = (1 - ax) * (1 - ay) * padded[..., i0, j0]
-        out += ax * (1 - ay) * padded[..., i0 + 1, j0]
-        out += (1 - ax) * ay * padded[..., i0, j0 + 1]
-        out += ax * ay * padded[..., i0 + 1, j0 + 1]
+        # one flat index per point; summed in place in the four-term expression's order
+        k = i0 * (self.n2 + 2) + j0
+        flat = padded.reshape(padded.shape[:-2] + (-1,))
+        out = ((1 - ax) * (1 - ay)) * flat.take(k, axis=-1)
+        out += (ax * (1 - ay)) * flat.take(k + (self.n2 + 2), axis=-1)
+        out += ((1 - ax) * ay) * flat.take(k + 1, axis=-1)
+        out += (ax * ay) * flat.take(k + (self.n2 + 3), axis=-1)
         return out
 
     def value(self, x1, x2):

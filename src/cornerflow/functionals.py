@@ -14,12 +14,13 @@ origin kind the frequency quantities D, V, N with their cumulative
 corrections.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, FrequencyUndefinedError, GeometryError
-from .quadrature import arc_nodes, ball_nodes
+from .fields import GridField
+from .quadrature import arc_nodes, ball_nodes, grid_ball_cells, grid_ball_select
 
 KINDS = ("stagnation", "axis", "origin")
 SCALING_POWER = {"stagnation": 1.5, "axis": 2.0, "origin": 2.5}
@@ -37,6 +38,13 @@ def check_kind_center(kind, center):
         raise DomainError("axis centers have x1 = 0 and x2 > 0")
     if kind == "origin" and not (c1 == 0 and c2 == 0):
         raise DomainError("the origin kind is centered at (0, 0)")
+
+
+def check_radius(field_, center, r, kind):
+    """DomainError unless ``r`` lies below the kind's admissible delta at ``center``."""
+    delta = delta_radius(field_, center, kind)
+    if np.isfinite(delta) and r >= delta * (1.0 + 1e-12):
+        raise DomainError(f"radius {r} at or beyond the admissible delta {delta}")
 
 
 def delta_radius(field_, center, kind):
@@ -79,10 +87,16 @@ class _NodeEval:
     lam: np.ndarray
     lam_p: np.ndarray
 
-    def split(self, n):
-        """The first ``n`` nodes and the rest, as views."""
-        vals = [getattr(self, f.name) for f in fields(self)]
-        return _NodeEval(*(v[:n] for v in vals)), _NodeEval(*(v[n:] for v in vals))
+
+@dataclass
+class _Subset:
+    """The nodes ``index`` (a slice or an index array) of ``ev``: each attribute is taken when read."""
+
+    ev: _NodeEval
+    index: object
+
+    def __getattr__(self, name):
+        return getattr(self.ev, name)[self.index]
 
 
 def _thermo(medium, x1, x2, g1, g2, chi):
@@ -132,29 +146,35 @@ def _mask_axis(arr, x1):
 # per-radius record
 # ---------------------------------------------------------------------------
 
-def monotonicity_record(field_, medium, center, r, kind, n_arc=4096):
+def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None):
     """All monotonicity/frequency ingredients at one radius.
 
     Returns a dict; keys k1..k6 are the kind's error terms (unused ones
     are zero).  ``square`` is the boundary square term of the
-    monotonicity-formula derivative at this radius.
+    monotonicity-formula derivative at this radius.  ``cells``, if given, is a grid's
+    ``(grid_ball_cells, _evaluate)`` at a radius >= r: the ball is selected from it.
     """
     check_kind_center(kind, center)
     half = kind in ("axis", "origin")
-    delta = delta_radius(field_, center, kind)
-    if np.isfinite(delta) and r >= delta * (1.0 + 1e-12):
-        raise DomainError(f"radius {r} at or beyond the admissible delta {delta}")
+    check_radius(field_, center, r, kind)
     rho0 = medium.rho0
-    # one evaluation of the ball and arc nodes together, split back after
-    bn, an, x1, x2 = _nodes(field_, center, r, half, n_arc)
-    if getattr(field_, "degree", None) is not None and tuple(center) == field_.apex:
-        # about a homogeneous field's apex the (polar) nodes are apex + r p for
-        # one unit pattern p at every radius: field values scale from r = 1
-        vals = field_.evaluate_scaled(r, half, lambda: _nodes(field_, center, 1.0, half, n_arc)[2:])
-        ev = _with_thermo(field_, medium, x1, x2, *vals)
+    if cells is not None:
+        index, bn = grid_ball_select(field_, cells[0], center, r)
+        bv = _Subset(cells[1], index)
+        an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+        av = _evaluate(field_, medium, an.x1, an.x2)
     else:
-        ev = _evaluate(field_, medium, x1, x2)
-    bv, av = ev.split(bn.x1.size)
+        # one evaluation of the ball and arc nodes together, split back after
+        bn, an, x1, x2 = _nodes(field_, center, r, half, n_arc)
+        if getattr(field_, "degree", None) is not None and tuple(center) == field_.apex:
+            # about a homogeneous field's apex the (polar) nodes are apex + r p for
+            # one unit pattern p at every radius: field values scale from r = 1
+            vals = field_.evaluate_scaled(r, half, lambda: _nodes(field_, center, 1.0, half, n_arc)[2:])
+            ev = _with_thermo(field_, medium, x1, x2, *vals)
+        else:
+            ev = _evaluate(field_, medium, x1, x2)
+        n = bn.x1.size
+        bv, av = _Subset(ev, slice(None, n)), _Subset(ev, slice(n, None))
 
     E_F = float(np.sum(bn.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bv.x2, 0.0)
@@ -288,7 +308,15 @@ def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing (need at least 2)")
 
-    recs = [monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc) for r in radii]
+    cells = None
+    if isinstance(field_, GridField):
+        # the largest ball's cells hold every ball; each radius's own error comes first
+        for r in radii:
+            check_radius(field_, center, float(r), kind)
+        box = grid_ball_cells(field_, center, float(radii[-1]), half=kind != "stagnation")
+        cells = (box, _evaluate(field_, medium, box[0], box[1]))
+    recs = [monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc, cells=cells)
+            for r in radii]
     keys = sorted(recs[0].keys())
     cols = {k: np.array([rec.get(k, 0.0) for rec in recs]) for k in keys}
     cols["pohozaev_residual"] = np.array([pohozaev_residual(rec, kind)["residual"] for rec in recs])

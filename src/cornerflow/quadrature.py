@@ -151,28 +151,33 @@ def _cell_fractions(cx, cy, h, center, r):
     return np.clip(area / (h * h), 0.0, 1.0)
 
 
-def grid_ball_nodes(field: GridField, center, r, half=False):
+def grid_ball_cells(field: GridField, center, r, half=False):
+    """Centers (x1, x2) and squared distances d2 of the bounding box's cells near the ball, i-major."""
     if not field.contains_ball(center, r, half=half):
         raise GeometryError(f"ball (center={center}, r={r}) leaves the grid")
     h = field.h
-    x1c = field.cell_x1
-    x2c = field.cell_x2
     i_lo = max(0, int(np.floor((center[0] - r - field.x1_min) / h)) - 1)
     i_hi = min(field.n1, int(np.ceil((center[0] + r - field.x1_min) / h)) + 1)
     j_lo = max(0, int(np.floor((center[1] - r - field.x2_min) / h)) - 1)
     j_hi = min(field.n2, int(np.ceil((center[1] + r - field.x2_min) / h)) + 1)
-    X1, X2 = np.meshgrid(x1c[i_lo:i_hi], x2c[j_lo:j_hi], indexing="ij")
-    x1 = X1.ravel()
-    x2 = X2.ravel()
+    X1, X2 = np.meshgrid(field.cell_x1[i_lo:i_hi], field.cell_x2[j_lo:j_hi], indexing="ij")
+    x1, x2 = X1.ravel(), X2.ravel()
     d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
+    near = d2 <= (r + 0.7072 * h) ** 2  # the cells that any radius up to r can cover or cut
+    return x1[near], x2[near], d2[near]
+
+
+def grid_ball_select(field: GridField, cells, center, r):
+    """Indices into ``cells`` (at a radius R >= r) and the BallNodes of radius r, bitwise those of r's own."""
+    x1, x2, d2 = cells
+    h = field.h
     rin = r - 0.7072 * h
     frac = np.zeros_like(x1)
     full = d2 <= rin * rin if rin > 0 else np.zeros_like(d2, bool)
     frac[full] = 1.0
     cut = (~full) & (d2 <= (r + 0.7072 * h) ** 2)
-    if np.any(cut):
-        frac[cut] = _cell_fractions(x1[cut], x2[cut], h, center, r)
-    keep = frac > 0.0
+    frac[cut] = _cell_fractions(x1[cut], x2[cut], h, center, r)
+    keep = np.flatnonzero(frac > 0.0)
     x1, x2, frac = x1[keep], x2[keep], frac[keep]
     w = frac * h * h
     # exact cross-cell integral of 1/x1 (midpoint fallback at the axis cell)
@@ -182,23 +187,30 @@ def grid_ball_nodes(field: GridField, center, r, half=False):
     inv_mean = np.empty_like(x1)
     inv_mean[safe] = np.log(x1r[safe] / x1l[safe]) / h
     inv_mean[~safe] = 1.0 / x1[~safe]
-    return BallNodes(x1=x1, x2=x2, w=w, w_inv=frac * h * h * inv_mean)
+    return keep, BallNodes(x1=x1, x2=x2, w=w, w_inv=frac * h * h * inv_mean)
+
+
+def grid_ball_nodes(field: GridField, center, r, half=False):
+    return grid_ball_select(field, grid_ball_cells(field, center, r, half=half), center, r)[1]
+
+
+@lru_cache(maxsize=16)
+def _unit_circle(n_arc, half):
+    """cos and sin of the trapezoid angles: n_arc + 1 on the closed half circle, n_arc on the circle."""
+    phi = (np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_arc + 1) if half
+           else np.linspace(-np.pi, np.pi, n_arc + 1)[:-1])
+    return _frozen([np.cos(phi)], [np.sin(phi)])
 
 
 def grid_arc_nodes(field: GridField, center, r, half=False, n_arc=4096):
     if not field.contains_ball(center, r, half=half):
         raise GeometryError(f"arc (center={center}, r={r}) leaves the grid")
-    if half:
-        phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_arc + 1)
-    else:
-        phi = np.linspace(-np.pi, np.pi, n_arc + 1)[:-1]
-    x1 = center[0] + r * np.cos(phi)
-    x2 = center[1] + r * np.sin(phi)
-    w = np.full(phi.shape, 2.0 * np.pi * r / n_arc if not half else np.pi * r / n_arc)
+    cos, sin = _unit_circle(n_arc, half)
+    w = np.full(cos.shape, 2.0 * np.pi * r / n_arc if not half else np.pi * r / n_arc)
     if half:
         w[0] *= 0.5
         w[-1] *= 0.5
-    return ArcNodes(x1=x1, x2=x2, w=w, n1=np.cos(phi), n2=np.sin(phi))
+    return ArcNodes(x1=center[0] + r * cos, x2=center[1] + r * sin, w=w, n1=cos, n2=sin)
 
 
 def ball_nodes(field, center, r, half=False, n_arc=4096):

@@ -6,7 +6,9 @@
   form independently of its derivation.
 * The separate value and gradient evaluations that ``GridField.evaluate``,
   ``profiles.evaluate_profile`` and the one-evaluation-per-radius
-  ``monotonicity_record`` replaced; the new paths must match them bit for bit.
+  ``monotonicity_record`` replaced, and the one-box grid ball that the
+  selection from a larger ball's cells replaced; the new paths must match
+  them bit for bit.
 * Helpers that only the tests use: the degree-1 Legendre Q function, the
   EOS model's text round trip and the ray slopes of a Stokes-corner blow-up.
 """
@@ -19,7 +21,7 @@ from cornerflow.errors import DomainError, StateError
 from cornerflow.fields import GridField
 from cornerflow.legendre import _check_open_interval, legendre_P_prime, legendre_P_second
 from cornerflow.profiles import _polar, theta_star_constants
-from cornerflow.quadrature import ball_nodes
+from cornerflow.quadrature import BallNodes, _cell_fractions, ball_nodes
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -233,6 +235,34 @@ def grid_gradient_separate(fld, x1, x2):
 
 def grid_value_separate(fld, x1, x2):
     return _interp_one(fld, fld._pad(fld.values, odd_axis=True), x1, x2)
+
+
+def grid_ball_one_box(fld, center, r, half=False):
+    """Grid ball nodes of radius ``r`` built from the bounding box of that radius alone."""
+    assert fld.contains_ball(center, r, half=half)
+    h = fld.h
+    i_lo = max(0, int(np.floor((center[0] - r - fld.x1_min) / h)) - 1)
+    i_hi = min(fld.n1, int(np.ceil((center[0] + r - fld.x1_min) / h)) + 1)
+    j_lo = max(0, int(np.floor((center[1] - r - fld.x2_min) / h)) - 1)
+    j_hi = min(fld.n2, int(np.ceil((center[1] + r - fld.x2_min) / h)) + 1)
+    X1, X2 = np.meshgrid(fld.cell_x1[i_lo:i_hi], fld.cell_x2[j_lo:j_hi], indexing="ij")
+    x1, x2 = X1.ravel(), X2.ravel()
+    d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
+    rin = r - 0.7072 * h
+    frac = np.zeros_like(x1)
+    full = d2 <= rin * rin if rin > 0 else np.zeros_like(d2, bool)
+    frac[full] = 1.0
+    cut = (~full) & (d2 <= (r + 0.7072 * h) ** 2)
+    if np.any(cut):
+        frac[cut] = _cell_fractions(x1[cut], x2[cut], h, center, r)
+    keep = frac > 0.0
+    x1, x2, frac = x1[keep], x2[keep], frac[keep]
+    x1l, x1r = x1 - 0.5 * h, x1 + 0.5 * h
+    safe = x1l > 1e-3 * h
+    inv_mean = np.empty_like(x1)
+    inv_mean[safe] = np.log(x1r[safe] / x1l[safe]) / h
+    inv_mean[~safe] = 1.0 / x1[~safe]
+    return BallNodes(x1=x1, x2=x2, w=frac * h * h, w_inv=frac * h * h * inv_mean)
 
 
 def _evaluate_two_sets(field_, medium, x1, x2, n_ball):

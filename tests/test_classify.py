@@ -21,7 +21,7 @@ from cornerflow.profiles import (
     stokes_corner,
     theta_star_constants,
 )
-from cornerflow.quadrature import polar_arc_nodes, polar_ball_nodes
+from cornerflow.quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
 from oracles import measure_corner_slopes
 
@@ -103,6 +103,27 @@ class TestWeightedDensity:
         c = theta_star_constants()
         out = weighted_density(garabedian_grid, DegeneratePoint(0.0, 0.0), np.geomspace(0.05, 0.3, 8))
         assert out["value"] == pytest.approx(c.m0, abs=2e-3)
+
+    @pytest.mark.parametrize("grid, point", [
+        ("stokes_grid", DegeneratePoint(1.0, 0.0)),
+        ("parabola_grid", DegeneratePoint(0.0, 0.5)),
+        ("garabedian_grid", DegeneratePoint(0.0, 0.0)),
+    ], ids=["stagnation", "axis", "origin"])
+    def test_grid_balls_selected_from_one_evaluation(self, grid, point, request, monkeypatch):
+        # one value call on the largest ball's cells; each density equals the
+        # one from its own ball's nodes and values, bit for bit
+        from cornerflow import classify as classify_mod
+
+        fld = request.getfixturevalue(grid)
+        radii = np.geomspace(0.05, 0.3, 8)
+        want = []
+        for r in radii:
+            nodes = ball_nodes(fld, point.coords, r, half=point.kind != "stagnation")
+            want.append(classify_mod._density(point.kind, nodes, fld.chi(fld.value(nodes.x1, nodes.x2)), r))
+        value, calls = fld.value, []
+        monkeypatch.setattr(fld, "value", lambda x1, x2: calls.append(x1.size) or value(x1, x2))
+        got = weighted_density(fld, point, radii[::-1])["densities"]
+        assert got.tobytes() == np.array(want).tobytes() and len(calls) == 1
 
     def test_insufficient_radii(self, stokes_grid):
         with pytest.raises(InsufficientDataError):

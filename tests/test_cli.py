@@ -446,6 +446,38 @@ class TestSweep:
                         r_min=0.05, r_max=0.2)
         assert run("sweep", cfg, tmp_path / "o") == 1
 
+    @staticmethod
+    def _grid_file(tmp_path, c):
+        """``c x2+^1.5`` on the box [0.75, 1.25] x [-0.25, 0.25], h = 1/32: delta = 0.125 at (1, 0)."""
+        path = tmp_path / "f.txt"
+        GridField.from_function(lambda X1, X2: c * np.maximum(X2, 0.0) ** 1.5 + 0.0 * X1,
+                                0.75, 1.25, -0.25, 0.25, 1 / 32).write(path)
+        return path
+
+    @pytest.mark.parametrize("r_max, radius", [(0.13, "0.13"), (0.3, "0.1916829312738817")],
+                             ids=["beyond-delta", "beyond-the-grid"])
+    def test_grid_radius_beyond_delta_is_one_error_line(self, tmp_path, capsys, r_max, radius):
+        # a grid sweep evaluates the cells of its largest ball once: every radius
+        # is checked against delta first, so a last radius that leaves the grid
+        # still names the first inadmissible radius, not a GeometryError
+        cfg = write_cfg(tmp_path / "s.cfg", field=self._grid_file(tmp_path, 1.0), kind="stagnation",
+                        center_x1=1.0, r_min=0.05, r_max=r_max, n_radii=5)
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: radius {radius} at or beyond the admissible delta 0.125\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_gamma2_grid_sweep_through_a_supersonic_cell_is_one_error_line(self, tmp_path, capsys):
+        # the failing node may come from the shared ball cells rather than from
+        # the first radius that holds one: the message names its (t, s)
+        cfg = write_cfg(tmp_path / "s.cfg", field=self._grid_file(tmp_path, 10.0), kind="stagnation",
+                        center_x1=1.0, gamma=2.0, r_min=0.03, r_max=0.1, n_radii=4)
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: subsonic inversion failed at node index ") and err.count("\n") == 1
+        assert "(t=" in err and ", s=" in err
+        assert list((tmp_path / "o").iterdir()) == []
+
 
 class TestMinimize:
     def test_minimize_writes_field_and_log(self, tmp_path):

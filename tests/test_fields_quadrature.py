@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cornerflow.errors import DomainError, GeometryError
@@ -11,12 +11,15 @@ from cornerflow.profiles import flat_origin, profile_field
 from cornerflow.quadrature import (
     arc_nodes,
     ball_nodes,
+    grid_arc_nodes,
+    grid_ball_cells,
     grid_ball_nodes,
+    grid_ball_select,
     polar_arc_nodes,
     polar_ball_nodes,
 )
 
-from oracles import grid_gradient_separate, grid_value_separate
+from oracles import grid_ball_one_box, grid_gradient_separate, grid_value_separate
 
 
 def _u_sq_over_x1(fld, nodes):
@@ -72,12 +75,15 @@ class TestGridField:
     @pytest.mark.parametrize("x1_min", [0.0, 0.25], ids=["on-axis", "off-axis"])
     def test_evaluate_bitwise_equals_separate_interpolation(self, x1_min):
         # one stencil for u, g1 and g2 reproduces three separate interpolations
-        # bit for bit, the odd ghost column included (points with x1 < h/2)
+        # bit for bit, the odd ghost column included (points with x1 < h/2), and
+        # so do the clip limits one cell outside the box on each side
         f = GridField.from_function(lambda X1, X2: np.cos(3 * X1) * np.exp(X2) + X1 * X2,
                                     x1_min, x1_min + 0.5, -0.25, 0.25, 1 / 32)
         rng = np.random.default_rng(7)
-        x1 = np.concatenate(([x1_min, x1_min + 1e-3, x1_min + 0.5], x1_min + 0.5 * rng.random(497)))
-        x2 = np.concatenate(([-0.25, 0.0, 0.25], -0.25 + 0.5 * rng.random(497)))
+        x1_lim = [x1_min - 1 / 32, x1_min + 0.5 + 1 / 32, x1_min, x1_min]
+        x2_lim = [0.0, 0.0, -0.25 - 1 / 32, 0.25 + 1 / 32]
+        x1 = np.concatenate(([x1_min, x1_min + 1e-3, x1_min + 0.5], x1_lim, x1_min + 0.5 * rng.random(493)))
+        x2 = np.concatenate(([-0.25, 0.0, 0.25], x2_lim, -0.25 + 0.5 * rng.random(493)))
         u, g1, g2 = f.evaluate(x1, x2)
         e1, e2 = grid_gradient_separate(f, x1, x2)
         assert u.tobytes() == grid_value_separate(f, x1, x2).tobytes() == f.value(x1, x2).tobytes()
@@ -147,7 +153,40 @@ class TestBallQuadrature:
             ball_nodes(f, (0.5, 0.5), 0.75)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(h=st.sampled_from([1 / 16, 1 / 24, 1 / 64]), c1=st.floats(0.0, 1.0), c2=st.floats(-0.5, 0.5),
+       half=st.booleans(), big=st.floats(0.0, 1.0), small=st.floats(0.0, 1.0, exclude_max=True))
+def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, half, big, small):
+    # a radial sweep selects each ball from the cells of its largest one: the
+    # nodes, their order and weights are those of the ball's own bounding box,
+    # also where the larger box is clamped at the axis (half balls at x1 < R)
+    n = round(1 / h)
+    f = GridField(0.0, 1.0, -0.5, 0.5, h, np.zeros((n, n)))
+    R = big * min(1.0 - c1, c2 + 0.5, 0.5 - c2, 1.0 if half else c1)
+    r = small * R
+    assume(r > 0.0)
+    cells = grid_ball_cells(f, (c1, c2), R, half=half)
+    index, got = grid_ball_select(f, cells, (c1, c2), r)
+    want = grid_ball_one_box(f, (c1, c2), r, half=half)
+    own = grid_ball_nodes(f, (c1, c2), r, half=half)
+    for key in ("x1", "x2", "w", "w_inv"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes() == getattr(own, key).tobytes()
+    assert cells[0][index].tobytes() == got.x1.tobytes() and cells[1][index].tobytes() == got.x2.tobytes()
+
+
 class TestArcQuadrature:
+    @pytest.mark.parametrize("half", [False, True])
+    def test_unit_circle_cached_and_read_only(self, half):
+        # every arc shares one cos/sin pair per (n_arc, half); x = c + r cos(phi) as before
+        f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.0, -0.5, 0.5, 1 / 16)
+        a = grid_arc_nodes(f, (0.5, 0.0), 0.25, half=half, n_arc=64)
+        b = grid_arc_nodes(f, (0.25, 0.1), 0.125, half=half, n_arc=64)
+        assert a.n1 is b.n1 and a.n2 is b.n2
+        assert not (a.n1.flags.writeable or a.n2.flags.writeable)
+        phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65) if half else np.linspace(-np.pi, np.pi, 65)[:-1]
+        assert a.n1.tobytes() == np.cos(phi).tobytes() and a.n2.tobytes() == np.sin(phi).tobytes()
+        assert a.x1.tobytes() == (0.5 + 0.25 * np.cos(phi)).tobytes()
+
     def test_half_circumference(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.5, -1.5, 1.5, 1 / 64)
         val = float(np.sum(arc_nodes(f, (0.0, 0.0), 1.0, half=True).w))

@@ -149,6 +149,40 @@ class TestHomogeneousApex:
         assert len(calls) == 1
 
 
+class TestNestedGridBalls:
+    # (profile, apex, center, kind, grid box at h = 1/64, radii below delta); the
+    # axis and origin boxes start at the axis, so the largest ball's cell box is
+    # clamped at i = 0 there
+    CASES = [
+        (stokes_corner(x1_circ=1.0), (1.0, 0.0), (1.0, 0.0), "stagnation", (0.75, 1.25, -0.25, 0.25),
+         np.geomspace(0.03, 0.12, 5)),
+        (axis_parabola(0.7), (0.0, 0.0), (0.0, 0.5), "axis", (0.0, 0.5, 0.0, 1.0), np.geomspace(0.05, 0.24, 5)),
+        (garabedian_bubble(), (0.0, 0.0), (0.0, 0.0), "origin", (0.0, 0.5, -0.5, 0.5),
+         np.geomspace(0.05, 0.24, 5)),
+    ]
+
+    @pytest.mark.parametrize("spec, apex, center, kind, box, radii", CASES, ids=[c[3] for c in CASES])
+    def test_sweep_columns_bitwise_equal_per_radius_records(self, spec, apex, center, kind, box, radii,
+                                                             incompressible, gamma2_medium, monkeypatch):
+        # the sweep evaluates the cells of its largest ball once and selects every
+        # ball from them; each record still evaluates its own ball and arc together
+        from cornerflow import functionals
+
+        fld = profile_field(spec, offset=apex).resample(*box, 1 / 64)
+        evaluate, sizes = functionals._evaluate, []
+        monkeypatch.setattr(functionals, "_evaluate",
+                            lambda f, m, x1, x2: sizes.append(x1.size) or evaluate(f, m, x1, x2))
+        for medium in [incompressible] + [gamma2_medium] * (kind == "stagnation"):
+            sizes.clear()
+            sweep = radial_sweep(fld, medium, center, kind, radii, n_arc=1024)
+            n_arc = 1024 + (kind != "stagnation")
+            assert len(sizes) == radii.size + 1 and sizes[1:] == [n_arc] * radii.size
+            recs = [monotonicity_record(fld, medium, center, float(r), kind, n_arc=1024) for r in radii]
+            for key in recs[0]:
+                assert sweep.columns[key].tobytes() == np.array([rec[key] for rec in recs]).tobytes(), key
+            assert np.all(sweep.columns["J"] > 0) and np.all(sweep.columns["E_F"] != 0)
+
+
 class TestStagnation:
     def test_M_constant_and_value(self, stokes_field, incompressible):
         radii = np.geomspace(0.008, 0.08, 9)
