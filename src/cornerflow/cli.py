@@ -19,7 +19,7 @@ import numpy as np
 
 from . import classify as classify_mod
 from . import functionals, profiles, solver
-from .eos import EosModel, GammaLawMedium, IncompressibleMedium, _F_closed, invert_admissible
+from .eos import EosModel, GammaLawMedium, IncompressibleMedium, _F_closed, invert_admissible, lambda_admissible
 from .errors import ConfigError, CornerflowError, NumericalError
 from .fields import _CHUNK, GridField, format_values, header_line, write_columns, write_rows
 from .legendre import find_theta_star, legendre_ode_residual
@@ -216,9 +216,7 @@ def run_eos_table(cfg, out, opts):
     T, S = np.meshgrid(tv, sv)  # one row per (s, t), t fastest
     H, d1, d2 = invert_admissible(model, T, S)
     F, _ = _F_closed(model, T, H, S)
-    # lambda(s) = 2 s/rho_bar0 - F(s; s), from one inversion of the (s, s) column
-    Hs, _, _ = invert_admissible(model, sv, sv)
-    lam = 2.0 * sv / model.rho_bar0 - _F_closed(model, sv, Hs, sv)[0]
+    lam, _ = lambda_admissible(model, sv)
     cols = (T, S, H, d1, d2, F, np.broadcast_to(lam[:, None], T.shape))
     _write_csv(os.path.join(out, "eos_table.csv"), ["t", "s", "H", "d1H", "d2H", "F", "lambda"],
                np.stack([c.ravel() for c in cols], axis=1))

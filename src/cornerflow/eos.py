@@ -284,26 +284,37 @@ def F_of(model: EosModel, t: float, s: float):
     return float(F[0]), 1.0 / float(rho[0]), float(dF2[0])
 
 
-def F_many(model: EosModel, t, s):
-    """Vectorized F(t;s), dF2(t;s) in closed form from one inversion."""
-    rho, _, _ = _checked_inversion(model, t, s)
-    return _F_closed(model, np.asarray(t, dtype=float), rho, s)
+def lambda_pair(model: EosModel, s):
+    """lambda = 2 s/rho_bar0 - F(s;s) and lambda' = 1/rho_bar0 - dF2(s;s) from H(s;s) = rho_bar0.
+
+    That holds on 0 <= s < x2_st (docs/decisions.md); a StateError names the first node outside.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.flatnonzero(~((s >= 0.0) & (s < model.x2_st)))
+    if out.size:
+        i, s_i = int(out[0]), float(s.flat[out[0]])
+        why = "is undefined below the free-surface height" if s_i < 0.0 else "needs a subsonic free-surface state"
+        raise StateError(f"lambda {why}: node index {i} at height {s_i!r} (x2_st {model.x2_st!r})", i)
+    F, dF2 = _F_closed(model, s, model.rho_bar0, s)
+    return 2.0 * s / model.rho_bar0 - F, 1.0 / model.rho_bar0 - dF2
+
+
+def lambda_admissible(model: EosModel, x2):
+    """``lambda_pair`` at heights x2 >= 0 whose states (x2, x2) ``invert_admissible`` accepts."""
+    if np.any(x2 < 0):
+        raise DomainError("x2 must be nonnegative")
+    invert_admissible(model, x2, x2)
+    return lambda_pair(model, x2)
 
 
 def lambda_of(model: EosModel, x2: float) -> float:
     """Free-boundary weight lambda(x2) = 2*x2/rho_bar0 - F(x2; x2)."""
-    if x2 < 0:
-        raise DomainError("x2 must be nonnegative")
-    F, _, _ = F_of(model, x2, x2)
-    return 2.0 * x2 / model.rho_bar0 - F
+    return float(lambda_admissible(model, np.full(1, x2, dtype=float))[0][0])
 
 
 def lambda_prime(model: EosModel, x2: float) -> float:
     """lambda'(x2) = 1/rho_bar0 - dF2(x2; x2)."""
-    if x2 < 0:
-        raise DomainError("x2 must be nonnegative")
-    _, _, dF2 = F_of(model, x2, x2)
-    return 1.0 / model.rho_bar0 - dF2
+    return float(lambda_admissible(model, np.full(1, x2, dtype=float))[1][0])
 
 
 class GammaLawMedium:
@@ -323,25 +334,16 @@ class GammaLawMedium:
         return _checked_inversion(self.model, t, s)
 
     def F_dF2(self, t, s):
-        return F_many(self.model, t, s)
-
-    def _lam_pair_unique(self, s):
-        # heights repeat across lattice rows: evaluate on unique values
-        s = np.asarray(s, dtype=float)
-        su, inv = np.unique(s.ravel(), return_inverse=True)
-        F, dF2 = F_many(self.model, su, su)
-        lam = 2.0 * su / self.rho0 - F
-        lamp = 1.0 / self.rho0 - dF2
-        return lam[inv].reshape(s.shape), lamp[inv].reshape(s.shape)
+        return self.thermo(t, s)[3:]
 
     def lam_pair(self, s):
-        return self._lam_pair_unique(s)
+        return lambda_pair(self.model, s)
 
     def lam(self, s):
-        return self._lam_pair_unique(s)[0]
+        return lambda_pair(self.model, s)[0]
 
     def lam_prime(self, s):
-        return self._lam_pair_unique(s)[1]
+        return lambda_pair(self.model, s)[1]
 
 
 class IncompressibleMedium:

@@ -320,7 +320,9 @@ class TestEosTable:
         (dict(gamma=2.0, t_max=5.0, s_max=0.2), "subsonic inversion failed at node index 1 (t=1.25, s=0.0)"),
         (dict(gamma=2.0, t_max=0.05, s_max=0.2, eps0=0.5), "margin violated at (t=0.0, s=0.0): rho=1, "),
         (dict(gamma=2.0, t_min=-0.1, t_max=0.05, s_max=0.2), "t and s must be nonnegative, got (t=-0.1, s=0.0)"),
-    ], ids=["supersonic", "eps0-margin", "negative-t"])
+        (dict(gamma=2.0, t_max=0.05, s_min=1.1, s_max=1.2),
+         "lambda needs a subsonic free-surface state: node index 0 at height 1.1 (x2_st 1.0)"),
+    ], ids=["supersonic", "eps0-margin", "negative-t", "lambda-above-x2_st"])
     def test_inadmissible_state_is_one_error_line(self, tmp_path, capsys, kv, msg):
         assert run("eos-table", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
         err = capsys.readouterr().err
@@ -478,6 +480,19 @@ class TestSweep:
         assert "(t=" in err and ", s=" in err
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_gamma2_grid_sweep_positive_below_the_free_surface_names_lambda(self, tmp_path, capsys):
+        # bilinear interpolation between the cell rows at -h/2 and h/2 makes
+        # u > 0 on arc nodes just below x2 = 0, where lambda is undefined: the
+        # message names a height, not a (t, s) state
+        cfg = write_cfg(tmp_path / "s.cfg", field=self._grid_file(tmp_path, 1.0), kind="stagnation",
+                        center_x1=1.0, gamma=2.0, r_min=0.03, r_max=0.1, n_radii=4)
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda is undefined below the free-surface height: node index ")
+        assert err.count("\n") == 1 and " at height -" in err
+        assert "subsonic inversion failed" not in err and "t=" not in err
+        assert list((tmp_path / "o").iterdir()) == []
+
 
 class TestMinimize:
     def test_minimize_writes_field_and_log(self, tmp_path):
@@ -530,6 +545,16 @@ class TestMinimize:
             assert log["converged"]
             counts.append(len(log["iterations"]))
         assert counts[1] < counts[0]
+
+    def test_gamma_law_box_past_x2_st_is_one_error_line(self, tmp_path, capsys):
+        # lattice heights at or above x2_st = 1 have no subsonic free-surface
+        # state, so lambda is undefined there (it used to come from the other root)
+        cfg = write_cfg(tmp_path / "m.cfg", gamma=2.0, profile="zero",
+                        x1_min=0.0, x1_max=0.25, x2_min=0.75, x2_max=1.25, h=1 / 16)
+        assert run("minimize", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == "error: lambda needs a subsonic free-surface state: node index 4 at height 1.03125 (x2_st 1.0)\n"
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestGeometryErrors:

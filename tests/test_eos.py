@@ -11,7 +11,6 @@ import cornerflow
 from cornerflow import eos
 from cornerflow.eos import (
     EosModel,
-    F_many,
     GammaLawMedium,
     IncompressibleMedium,
     F_of,
@@ -343,14 +342,21 @@ class TestKernelProperties:
         assert np.array_equal(no_root[far], q[far] > 1.0)
 
 
+def separate_calls(model, t, s):
+    """H, d1H, d2H from an inversion and F, dF2 from the closed form, each forming its own H(0; s)."""
+    H, d1, d2 = eos._checked_inversion(model, t, s)
+    return (H, d1, d2, *eos._F_closed(model, np.asarray(t, dtype=float), H, s))
+
+
 class TestThermo:
     def test_matches_separate_calls(self, model_g2):
         med = GammaLawMedium(model_g2)
         t, s = random_states(np.random.default_rng(5), 500)
         got = med.thermo(t, s)
-        want = (*med.H_d1_d2(t, s), *med.F_dF2(t, s))
+        want = separate_calls(model_g2, t, s)
         assert len(got) == 5
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, b) for a, b in zip((*med.H_d1_d2(t, s), *med.F_dF2(t, s)), want))
 
     def test_rest_density_formed_once(self, model_g2, monkeypatch):
         # minimize-gamma2's 7 x 7 state: one H(0; s) per call, shared by the
@@ -362,7 +368,7 @@ class TestThermo:
         g1, g2 = flat.gradient(X1, X2)
         t, s = (g1 * g1 + g2 * g2) / (X1 * X1), X2
         med = GammaLawMedium(model_g2)
-        want = (*med.H_d1_d2(t, s), *med.F_dF2(t, s))
+        want = separate_calls(model_g2, t, s)
         calls = []
         rest = eos._rest_density
         monkeypatch.setattr(eos, "_rest_density", lambda *a: calls.append(1) or rest(*a))
@@ -416,7 +422,7 @@ class TestF:
     def test_closed_form_matches_quadrature_oracle(self, gamma):
         model = EosModel(gamma=gamma)
         t, s = random_states(np.random.default_rng(7), 200)
-        F, dF2 = F_many(model, t, s)
+        F, dF2 = GammaLawMedium(model).F_dF2(t, s)
         for i in range(t.size):
             F_q, dF2_q = F_quadrature(model, t[i], s[i], tol=1e-15)
             assert abs(F[i] - F_q) <= 1e-15
@@ -429,7 +435,7 @@ class TestF:
         model = EosModel(gamma=2.0, A=A)
         t = np.array([1e-4, 0.01, 0.04, 0.2])
         s = np.array([0.05, 0.05, 0.3, 0.6])
-        F, _ = F_many(model, t, s)
+        F, _ = GammaLawMedium(model).F_dF2(t, s)
         for i in range(t.size):
             F_q, _ = F_quadrature(model, t[i], s[i], tol=1e-15)
             assert F[i] == pytest.approx(F_q, rel=1e-14)
@@ -437,7 +443,7 @@ class TestF:
     def test_vectorized_matches_scalar(self, model_g2):
         t = np.array([0.01, 0.04, 0.1])
         s = np.array([0.05, 0.05, 0.3])
-        Fv, dF2v = F_many(model_g2, t, s)
+        Fv, dF2v = GammaLawMedium(model_g2).F_dF2(t, s)
         for i in range(3):
             F, _, dF2 = F_of(model_g2, float(t[i]), float(s[i]))
             assert Fv[i] == pytest.approx(F, abs=1e-11)
@@ -468,6 +474,91 @@ class TestLambda:
         # lambda' >= 1/rho_bar0 because the height derivative of 1/H is <= 0
         for x2 in (0.05, 0.2, 0.5):
             assert lambda_prime(model_g2, x2) >= 1.0 / model_g2.rho_bar0 - 1e-12
+
+
+class TestLambdaClosedForm:
+    """lambda and lambda' at the free-surface state (s, s), where H = rho_bar0 (docs/decisions.md)."""
+
+    GAMMAS = (1.1, 1.4, 5 / 3, 2.0, 3.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(gamma=st.sampled_from(GAMMAS), A=st.sampled_from((1.0, 1e3)),
+           rho_bar0=st.sampled_from((1.0, 2.5)), q=st.floats(0.0, 0.99))
+    def test_free_surface_state_inverts_to_rho_bar0(self, gamma, A, rho_bar0, q):
+        # the identity behind the closed form: h(rho_bar0) = 0 makes rho_bar0
+        # the root at t = s, and it lies above the sonic density while s < x2_st
+        model = EosModel(gamma=gamma, A=A, rho_bar0=rho_bar0)
+        s = q * model.x2_st
+        rho, _, _, flag = invert_many(model, s, s)
+        assert flag == 0
+        assert abs(rho - rho_bar0) <= 1e-12 * rho_bar0
+
+    @pytest.mark.parametrize("gamma, A", [(g, 1.0) for g in GAMMAS] + [(2.0, 1e3)])
+    def test_lambda_matches_the_quadrature_oracle(self, gamma, A):
+        model = EosModel(gamma=gamma, A=A)
+        s = np.linspace(0.05, 0.95, 5) * model.x2_st
+        lam, _ = GammaLawMedium(model).lam_pair(s)
+        for i in range(s.size):
+            ref = lambda_alt(model, float(s[i]), tol=1e-15)
+            assert abs(lam[i] - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("A, rho_bar0", [(1.0, 1.0), (1e3, 2.5)])
+    def test_lambda_prime_is_rest_density_over_rho_bar0_squared(self, gamma, A, rho_bar0):
+        model = EosModel(gamma=gamma, A=A, rho_bar0=rho_bar0, g=9.81)
+        s = np.linspace(0.0, 0.99, 12) * model.x2_st
+        _, lam_p = GammaLawMedium(model).lam_pair(s)
+        with mpmath.workdps(40):
+            gm1, rho0 = mpmath.mpf(gamma) - 1, mpmath.mpf(rho_bar0)
+            c = gm1 * mpmath.mpf(model.g) / (mpmath.mpf(A) * mpmath.mpf(gamma))
+            for i in range(s.size):
+                ref = float((rho0**gm1 + c * mpmath.mpf(float(s[i]))) ** (1 / gm1) / rho0**2)
+                assert abs(lam_p[i] - ref) <= 1e-14 * ref
+
+    def test_no_inversion(self, gamma2_medium, monkeypatch):
+        calls = []
+        invert = eos.invert_many
+        monkeypatch.setattr(eos, "invert_many", lambda *a, **k: calls.append(1) or invert(*a, **k))
+        s = np.linspace(0.0, 0.9, 50)
+        gamma2_medium.lam_pair(s)
+        gamma2_medium.lam(s)
+        gamma2_medium.lam_prime(s)
+        assert calls == []
+
+    def test_scalar_api_is_the_same_closed_form(self, model_g14):
+        s = np.linspace(0.0, 0.9, 7) * model_g14.x2_st
+        lam, lam_p = GammaLawMedium(model_g14).lam_pair(s)
+        assert [lambda_of(model_g14, float(x)) for x in s] == list(lam)
+        assert [lambda_prime(model_g14, float(x)) for x in s] == list(lam_p)
+
+    @pytest.mark.parametrize("bad, why", [
+        (-3.7e-18, "lambda is undefined below the free-surface height"),
+        (1.0, "lambda needs a subsonic free-surface state"),
+        (1.25, "lambda needs a subsonic free-surface state"),
+        (math.nan, "lambda needs a subsonic free-surface state"),
+    ], ids=["below-zero", "at-x2_st", "above-x2_st", "nan"])
+    def test_height_outside_the_domain_is_named(self, gamma2_medium, bad, why):
+        # model_g2 has x2_st = 1 exactly; the index counts into the heights passed
+        s = np.array([0.0, 0.3, bad, -0.5])
+        for method in (gamma2_medium.lam_pair, gamma2_medium.lam, gamma2_medium.lam_prime):
+            with pytest.raises(StateError) as exc:
+                method(s)
+            assert str(exc.value) == f"{why}: node index 2 at height {bad!r} (x2_st 1.0)"
+            assert exc.value.index == 2
+
+    @pytest.mark.parametrize("fn", [lambda_of, lambda_prime])
+    def test_scalar_api_above_x2_st_is_a_state_error(self, model_g2, fn):
+        # above x2_st the state (x2, x2) still has a subsonic root, but it is
+        # not rho_bar0: the free surface itself would be supersonic there
+        with pytest.raises(StateError, match="lambda needs a subsonic free-surface state: node index 0 at height 1.2"):
+            fn(model_g2, 1.2)
+        # at x2_st and just below it the admissibility check keeps its own errors
+        with pytest.raises(StateError, match="subsonic inversion failed at node index 0"):
+            fn(model_g2, 1.0)
+        with pytest.raises(SubsonicityError):
+            fn(model_g2, 0.999)
+        with pytest.raises(DomainError, match="x2 must be nonnegative"):
+            fn(model_g2, -0.1)
 
 
 class TestModel:

@@ -70,7 +70,7 @@ class TestEnergies:
 
     def test_record_inverts_each_node_set_once(self, stokes_field, gamma_medium, monkeypatch):
         # the ball and arc nodes are evaluated together: H, F and dF2 come
-        # from one inversion, lambda on the positivity set from one more
+        # from one inversion, and lambda on the positivity set from none
         from cornerflow import eos
 
         node_sets = []
@@ -82,8 +82,7 @@ class TestEnergies:
 
         monkeypatch.setattr(eos, "invert_many", counting_invert)
         monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1, "stagnation")
-        assert len(node_sets) == 2
-        assert len(set(node_sets)) == 2
+        assert len(node_sets) == 1
 
 
 class TestOneEvaluationPerRadius:
