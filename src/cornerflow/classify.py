@@ -19,9 +19,9 @@ from .errors import (
     InsufficientDataError,
 )
 from .fields import GridField
-from .functionals import SCALING_POWER, check_kind_center
-from .profiles import eval_profile, flat_origin, theta_star_constants
-from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes
+from .functionals import SCALING_POWER, check_kind_center, delta_radius, frequency_quantities
+from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
+from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 
@@ -88,15 +88,10 @@ def blowup(field_, point: DegeneratePoint, r, n=128):
             raise GeometryError("blow-up radius below 4h")
         if not field_.contains_ball(point.coords, r * math.sqrt(2.0), half=point.kind != "stagnation"):
             raise GeometryError("blow-up box leaves the grid")
-    d = point.exponent
-    hb = 2.0 / n
-    x1_lo = -1.0 if point.kind == "stagnation" else 0.0
-    nb1 = n if point.kind == "stagnation" else n // 2
-    xi1 = x1_lo + (np.arange(nb1) + 0.5) * hb
-    xi2 = -1.0 + (np.arange(n) + 0.5) * hb
-    X1, X2 = np.meshgrid(xi1, xi2, indexing="ij")
-    vals = field_.value(point.x1 + r * X1, point.x2 + r * X2) / r**d
-    return GridField(x1_lo, 1.0, -1.0, 1.0, hb, vals)
+    box = (-1.0 if point.kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, 2.0 / n)
+    X1, X2 = GridField.lattice(*box)
+    vals = field_.value(point.x1 + r * X1, point.x2 + r * X2) / r**point.exponent
+    return GridField(*box, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +168,10 @@ def _fit_shape(blow: GridField, kind, label):
         w = np.where(inside & (X1 > 0), 1.0 / np.maximum(X1, 1e-12), 0.0)
     u = blow.values
     if label == "StokesCorner":
-        from .profiles import stokes_corner
-
         shape = eval_profile(stokes_corner(coeff=1.0), X1, X2)
     elif label == "AxisParabola":
         shape = X1 * X1
     elif label == "GarabedianBubble":
-        from .profiles import garabedian_bubble
-
         shape = eval_profile(garabedian_bubble(beta0=1.0), X1, X2)
     elif label == "FlatOrigin":
         shape = X1 * X1 * np.maximum(X2, 0.0)
@@ -227,10 +218,7 @@ def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=Fals
     """
     if radii is None:
         h = getattr(field_, "h", 1.0 / 256.0)
-        delta = field_.boundary_distance(point.coords, half=point.kind != "stagnation")
-        if point.kind == "stagnation":
-            delta = min(delta, point.x1)
-        r_hi = 0.45 * delta
+        r_hi = 0.9 * delta_radius(field_, point.coords, point.kind)
         if not r_hi > 4 * h:
             raise GeometryError("no usable radius window around the point")
         radii = np.geomspace(max(4 * h, r_hi / 8.0), r_hi, 10)
@@ -246,17 +234,8 @@ def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=Fals
             raise AmbiguousMatchError(
                 f"density {d:.6g} +- {unc:.2g} sits between {cands[0][0]} and {cands[1][0]}"
             )
-        cls = Classification(
-            kind=point.kind,
-            density=d,
-            uncertainty=unc,
-            label="Ambiguous",
-            nearest_density=dstar,
-            gap=gap,
-            candidates=[[c, v] for c, v in cands],
-            notes="two theoretical densities within twice the uncertainty",
-        )
-        return cls
+        label = "Ambiguous"
+        notes = "two theoretical densities within twice the uncertainty"
 
     fit_param = None
     fit_resid = None
@@ -308,9 +287,6 @@ def frequency_blowup(field_, medium, radii, n_blow=128, annulus=(0.5, 0.9)):
     and the annulus homogeneity deficit (the weighted square of
     grad v . x - N v, which decays when the limit is homogeneous).
     """
-    from .functionals import frequency_quantities
-    from .quadrature import polar_ball_nodes
-
     radii = np.asarray(sorted(radii), dtype=float)
     sweep = frequency_quantities(field_, medium, (0.0, 0.0), radii)
     J = sweep.columns["J"]

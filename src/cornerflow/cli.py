@@ -342,6 +342,13 @@ def run_minimize(cfg, out, opts):
     return 0
 
 
+SWEEP_COLUMNS = (
+    "r", "I", "J", "M", "dM_fd",
+    "k1", "k2", "k3", "k4", "k5", "k6",
+    "D", "V", "N", "e", "Pi", "pohozaev_residual", "energy_identity_residual",
+)
+
+
 def run_sweep(cfg, out, opts):
     fld = _load_field(cfg)
     kind = cfg["kind"]
@@ -351,30 +358,18 @@ def run_sweep(cfg, out, opts):
     else:
         radii = functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
     sweep = functionals.radial_sweep(fld, _medium(cfg), center, kind, radii, n_arc=cfg["n_arc"])
-    cols = sweep.columns
-    zero = np.zeros_like(radii)
-    # the frequency block is undefined where J = 0 (zero field): report 0
-    defined = cols["J"] > 0
-    freq = {k: cols.get(k, zero) for k in ("D", "V", "N", "e", "Pi")}
-    for k, v in freq.items():
-        freq[k] = np.where(defined & np.isfinite(v), v, 0.0)
-    header = [
-        "r", "I", "J", "M", "dM_fd",
-        "k1", "k2", "k3", "k4", "k5", "k6",
-        "D", "V", "N", "e", "Pi", "pohozaev_residual", "energy_identity_residual",
-    ]
-    dmfd = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
-    rows = np.column_stack([
-        radii, cols["I"], cols["J"], cols["M"], dmfd,
-        cols["k1"], cols["k2"], cols["k3"], cols["k4"], cols["k5"], cols["k6"],
-        freq["D"], freq["V"], freq["N"], freq["e"], freq["Pi"],
-        cols["pohozaev_residual"], cols["energy_identity_residual"],
-    ])
-    _write_csv(os.path.join(out, "sweep.csv"), header, rows)
+    cols = dict(sweep.columns, r=radii)
+    cols["dM_fd"] = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
+    # the frequency block is undefined off the origin and where J = 0 (zero field): report 0
+    for k in ("D", "V", "N", "e", "Pi"):
+        v = cols.get(k, 0.0)
+        cols[k] = np.where((cols["J"] > 0) & np.isfinite(v), v, 0.0)
+    rows = np.column_stack([cols[k] for k in SWEEP_COLUMNS])
+    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_COLUMNS, rows)
     if opts.plots:
         series = [("M(r)", list(cols["M"]))]
         if kind == "origin":
-            series.append(("N(r)", list(freq["N"])))
+            series.append(("N(r)", list(cols["N"])))
         write_svg_lines(
             os.path.join(out, "sweep.svg"),
             list(radii),

@@ -17,6 +17,7 @@ residual below).  beta0 normalizes the weighted boundary norm on the
 unit half-circle to 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,14 +35,9 @@ _GL64 = np.polynomial.legendre.leggauss(64)
 
 SQRT2_OVER_3 = math.sqrt(2.0) / 3.0
 
-_theta_star_cache = None
-
-
+@functools.lru_cache(maxsize=None)
 def theta_star_constants() -> LegendreConstants:
-    global _theta_star_cache
-    if _theta_star_cache is None:
-        _theta_star_cache = find_theta_star()
-    return _theta_star_cache
+    return find_theta_star()
 
 
 def garabedian_norm_integral() -> float:

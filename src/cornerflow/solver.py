@@ -70,16 +70,25 @@ class _Discretization:
         n1, n2 = self.n1, self.n2 = self.X1.shape
         if min(n1, n2) < 3:
             raise DomainError(f"the gradient stencil needs 3 cells per axis, got {n1} x {n2}")
-        med = cfg.medium
-        self.lam = np.maximum(med.lam(np.maximum(self.X2, 0.0)), 0.0)
+        # lambda on the cells of the energy sum only; an error keeps lambda's reason (the
+        # message up to its colon) and names the cell, as state's does
+        try:
+            self.lam = np.maximum(cfg.medium.lam(np.maximum(self.X2[:-1, :-1], 0.0)), 0.0)
+        except StateError as exc:
+            raise StateError(f"{str(exc).partition(':')[0]} at {self.cell(exc.index)}") from None
         self.on_axis = abs(cfg.x1_min) < 1e-12
         # indicator weight x1*lam*h^2 over eps_chi; zero past the last
         # difference, where no cell of the energy sum lies
         self.m = np.zeros((n1, n2))
-        self.m[:-1, :-1] = self.X1[:-1, :-1] * self.lam[:-1, :-1] * cfg.h * cfg.h / cfg.eps_chi
+        self.m[:-1, :-1] = self.X1[:-1, :-1] * self.lam * cfg.h * cfg.h / cfg.eps_chi
         self.interior = np.zeros((n1, n2), dtype=bool)
         self.interior[1:-1, 1:-1] = True
         self.colors = tuple(self.interior & c for c in _colors((n1, n2)))
+
+    def cell(self, index):
+        """The cell of flat ``index`` on the (n1-1) x (n2-1) sub-lattice, for an error message."""
+        i, j = np.unravel_index(index, (self.n1 - 1, self.n2 - 1))
+        return f"cell ({i}, {j}), x = ({self.X1[i, j]:.6g}, {self.X2[i, j]:.6g})"
 
     def state(self, v):
         """Energy of v, and the density H its gradient and the PGS sweep need.
@@ -95,7 +104,7 @@ class _Discretization:
         t = (d1 * d1 + d2 * d2) / (X1 * X1)
         H, _, _, F, _ = cfg.medium.thermo(t, self.X2[:-1, :-1])
         s = _smoothed_chi(v[:-1, :-1], cfg.eps_chi)
-        dens = X1 * (F + self.lam[:-1, :-1] * s)
+        dens = X1 * (F + self.lam * s)
         return float(np.sum(dens) * h * h), H
 
     def energy(self, v):
@@ -134,11 +143,7 @@ def minimize_EF(cfg: MinimizeConfig):
     try:
         E, H = disc.state(v)
     except StateError as exc:
-        i, j = np.unravel_index(exc.index, (disc.n1 - 1, disc.n2 - 1))
-        raise StateError(
-            f"subsonicity violated at cell ({i}, {j}), "
-            f"x = ({disc.X1[i, j]:.6g}, {disc.X2[i, j]:.6g})"
-        ) from None
+        raise StateError(f"subsonicity violated at {disc.cell(exc.index)}") from None
 
     log = ConvergenceLog()
     for it in range(cfg.max_iter):
@@ -390,12 +395,6 @@ def axis_compatibility_residual(field_: GridField):
 # first-variation validator
 # ---------------------------------------------------------------------------
 
-def _lattice(field_, h):
-    x1 = np.arange(field_.x1_min + 0.5 * h, field_.x1_max, h)
-    x2 = np.arange(field_.x2_min + 0.5 * h, field_.x2_max, h)
-    return np.meshgrid(x1, x2, indexing="ij")
-
-
 def first_variation_terms(field_, medium, phi, dphi, h=None):
     """The four domain-variation integrals, evaluated on a lattice.
 
@@ -405,7 +404,7 @@ def first_variation_terms(field_, medium, phi, dphi, h=None):
     """
     if h is None:
         h = getattr(field_, "h", 1.0 / 256.0)
-    X1, X2 = _lattice(field_, h)
+    X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
     ev = _evaluate(field_, medium, X1.ravel(), X2.ravel())
     x1, x2, g1, g2, t, chi, H = ev.x1, ev.x2, ev.g1, ev.g2, ev.t, ev.chi, ev.H
     p1, p2 = phi(x1, x2)
@@ -427,7 +426,7 @@ def flow_energy(field_, medium, phi, eps, h=None, dphi=None):
     """E_F of the resampled field u(x + eps*phi(x)) on the lattice."""
     if h is None:
         h = getattr(field_, "h", 1.0 / 256.0)
-    X1, X2 = _lattice(field_, h)
+    X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
     x1 = X1.ravel()
     x2 = X2.ravel()
     p1, p2 = phi(x1, x2)

@@ -225,8 +225,39 @@ class TestClassify:
         res = classify(fld2, DegeneratePoint(1.0, 0.0))
         assert res.label == "Ambiguous"
         assert res.candidates
+        assert res.fit_param is None and res.fit_residual is None
+        assert res.notes == "two theoretical densities within twice the uncertainty"
         with pytest.raises(AmbiguousMatchError):
             classify(fld2, DegeneratePoint(1.0, 0.0), strict=True)
+
+    @pytest.mark.parametrize("grid, point", [
+        ("stokes_grid", DegeneratePoint(1.0, 0.0)),
+        ("parabola_grid", DegeneratePoint(0.0, 0.5)),
+        ("garabedian_grid", DegeneratePoint(0.0, 0.0)),
+    ], ids=["stagnation", "axis", "origin"])
+    def test_default_radii(self, grid, point, request, monkeypatch):
+        from cornerflow import classify as classify_mod
+
+        fld = request.getfixturevalue(grid)
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(field_, point_, radii):
+            seen.append(radii)
+            raise Stop
+
+        monkeypatch.setattr(classify_mod, "weighted_density", capture)
+        with pytest.raises(Stop):
+            classify(fld, point)
+        # the old formula: 0.45 of the boundary distance, capped by x1 at a stagnation point
+        delta = fld.boundary_distance(point.coords, half=point.kind != "stagnation")
+        if point.kind == "stagnation":
+            delta = min(delta, point.x1)
+        r_hi = 0.45 * delta
+        want = np.geomspace(max(4 * fld.h, r_hi / 8.0), r_hi, 10)
+        assert np.array_equal(seen[0], want)
 
     def test_candidate_tables(self):
         c = theta_star_constants()

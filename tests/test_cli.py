@@ -2,6 +2,9 @@ import filecmp
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -415,6 +418,19 @@ class TestSweep:
         D = rows[:, header.index("D")]
         assert np.max(np.abs(D - 3.0)) < 1e-6
 
+    def test_header_and_undefined_dM_fd_ends(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",
+                        r_min=0.05, r_max=0.5, n_radii=6)
+        assert run("sweep", cfg, tmp_path / "o") == 0
+        with open(tmp_path / "o" / "sweep.csv") as f:
+            header = f.readline().strip().split(",")
+        assert header == ["r", "I", "J", "M", "dM_fd", "k1", "k2", "k3", "k4", "k5", "k6",
+                          "D", "V", "N", "e", "Pi", "pohozaev_residual", "energy_identity_residual"]
+        rows = np.loadtxt(tmp_path / "o" / "sweep.csv", delimiter=",", skiprows=1)
+        # the centered difference has no neighbour past either end
+        assert rows[0, 4] == 0.0 and rows[-1, 4] == 0.0
+        assert np.all(rows[1:-1, 4] != 0.0)
+
     def test_one_record_per_radius(self, tmp_path, monkeypatch):
         calls = []
         record = functionals.monotonicity_record
@@ -553,8 +569,31 @@ class TestMinimize:
                         x1_min=0.0, x1_max=0.25, x2_min=0.75, x2_max=1.25, h=1 / 16)
         assert run("minimize", cfg, tmp_path / "o") == 1
         err = capsys.readouterr().err
-        assert err == "error: lambda needs a subsonic free-surface state: node index 4 at height 1.03125 (x2_st 1.0)\n"
+        assert err == "error: lambda needs a subsonic free-surface state at cell (0, 4), x = (0.03125, 1.03125)\n"
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_gamma_law_box_past_x2_st_only_beyond_the_energy_cells_runs(self, tmp_path):
+        # the last cell column, at height 1.03125 >= x2_st, lies in no cell of the
+        # energy sum: lambda is not needed there
+        cfg = write_cfg(tmp_path / "m.cfg", gamma=2.0, profile="zero",
+                        x1_min=0.0, x1_max=0.25, x2_min=0.5, x2_max=1.0625, h=1 / 16)
+        assert run("minimize", cfg, tmp_path / "o") == 0
+        assert json.loads((tmp_path / "o" / "minimize_log.json").read_text())["converged"]
+
+
+class TestPackageRoot:
+    def test_root_holds_two_constants_and_imports_no_numpy(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = ("import json, sys, cornerflow; "
+                "print(json.dumps(['numpy' in sys.modules, cornerflow.__file__, sorted(vars(cornerflow))]))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        numpy_loaded, path, names = json.loads(out.stdout)
+        assert os.path.dirname(path) == os.path.join(src, "cornerflow")
+        assert not numpy_loaded
+        module = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+                  "__package__", "__path__", "__spec__"}
+        assert set(names) - module == {"KERNEL_BACKEND", "__version__"}
 
 
 class TestGeometryErrors:

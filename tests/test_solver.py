@@ -370,6 +370,16 @@ class TestFirstVariation:
         t = first_variation_terms(stokes, incompressible, zero_phi, zero_dphi, h=1 / 64)
         assert t["total"] == 0.0
 
+    def test_lattice_step_must_divide_the_box(self, incompressible):
+        # the lattice is GridField.lattice's: cell centers of a box that h divides
+        stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        stokes.x1_min, stokes.x1_max, stokes.x2_min, stokes.x2_max = 0.5, 1.5, -0.5, 0.5
+        phi, dphi = bump_phi(1.0, 0.05, 0.25)
+        with pytest.raises(DomainError, match="integer multiples of h"):
+            first_variation_terms(stokes, incompressible, phi, dphi, h=0.3)
+        with pytest.raises(DomainError, match="integer multiples of h"):
+            solver.flow_energy(stokes, incompressible, phi, 1e-4, h=0.3, dphi=dphi)
+
     def test_agreement_on_random_fields(self, incompressible, gamma_medium):
         rng = np.random.default_rng(7)
         box = (0.8, 1.8, 0.2, 1.2)
