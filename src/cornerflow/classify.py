@@ -19,11 +19,12 @@ from .errors import (
     InsufficientDataError,
 )
 from .fields import GridField
-from .functionals import SCALING_POWER, check_kind_center, delta_radius, frequency_quantities
+from .functionals import SCALING_POWER, check_kind_center, frequency_quantities, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
 from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
+DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
 
 
 @dataclass(frozen=True)
@@ -154,29 +155,8 @@ def weighted_density(field_, point: DegeneratePoint, radii):
 # profile fitting
 # ---------------------------------------------------------------------------
 
-def _fit_shape(blow: GridField, kind, label):
-    """Least-squares coefficient and relative residual against the unit shape.
-
-    Stagnation fits use plain L^2 on the blow-up box; axis/origin use
-    the 1/x1-weighted norm natural to the half-plane.
-    """
-    X1, X2 = np.meshgrid(blow.cell_x1, blow.cell_x2, indexing="ij")
-    inside = X1**2 + X2**2 <= 1.0
-    if kind == "stagnation":
-        w = np.where(inside, 1.0, 0.0)
-    else:
-        w = np.where(inside & (X1 > 0), 1.0 / np.maximum(X1, 1e-12), 0.0)
-    u = blow.values
-    if label == "StokesCorner":
-        shape = eval_profile(stokes_corner(coeff=1.0), X1, X2)
-    elif label == "AxisParabola":
-        shape = X1 * X1
-    elif label == "GarabedianBubble":
-        shape = eval_profile(garabedian_bubble(beta0=1.0), X1, X2)
-    elif label == "FlatOrigin":
-        shape = X1 * X1 * np.maximum(X2, 0.0)
-    else:
-        raise DomainError(f"no fit shape for label {label!r}")
+def _weighted_fit(w, u, shape):
+    """Weighted least-squares coefficient of ``shape`` to ``u`` and the relative residual."""
     num = float(np.sum(w * u * shape))
     den = float(np.sum(w * shape * shape))
     coeff = num / den if den > 0 else 0.0
@@ -185,11 +165,34 @@ def _fit_shape(blow: GridField, kind, label):
     return coeff, rel
 
 
-def blowup_norm_ratio(blow: GridField, kind):
-    """Blow-up L^2 size relative to the unit quadratic shape (axis tie-break)."""
+def _unit_disk(blow: GridField, kind):
+    """The blow-up's cells (X1, X2) and their weight on the unit disk.
+
+    Stagnation fits use plain L^2 on the blow-up box; axis/origin use
+    the 1/x1-weighted norm natural to the half-plane.
+    """
     X1, X2 = np.meshgrid(blow.cell_x1, blow.cell_x2, indexing="ij")
     inside = X1**2 + X2**2 <= 1.0
-    w = np.where(inside & (X1 > 0), 1.0 / np.maximum(X1, 1e-12), 0.0)
+    if kind == "stagnation":
+        return X1, X2, np.where(inside, 1.0, 0.0)
+    return X1, X2, np.where(inside & (X1 > 0), 1.0 / np.maximum(X1, 1e-12), 0.0)
+
+
+def _fit_shape(blow: GridField, kind, label):
+    """``_weighted_fit`` of the blow-up to the unit shape of ``label`` on the unit disk."""
+    X1, X2, w = _unit_disk(blow, kind)
+    if label == "StokesCorner":
+        shape = eval_profile(stokes_corner(coeff=1.0), X1, X2)
+    elif label == "AxisParabola":
+        shape = X1 * X1
+    else:
+        shape = eval_profile(garabedian_bubble(beta0=1.0), X1, X2)
+    return _weighted_fit(w, blow.values, shape)
+
+
+def blowup_norm_ratio(blow: GridField):
+    """Blow-up L^2 size relative to the unit quadratic shape (axis tie-break)."""
+    X1, _, w = _unit_disk(blow, "axis")
     nu = math.sqrt(float(np.sum(w * blow.values**2)))
     ns = math.sqrt(float(np.sum(w * (X1 * X1) ** 2)))
     return nu / max(ns, 1e-300)
@@ -209,7 +212,7 @@ class Classification:
     notes: str = ""
 
 
-def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=False):
+def classify(field_, point: DegeneratePoint, radii=None, strict=False):
     """Trichotomy classification by nearest weighted density.
 
     With ``strict=True`` an ambiguous match raises AmbiguousMatchError;
@@ -217,11 +220,8 @@ def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=Fals
     table attached (never a forced label).
     """
     if radii is None:
-        h = getattr(field_, "h", 1.0 / 256.0)
-        r_hi = 0.9 * delta_radius(field_, point.coords, point.kind)
-        if not r_hi > 4 * h:
-            raise GeometryError("no usable radius window around the point")
-        radii = np.geomspace(max(4 * h, r_hi / 8.0), r_hi, 10)
+        r_min, r_hi = radius_window(field_, point.coords, point.kind)
+        radii = np.geomspace(max(r_min, r_hi / 8.0), r_hi, 10)
     meas = weighted_density(field_, point, radii)
     d, unc = meas["value"], meas["uncertainty"]
     cands = sorted(candidate_densities(point.kind), key=lambda kv: abs(kv[1] - d))
@@ -245,10 +245,9 @@ def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=Fals
         # density 2/3 is shared with the trivial (u_0 = 0) axis case; the
         # blow-up norm separates them: it is r-independent for the
         # parabola and decays for a trivial point
-        blow_lo = blowup(field_, point, r_lo, n=n_blow)
-        blow_hi = blowup(field_, point, r_fit, n=n_blow)
-        ratio_lo = blowup_norm_ratio(blow_lo, point.kind)
-        ratio_hi = blowup_norm_ratio(blow_hi, point.kind)
+        blow_hi = blowup(field_, point, r_fit)
+        ratio_lo = blowup_norm_ratio(blowup(field_, point, r_lo))
+        ratio_hi = blowup_norm_ratio(blow_hi)
         decaying = ratio_hi > 0 and ratio_lo / max(ratio_hi, 1e-300) < 0.6
         if ratio_lo < NORM_THRESHOLD or decaying:
             label = "HorizontalFlat"
@@ -259,8 +258,7 @@ def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=Fals
         else:
             fit_param, fit_resid = _fit_shape(blow_hi, point.kind, "AxisParabola")
     elif label in ("StokesCorner", "GarabedianBubble"):
-        blow = blowup(field_, point, r_fit, n=n_blow)
-        fit_param, fit_resid = _fit_shape(blow, point.kind, label)
+        fit_param, fit_resid = _fit_shape(blowup(field_, point, r_fit), point.kind, label)
     return Classification(
         kind=point.kind,
         density=d,
@@ -279,13 +277,14 @@ def classify(field_, point: DegeneratePoint, radii=None, n_blow=128, strict=Fals
 # frequency blow-ups
 # ---------------------------------------------------------------------------
 
-def frequency_blowup(field_, medium, radii, n_blow=128, annulus=(0.5, 0.9)):
+def frequency_blowup(field_, medium, radii):
     """Normalized blow-ups v_r = u(r x)/||u||_w with fit and homogeneity checks.
 
     Returns per-radius records with the boundary-norm check, the fit
-    coefficient/residual against the flat profile, the measured N(r),
-    and the annulus homogeneity deficit (the weighted square of
-    grad v . x - N v, which decays when the limit is homogeneous).
+    coefficient/residual against the flat profile on the unit half-ball,
+    the measured N(r), and the homogeneity deficit on the half-annulus
+    DEFICIT_R_MIN <= |x| <= 1 (the weighted square of grad v . x - N v,
+    which decays when the limit is homogeneous).
     """
     radii = np.asarray(sorted(radii), dtype=float)
     sweep = frequency_quantities(field_, medium, (0.0, 0.0), radii)
@@ -298,7 +297,7 @@ def frequency_blowup(field_, medium, radii, n_blow=128, annulus=(0.5, 0.9)):
     pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
     shape = eval_profile(flat, pn.x1, pn.x2)
     wgt = pn.w / np.maximum(pn.x1, 1e-12)
-    ann = (pn.x1**2 + pn.x2**2) >= annulus[0] ** 2
+    ann = (pn.x1**2 + pn.x2**2) >= DEFICIT_R_MIN**2
     out = []
     for i, r in enumerate(radii):
         c = math.sqrt(medium.rho0 * J[i])
@@ -310,13 +309,7 @@ def frequency_blowup(field_, medium, radii, n_blow=128, annulus=(0.5, 0.9)):
         vr = vr / c
         g1 = r * g1 / c
         g2 = r * g2 / c
-        num = float(np.sum(wgt * vr * shape))
-        den = float(np.sum(wgt * shape * shape))
-        coeff = num / den
-        rel = math.sqrt(
-            float(np.sum(wgt * (vr - coeff * shape) ** 2))
-            / max(float(np.sum(wgt * vr**2)), 1e-300)
-        )
+        coeff, rel = _weighted_fit(wgt, vr, shape)
         rad = g1 * pn.x1 + g2 * pn.x2
         rr = np.hypot(pn.x1, pn.x2)
         # homogeneity deficit with the local frequency N(r) standing in for

@@ -55,7 +55,7 @@ class GridField:
     an odd ghost column there (u = 0 on the axis).
     """
 
-    def __init__(self, x1_min, x1_max, x2_min, x2_max, h, values, chi_threshold=None):
+    def __init__(self, x1_min, x1_max, x2_min, x2_max, h, values):
         values = np.asarray(values, dtype=float)
         n1, n2 = self._cell_counts(x1_min, x1_max, x2_min, x2_max, h)
         if values.shape != (n1, n2):
@@ -69,7 +69,6 @@ class GridField:
         self.n1 = n1
         self.n2 = n2
         self.on_axis = abs(x1_min) < 1e-12
-        self.chi_threshold = CHI_REL_THRESHOLD if chi_threshold is None else float(chi_threshold)
         self._padded = None
         self._grad = None
 
@@ -174,7 +173,7 @@ class GridField:
         return self.evaluate(x1, x2)[1:]
 
     def chi(self, u):
-        return u > self.chi_threshold * max(self.umax, 1e-300)
+        return u > CHI_REL_THRESHOLD * max(self.umax, 1e-300)
 
     # -- geometry ---------------------------------------------------------
     def contains_ball(self, center, r, half=False):
@@ -233,13 +232,12 @@ class AnalyticField:
     if given, is the k with u(apex + r x) = r^k u(apex + x) for r > 0.
     """
 
-    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), name="", joint_fn=None, degree=None):
+    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), joint_fn=None, degree=None):
         self.fn = fn
         self.grad_fn = grad_fn
         self.joint_fn = joint_fn
         self.apex = (float(apex[0]), float(apex[1]))
         self.rays_phi = tuple(float(a) for a in rays_phi)
-        self.name = name
         self.degree = None if degree is None else float(degree)
         self.on_axis = True
         self._unit = {}

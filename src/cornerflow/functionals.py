@@ -62,14 +62,20 @@ def log_radii(r_min, r_max, n=0):
     return np.geomspace(r_min, r_max, n)
 
 
-def default_radii(field_, center, kind):
-    """Log-spaced radii between 4h and 0.9*delta (grid fields)."""
+def radius_window(field_, center, kind):
+    """The default radii's bounds (4h, 0.9*delta), h = delta/256 off a grid; GeometryError unless
+    4h < 0.9*delta < inf (a profile's delta is inf at an axis or origin point)."""
     delta = delta_radius(field_, center, kind)
     r_min = 4.0 * getattr(field_, "h", delta / 256.0)
     r_max = 0.9 * delta
-    if not r_max > r_min:
+    if not r_min < r_max < np.inf:
         raise GeometryError("no admissible radius window for this center")
-    return log_radii(r_min, r_max)
+    return r_min, r_max
+
+
+def default_radii(field_, center, kind):
+    """Log-spaced radii over ``radius_window``."""
+    return log_radii(*radius_window(field_, center, kind))
 
 
 @dataclass

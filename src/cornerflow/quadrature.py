@@ -213,7 +213,7 @@ def grid_arc_nodes(field: GridField, center, r, half=False, n_arc=4096):
     return ArcNodes(x1=center[0] + r * cos, x2=center[1] + r * sin, w=w, n1=cos, n2=sin)
 
 
-def ball_nodes(field, center, r, half=False, n_arc=4096):
+def ball_nodes(field, center, r, half=False):
     if isinstance(field, AnalyticField):
         splits = _apex_splits(field, center)
         return polar_ball_nodes(center, r, splits=splits, half=half)

@@ -422,8 +422,8 @@ def first_variation_terms(field_, medium, phi, dphi, h=None):
             "total": float(T1 + T2 + T3 + T4)}
 
 
-def flow_energy(field_, medium, phi, eps, h=None, dphi=None):
-    """E_F of the resampled field u(x + eps*phi(x)) on the lattice."""
+def flow_energy(field_, medium, phi, eps, dphi, h=None):
+    """E_F of the resampled field u(x + eps*phi(x)) on the lattice; ``dphi`` is phi's Jacobian."""
     if h is None:
         h = getattr(field_, "h", 1.0 / 256.0)
     X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
@@ -437,29 +437,12 @@ def flow_energy(field_, medium, phi, eps, h=None, dphi=None):
     except GeometryError:
         raise GeometryError("phi transports lattice points outside the field")
     # gradient of x -> u(x + eps*phi): (I + eps*Dphi)^T grad u(y)
-    if eps:
-        d1p1, d2p1, d1p2, d2p2 = (
-            dphi(x1, x2) if dphi is not None else _numeric_dphi(phi, x1, x2)
-        )
-        G1 = (1.0 + eps * d1p1) * g1 + eps * d1p2 * g2
-        G2 = eps * d2p1 * g1 + (1.0 + eps * d2p2) * g2
-    else:
-        G1, G2 = g1, g2
+    d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
+    G1 = (1.0 + eps * d1p1) * g1 + eps * d1p2 * g2
+    G2 = eps * d2p1 * g1 + (1.0 + eps * d2p2) * g2
     chi = field_.chi(u)
     _, _, F, _, lam, _ = _thermo(medium, x1, x2, G1, G2, chi)
     return float(np.sum(x1 * (F + lam * chi)) * h * h)
-
-
-def _numeric_dphi(phi, x1, x2, d=1e-6):
-    p1p, p2p = phi(x1 + d, x2)
-    p1m, p2m = phi(x1 - d, x2)
-    d1p1 = (p1p - p1m) / (2 * d)
-    d1p2 = (p2p - p2m) / (2 * d)
-    p1p, p2p = phi(x1, x2 + d)
-    p1m, p2m = phi(x1, x2 - d)
-    d2p1 = (p1p - p1m) / (2 * d)
-    d2p2 = (p2p - p2m) / (2 * d)
-    return d1p1, d2p1, d1p2, d2p2
 
 
 def domain_variation_residual(field_, medium, phi, dphi, eps=1e-4, h=None):

@@ -9,9 +9,14 @@
   ``monotonicity_record`` replaced, and the one-box grid ball that the
   selection from a larger ball's cells replaced; the new paths must match
   them bit for bit.
+* The blow-up fits as ``classify`` and ``frequency_blowup`` each wrote
+  them out before they shared one least-squares helper; the shared fit
+  must match them bit for bit.
 * Helpers that only the tests use: the degree-1 Legendre Q function, the
   EOS model's text round trip and the ray slopes of a Stokes-corner blow-up.
 """
+
+import math
 
 import numpy as np
 
@@ -20,8 +25,15 @@ from cornerflow.eos import EosModel, invert_many
 from cornerflow.errors import DomainError, StateError
 from cornerflow.fields import GridField
 from cornerflow.legendre import _check_open_interval, legendre_P_prime, legendre_P_second
-from cornerflow.profiles import _polar, theta_star_constants
-from cornerflow.quadrature import BallNodes, _cell_fractions, ball_nodes
+from cornerflow.profiles import (
+    _polar,
+    eval_profile,
+    flat_origin,
+    garabedian_bubble,
+    stokes_corner,
+    theta_star_constants,
+)
+from cornerflow.quadrature import BallNodes, _cell_fractions, ball_nodes, polar_ball_nodes
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -290,3 +302,52 @@ def record_two_sets(field_, medium, center, r, kind, n_arc=4096):
         return functionals.monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
     finally:
         functionals._evaluate = one_set
+
+
+# ---------------------------------------------------------------------------
+# blow-up fits as written out before the shared least-squares helper
+# ---------------------------------------------------------------------------
+
+def fit_shape_reference(blow: GridField, kind, label):
+    """Coefficient and relative residual of ``blow`` against the unit shape of ``label``."""
+    X1, X2 = np.meshgrid(blow.cell_x1, blow.cell_x2, indexing="ij")
+    inside = X1**2 + X2**2 <= 1.0
+    if kind == "stagnation":
+        w = np.where(inside, 1.0, 0.0)
+    else:
+        w = np.where(inside & (X1 > 0), 1.0 / np.maximum(X1, 1e-12), 0.0)
+    u = blow.values
+    if label == "StokesCorner":
+        shape = eval_profile(stokes_corner(coeff=1.0), X1, X2)
+    elif label == "AxisParabola":
+        shape = X1 * X1
+    else:
+        shape = eval_profile(garabedian_bubble(beta0=1.0), X1, X2)
+    num = float(np.sum(w * u * shape))
+    den = float(np.sum(w * shape * shape))
+    coeff = num / den if den > 0 else 0.0
+    resid = u - coeff * shape
+    rel = math.sqrt(float(np.sum(w * resid**2)) / max(float(np.sum(w * u**2)), 1e-300))
+    return coeff, rel
+
+
+def frequency_fit_reference(field_, medium, radii):
+    """Per radius, the normalized blow-up's (coefficient, relative residual) against the flat profile."""
+    radii = np.asarray(sorted(radii), dtype=float)
+    J = functionals.frequency_quantities(field_, medium, (0.0, 0.0), radii).columns["J"]
+    splits = tuple(getattr(field_, "rays_phi", ())) + (0.0,)
+    pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
+    shape = eval_profile(flat_origin(), pn.x1, pn.x2)
+    wgt = pn.w / np.maximum(pn.x1, 1e-12)
+    out = []
+    for i, r in enumerate(radii):
+        vr = field_.evaluate(r * pn.x1, r * pn.x2)[0] / math.sqrt(medium.rho0 * J[i])
+        num = float(np.sum(wgt * vr * shape))
+        den = float(np.sum(wgt * shape * shape))
+        coeff = num / den
+        rel = math.sqrt(
+            float(np.sum(wgt * (vr - coeff * shape) ** 2))
+            / max(float(np.sum(wgt * vr**2)), 1e-300)
+        )
+        out.append((coeff, rel))
+    return out

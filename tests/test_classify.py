@@ -13,6 +13,7 @@ from cornerflow.classify import (
 )
 from cornerflow.errors import AmbiguousMatchError, DomainError, GeometryError, InsufficientDataError
 from cornerflow.fields import AnalyticField, GridField
+from cornerflow.functionals import radius_window
 from cornerflow.profiles import (
     axis_parabola,
     flat_origin,
@@ -23,7 +24,7 @@ from cornerflow.profiles import (
 )
 from cornerflow.quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
-from oracles import measure_corner_slopes
+from oracles import fit_shape_reference, frequency_fit_reference, measure_corner_slopes
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 H = 1 / 256
@@ -128,6 +129,17 @@ class TestWeightedDensity:
     def test_insufficient_radii(self, stokes_grid):
         with pytest.raises(InsufficientDataError):
             weighted_density(stokes_grid, DegeneratePoint(1.0, 0.0), [0.1, 0.2])
+
+    @pytest.mark.parametrize("radii", [[0.01, 0.15, 0.3], [0.01, 0.05, 0.3]],
+                             ids=["one-in-first-decade", "two-in-first-decade"])
+    def test_fewer_than_three_radii_in_the_first_decade(self, stokes_grid, radii):
+        # no affine fit: the value is the smallest radius's density, and the
+        # uncertainty the spread of the first decade's densities about it
+        out = weighted_density(stokes_grid, DegeneratePoint(1.0, 0.0), radii)
+        d = out["densities"][out["radii"] <= 10.0 * radii[0]]
+        assert d.size < 3
+        assert out["value"] == out["densities"][0]
+        assert out["uncertainty"] == max(float(np.max(np.abs(d - d[0]))), 1e-12)
 
     def test_exactly_r_independent_on_cone(self):
         # polar densities of a homogeneous positivity set do not drift in r
@@ -259,6 +271,19 @@ class TestClassify:
         want = np.geomspace(max(4 * fld.h, r_hi / 8.0), r_hi, 10)
         assert np.array_equal(seen[0], want)
 
+    @pytest.mark.parametrize("grid, point, label", [
+        ("stokes_grid", DegeneratePoint(1.0, 0.0), "StokesCorner"),
+        ("parabola_grid", DegeneratePoint(0.0, 0.5), "AxisParabola"),
+        ("garabedian_grid", DegeneratePoint(0.0, 0.0), "GarabedianBubble"),
+    ], ids=["stagnation", "axis", "origin"])
+    def test_fit_matches_the_written_out_formula(self, grid, point, label, request):
+        # the shared least-squares fit keeps the order of every sum: bit for bit
+        fld = request.getfixturevalue(grid)
+        res = classify(fld, point)
+        blow = blowup(fld, point, radius_window(fld, point.coords, point.kind)[1])
+        assert res.label == label
+        assert (res.fit_param, res.fit_residual) == fit_shape_reference(blow, point.kind, label)
+
     def test_candidate_tables(self):
         c = theta_star_constants()
         stag = dict(candidate_densities("stagnation"))
@@ -295,3 +320,13 @@ class TestFrequencyBlowup:
         out = frequency_blowup(fld, incompressible, np.geomspace(0.05, 0.8, 8))
         fr = [rec["fit_residual"] for rec in out["records"]]
         assert all(a < b for a, b in zip(fr, fr[1:]))
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["flat", "perturbed"])
+    def test_fit_matches_the_written_out_formula(self, incompressible, perturbed):
+        from conftest import perturbed_flat_field
+
+        fld = perturbed_flat_field(eps=0.3) if perturbed else profile_field(flat_origin())
+        radii = np.geomspace(0.05, 0.8, 8)
+        got = [(rec["fit_coeff"], rec["fit_residual"])
+               for rec in frequency_blowup(fld, incompressible, radii)["records"]]
+        assert got == frequency_fit_reference(fld, incompressible, radii)

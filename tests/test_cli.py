@@ -90,8 +90,9 @@ class TestConfigParsing:
          "need x1_min < x1_max"),
         ("minimize", dict(x1_min=0.0, x1_max=0.25, x2_min=0.25, x2_max=0.0, h=1 / 32),
          "need x2_min < x2_max"),
+        ("sweep", dict(profile="flat_origin", kind="origin"), "no admissible radius window for this center"),
     ], ids=["sweep-negative-r_min", "classify-zero-r_min", "classify-negative-r_min",
-            "minimize-inverted-x1", "minimize-inverted-x2"])
+            "minimize-inverted-x1", "minimize-inverted-x2", "sweep-profile-origin-default-window"])
     def test_bad_window_is_config_error(self, tmp_path, capsys, sub, kv, msg):
         # each used to exit 0 with NaN rows or end in a numpy traceback
         cfg = write_cfg(tmp_path / "c.cfg", **kv)
@@ -144,8 +145,11 @@ class TestConfigParsing:
         ("sweep", dict(field="f.txt", kind="origin", beta=1.0), "key 'beta' does not apply next to field"),
         ("classify", dict(field="f.txt", profile="zero"), "key 'profile' does not apply next to field"),
         ("classify", dict(field="f.txt", offset_x1=1.0), "key 'offset_x1' does not apply next to field"),
+        ("sweep", dict(kind="origin", r_min=0.05, r_max=0.2), "missing required key 'profile'"),
+        ("classify", dict(kind="origin", r_min=0.05, r_max=0.2), "missing required key 'profile'"),
     ], ids=["table-beta", "table-rho_bar0", "minimize-alpha", "minimize-no-profile",
-            "sweep-field-beta", "classify-field-profile", "classify-field-offset"])
+            "sweep-field-beta", "classify-field-profile", "classify-field-offset",
+            "sweep-no-source", "classify-no-source"])
     def test_key_of_another_source_is_config_error(self, tmp_path, capsys, sub, kv, msg):
         # each used to be ignored: profile-table with axis_parabola and beta = 5 exited 0
         cfg = write_cfg(tmp_path / "c.cfg", **kv)
@@ -605,3 +609,14 @@ class TestGeometryErrors:
         ccfg = write_cfg(tmp_path / "c.cfg", field=str(tmp_path / "o" / "field.txt"),
                          point_x1=5.0, point_x2=0.0, kind="stagnation")
         assert run("classify", ccfg, tmp_path / "oc") == 1
+
+    @pytest.mark.parametrize("kv", [
+        dict(profile="axis_parabola", kind="axis", point_x2=0.5),
+        dict(profile="garabedian_bubble", kind="origin"),
+    ], ids=["axis_parabola-axis", "garabedian_bubble-origin"])
+    def test_classify_profile_without_a_window_is_one_error_line(self, tmp_path, capsys, kv):
+        # a profile's delta is infinite at an axis or origin point, so there is no
+        # default window: these used to exit 0 with a NaN density, and exit 2
+        assert run("classify", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: no admissible radius window for this center\n"
+        assert not (tmp_path / "o" / "classification.json").exists()

@@ -5,7 +5,8 @@ import pytest
 
 from cornerflow import eos, solver
 from cornerflow.eos import GammaLawMedium, IncompressibleMedium
-from cornerflow.errors import DomainError, StateError
+from cornerflow.errors import DomainError, GeometryError, StateError
+from cornerflow.fields import GridField
 from cornerflow.profiles import flat_origin, profile_field, stokes_corner
 from cornerflow.solver import (
     MinimizeConfig,
@@ -379,6 +380,13 @@ class TestFirstVariation:
             first_variation_terms(stokes, incompressible, phi, dphi, h=0.3)
         with pytest.raises(DomainError, match="integer multiples of h"):
             solver.flow_energy(stokes, incompressible, phi, 1e-4, h=0.3, dphi=dphi)
+
+    def test_phi_leaving_the_field_is_a_geometry_error(self, incompressible):
+        fld = GridField.from_function(lambda X1, X2: X1 * X1, 0.5, 1.5, -0.5, 0.5, 1 / 16)
+        shift = lambda a, b: (np.ones_like(a), np.zeros_like(a))
+        zero_dphi = lambda a, b: (np.zeros_like(a),) * 4
+        with pytest.raises(GeometryError, match=r"^phi transports lattice points outside the field$"):
+            solver.flow_energy(fld, incompressible, shift, 1.0, zero_dphi)
 
     def test_agreement_on_random_fields(self, incompressible, gamma_medium):
         rng = np.random.default_rng(7)
