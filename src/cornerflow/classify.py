@@ -19,12 +19,13 @@ from .errors import (
     InsufficientDataError,
 )
 from .fields import GridField
-from .functionals import SCALING_POWER, check_kind_center, frequency_quantities, radius_window
+from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
 from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
+BLOWUP_H = 2.0 / 128  # the blow-up lattice's step: 128 cells across the unit box
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,14 @@ def candidate_densities(kind):
 # blow-up rescaling
 # ---------------------------------------------------------------------------
 
-def blowup(field_, point: DegeneratePoint, r, n=128):
+def blowup(field_, point: DegeneratePoint, r):
     """Resampled rescaled field u(x0 + r x)/r^d on a unit-box grid."""
     if isinstance(field_, GridField):
         if r < 4.0 * field_.h:
             raise GeometryError("blow-up radius below 4h")
         if not field_.contains_ball(point.coords, r * math.sqrt(2.0), half=point.kind != "stagnation"):
             raise GeometryError("blow-up box leaves the grid")
-    box = (-1.0 if point.kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, 2.0 / n)
+    box = (-1.0 if point.kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, BLOWUP_H)
     X1, X2 = GridField.lattice(*box)
     vals = field_.value(point.x1 + r * X1, point.x2 + r * X2) / r**point.exponent
     return GridField(*box, vals)
@@ -100,14 +101,13 @@ def blowup(field_, point: DegeneratePoint, r, n=128):
 # ---------------------------------------------------------------------------
 
 def _density(kind, nodes, chi, r):
-    """The kind's weighted positivity density of one ball: its nodes and their chi."""
-    if kind == "stagnation":
-        val = np.sum(nodes.w * np.maximum(nodes.x2, 0.0) * chi) / r**3
-    elif kind == "axis":
-        val = np.sum(nodes.w * nodes.x1 * chi) / r**3
-    else:
-        val = np.sum(nodes.w * nodes.x1 * np.maximum(nodes.x2, 0.0) * chi) / r**4
-    return float(val)
+    """Positivity density of one ball over r^a: weight x1 on half balls, x2+ unless at an axis point."""
+    weight = nodes.w
+    if kind != "stagnation":
+        weight = weight * nodes.x1
+    if kind != "axis":
+        weight = weight * np.maximum(nodes.x2, 0.0)
+    return float(np.sum(weight * chi) / r**energy_power(kind))
 
 
 def weighted_density(field_, point: DegeneratePoint, radii):
@@ -198,6 +198,12 @@ def blowup_norm_ratio(blow: GridField):
     return nu / max(ns, 1e-300)
 
 
+def default_radii(field_, point: DegeneratePoint):
+    """10 log-spaced radii to the top of ``radius_window``, from its bottom or top/8 if larger."""
+    r_min, r_hi = radius_window(field_, point.coords, point.kind)
+    return np.geomspace(max(r_min, r_hi / 8.0), r_hi, 10)
+
+
 @dataclass
 class Classification:
     kind: str
@@ -220,8 +226,7 @@ def classify(field_, point: DegeneratePoint, radii=None, strict=False):
     table attached (never a forced label).
     """
     if radii is None:
-        r_min, r_hi = radius_window(field_, point.coords, point.kind)
-        radii = np.geomspace(max(r_min, r_hi / 8.0), r_hi, 10)
+        radii = default_radii(field_, point)
     meas = weighted_density(field_, point, radii)
     d, unc = meas["value"], meas["uncertainty"]
     cands = sorted(candidate_densities(point.kind), key=lambda kv: abs(kv[1] - d))

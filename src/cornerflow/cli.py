@@ -385,12 +385,12 @@ def run_sweep(cfg, out, opts):
 def run_classify(cfg, out, opts):
     fld = _load_field(cfg)
     point = classify_mod.DegeneratePoint(x1=cfg["point_x1"], x2=cfg["point_x2"], kind=cfg["kind"])
-    radii = None if cfg["r_min"] is None else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
+    radii = (classify_mod.default_radii(fld, point) if cfg["r_min"] is None
+             else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"]))
     result = classify_mod.classify(fld, point, radii=radii)
     _write_json(os.path.join(out, "classification.json"), dataclasses.asdict(result))
-    if opts.plots:
-        r_plot = radii[-1] if radii is not None else 8 * getattr(fld, "h", 0.05)
-        blow = classify_mod.blowup(fld, point, float(r_plot))
+    if opts.plots:  # the blow-up that classify fits, at its largest radius
+        blow = classify_mod.blowup(fld, point, float(radii[-1]))
         write_svg_levels(
             os.path.join(out, "blowup.svg"), blow, title=f"blow-up level sets ({result.label})"
         )

@@ -225,34 +225,29 @@ class GridField:
 class AnalyticField:
     """Closed-form field with exact value/gradient evaluation.
 
-    ``rays_phi`` lists polar angles (about ``apex``, measured from the
-    +x1 axis) along which the field or its gradient has a kink; the
-    polar quadrature backend splits panels there.  ``joint_fn``, if
-    given, returns (u, g1, g2) from one pass for ``evaluate``.  ``degree``,
-    if given, is the k with u(apex + r x) = r^k u(apex + x) for r > 0.
+    ``evaluate_fn(x1, x2, grad)`` returns (u, du/dx1, du/dx2) from one pass;
+    with ``grad`` false only u is needed.  ``rays_phi`` lists polar angles
+    (about ``apex``, measured from the +x1 axis) along which the field or its
+    gradient has a kink; the polar quadrature backend splits panels there.
+    ``degree``, if not None, is the k with u(apex + r x) = r^k u(apex + x) for r > 0.
     """
 
-    def __init__(self, fn, grad_fn, apex=(0.0, 0.0), rays_phi=(), joint_fn=None, degree=None):
-        self.fn = fn
-        self.grad_fn = grad_fn
-        self.joint_fn = joint_fn
+    def __init__(self, evaluate_fn, apex, rays_phi, degree):
+        self.evaluate_fn = evaluate_fn
         self.apex = (float(apex[0]), float(apex[1]))
         self.rays_phi = tuple(float(a) for a in rays_phi)
         self.degree = None if degree is None else float(degree)
-        self.on_axis = True
         self._unit = {}
 
     def value(self, x1, x2):
-        return self.fn(np.asarray(x1, float), np.asarray(x2, float))
+        return self.evaluate_fn(np.asarray(x1, float), np.asarray(x2, float), False)[0]
 
     def gradient(self, x1, x2):
-        return self.grad_fn(np.asarray(x1, float), np.asarray(x2, float))
+        return self.evaluate(x1, x2)[1:]
 
     def evaluate(self, x1, x2):
         """u, du/dx1 and du/dx2 at the points."""
-        if self.joint_fn is not None:
-            return self.joint_fn(np.asarray(x1, float), np.asarray(x2, float))
-        return (self.value(x1, x2), *self.gradient(x1, x2))
+        return self.evaluate_fn(np.asarray(x1, float), np.asarray(x2, float), True)
 
     def evaluate_scaled(self, r, key, unit_points):
         """``evaluate`` at apex + r p, for the points apex + p that ``unit_points()`` gives.
@@ -269,11 +264,8 @@ class AnalyticField:
     def chi(self, u):
         return u > 0.0
 
-    def contains_ball(self, center, r, half=False):
-        return True
-
     def boundary_distance(self, center, half=False):
         return np.inf
 
     def resample(self, x1_min, x1_max, x2_min, x2_max, h):
-        return GridField.from_function(self.fn, x1_min, x1_max, x2_min, x2_max, h)
+        return GridField.from_function(self.value, x1_min, x1_max, x2_min, x2_max, h)

@@ -24,6 +24,7 @@ from .quadrature import arc_nodes, ball_nodes, grid_ball_cells, grid_ball_select
 
 KINDS = ("stagnation", "axis", "origin")
 SCALING_POWER = {"stagnation": 1.5, "axis": 2.0, "origin": 2.5}
+VOLUME_TERMS = {"stagnation": 3, "axis": 1, "origin": 2}  # k1.. are volume terms, the rest boundary ones
 
 _T_ACTIVE = 1e-300
 
@@ -53,6 +54,11 @@ def delta_radius(field_, center, kind):
     if kind == "stagnation":
         return 0.5 * min(center[0], d)
     return 0.5 * d
+
+
+def energy_power(kind):
+    """a in M = r^-a E_F - kappa r^-(a+1) J: 2 kappa, less 1 on half balls, where the weight x1 scales like r."""
+    return 2.0 * SCALING_POWER[kind] - (kind != "stagnation")
 
 
 def log_radii(r_min, r_max, n=0):
@@ -143,6 +149,17 @@ def _nodes(field_, center, r, half, n_arc):
     return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
+def _volume_terms(kind, center, bn, bv, E_H, E_F, rho0):
+    """The kind's volume error terms, in the slots k1 onward."""
+    if kind == "axis":
+        return [float(np.sum(bn.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))]
+    terms = [E_H - E_F]  # definition of the first error term
+    terms.append(float(np.sum(bn.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi))))
+    if kind == "stagnation":
+        terms.append(float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi))))
+    return terms
+
+
 def _mask_axis(arr, x1):
     """Zero the entries of axis-touching arc nodes (integrands vanish there)."""
     return np.where(x1 > 1e-12, arr, 0.0)
@@ -201,14 +218,18 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
     arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
     arc_uun = float(np.sum(an.w * inv_wH * uun))
 
-    kappa = SCALING_POWER[kind]
+    kappa, a = SCALING_POWER[kind], energy_power(kind)
     square_kernel = inv_wH * (un - kappa * u_arc / r) ** 2
     square_base = float(np.sum(an.w * square_kernel))
 
-    # volume error terms shared by the kinds
-    K1_x2 = E_H - E_F  # definition of the first error term
-    vol_dF2 = bn.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi)
-    K_x1x2 = float(np.sum(vol_dF2))
+    # the kind's volume error terms come first, then the boundary ones every kind shares
+    ks = _volume_terms(kind, center, bn, bv, E_H, E_F, rho0)
+    ks.append(2.0 * kappa * float(np.sum(an.w * dw * uun)))
+    ks.append(2.0 * kappa * kappa / r * float(np.sum(an.w * (-dw) * u_sq)))
+    if kind == "stagnation":
+        k6_kernel = _mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
+        ks.append(kappa / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0)
+    ks += [0.0] * (6 - len(ks))  # unused slots are zero
 
     rec = {
         "r": r,
@@ -220,40 +241,12 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
         "arc_un_sq": arc_un_sq,
         "arc_uun": arc_uun,
         "I": E_F,
-        "k1": 0.0,
-        "k2": 0.0,
-        "k3": 0.0,
-        "k4": 0.0,
-        "k5": 0.0,
-        "k6": 0.0,
+        **{f"k{i}": k for i, k in enumerate(ks, 1)},
+        "M": r**-a * E_F - kappa * r**-(a + 1) * J,
+        "square": 2.0 * r**-a * square_base,
+        "k_scale": r**-(a + 1),
     }
-
-    if kind == "stagnation":
-        rec["M"] = r**-3 * E_F - 1.5 * r**-4 * J
-        rec["square"] = 2.0 * r**-3 * square_base
-        rec["k1"] = K1_x2
-        rec["k2"] = K_x1x2
-        rec["k3"] = float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)))
-        rec["k4"] = 3.0 * float(np.sum(an.w * dw * uun))
-        rec["k5"] = 4.5 / r * float(np.sum(an.w * (-dw) * u_sq))
-        k6_kernel = _mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
-        rec["k6"] = 1.5 / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0
-        rec["k_scale"] = r**-4
-    elif kind == "axis":
-        rec["M"] = r**-3 * E_F - 2.0 * r**-4 * J
-        rec["square"] = 2.0 * r**-3 * square_base
-        rec["k1"] = float(np.sum(bn.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))
-        rec["k2"] = 4.0 * float(np.sum(an.w * dw * uun))
-        rec["k3"] = 8.0 / r * float(np.sum(an.w * (-dw) * u_sq))
-        rec["k_scale"] = r**-4
-    else:  # origin
-        rec["M"] = r**-4 * E_F - 2.5 * r**-5 * J
-        rec["square"] = 2.0 * r**-4 * square_base
-        rec["k1"] = K1_x2
-        rec["k2"] = K_x1x2
-        rec["k3"] = 5.0 * float(np.sum(an.w * dw * uun))
-        rec["k4"] = 12.5 / r * float(np.sum(an.w * (-dw) * u_sq))
-        rec["k_scale"] = r**-5
+    if kind == "origin":
         # frequency ingredients
         rec["S_void"] = float(np.sum(bn.w * bv.x1 * x2p * (1.0 - bv.chi)))
         rec["S_pos"] = float(np.sum(bn.w * bv.x1 * x2p * bv.chi))
@@ -270,15 +263,10 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
 def pohozaev_residual(rec, kind):
     """Left minus right side of the kind's Pohozaev identity for one record, with scale."""
     r = rec["r"]
-    lhs_coeff = {"stagnation": 3.0, "axis": 3.0, "origin": 4.0}[kind]
-    dir_coeff = {"stagnation": 3.0, "axis": 4.0, "origin": 5.0}[kind]
-    lhs = lhs_coeff * rec["E_F"] - r * rec["E_F_arc"]
-    if kind == "stagnation":
-        ksum = rec["k1"] + rec["k2"] + rec["k3"]
-    elif kind == "axis":
-        ksum = rec["k1"]
-    else:
-        ksum = rec["k1"] + rec["k2"]
+    dir_coeff = 2.0 * SCALING_POWER[kind]
+    lhs = energy_power(kind) * rec["E_F"] - r * rec["E_F_arc"]
+    # the volume slots summed from k1 on (a start of 0 would turn a -0.0 sum into +0.0)
+    ksum = sum((rec[f"k{i}"] for i in range(2, VOLUME_TERMS[kind] + 1)), rec["k1"])
     rhs = dir_coeff * rec["dirichlet"] - 2.0 * r * rec["arc_un_sq"] - ksum
     scale = abs(lhs) + abs(dir_coeff * rec["dirichlet"]) + abs(2.0 * r * rec["arc_un_sq"]) + abs(ksum)
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs, "scale": max(scale, 1e-300)}

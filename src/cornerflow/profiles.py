@@ -197,12 +197,8 @@ def profile_field(spec: ProfileSpec, offset=(0.0, 0.0)):
     from .fields import AnalyticField
 
     o1, o2 = float(offset[0]), float(offset[1])
-    return AnalyticField(
-        lambda x1, x2: eval_profile(spec, x1 - o1, x2 - o2),
-        lambda x1, x2: eval_profile_gradient(spec, x1 - o1, x2 - o2),
-        apex=(o1, o2), rays_phi=profile_rays_phi(spec),
-        joint_fn=lambda x1, x2: evaluate_profile(spec, x1 - o1, x2 - o2), degree=spec.degree,
-    )
+    return AnalyticField(lambda x1, x2, grad: evaluate_profile(spec, x1 - o1, x2 - o2, grad),
+                         (o1, o2), profile_rays_phi(spec), spec.degree)
 
 
 def _edge_margin(spec: ProfileSpec, x1, x2):

@@ -76,7 +76,6 @@ class _Discretization:
             self.lam = np.maximum(cfg.medium.lam(np.maximum(self.X2[:-1, :-1], 0.0)), 0.0)
         except StateError as exc:
             raise StateError(f"{str(exc).partition(':')[0]} at {self.cell(exc.index)}") from None
-        self.on_axis = abs(cfg.x1_min) < 1e-12
         # indicator weight x1*lam*h^2 over eps_chi; zero past the last
         # difference, where no cell of the energy sum lies
         self.m = np.zeros((n1, n2))

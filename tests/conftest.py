@@ -33,6 +33,15 @@ def gamma2_medium(model_g2):
     return GammaLawMedium(model_g2)
 
 
+def analytic_field(fn, grad, apex=(0.0, 0.0), rays_phi=()):
+    """AnalyticField of a value function ``fn`` and a gradient function ``grad`` (no degree)."""
+
+    def evaluate(x1, x2, with_grad):
+        return (fn(x1, x2), *grad(x1, x2)) if with_grad else (fn(x1, x2), None, None)
+
+    return AnalyticField(evaluate, apex, rays_phi, None)
+
+
 def bump_phi(c1, c2, w, a1=0.1, a2=0.6):
     """Smooth compactly supported vector field with analytic Jacobian."""
 
@@ -80,7 +89,7 @@ def gaussian_field(rng, box, n_bumps=3, base=0.5, amp=(0.02, 0.08)):
             g2 += e * (-2.0 * (x2 - d) / (w * w))
         return g1, g2
 
-    f = AnalyticField(fn, grad, apex=(box[0], 0.0))
+    f = analytic_field(fn, grad, apex=(box[0], 0.0))
     f.x1_min, f.x1_max, f.x2_min, f.x2_max = box
     f.h = 1.0 / 256.0
     return f
@@ -105,4 +114,4 @@ def perturbed_flat_field(eps=0.3, nu=2.5):
             (fn(x1, x2 + d) - fn(x1, x2 - d)) / (2 * d),
         )
 
-    return AnalyticField(fn, grad, apex=(0.0, 0.0), rays_phi=(0.0, np.pi))
+    return analytic_field(fn, grad, rays_phi=(0.0, np.pi))

@@ -12,6 +12,9 @@
 * The blow-up fits as ``classify`` and ``frequency_blowup`` each wrote
   them out before they shared one least-squares helper; the shared fit
   must match them bit for bit.
+* The monotonicity record and Pohozaev residual with M, the square term,
+  k_scale and the error terms written out for each point kind, as they were
+  before one formula served all three; the formula must match them bit for bit.
 * Helpers that only the tests use: the degree-1 Legendre Q function, the
   EOS model's text round trip and the ray slopes of a Stokes-corner blow-up.
 """
@@ -33,7 +36,14 @@ from cornerflow.profiles import (
     stokes_corner,
     theta_star_constants,
 )
-from cornerflow.quadrature import BallNodes, _cell_fractions, ball_nodes, polar_ball_nodes
+from cornerflow.quadrature import (
+    BallNodes,
+    _cell_fractions,
+    arc_nodes,
+    ball_nodes,
+    grid_ball_select,
+    polar_ball_nodes,
+)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -351,3 +361,108 @@ def frequency_fit_reference(field_, medium, radii):
         )
         out.append((coeff, rel))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the monotonicity record as written out per kind before the one formula
+# ---------------------------------------------------------------------------
+
+def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
+    """``monotonicity_record`` with M, the square term, k_scale and the error terms
+    written out for each kind; the nodes are evaluated as the library does."""
+    f = functionals
+    half = kind in ("axis", "origin")
+    rho0 = medium.rho0
+    if cells is not None:
+        index, bn = grid_ball_select(field_, cells[0], center, r)
+        bv = f._Subset(cells[1], index)
+        an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+        av = f._evaluate(field_, medium, an.x1, an.x2)
+    else:
+        bn, an, x1, x2 = f._nodes(field_, center, r, half, n_arc)
+        if getattr(field_, "degree", None) is not None and tuple(center) == field_.apex:
+            vals = field_.evaluate_scaled(r, half, lambda: f._nodes(field_, center, 1.0, half, n_arc)[2:])
+            ev = f._with_thermo(field_, medium, x1, x2, *vals)
+        else:
+            ev = f._evaluate(field_, medium, x1, x2)
+        n = bn.x1.size
+        bv, av = f._Subset(ev, slice(None, n)), f._Subset(ev, slice(n, None))
+
+    E_F = float(np.sum(bn.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
+    x2p = np.maximum(bv.x2, 0.0)
+    dirichlet = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))
+    E_H = float(dirichlet + np.sum(bn.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
+
+    u_arc = f._mask_axis(av.u, av.x1)
+    un = av.g1 * an.n1 + av.g2 * an.n2
+    j_int = f._mask_axis(u_arc * u_arc / np.maximum(av.x1, 1e-300), av.x1)
+    J = float(np.sum(an.w * j_int)) / rho0
+    E_F_arc = float(np.sum(an.w * av.x1 * (av.F + av.lam * av.chi)))
+
+    inv_wH = f._mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * av.H), av.x1)
+    dw = inv_wH - f._mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * rho0), av.x1)
+    uun = u_arc * un
+    u_sq = u_arc * u_arc
+    arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
+    arc_uun = float(np.sum(an.w * inv_wH * uun))
+
+    kappa = f.SCALING_POWER[kind]
+    square_kernel = inv_wH * (un - kappa * u_arc / r) ** 2
+    square_base = float(np.sum(an.w * square_kernel))
+
+    K1_x2 = E_H - E_F
+    vol_dF2 = bn.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi)
+    K_x1x2 = float(np.sum(vol_dF2))
+
+    rec = {"r": r, "E_F": E_F, "E_H": E_H, "E_F_arc": E_F_arc, "dirichlet": dirichlet, "J": J,
+           "arc_un_sq": arc_un_sq, "arc_uun": arc_uun, "I": E_F,
+           "k1": 0.0, "k2": 0.0, "k3": 0.0, "k4": 0.0, "k5": 0.0, "k6": 0.0}
+    if kind == "stagnation":
+        rec["M"] = r**-3 * E_F - 1.5 * r**-4 * J
+        rec["square"] = 2.0 * r**-3 * square_base
+        rec["k1"] = K1_x2
+        rec["k2"] = K_x1x2
+        rec["k3"] = float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)))
+        rec["k4"] = 3.0 * float(np.sum(an.w * dw * uun))
+        rec["k5"] = 4.5 / r * float(np.sum(an.w * (-dw) * u_sq))
+        k6_kernel = f._mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
+        rec["k6"] = 1.5 / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0
+        rec["k_scale"] = r**-4
+    elif kind == "axis":
+        rec["M"] = r**-3 * E_F - 2.0 * r**-4 * J
+        rec["square"] = 2.0 * r**-3 * square_base
+        rec["k1"] = float(np.sum(bn.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))
+        rec["k2"] = 4.0 * float(np.sum(an.w * dw * uun))
+        rec["k3"] = 8.0 / r * float(np.sum(an.w * (-dw) * u_sq))
+        rec["k_scale"] = r**-4
+    else:
+        rec["M"] = r**-4 * E_F - 2.5 * r**-5 * J
+        rec["square"] = 2.0 * r**-4 * square_base
+        rec["k1"] = K1_x2
+        rec["k2"] = K_x1x2
+        rec["k3"] = 5.0 * float(np.sum(an.w * dw * uun))
+        rec["k4"] = 12.5 / r * float(np.sum(an.w * (-dw) * u_sq))
+        rec["k_scale"] = r**-5
+        rec["S_void"] = float(np.sum(bn.w * bv.x1 * x2p * (1.0 - bv.chi)))
+        rec["S_pos"] = float(np.sum(bn.w * bv.x1 * x2p * bv.chi))
+        rec["script_J"] = float(np.sum(an.w * dw * u_sq))
+        rec["grad_w_norm"] = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2)))
+    rec["K_sum"] = rec["k1"] + rec["k2"] + rec["k3"] + rec["k4"] + rec["k5"] + rec["k6"]
+    return rec
+
+
+def pohozaev_per_kind(rec, kind):
+    """``pohozaev_residual`` with its coefficients and volume sum written out for each kind."""
+    r = rec["r"]
+    lhs_coeff = {"stagnation": 3.0, "axis": 3.0, "origin": 4.0}[kind]
+    dir_coeff = {"stagnation": 3.0, "axis": 4.0, "origin": 5.0}[kind]
+    lhs = lhs_coeff * rec["E_F"] - r * rec["E_F_arc"]
+    if kind == "stagnation":
+        ksum = rec["k1"] + rec["k2"] + rec["k3"]
+    elif kind == "axis":
+        ksum = rec["k1"]
+    else:
+        ksum = rec["k1"] + rec["k2"]
+    rhs = dir_coeff * rec["dirichlet"] - 2.0 * r * rec["arc_un_sq"] - ksum
+    scale = abs(lhs) + abs(dir_coeff * rec["dirichlet"]) + abs(2.0 * r * rec["arc_un_sq"]) + abs(ksum)
+    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs, "scale": max(scale, 1e-300)}

@@ -368,6 +368,24 @@ class TestProfileTableAndClassify:
         assert abs(data["density"] - math.sqrt(3.0) / 3.0) < 1e-2
         assert (tmp_path / "oc" / "blowup.svg").exists()
 
+    def test_plotted_blowup_is_the_fitted_one(self, tmp_path, monkeypatch):
+        # without r_min the classifier fits the blow-up at its largest default
+        # radius, and --plots draws the blow-up at that same radius
+        from cornerflow import classify as classify_mod
+
+        cfg = write_cfg(tmp_path / "p.cfg", profile="stokes_corner", x1_circ=1.0, offset_x1=1.0,
+                        x1_min=0.25, x1_max=1.75, x2_min=-0.75, x2_max=0.75, h=1 / 128, write_field=1)
+        assert run("profile-table", cfg, tmp_path / "o") == 0
+        seen = []
+        blowup = classify_mod.blowup
+        monkeypatch.setattr(classify_mod, "blowup", lambda f, p, r: seen.append(r) or blowup(f, p, r))
+        ccfg = write_cfg(tmp_path / "c.cfg", field=str(tmp_path / "o" / "field.txt"),
+                         point_x1=1.0, point_x2=0.0, kind="stagnation")
+        assert run("classify", ccfg, tmp_path / "oc", "--plots") == 0
+        data = json.loads((tmp_path / "oc" / "classification.json").read_text())
+        assert data["label"] == "StokesCorner"
+        assert len(seen) == 2 and seen[0] == seen[1]
+
     @pytest.mark.parametrize("profile, box", [
         (dict(profile="stokes_corner", x1_circ=1.0, offset_x1=1.0), (0.75, 1.25, -0.25, 0.25)),
         (dict(profile="garabedian_bubble"), (0.0, 0.5, -0.5, 0.25)),
@@ -434,6 +452,21 @@ class TestSweep:
         # the centered difference has no neighbour past either end
         assert rows[0, 4] == 0.0 and rows[-1, 4] == 0.0
         assert np.all(rows[1:-1, 4] != 0.0)
+
+    def test_axis_profile_sweep(self, tmp_path):
+        # an axis point has three error terms and no frequency block
+        cfg = write_cfg(tmp_path / "s.cfg", profile="axis_parabola", alpha=0.7, kind="axis",
+                        center_x1=0.0, center_x2=0.5, r_min=0.05, r_max=0.3, n_radii=6)
+        assert run("sweep", cfg, tmp_path / "o1") == 0
+        assert run("sweep", cfg, tmp_path / "o2") == 0
+        assert filecmp.cmp(tmp_path / "o1" / "sweep.csv", tmp_path / "o2" / "sweep.csv", shallow=False)
+        with open(tmp_path / "o1" / "sweep.csv") as f:
+            header = f.readline().strip().split(",")
+        rows = np.loadtxt(tmp_path / "o1" / "sweep.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (6, len(header))
+        for key in ("k4", "k5", "k6", "D", "V", "N", "e", "Pi"):
+            assert np.all(rows[:, header.index(key)] == 0.0), key
+        assert np.all(rows[:, header.index("J")] > 0)
 
     def test_one_record_per_radius(self, tmp_path, monkeypatch):
         calls = []

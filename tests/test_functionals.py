@@ -24,8 +24,8 @@ from cornerflow.profiles import (
     theta_star_constants,
 )
 
-from conftest import perturbed_flat_field
-from oracles import record_two_sets
+from conftest import analytic_field, perturbed_flat_field
+from oracles import pohozaev_per_kind, record_per_kind, record_two_sets
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 
@@ -48,6 +48,11 @@ def garabedian_field():
 @pytest.fixture(scope="module")
 def flat_field():
     return profile_field(flat_origin())
+
+
+def _bits(d):
+    """The items of a dict of floats, each value as its 8 bytes."""
+    return [(key, np.float64(val).tobytes()) for key, val in d.items()]
 
 
 class TestEnergies:
@@ -128,9 +133,9 @@ class TestHomogeneousApex:
         # the same profile without a degree evaluates each radius directly
         medium = request.getfixturevalue(medium)
         fld = profile_field(spec, offset=apex)
-        joint, calls = fld.joint_fn, []
-        fld.joint_fn = lambda x1, x2: calls.append(x1.size) or joint(x1, x2)
-        direct = AnalyticField(fld.fn, fld.grad_fn, apex=fld.apex, rays_phi=fld.rays_phi, joint_fn=joint)
+        evaluate, calls = fld.evaluate_fn, []
+        fld.evaluate_fn = lambda x1, x2, grad: calls.append(x1.size) or evaluate(x1, x2, grad)
+        direct = AnalyticField(evaluate, fld.apex, fld.rays_phi, None)
         for r in radii:
             got = monotonicity_record(fld, medium, apex, float(r), kind)
             want = monotonicity_record(direct, medium, apex, float(r), kind)
@@ -146,6 +151,58 @@ class TestHomogeneousApex:
                     ref = abs(want["M"]) / r
                 assert abs(got[key] - val) <= 1e-12 * ref, key
         assert len(calls) == 1
+
+
+class TestOneFormula:
+    # per kind: (profile, its apex, the center, an apex that misses the center, grid box)
+    KINDS = {
+        "stagnation": (stokes_corner(x1_circ=1.0), (1.0, 0.0), (0.95, 0.0), (0.75, 1.25, -0.25, 0.25)),
+        "axis": (axis_parabola(0.2), (0.0, 0.5), (0.0, 0.0), (0.0, 0.5, 0.0, 1.0)),
+        "origin": (flat_origin(beta=0.3), (0.0, 0.0), (0.0, 0.05), (0.0, 0.5, -0.5, 0.5)),
+    }
+    # a compressible sweep on a grid that ends at the axis stops at the arc's axis
+    # node (a nonzero interpolated gradient over x1 ~ 1e-17 is supersonic), so the
+    # gamma-law media run on the stagnation grid and on every analytic field
+    CASES = [(kind, source, medium) for kind in KINDS for source in ("grid", "apex", "off-apex")
+             for medium in ("incompressible", "gamma2_medium", "gamma_medium")
+             if source != "grid" or kind == "stagnation" or medium == "incompressible"]
+
+    @pytest.mark.parametrize("kind, source, medium", CASES, ids=["-".join(c) for c in CASES])
+    def test_records_and_residuals_equal_the_per_kind_formulas(self, kind, source, medium, request,
+                                                                monkeypatch):
+        # every record entry, in order, and both residuals are bitwise those of
+        # the formulas written out per kind
+        from cornerflow import functionals
+
+        spec, center, off_apex, box = self.KINDS[kind]
+        fld = profile_field(spec, offset=off_apex if source == "off-apex" else center)
+        if source == "grid":
+            fld = fld.resample(*box, 1 / 64)
+        medium = request.getfixturevalue(medium)
+        record, pairs = functionals.monotonicity_record, []
+
+        def both(*args, **kwargs):
+            pairs.append((record(*args, **kwargs), record_per_kind(*args, **kwargs)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(functionals, "monotonicity_record", both)
+        sweep = radial_sweep(fld, medium, center, kind, np.geomspace(0.03, 0.1, 9), n_arc=1024)
+        assert len(pairs) == 9
+        for got, want in pairs:
+            assert _bits(got) == _bits(want)
+            assert _bits(pohozaev_residual(got, kind)) == _bits(pohozaev_per_kind(want, kind))
+            assert _bits(energy_identity_residual(got)) == _bits(energy_identity_residual(want))
+        assert sweep.columns["pohozaev_residual"].tobytes() == np.array(
+            [pohozaev_per_kind(want, kind)["residual"] for _, want in pairs]).tobytes()
+        assert any(rec[f"k{i}"] != 0.0 for rec, _ in pairs for i in range(1, 7))
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_pohozaev_keeps_the_sign_of_zero(self, kind):
+        # the volume slots are summed from k1 on, as the written-out sums were: from a
+        # start of 0 a -0.0 sum would turn +0.0 and flip the sign of a zero rhs
+        rec = dict.fromkeys(("E_F", "E_F_arc", "dirichlet", "k1", "k2", "k3", "k4", "k5", "k6"), -0.0)
+        rec.update(r=1.0, arc_un_sq=0.0)
+        assert _bits(pohozaev_residual(rec, kind)) == _bits(pohozaev_per_kind(rec, kind))
 
 
 class TestNestedGridBalls:
@@ -239,7 +296,7 @@ class TestAxis:
                 (fn(x1, x2 + d) - fn(x1, x2 - d)) / (2 * d),
             )
 
-        f = AnalyticField(fn, grad, apex=(0.0, 0.5))
+        f = analytic_field(fn, grad, apex=(0.0, 0.5))
         radii = np.geomspace(0.02, 0.2, 10)
         sw = radial_sweep(f, incompressible, (0.0, 0.5), "axis", radii)
         dM = sw.columns["dM_fd"][1:-1]

@@ -17,7 +17,7 @@ from cornerflow.solver import (
     minimize_EF,
 )
 
-from conftest import bump_phi, gaussian_field
+from conftest import analytic_field, bump_phi, gaussian_field
 
 
 def _zero_boundary(X1, X2):
@@ -141,6 +141,38 @@ class TestMinimize:
         with pytest.raises(StateError, match=r"^subsonicity violated at cell \(0, 0\), "
                                              r"x = \(0\.515625, 0\.015625\)$"):
             minimize_EF(cfg)
+
+    def test_supersonic_trials_are_damped_until_the_run_stagnates(self, monkeypatch):
+        # states turn supersonic after the first 3: the initial state and the two
+        # sweeps of cycle 0 pass, every damped trial of the coarse step fails, so
+        # the step is rejected, and so do those of the next sweep, which stagnates
+        class TurnsSupersonic(IncompressibleMedium):
+            calls = 0
+
+            def thermo(self, t, s):
+                self.calls += 1
+                if self.calls > 3:
+                    raise StateError("no subsonic density", index=0)
+                return super().thermo(t, s)
+
+        steps = []
+        coarse_step = solver._coarse_step
+
+        def recorded(*args):
+            out = coarse_step(*args)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(solver, "_coarse_step", recorded)
+        medium = TurnsSupersonic(1.0)
+        flat = profile_field(flat_origin())
+        cfg = MinimizeConfig(0.0, 0.25, 0.0, 0.25, 1 / 32, flat.value, medium=medium, max_iter=10)
+        fld, log = minimize_EF(cfg)
+        assert steps == [0.0]
+        assert medium.calls == 3 + 2 * solver.HALVINGS  # the coarse step's trials, then the sweep's
+        assert log.stagnated and not log.converged and log.iterations == []
+        assert log.message == "no PGS sweep lowers the energy in cycle 0"
+        assert np.min(fld.values) >= 0.0
 
     def test_negative_boundary_rejected(self, incompressible):
         cfg = MinimizeConfig(0.5, 1.0, 0.0, 0.5, 1 / 32,
@@ -412,8 +444,6 @@ class TestFirstVariation:
     def test_non_minimizer_agrees_but_not_small(self, incompressible):
         # profile plus an interior bump: the variation formula must match
         # the flow derivative while being far from zero
-        from cornerflow.fields import AnalyticField
-
         stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
 
         def fn(x1, x2):
@@ -427,7 +457,7 @@ class TestFirstVariation:
             return ((fn(x1 + d, x2) - fn(x1 - d, x2)) / (2 * d),
                     (fn(x1, x2 + d) - fn(x1, x2 - d)) / (2 * d))
 
-        pert = AnalyticField(fn, grad, apex=(1.0, 0.0))
+        pert = analytic_field(fn, grad, apex=(1.0, 0.0))
         pert.x1_min, pert.x1_max, pert.x2_min, pert.x2_max = 0.5, 1.5, -0.5, 0.5
         phi, dphi = bump_phi(1.0, 0.12, 0.06, a1=0.05, a2=0.3)
         out = domain_variation_residual(pert, incompressible, phi, dphi, eps=1e-4)
