@@ -175,7 +175,7 @@ def _unit_disk(blow: GridField, kind):
     inside = X1**2 + X2**2 <= 1.0
     if kind == "stagnation":
         return X1, X2, np.where(inside, 1.0, 0.0)
-    return X1, X2, np.where(inside & (X1 > 0), 1.0 / np.maximum(X1, 1e-12), 0.0)
+    return X1, X2, np.where(inside, 1.0 / X1, 0.0)
 
 
 def _fit_shape(blow: GridField, kind, label):
@@ -301,14 +301,14 @@ def frequency_blowup(field_, medium, radii):
     arc = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
     pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
     shape = eval_profile(flat, pn.x1, pn.x2)
-    wgt = pn.w / np.maximum(pn.x1, 1e-12)
+    wgt = pn.w_inv
     ann = (pn.x1**2 + pn.x2**2) >= DEFICIT_R_MIN**2
     out = []
     for i, r in enumerate(radii):
         c = math.sqrt(medium.rho0 * J[i])
         # boundary-norm check: the normalization makes it 1 by construction
         vr_arc = field_.value(r * arc.x1, r * arc.x2) / c
-        norm = math.sqrt(float(np.sum(arc.w * vr_arc**2 / np.maximum(arc.x1, 1e-300))))
+        norm = math.sqrt(float(np.sum(arc.w * vr_arc**2 / arc.x1)))
         # blow-up values/gradient on the unit half-ball
         vr, g1, g2 = field_.evaluate(r * pn.x1, r * pn.x2)
         vr = vr / c
@@ -319,9 +319,7 @@ def frequency_blowup(field_, medium, radii):
         rr = np.hypot(pn.x1, pn.x2)
         # homogeneity deficit with the local frequency N(r) standing in for
         # its limit (the limit is unknown at finite radius)
-        kern = np.where(
-            ann, (rad - float(N[i]) * vr) ** 2 / np.maximum(pn.x1, 1e-12) / rr**6, 0.0
-        )
+        kern = np.where(ann, (rad - float(N[i]) * vr) ** 2 / pn.x1 / rr**6, 0.0)
         deficit = float(np.sum(pn.w * kern))
         out.append(
             {

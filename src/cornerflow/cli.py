@@ -22,7 +22,7 @@ from . import functionals, profiles, solver
 from .eos import EosModel, GammaLawMedium, IncompressibleMedium, _F_closed, invert_admissible, lambda_admissible
 from .errors import ConfigError, CornerflowError, NumericalError
 from .fields import _CHUNK, GridField, format_values, header_line, write_columns, write_rows
-from .legendre import find_theta_star, legendre_ode_residual
+from .legendre import legendre_ode_residual
 from .svgplot import write_svg_levels, write_svg_lines
 
 
@@ -224,7 +224,7 @@ def run_eos_table(cfg, out, opts):
 
 
 def run_profile_check(cfg, out, opts):
-    c = find_theta_star()
+    c = profiles.theta_star_constants()
     checks = {}
     rng = np.random.default_rng(20240801)
     for spec in (

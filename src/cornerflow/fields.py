@@ -52,7 +52,8 @@ class GridField:
 
     Cell centers sit at offsets (i + 1/2) h; a grid with x1_min == 0
     therefore has no node on the symmetry axis, and interpolation uses
-    an odd ghost column there (u = 0 on the axis).
+    an odd ghost column there.  A stream function is O(x1^2) at the axis,
+    so u, du/dx1 and du/dx2 all vanish on it.
     """
 
     def __init__(self, x1_min, x1_max, x2_min, x2_max, h, values):
@@ -111,14 +112,11 @@ class GridField:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     # -- interpolation ---------------------------------------------------
-    def _pad(self, arr, odd_axis, p=None):
-        """``arr`` with a ghost ring (odd across the axis if ``odd_axis``), into ``p`` if given."""
+    def _pad(self, arr, p=None):
+        """``arr`` with a ghost ring (odd across the axis on an on-axis grid), into ``p`` if given."""
         p = np.empty((arr.shape[0] + 2, arr.shape[1] + 2)) if p is None else p
         p[1:-1, 1:-1] = arr
-        if odd_axis and self.on_axis:
-            p[0, 1:-1] = -arr[0, :]
-        else:
-            p[0, 1:-1] = arr[0, :]
+        p[0, 1:-1] = -arr[0, :] if self.on_axis else arr[0, :]
         p[-1, 1:-1] = arr[-1, :]
         p[:, 0] = p[:, 1]
         p[:, -1] = p[:, -2]
@@ -147,7 +145,7 @@ class GridField:
 
     def value(self, x1, x2):
         if self._padded is None:
-            self._padded = self._pad(self.values, odd_axis=True)
+            self._padded = self._pad(self.values)
         return self._interp(self._padded, x1, x2)
 
     def _gradient_arrays(self):
@@ -161,8 +159,8 @@ class GridField:
                 # central difference through the odd ghost column
                 g1[0, :] = (self.values[1, :] + self.values[0, :]) / (2.0 * self.h)
             self._grad = np.empty((3, self.n1 + 2, self.n2 + 2))
-            for k, (arr, odd) in enumerate(((self.values, True), (g1, False), (g2, True))):
-                self._pad(arr, odd, self._grad[k])
+            for k, arr in enumerate((self.values, g1, g2)):
+                self._pad(arr, self._grad[k])
         return self._grad
 
     def evaluate(self, x1, x2):
@@ -177,10 +175,10 @@ class GridField:
 
     # -- geometry ---------------------------------------------------------
     def contains_ball(self, center, r, half=False):
+        """Whether the grid holds the ball; a half ball (about the axis) needs an on-axis grid."""
         c1, c2 = center
-        lo_needed = max(c1 - r, 0.0) if half else c1 - r
         return (
-            lo_needed >= self.x1_min - 1e-12
+            (self.on_axis if half else c1 - r >= self.x1_min - 1e-12)
             and c1 + r <= self.x1_max + 1e-12
             and c2 - r >= self.x2_min - 1e-12
             and c2 + r <= self.x2_max + 1e-12

@@ -113,8 +113,7 @@ class _Subset:
 
 def _thermo(medium, x1, x2, g1, g2, chi):
     """Speed t and (H, F, dF2, lambda, lambda') at nodes with gradient g and positivity chi."""
-    safe = np.maximum(x1, 1e-300)
-    t = (g1 * g1 + g2 * g2) / (safe * safe)
+    t = (g1 * g1 + g2 * g2) / (x1 * x1)
     H = np.full_like(t, medium.rho0)
     F = np.zeros_like(t)
     dF2 = np.zeros_like(t)
@@ -160,11 +159,6 @@ def _volume_terms(kind, center, bn, bv, E_H, E_F, rho0):
     return terms
 
 
-def _mask_axis(arr, x1):
-    """Zero the entries of axis-touching arc nodes (integrands vanish there)."""
-    return np.where(x1 > 1e-12, arr, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # per-radius record
 # ---------------------------------------------------------------------------
@@ -204,17 +198,17 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
     dirichlet = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))  # weighted by 1/(x1 H)
     E_H = float(dirichlet + np.sum(bn.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
 
-    u_arc = _mask_axis(av.u, av.x1)
+    # the grid's gradient vanishes on the axis, so every arc integrand goes to 0 there
+    u_arc = av.u
     un = av.g1 * an.n1 + av.g2 * an.n2
-    j_int = _mask_axis(u_arc * u_arc / np.maximum(av.x1, 1e-300), av.x1)
-    J = float(np.sum(an.w * j_int)) / rho0
+    uun = u_arc * un
+    u_sq = u_arc * u_arc
+    J = float(np.sum(an.w * (u_sq / av.x1))) / rho0
     E_F_arc = float(np.sum(an.w * av.x1 * (av.F + av.lam * av.chi)))
 
     # boundary kernels
-    inv_wH = _mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * av.H), av.x1)
-    dw = inv_wH - _mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * rho0), av.x1)
-    uun = u_arc * un
-    u_sq = u_arc * u_arc
+    inv_wH = 1.0 / (av.x1 * av.H)
+    dw = inv_wH - 1.0 / (av.x1 * rho0)
     arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
     arc_uun = float(np.sum(an.w * inv_wH * uun))
 
@@ -227,7 +221,7 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
     ks.append(2.0 * kappa * float(np.sum(an.w * dw * uun)))
     ks.append(2.0 * kappa * kappa / r * float(np.sum(an.w * (-dw) * u_sq)))
     if kind == "stagnation":
-        k6_kernel = _mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
+        k6_kernel = (av.x1 - center[0]) / av.x1 ** 2
         ks.append(kappa / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0)
     ks += [0.0] * (6 - len(ks))  # unused slots are zero
 

@@ -93,12 +93,8 @@ def polar_ball_nodes(center, r, splits=(), half=False):
     """Nodes ``center + r p`` and weights ``r^2 w`` of the cached unit pattern (p, w)."""
     p1, p2, w = _ball_pattern(tuple(splits), half)
     x1 = center[0] + r * p1
-    x2 = center[1] + r * p2
     w = r * r * w
-    keep = x1 > 0.0
-    if half and not np.all(keep):
-        x1, x2, w = x1[keep], x2[keep], w[keep]
-    return BallNodes(x1=x1, x2=x2, w=w, w_inv=w / x1)
+    return BallNodes(x1=x1, x2=center[1] + r * p2, w=w, w_inv=w / x1)
 
 
 def polar_arc_nodes(center, r, splits=(), half=False):

@@ -42,6 +42,8 @@ class MinimizeConfig:
             self.eps_chi = 2.0 * self.h
         if self.eps_chi <= 0 or self.tol <= 0:
             raise DomainError("eps_chi and tol must be positive")
+        if self.x1_min < 0:
+            raise DomainError(f"the lattice lies in the half-plane x1 >= 0, got x1_min = {self.x1_min}")
 
 
 @dataclass
@@ -409,12 +411,11 @@ def first_variation_terms(field_, medium, phi, dphi, h=None):
     p1, p2 = phi(x1, x2)
     d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
     divp = d1p1 + d2p2
-    safe = np.maximum(x1, 1e-300)
 
     w = h * h
     gDg = g1 * (d1p1 * g1 + d2p1 * g2) + g2 * (d1p2 * g1 + d2p2 * g2)
     T1 = np.sum(x1 * (ev.F + ev.lam * chi) * divp) * w
-    T2 = -2.0 * np.sum(gDg / (safe * H)) * w
+    T2 = -2.0 * np.sum(gDg / (x1 * H)) * w
     T3 = np.sum((ev.F - 2.0 * t / H + ev.lam * chi) * p1) * w
     T4 = np.sum(x1 * (ev.dF2 + ev.lam_p * chi) * p2) * w
     return {"T1": float(T1), "T2": float(T2), "T3": float(T3), "T4": float(T4),

@@ -246,17 +246,16 @@ def _interp_one(fld, padded, x1, x2):
 
 
 def grid_gradient_separate(fld, x1, x2):
-    """Grid-field gradient, each component interpolated from its own padded array."""
+    """Grid-field gradient, each component interpolated from its own array, padded as the library pads."""
     g1 = np.gradient(fld.values, fld.h, axis=0, edge_order=2)
     g2 = np.gradient(fld.values, fld.h, axis=1, edge_order=2)
     if fld.on_axis:
         g1[0, :] = (fld.values[1, :] + fld.values[0, :]) / (2.0 * fld.h)
-    return (_interp_one(fld, fld._pad(g1, odd_axis=False), x1, x2),
-            _interp_one(fld, fld._pad(g2, odd_axis=True), x1, x2))
+    return _interp_one(fld, fld._pad(g1), x1, x2), _interp_one(fld, fld._pad(g2), x1, x2)
 
 
 def grid_value_separate(fld, x1, x2):
-    return _interp_one(fld, fld._pad(fld.values, odd_axis=True), x1, x2)
+    return _interp_one(fld, fld._pad(fld.values), x1, x2)
 
 
 def grid_ball_one_box(fld, center, r, half=False):
@@ -393,14 +392,14 @@ def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
     dirichlet = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))
     E_H = float(dirichlet + np.sum(bn.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
 
-    u_arc = f._mask_axis(av.u, av.x1)
+    u_arc = av.u
     un = av.g1 * an.n1 + av.g2 * an.n2
-    j_int = f._mask_axis(u_arc * u_arc / np.maximum(av.x1, 1e-300), av.x1)
+    j_int = u_arc * u_arc / av.x1
     J = float(np.sum(an.w * j_int)) / rho0
     E_F_arc = float(np.sum(an.w * av.x1 * (av.F + av.lam * av.chi)))
 
-    inv_wH = f._mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * av.H), av.x1)
-    dw = inv_wH - f._mask_axis(1.0 / (np.maximum(av.x1, 1e-300) * rho0), av.x1)
+    inv_wH = 1.0 / (av.x1 * av.H)
+    dw = inv_wH - 1.0 / (av.x1 * rho0)
     uun = u_arc * un
     u_sq = u_arc * u_arc
     arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
@@ -425,7 +424,7 @@ def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
         rec["k3"] = float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)))
         rec["k4"] = 3.0 * float(np.sum(an.w * dw * uun))
         rec["k5"] = 4.5 / r * float(np.sum(an.w * (-dw) * u_sq))
-        k6_kernel = f._mask_axis((av.x1 - center[0]) / np.maximum(av.x1, 1e-300) ** 2, av.x1)
+        k6_kernel = (av.x1 - center[0]) / av.x1 ** 2
         rec["k6"] = 1.5 / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0
         rec["k_scale"] = r**-4
     elif kind == "axis":

@@ -89,6 +89,13 @@ class TestBlowup:
         with pytest.raises(GeometryError):
             blowup(stokes_grid, DegeneratePoint(1.0, 0.0), 2.0 * stokes_grid.h)
 
+    def test_grid_across_the_axis_is_a_geometry_error(self):
+        # an axis point's half balls need a grid that starts at the axis: this
+        # one used to be labelled Cusp with density 3e-16
+        fld = profile_field(axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64)
+        with pytest.raises(GeometryError, match="leaves the grid"):
+            classify(fld, DegeneratePoint(0.0, 0.5))
+
 
 class TestWeightedDensity:
     def test_stokes(self, stokes_grid):

@@ -501,6 +501,23 @@ class TestSweep:
                         r_min=0.05, r_max=0.2)
         assert run("sweep", cfg, tmp_path / "o") == 1
 
+    @pytest.mark.parametrize("medium", [{}, {"gamma": 2.0}], ids=["incompressible", "gamma2"])
+    def test_axis_sweep_on_a_grid_that_starts_at_the_axis(self, tmp_path, medium):
+        # the half arc's end nodes sit at x1 ~ 6e-17 r, where the grid's gradient
+        # vanishes: this sweep used to write a pohozaev_residual of -9.6e6 to -3.8e7,
+        # and with gamma = 2 to exit 1 on a supersonic t = 1.6e30
+        pcfg = write_cfg(tmp_path / "p.cfg", profile="axis_parabola", alpha=0.2, x1_min=0.0, x1_max=0.5,
+                         x2_min=0.0, x2_max=1.0, h=1 / 64, write_field=1)
+        assert run("profile-table", pcfg, tmp_path / "p") == 0
+        cfg = write_cfg(tmp_path / "s.cfg", field=tmp_path / "p" / "field.txt", kind="axis",
+                        center_x1=0.0, center_x2=0.5, r_min=0.05, r_max=0.2, **medium)
+        assert run("sweep", cfg, tmp_path / "o") == 0
+        with open(tmp_path / "o" / "sweep.csv") as f:
+            header = f.readline().strip().split(",")
+            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        assert rows.shape == (15, len(header))
+        assert np.max(np.abs(rows[:, header.index("pohozaev_residual")])) <= 1e-4
+
     @staticmethod
     def _grid_file(tmp_path, c):
         """``c x2+^1.5`` on the box [0.75, 1.25] x [-0.25, 0.25], h = 1/32: delta = 0.125 at (1, 0)."""
@@ -599,6 +616,15 @@ class TestMinimize:
             counts.append(len(log["iterations"]))
         assert counts[1] < counts[0]
 
+    def test_box_left_of_the_axis_is_one_error_line(self, tmp_path, capsys):
+        # a lattice across the axis used to exit 0 and certify an energy of -2.2997
+        cfg = write_cfg(tmp_path / "m.cfg", profile="axis_parabola",
+                        x1_min=-0.25, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 32)
+        assert run("minimize", cfg, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == "error: the lattice lies in the half-plane x1 >= 0, got x1_min = -0.25\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_gamma_law_box_past_x2_st_is_one_error_line(self, tmp_path, capsys):
         # lattice heights at or above x2_st = 1 have no subsonic free-surface
         # state, so lambda is undefined there (it used to come from the other root)
@@ -642,6 +668,21 @@ class TestGeometryErrors:
         ccfg = write_cfg(tmp_path / "c.cfg", field=str(tmp_path / "o" / "field.txt"),
                          point_x1=5.0, point_x2=0.0, kind="stagnation")
         assert run("classify", ccfg, tmp_path / "oc") == 1
+
+    @pytest.mark.parametrize("sub, kv", [
+        ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5)),
+        ("classify", dict(kind="axis", point_x1=0.0, point_x2=0.5)),
+    ])
+    def test_axis_point_on_a_grid_across_the_axis_is_one_error_line(self, tmp_path, capsys, sub, kv):
+        # half balls need a grid that starts at the axis: on this one the sweep used
+        # to divide by zero and classify to label the point Cusp with density 3e-16
+        path = tmp_path / "f.txt"
+        profiles.profile_field(profiles.axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64).write(path)
+        assert run(sub, write_cfg(tmp_path / "c.cfg", field=path, **kv), tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ball (center=(0.0, 0.5), r=") and err.endswith(") leaves the grid\n")
+        assert err.count("\n") == 1
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("kv", [
         dict(profile="axis_parabola", kind="axis", point_x2=0.5),

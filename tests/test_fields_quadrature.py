@@ -67,6 +67,22 @@ class TestGridField:
         assert f.contains_ball((0.0, 0.5), 0.4, half=True)
         with pytest.raises(GeometryError):
             f.value(np.array([2.5]), np.array([0.5]))
+        # a half ball about the axis needs the grid to start there, not to cross it
+        crossing = GridField.from_function(lambda X1, X2: X1**2, -1.0, 1.0, 0.0, 1.0, 1 / 16)
+        assert crossing.contains_ball((0.0, 0.5), 0.4)
+        assert not crossing.contains_ball((0.0, 0.5), 0.4, half=True)
+
+    def test_gradient_vanishes_on_the_axis(self):
+        # u = O(x1^2): u, du/dx1 and du/dx2 are exactly 0 on x1 = 0, so the speed
+        # |grad u|^2 / x1^2 stays bounded at a half arc's end nodes (x1 ~ 6e-17 r)
+        f = GridField.from_function(lambda X1, X2: 0.2 * X1**2, 0.0, 0.5, 0.0, 1.0, 1 / 64)
+        x2 = np.linspace(0.1, 0.9, 9)
+        assert all(np.all(a == 0.0) for a in f.evaluate(np.zeros_like(x2), x2))
+        an = grid_arc_nodes(f, (0.0, 0.5), 0.2, half=True, n_arc=1024)
+        assert 0.0 < an.x1[0] < 1e-16 and 0.0 < an.x1[-1] < 1e-16
+        _, g1, g2 = f.evaluate(an.x1, an.x2)
+        t = (g1 * g1 + g2 * g2) / (an.x1 * an.x1)
+        assert np.max(t) < 0.3  # (0.4 x1)^2 / x1^2 = 0.16, and up to 0.25 within h/2 of the axis
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):

@@ -180,6 +180,11 @@ class TestMinimize:
         with pytest.raises(DomainError):
             minimize_EF(cfg)
 
+    def test_box_left_of_the_axis_rejected(self, incompressible):
+        # the lattice lies in x1 >= 0: one across the axis used to be solved as if it did
+        with pytest.raises(DomainError, match=r"x1 >= 0, got x1_min = -0.25$"):
+            MinimizeConfig(-0.25, 0.25, 0.0, 0.25, 1 / 32, _zero_boundary, medium=incompressible)
+
     def test_smoothing_width_validation(self, incompressible):
         with pytest.raises(DomainError):
             MinimizeConfig(0.5, 1.0, 0.0, 0.5, 1 / 32, _zero_boundary,
