@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AmbiguousMatchError,
-    DomainError,
-    GeometryError,
-    InsufficientDataError,
-)
+from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
 from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
@@ -218,12 +213,11 @@ class Classification:
     notes: str = ""
 
 
-def classify(field_, point: DegeneratePoint, radii=None, strict=False):
+def classify(field_, point: DegeneratePoint, radii=None):
     """Trichotomy classification by nearest weighted density.
 
-    With ``strict=True`` an ambiguous match raises AmbiguousMatchError;
-    otherwise the label is reported as "Ambiguous" with the candidate
-    table attached (never a forced label).
+    An ambiguous match is labelled "Ambiguous" with the candidate table
+    attached (never a forced label).
     """
     if radii is None:
         radii = default_radii(field_, point)
@@ -235,10 +229,6 @@ def classify(field_, point: DegeneratePoint, radii=None, strict=False):
     second_gap = abs(d - cands[1][1]) if len(cands) > 1 else np.inf
     notes = ""
     if second_gap - gap < 2.0 * unc:
-        if strict:
-            raise AmbiguousMatchError(
-                f"density {d:.6g} +- {unc:.2g} sits between {cands[0][0]} and {cands[1][0]}"
-            )
         label = "Ambiguous"
         notes = "two theoretical densities within twice the uncertainty"
 

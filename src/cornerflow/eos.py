@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DomainError, StateError, SubsonicityError
 
+NEWTON_TOL = 1e-13  # absolute Bernoulli residual at which invert_many stops a node
+
 
 @dataclass(frozen=True)
 class EosModel:
@@ -38,30 +40,6 @@ class EosModel:
     def x2_st(self) -> float:
         """Stagnation height p'(rho_bar0)/(2g)."""
         return self.A * self.gamma * self.rho_bar0 ** (self.gamma - 1.0) / (2.0 * self.g)
-
-
-def pressure(model: EosModel, rho):
-    """p(rho) = A*rho^gamma; see pressure_derivative for p'."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise DomainError("density must be nonnegative")
-    return model.A * rho ** model.gamma
-
-
-def pressure_derivative(model: EosModel, rho):
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise DomainError("density must be nonnegative")
-    return model.A * model.gamma * rho ** (model.gamma - 1.0)
-
-
-def enthalpy(model: EosModel, rho):
-    """h(rho) = integral of p'(w)/w from rho_bar0 to rho; h(rho_bar0) = 0."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise DomainError("density must be positive")
-    gm1 = model.gamma - 1.0
-    return model.A * model.gamma / gm1 * (rho ** gm1 - model.rho_bar0 ** gm1)
 
 
 def critical_density(model: EosModel, x2):
@@ -112,7 +90,7 @@ def _rest_density(model: EosModel, s):
         return np.where(base > 0.0, base, np.nan) ** (1.0 / gm1)
 
 
-def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120, rest=None):
+def invert_many(model: EosModel, t, s, max_iter=120, rest=None):
     """Solve g*rho0^2*t/rho^2 + h(rho) = g*s on the subsonic branch.
 
     h is the gamma-law enthalpy relative to the surface density rho0.
@@ -126,7 +104,7 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120, rest=None):
     The bracket [sonic density, zero-speed density] contains exactly one
     root when one exists because the residual is strictly increasing
     there.  Safeguarded Newton runs until the absolute residual is at
-    most ``tol``, or at most 16 ulps of the sum of its terms' sizes where
+    most ``NEWTON_TOL``, or at most 16 ulps of the sum of its terms' sizes where
     that rounding floor is larger (stiff gases, large c0); a node
     that gets there takes one last plain Newton step (kept only inside
     the bracket) and leaves the iteration.
@@ -168,8 +146,8 @@ def invert_many(model: EosModel, t, s, tol=1e-13, max_iter=120, rest=None):
     rho[good] = hi[good]
     idx = np.nonzero(good & (t > 0.0))[0]
     # at the root the residual's terms sum to 2 (g s + c0 e0); 16 ulps of
-    # that is its rounding floor, which tops tol for stiff gases (large c0)
-    tol_n = np.maximum(tol, 32.0 * np.finfo(float).eps * (g * s + c0 * e0))
+    # that is its rounding floor, which tops NEWTON_TOL for stiff gases (large c0)
+    tol_n = np.maximum(NEWTON_TOL, 32.0 * np.finfo(float).eps * (g * s + c0 * e0))
     for _ in range(max_iter):
         if idx.size == 0:
             break
@@ -268,20 +246,6 @@ def _F_closed(model: EosModel, t, H, s, H0=None):
     rest = c0 * H0 ** gamma / (gamma * model.g * model.rho_bar0 ** 2)
     F = t / H - rest * (np.expm1(gamma * np.log1p(u)) - gamma * u)
     return F, (H - H0) / model.rho_bar0 ** 2
-
-
-def F_of(model: EosModel, t: float, s: float):
-    """F(t;s) = integral of 1/H over speeds, with both partial derivatives.
-
-    Returns (F, dF1, dF2) where dF1 = 1/H(t;s) and dF2 = dF/ds.  Raises
-    like ``invert_admissible`` at (t, s).  It works on one-element arrays:
-    numpy's scalar ``**`` can round differently from its array ``power``, and
-    the arrays keep F bitwise equal to the vectorized ``eos-table`` column.
-    """
-    t, s = np.full(1, t, dtype=float), np.full(1, s, dtype=float)
-    rho, _, _ = invert_admissible(model, t, s)
-    F, dF2 = _F_closed(model, t, rho, s)
-    return float(F[0]), 1.0 / float(rho[0]), float(dF2[0])
 
 
 def lambda_pair(model: EosModel, s):

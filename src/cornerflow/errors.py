@@ -52,9 +52,5 @@ class InsufficientDataError(CornerflowError):
     """Too few usable radii for an extrapolation."""
 
 
-class AmbiguousMatchError(CornerflowError):
-    """Two theoretical densities are within the ambiguity threshold."""
-
-
 class ConfigError(CornerflowError):
     """Malformed run configuration; carries line/field information."""

@@ -44,6 +44,8 @@ def check_kind_center(kind, center):
 def check_radius(field_, center, r, kind):
     """DomainError unless ``r`` lies below the kind's admissible delta at ``center``."""
     delta = delta_radius(field_, center, kind)
+    if delta <= 0.0:
+        raise DomainError(f"center {tuple(center)} lies outside the grid or on its edge")
     if np.isfinite(delta) and r >= delta * (1.0 + 1e-12):
         raise DomainError(f"radius {r} at or beyond the admissible delta {delta}")
 
@@ -361,26 +363,26 @@ def _attach_frequency(sweep: RadialSweep, medium):
     c["grad_vm_norm_sq"] = vm2
 
 
-def frequency_quantities(field_, medium, center, radii, n_arc=4096):
+def frequency_quantities(field_, medium, center, radii):
     """Frequency sweep D, V, N, e, V+, Vtilde, script-J, Pi at the origin.
 
     Raises FrequencyUndefinedError if J vanishes at any radius.
     """
     if tuple(center) != (0.0, 0.0):
         raise DomainError("frequency quantities are defined at the origin kind")
-    sweep = radial_sweep(field_, medium, center, "origin", radii, n_arc=n_arc)
+    sweep = radial_sweep(field_, medium, center, "origin", radii)
     if np.any(sweep.columns["J"] <= 0.0):
         bad = sweep.radii[np.argmax(sweep.columns["J"] <= 0.0)]
         raise FrequencyUndefinedError(f"J(r) = 0 at r = {bad}")
     return sweep
 
 
-def monotonicity_derivative_check(field_, medium, center, kind, radii, n_arc=4096):
+def monotonicity_derivative_check(field_, medium, center, kind, radii):
     """Max |finite-difference M' - (square + scaled K sum)| over the radii."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 5:
         raise DomainError("need at least 5 radii for the derivative check")
-    sweep = radial_sweep(field_, medium, center, kind, radii, n_arc=n_arc)
+    sweep = radial_sweep(field_, medium, center, kind, radii)
     resid = sweep.columns["dM_fd"] - sweep.columns["dM_rhs"]
     inner = resid[1:-1]
     return {

@@ -248,9 +248,9 @@ def profile_pde_residual(spec: ProfileSpec, x, h_fd=1e-3):
 # exact cone/arc constants by polar quadrature (oracle-grade)
 # ---------------------------------------------------------------------------
 
-def disk_angular_integral(fn, theta_a, theta_b, radial_power, n=64):
-    """integral over B_1 of rho^radial_power * fn(theta), split-free panel."""
-    x, w = np.polynomial.legendre.leggauss(n)
+def disk_angular_integral(fn, theta_a, theta_b, radial_power):
+    """integral over B_1 of rho^radial_power * fn(theta), split-free 64-point panel."""
+    x, w = _GL64
     th = 0.5 * (theta_b - theta_a) * x + 0.5 * (theta_a + theta_b)
     ang = float(0.5 * (theta_b - theta_a) * np.dot(w, fn(th)))
     return ang / (radial_power + 2.0)

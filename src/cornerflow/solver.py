@@ -108,9 +108,6 @@ class _Discretization:
         dens = X1 * (F + self.lam * s)
         return float(np.sum(dens) * h * h), H
 
-    def energy(self, v):
-        return self.state(v)[0]
-
     def gradient(self, v, coef):
         """Exact gradient of the smoothed discrete energy at v: 2(A v - B),
         plus m where 0 < v < eps_chi; ``coef = _coefficients(self, H)``."""

@@ -5,9 +5,11 @@ import math
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+_LEVELS = (0.25, 0.5, 0.75)  # level sets drawn, as fractions of the field maximum
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
+    n = 5  # ticks per axis, at most
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
@@ -104,7 +106,7 @@ def write_svg_lines(path, xs, series, title="", xlabel="", ylabel="", logx=False
         f.write("\n".join(parts) + "\n")
 
 
-def write_svg_levels(path, field, levels=(0.25, 0.5, 0.75), title=""):
+def write_svg_levels(path, field, title=""):
     """Scatter the cells nearest to each level set of a grid field."""
     import numpy as np
 
@@ -128,7 +130,7 @@ def write_svg_levels(path, field, levels=(0.25, 0.5, 0.75), title=""):
 
     x1 = field.cell_x1
     x2 = field.cell_x2
-    for k, lv in enumerate(levels):
+    for k, lv in enumerate(_LEVELS):
         color = _COLORS[k % len(_COLORS)]
         target = lv * vmax
         band = 0.6 * field.h * max(vmax, 1e-300)

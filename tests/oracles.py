@@ -17,6 +17,10 @@
   before one formula served all three; the formula must match them bit for bit.
 * Helpers that only the tests use: the degree-1 Legendre Q function, the
   EOS model's text round trip and the ray slopes of a Stokes-corner blow-up.
+* The EOS in the paper's own terms, p'(rho) and the enthalpy h(rho), which
+  state the sonic condition independently of ``eos.critical_density``, and
+  ``F_of``, the scalar F that the ``eos-table`` column must match byte for
+  byte.
 """
 
 import math
@@ -24,7 +28,7 @@ import math
 import numpy as np
 
 from cornerflow import functionals
-from cornerflow.eos import EosModel, invert_many
+from cornerflow.eos import EosModel, _F_closed, invert_admissible, invert_many
 from cornerflow.errors import DomainError, StateError
 from cornerflow.fields import GridField
 from cornerflow.legendre import _check_open_interval, legendre_P_prime, legendre_P_second
@@ -101,6 +105,36 @@ def lambda_alt(model, x2, tol=1e-11):
         return (-d1 / (rho * rho)) * tau
 
     return x2 / model.rho_bar0 + adaptive_gauss_legendre(f, 0.0, x2, tol=tol)
+
+
+def pressure_derivative(model, rho):
+    """p'(rho) of the gamma-law pressure p = A rho^gamma."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0):
+        raise DomainError("density must be nonnegative")
+    return model.A * model.gamma * rho ** (model.gamma - 1.0)
+
+
+def enthalpy(model, rho):
+    """h(rho) = integral of p'(w)/w from rho_bar0 to rho; h(rho_bar0) = 0."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
+        raise DomainError("density must be positive")
+    gm1 = model.gamma - 1.0
+    return model.A * model.gamma / gm1 * (rho ** gm1 - model.rho_bar0 ** gm1)
+
+
+def F_of(model, t, s):
+    """(F, dF1, dF2) at one admissible state, dF1 = 1/H(t;s).
+
+    It works on one-element arrays: numpy's scalar ``**`` can round
+    differently from its array ``power``, and the arrays keep F bitwise
+    equal to the vectorized ``eos-table`` column.
+    """
+    t, s = np.full(1, t, dtype=float), np.full(1, s, dtype=float)
+    rho, _, _ = invert_admissible(model, t, s)
+    F, dF2 = _F_closed(model, t, rho, s)
+    return float(F[0]), 1.0 / float(rho[0]), float(dF2[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from cornerflow import cli, eos, fields, functionals, profiles, solver
-from cornerflow.eos import EosModel, F_of, invert_density, lambda_of
+from cornerflow.eos import EosModel, invert_density, lambda_of
 from cornerflow.fields import GridField
+
+from oracles import F_of
 
 # values whose 17-digit text is easy to get wrong: signed zero, the smallest
 # subnormal, near-overflow, a repeating fraction, and the non-finite values
@@ -669,19 +671,47 @@ class TestGeometryErrors:
                          point_x1=5.0, point_x2=0.0, kind="stagnation")
         assert run("classify", ccfg, tmp_path / "oc") == 1
 
+    @pytest.mark.parametrize("center_x1, center", [(0.75, "(0.75, 0.0)"), (1.5, "(1.5, 0.0)")],
+                             ids=["on-the-edge", "outside"])
+    def test_sweep_center_not_inside_the_grid_is_one_error_line(self, tmp_path, capsys, center_x1, center):
+        # this used to say "radius 0.05 at or beyond the admissible delta 0.0" (or -0.125)
+        path = tmp_path / "f.txt"
+        GridField.from_function(lambda X1, X2: np.maximum(X2, 0.0) ** 1.5 + 0.0 * X1,
+                                0.75, 1.25, -0.25, 0.25, 1 / 32).write(path)
+        cfg = write_cfg(tmp_path / "s.cfg", field=path, kind="stagnation", center_x1=center_x1,
+                        r_min=0.05, r_max=0.1, n_radii=3)
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: center {center} lies outside the grid or on its edge\n"
+
     @pytest.mark.parametrize("sub, kv", [
         ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5)),
         ("classify", dict(kind="axis", point_x1=0.0, point_x2=0.5)),
     ])
     def test_axis_point_on_a_grid_across_the_axis_is_one_error_line(self, tmp_path, capsys, sub, kv):
         # half balls need a grid that starts at the axis: on this one the sweep used
-        # to divide by zero and classify to label the point Cusp with density 3e-16
+        # to divide by zero and classify to label the point Cusp with density 3e-16,
+        # and then both to say that the ball, which lies inside the box, left the grid
         path = tmp_path / "f.txt"
         profiles.profile_field(profiles.axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64).write(path)
         assert run(sub, write_cfg(tmp_path / "c.cfg", field=path, **kv), tmp_path / "o") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ball (center=(0.0, 0.5), r=") and err.endswith(") leaves the grid\n")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == ("error: half ball (center=(0.0, 0.5), r=0.225) needs a grid "
+                                           "that starts at x1 = 0, not at x1 = -0.5\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("sub, kv, message", [
+        ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5),
+         "radius 0.26207413942088964 at or beyond the admissible delta 0.25"),
+        ("classify", dict(kind="axis", point_x1=0.0, point_x2=0.5),
+         "ball (center=(0.0, 0.5), r=0.6) leaves the grid"),
+    ], ids=["sweep", "classify"])
+    def test_axis_point_ball_beyond_the_grid_is_one_error_line(self, tmp_path, capsys, sub, kv, message):
+        # on a grid that starts at the axis, a half ball that crosses the box's top
+        # keeps its own message; a sweep checks every radius against delta first
+        path = tmp_path / "f.txt"
+        profiles.profile_field(profiles.axis_parabola(0.2)).resample(0.0, 0.5, 0.0, 1.0, 1 / 64).write(path)
+        cfg = write_cfg(tmp_path / "c.cfg", field=path, r_min=0.05, r_max=0.6, n_radii=4, **kv)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("kv", [

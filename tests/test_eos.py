@@ -13,20 +13,16 @@ from cornerflow.eos import (
     EosModel,
     GammaLawMedium,
     IncompressibleMedium,
-    F_of,
     critical_density,
-    enthalpy,
     invert_density,
     invert_many,
     lambda_of,
     lambda_prime,
-    pressure,
-    pressure_derivative,
 )
 from cornerflow.errors import DomainError, StateError, SubsonicityError
 from cornerflow.profiles import flat_origin, profile_field
 
-from oracles import F_quadrature, eos_from_text, eos_to_text, lambda_alt
+from oracles import F_of, F_quadrature, enthalpy, eos_from_text, eos_to_text, lambda_alt, pressure_derivative
 
 
 def random_states(rng, n):
@@ -65,22 +61,12 @@ def mp_bernoulli(model, s, q):
 
 
 class TestPressure:
-    def test_zero_density(self, model_g2):
-        assert pressure(model_g2, 0.0) == 0.0
+    """The oracles' p'(rho), which TestCriticalDensity's sonic condition reads."""
 
     def test_power_law(self, model_g2):
-        assert pressure(model_g2, 3.0) == 9.0
         assert pressure_derivative(model_g2, 3.0) == 6.0
 
-    def test_fractional_exponent(self, model_g14):
-        # oracle: log/exp evaluation of 2 * 1.5^1.4
-        expected = 2.0 * math.exp(1.4 * math.log(1.5))
-        assert pressure(model_g14, 1.5) == pytest.approx(expected, rel=1e-15)
-        assert pressure(model_g14, 1.5) == pytest.approx(3.5282370675740207, rel=1e-14)
-
     def test_negative_density_rejected(self, model_g2):
-        with pytest.raises(DomainError):
-            pressure(model_g2, -1.0)
         with pytest.raises(DomainError):
             pressure_derivative(model_g2, -0.5)
 

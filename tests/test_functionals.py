@@ -307,7 +307,7 @@ class TestAxis:
         # a half ball needs a grid that starts at the axis: on one that crosses
         # it the sweep used to divide by zero
         fld = profile_field(axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64)
-        with pytest.raises(GeometryError, match="leaves the grid"):
+        with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0, not at x1 = -0.5"):
             radial_sweep(fld, incompressible, (0.0, 0.5), "axis", np.geomspace(0.05, 0.2, 5))
 
 
