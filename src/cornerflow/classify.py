@@ -16,7 +16,7 @@ from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
 from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
-from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes, polar_ball_nodes
+from .quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
@@ -117,15 +117,8 @@ def weighted_density(field_, point: DegeneratePoint, radii):
         raise InsufficientDataError("need at least 3 radii for extrapolation")
     radii = np.sort(radii)
     kind, half = point.kind, point.kind != "stagnation"
-    if isinstance(field_, GridField):
-        # every ball is a selection from the cells of the largest one, evaluated once
-        cells = grid_ball_cells(field_, point.coords, float(radii[-1]), half=half)
-        chi = field_.chi(field_.value(cells[0], cells[1]))
-        selected = (grid_ball_select(field_, cells, point.coords, r) for r in radii)
-        balls = ((nodes, chi[index]) for index, nodes in selected)
-    else:
-        balls = ((b, field_.chi(field_.value(b.x1, b.x2)))
-                 for b in (ball_nodes(field_, point.coords, r, half=half) for r in radii))
+    balls = ((b, field_.chi(field_.value(b.x1, b.x2)))
+             for b in (ball_nodes(field_, point.coords, r, half=half) for r in radii))
     dens = np.array([_density(kind, nodes, pos, r) for r, (nodes, pos) in zip(radii, balls)])
     use = radii <= radii[0] * 10.0
     ru, du = radii[use], dens[use]

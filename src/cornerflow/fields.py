@@ -235,29 +235,13 @@ class AnalyticField:
         self.apex = (float(apex[0]), float(apex[1]))
         self.rays_phi = tuple(float(a) for a in rays_phi)
         self.degree = None if degree is None else float(degree)
-        self._unit = {}
 
     def value(self, x1, x2):
         return self.evaluate_fn(np.asarray(x1, float), np.asarray(x2, float), False)[0]
 
-    def gradient(self, x1, x2):
-        return self.evaluate(x1, x2)[1:]
-
     def evaluate(self, x1, x2):
         """u, du/dx1 and du/dx2 at the points."""
         return self.evaluate_fn(np.asarray(x1, float), np.asarray(x2, float), True)
-
-    def evaluate_scaled(self, r, key, unit_points):
-        """``evaluate`` at apex + r p, for the points apex + p that ``unit_points()`` gives.
-
-        Homogeneity of degree k gives u as r^k and grad u as r^(k-1) times
-        their values at apex + p, evaluated once per ``key`` and kept.
-        """
-        if key not in self._unit:
-            self._unit[key] = self.evaluate(*unit_points())
-        u, g1, g2 = self._unit[key]
-        s = r ** (self.degree - 1.0)
-        return u * (r * s), g1 * s, g2 * s
 
     def chi(self, u):
         return u > 0.0

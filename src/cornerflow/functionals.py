@@ -88,8 +88,6 @@ def default_radii(field_, center, kind):
 
 @dataclass
 class _NodeEval:
-    x1: np.ndarray
-    x2: np.ndarray
     u: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
@@ -135,7 +133,7 @@ def _thermo(medium, x1, x2, g1, g2, chi):
 def _with_thermo(field_, medium, x1, x2, u, g1, g2):
     """Positivity, speed and thermodynamics at nodes with field values u and (g1, g2)."""
     chi = field_.chi(u)
-    return _NodeEval(x1, x2, u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
+    return _NodeEval(u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
 
 
 def _evaluate(field_, medium, x1, x2):
@@ -150,14 +148,53 @@ def _nodes(field_, center, r, half, n_arc):
     return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
+def _sweep_nodes(field_, medium, center, kind, r_max, n_arc):
+    """``at(r)``: the ball nodes, ball values, arc nodes and arc values of one radius r <= r_max.
+
+    What the radii share is evaluated once, here: a grid's cells of the r_max
+    ball, from which each ball is selected, or about a homogeneous field's apex
+    the unit-radius nodes, whose values scale to every radius.  Elsewhere each
+    radius evaluates its ball and arc nodes as one set.  Each call builds its
+    radius's arrays afresh, so no radius keeps another's alive.
+    """
+    half = kind != "stagnation"
+    if isinstance(field_, GridField):
+        cells = grid_ball_cells(field_, center, r_max, half=half)
+        ev = _evaluate(field_, medium, cells[0], cells[1])
+
+        def at(r):
+            index, bn = grid_ball_select(field_, cells, center, r)
+            an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+            return bn, _Subset(ev, index), an, _evaluate(field_, medium, an.x1, an.x2)
+        return at
+
+    # about a homogeneous field's apex the (polar) nodes are apex + r p for one
+    # unit pattern p at every radius: u scales as r^k and grad u as r^(k-1)
+    apex = getattr(field_, "degree", None) is not None and tuple(center) == field_.apex
+    unit = field_.evaluate(*_nodes(field_, center, 1.0, half, n_arc)[2:]) if apex else None
+
+    def at(r):
+        # one evaluation of the ball and arc nodes together, split back after
+        bn, an, x1, x2 = _nodes(field_, center, r, half, n_arc)
+        if apex:
+            u, g1, g2 = unit
+            s = r ** (field_.degree - 1.0)
+            ev = _with_thermo(field_, medium, x1, x2, u * (r * s), g1 * s, g2 * s)
+        else:
+            ev = _evaluate(field_, medium, x1, x2)
+        n = bn.x1.size
+        return bn, _Subset(ev, slice(None, n)), an, _Subset(ev, slice(n, None))
+    return at
+
+
 def _volume_terms(kind, center, bn, bv, E_H, E_F, rho0):
     """The kind's volume error terms, in the slots k1 onward."""
     if kind == "axis":
-        return [float(np.sum(bn.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))]
+        return [float(np.sum(bn.w * bn.x1 * (bn.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))]
     terms = [E_H - E_F]  # definition of the first error term
-    terms.append(float(np.sum(bn.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi))))
+    terms.append(float(np.sum(bn.w * bn.x1 * bn.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi))))
     if kind == "stagnation":
-        terms.append(float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi))))
+        terms.append(float(np.sum(bn.w * (bn.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi))))
     return terms
 
 
@@ -165,52 +202,35 @@ def _volume_terms(kind, center, bn, bv, E_H, E_F, rho0):
 # per-radius record
 # ---------------------------------------------------------------------------
 
-def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None):
+def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, nodes=None):
     """All monotonicity/frequency ingredients at one radius.
 
     Returns a dict; keys k1..k6 are the kind's error terms (unused ones
     are zero).  ``square`` is the boundary square term of the
-    monotonicity-formula derivative at this radius.  ``cells``, if given, is a grid's
-    ``(grid_ball_cells, _evaluate)`` at a radius >= r: the ball is selected from it.
+    monotonicity-formula derivative at this radius.  ``nodes``, if given, is a
+    sweep's ``_sweep_nodes`` at a radius >= r; by default r's own.
     """
     check_kind_center(kind, center)
-    half = kind in ("axis", "origin")
     check_radius(field_, center, r, kind)
     rho0 = medium.rho0
-    if cells is not None:
-        index, bn = grid_ball_select(field_, cells[0], center, r)
-        bv = _Subset(cells[1], index)
-        an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
-        av = _evaluate(field_, medium, an.x1, an.x2)
-    else:
-        # one evaluation of the ball and arc nodes together, split back after
-        bn, an, x1, x2 = _nodes(field_, center, r, half, n_arc)
-        if getattr(field_, "degree", None) is not None and tuple(center) == field_.apex:
-            # about a homogeneous field's apex the (polar) nodes are apex + r p for
-            # one unit pattern p at every radius: field values scale from r = 1
-            vals = field_.evaluate_scaled(r, half, lambda: _nodes(field_, center, 1.0, half, n_arc)[2:])
-            ev = _with_thermo(field_, medium, x1, x2, *vals)
-        else:
-            ev = _evaluate(field_, medium, x1, x2)
-        n = bn.x1.size
-        bv, av = _Subset(ev, slice(None, n)), _Subset(ev, slice(n, None))
+    bn, bv, an, av = (nodes or _sweep_nodes(field_, medium, center, kind, r, n_arc))(r)
 
-    E_F = float(np.sum(bn.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
-    x2p = np.maximum(bv.x2, 0.0)
+    E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
+    x2p = np.maximum(bn.x2, 0.0)
     dirichlet = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))  # weighted by 1/(x1 H)
-    E_H = float(dirichlet + np.sum(bn.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
+    E_H = float(dirichlet + np.sum(bn.w * bn.x1 * (bn.x2 / rho0) * bv.chi))
 
     # the grid's gradient vanishes on the axis, so every arc integrand goes to 0 there
     u_arc = av.u
     un = av.g1 * an.n1 + av.g2 * an.n2
     uun = u_arc * un
     u_sq = u_arc * u_arc
-    J = float(np.sum(an.w * (u_sq / av.x1))) / rho0
-    E_F_arc = float(np.sum(an.w * av.x1 * (av.F + av.lam * av.chi)))
+    J = float(np.sum(an.w * (u_sq / an.x1))) / rho0
+    E_F_arc = float(np.sum(an.w * an.x1 * (av.F + av.lam * av.chi)))
 
     # boundary kernels
-    inv_wH = 1.0 / (av.x1 * av.H)
-    dw = inv_wH - 1.0 / (av.x1 * rho0)
+    inv_wH = 1.0 / (an.x1 * av.H)
+    dw = inv_wH - 1.0 / (an.x1 * rho0)
     arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
     arc_uun = float(np.sum(an.w * inv_wH * uun))
 
@@ -223,7 +243,7 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
     ks.append(2.0 * kappa * float(np.sum(an.w * dw * uun)))
     ks.append(2.0 * kappa * kappa / r * float(np.sum(an.w * (-dw) * u_sq)))
     if kind == "stagnation":
-        k6_kernel = (av.x1 - center[0]) / av.x1 ** 2
+        k6_kernel = (an.x1 - center[0]) / an.x1 ** 2
         ks.append(kappa / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0)
     ks += [0.0] * (6 - len(ks))  # unused slots are zero
 
@@ -244,10 +264,7 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, cells=None)
     }
     if kind == "origin":
         # frequency ingredients
-        rec["S_void"] = float(np.sum(bn.w * bv.x1 * x2p * (1.0 - bv.chi)))
-        rec["S_pos"] = float(np.sum(bn.w * bv.x1 * x2p * bv.chi))
-        rec["script_J"] = float(np.sum(an.w * dw * u_sq))
-        rec["grad_w_norm"] = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2)))
+        rec["S_void"] = float(np.sum(bn.w * bn.x1 * x2p * (1.0 - bv.chi)))
     rec["K_sum"] = rec["k1"] + rec["k2"] + rec["k3"] + rec["k4"] + rec["k5"] + rec["k6"]
     return rec
 
@@ -298,14 +315,11 @@ def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing (need at least 2)")
 
-    cells = None
-    if isinstance(field_, GridField):
-        # the largest ball's cells hold every ball; each radius's own error comes first
-        for r in radii:
-            check_radius(field_, center, float(r), kind)
-        box = grid_ball_cells(field_, center, float(radii[-1]), half=kind != "stagnation")
-        cells = (box, _evaluate(field_, medium, box[0], box[1]))
-    recs = [monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc, cells=cells)
+    # each radius's own error comes first, then one node source serves every radius
+    for r in radii:
+        check_radius(field_, center, float(r), kind)
+    nodes = _sweep_nodes(field_, medium, center, kind, float(radii[-1]), n_arc)
+    recs = [monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc, nodes=nodes)
             for r in radii]
     keys = sorted(recs[0].keys())
     cols = {k: np.array([rec.get(k, 0.0) for rec in recs]) for k in keys}
@@ -350,7 +364,6 @@ def _attach_frequency(sweep: RadialSweep, medium):
         D = np.where(J > 0, r * c["dirichlet"] / J, np.nan)
         Vplus = np.where(J > 0, r * c["S_void"] / (medium.rho0 * J), np.nan)
         Vtilde = np.where(J > 0, e / J, np.nan)
-        vm2 = np.where(J > 0, r * c["grad_w_norm"] / (medium.rho0 * J), np.nan)
     V = Vplus + Vtilde
     c["D"] = D
     c["V_plus"] = Vplus
@@ -360,11 +373,10 @@ def _attach_frequency(sweep: RadialSweep, medium):
     c["e"] = e
     c["Pi"] = Pi
     c["J_scaled"] = J / r**5
-    c["grad_vm_norm_sq"] = vm2
 
 
 def frequency_quantities(field_, medium, center, radii):
-    """Frequency sweep D, V, N, e, V+, Vtilde, script-J, Pi at the origin.
+    """Frequency sweep D, V, N, e, V+, Vtilde, Pi at the origin.
 
     Raises FrequencyUndefinedError if J vanishes at any radius.
     """

@@ -403,8 +403,9 @@ def first_variation_terms(field_, medium, phi, dphi, h=None):
     if h is None:
         h = getattr(field_, "h", 1.0 / 256.0)
     X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
-    ev = _evaluate(field_, medium, X1.ravel(), X2.ravel())
-    x1, x2, g1, g2, t, chi, H = ev.x1, ev.x2, ev.g1, ev.g2, ev.t, ev.chi, ev.H
+    x1, x2 = X1.ravel(), X2.ravel()
+    ev = _evaluate(field_, medium, x1, x2)
+    g1, g2, t, chi, H = ev.g1, ev.g2, ev.t, ev.chi, ev.H
     p1, p2 = phi(x1, x2)
     d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
     divp = d1p1 + d2p2

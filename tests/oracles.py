@@ -43,9 +43,7 @@ from cornerflow.profiles import (
 from cornerflow.quadrature import (
     BallNodes,
     _cell_fractions,
-    arc_nodes,
     ball_nodes,
-    grid_ball_select,
     polar_ball_nodes,
 )
 
@@ -330,9 +328,9 @@ def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
             g1, g2 = grid_gradient_separate(field_, a1, a2)
         else:
             u = field_.value(a1, a2)
-            g1, g2 = field_.gradient(a1, a2)
+            g1, g2 = field_.evaluate(a1, a2)[1:]
         chi = field_.chi(u)
-        parts.append((a1, a2, u, g1, g2, chi, *functionals._thermo(medium, a1, a2, g1, g2, chi)))
+        parts.append((u, g1, g2, chi, *functionals._thermo(medium, a1, a2, g1, g2, chi)))
     return functionals._NodeEval(*(np.concatenate(p) for p in zip(*parts)))
 
 
@@ -400,40 +398,26 @@ def frequency_fit_reference(field_, medium, radii):
 # the monotonicity record as written out per kind before the one formula
 # ---------------------------------------------------------------------------
 
-def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
+def record_per_kind(field_, medium, center, r, kind, n_arc=4096, nodes=None):
     """``monotonicity_record`` with M, the square term, k_scale and the error terms
-    written out for each kind; the nodes are evaluated as the library does."""
+    written out for each kind; the nodes come from ``functionals._sweep_nodes`` as the library's do."""
     f = functionals
-    half = kind in ("axis", "origin")
     rho0 = medium.rho0
-    if cells is not None:
-        index, bn = grid_ball_select(field_, cells[0], center, r)
-        bv = f._Subset(cells[1], index)
-        an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
-        av = f._evaluate(field_, medium, an.x1, an.x2)
-    else:
-        bn, an, x1, x2 = f._nodes(field_, center, r, half, n_arc)
-        if getattr(field_, "degree", None) is not None and tuple(center) == field_.apex:
-            vals = field_.evaluate_scaled(r, half, lambda: f._nodes(field_, center, 1.0, half, n_arc)[2:])
-            ev = f._with_thermo(field_, medium, x1, x2, *vals)
-        else:
-            ev = f._evaluate(field_, medium, x1, x2)
-        n = bn.x1.size
-        bv, av = f._Subset(ev, slice(None, n)), f._Subset(ev, slice(n, None))
+    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, kind, r, n_arc))(r)
 
-    E_F = float(np.sum(bn.w * bv.x1 * (bv.F + bv.lam * bv.chi)))
-    x2p = np.maximum(bv.x2, 0.0)
+    E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
+    x2p = np.maximum(bn.x2, 0.0)
     dirichlet = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2) / bv.H))
-    E_H = float(dirichlet + np.sum(bn.w * bv.x1 * (bv.x2 / rho0) * bv.chi))
+    E_H = float(dirichlet + np.sum(bn.w * bn.x1 * (bn.x2 / rho0) * bv.chi))
 
     u_arc = av.u
     un = av.g1 * an.n1 + av.g2 * an.n2
-    j_int = u_arc * u_arc / av.x1
+    j_int = u_arc * u_arc / an.x1
     J = float(np.sum(an.w * j_int)) / rho0
-    E_F_arc = float(np.sum(an.w * av.x1 * (av.F + av.lam * av.chi)))
+    E_F_arc = float(np.sum(an.w * an.x1 * (av.F + av.lam * av.chi)))
 
-    inv_wH = 1.0 / (av.x1 * av.H)
-    dw = inv_wH - 1.0 / (av.x1 * rho0)
+    inv_wH = 1.0 / (an.x1 * av.H)
+    dw = inv_wH - 1.0 / (an.x1 * rho0)
     uun = u_arc * un
     u_sq = u_arc * u_arc
     arc_un_sq = float(np.sum(an.w * inv_wH * un * un))
@@ -444,7 +428,7 @@ def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
     square_base = float(np.sum(an.w * square_kernel))
 
     K1_x2 = E_H - E_F
-    vol_dF2 = bn.w * bv.x1 * bv.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi)
+    vol_dF2 = bn.w * bn.x1 * bn.x2 * (bv.dF2 + (bv.lam_p - 1.0 / rho0) * bv.chi)
     K_x1x2 = float(np.sum(vol_dF2))
 
     rec = {"r": r, "E_F": E_F, "E_H": E_H, "E_F_arc": E_F_arc, "dirichlet": dirichlet, "J": J,
@@ -455,16 +439,16 @@ def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
         rec["square"] = 2.0 * r**-3 * square_base
         rec["k1"] = K1_x2
         rec["k2"] = K_x1x2
-        rec["k3"] = float(np.sum(bn.w * (bv.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)))
+        rec["k3"] = float(np.sum(bn.w * (bn.x1 - center[0]) * (bv.F - 2.0 * bv.t / bv.H + bv.lam * bv.chi)))
         rec["k4"] = 3.0 * float(np.sum(an.w * dw * uun))
         rec["k5"] = 4.5 / r * float(np.sum(an.w * (-dw) * u_sq))
-        k6_kernel = (av.x1 - center[0]) / av.x1 ** 2
+        k6_kernel = (an.x1 - center[0]) / an.x1 ** 2
         rec["k6"] = 1.5 / r * float(np.sum(an.w * k6_kernel * u_sq)) / rho0
         rec["k_scale"] = r**-4
     elif kind == "axis":
         rec["M"] = r**-3 * E_F - 2.0 * r**-4 * J
         rec["square"] = 2.0 * r**-3 * square_base
-        rec["k1"] = float(np.sum(bn.w * bv.x1 * (bv.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))
+        rec["k1"] = float(np.sum(bn.w * bn.x1 * (bn.x2 - center[1]) * (bv.dF2 + bv.lam_p * bv.chi)))
         rec["k2"] = 4.0 * float(np.sum(an.w * dw * uun))
         rec["k3"] = 8.0 / r * float(np.sum(an.w * (-dw) * u_sq))
         rec["k_scale"] = r**-4
@@ -476,10 +460,7 @@ def record_per_kind(field_, medium, center, r, kind, n_arc=4096, cells=None):
         rec["k3"] = 5.0 * float(np.sum(an.w * dw * uun))
         rec["k4"] = 12.5 / r * float(np.sum(an.w * (-dw) * u_sq))
         rec["k_scale"] = r**-5
-        rec["S_void"] = float(np.sum(bn.w * bv.x1 * x2p * (1.0 - bv.chi)))
-        rec["S_pos"] = float(np.sum(bn.w * bv.x1 * x2p * bv.chi))
-        rec["script_J"] = float(np.sum(an.w * dw * u_sq))
-        rec["grad_w_norm"] = float(np.sum(bn.w_inv * (bv.g1**2 + bv.g2**2)))
+        rec["S_void"] = float(np.sum(bn.w * bn.x1 * x2p * (1.0 - bv.chi)))
     rec["K_sum"] = rec["k1"] + rec["k2"] + rec["k3"] + rec["k4"] + rec["k5"] + rec["k6"]
     return rec
 

@@ -683,18 +683,19 @@ class TestGeometryErrors:
         assert run("sweep", cfg, tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: center {center} lies outside the grid or on its edge\n"
 
-    @pytest.mark.parametrize("sub, kv", [
-        ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5)),
-        ("classify", dict(kind="axis", point_x1=0.0, point_x2=0.5)),
+    @pytest.mark.parametrize("sub, kv, r", [
+        ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5), 0.225),
+        ("classify", dict(kind="axis", point_x1=0.0, point_x2=0.5), 0.0625),
     ])
-    def test_axis_point_on_a_grid_across_the_axis_is_one_error_line(self, tmp_path, capsys, sub, kv):
+    def test_axis_point_on_a_grid_across_the_axis_is_one_error_line(self, tmp_path, capsys, sub, kv, r):
         # half balls need a grid that starts at the axis: on this one the sweep used
         # to divide by zero and classify to label the point Cusp with density 3e-16,
-        # and then both to say that the ball, which lies inside the box, left the grid
+        # and then both to say that the ball, which lies inside the box, left the grid.
+        # The sweep builds its largest ball first, classify its smallest
         path = tmp_path / "f.txt"
         profiles.profile_field(profiles.axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64).write(path)
         assert run(sub, write_cfg(tmp_path / "c.cfg", field=path, **kv), tmp_path / "o") == 1
-        assert capsys.readouterr().err == ("error: half ball (center=(0.0, 0.5), r=0.225) needs a grid "
+        assert capsys.readouterr().err == (f"error: half ball (center=(0.0, 0.5), r={r}) needs a grid "
                                            "that starts at x1 = 0, not at x1 = -0.5\n")
         assert list((tmp_path / "o").iterdir()) == []
 

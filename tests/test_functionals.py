@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cornerflow.profiles import (
     stokes_corner,
     theta_star_constants,
 )
+from cornerflow.quadrature import grid_ball_cells
 
 from conftest import analytic_field, perturbed_flat_field
 from oracles import pohozaev_per_kind, record_per_kind, record_two_sets
@@ -105,8 +107,9 @@ class TestOneEvaluationPerRadius:
                              ids=[f"{c[4]}-{'grid' if c[5] else 'analytic'}" for c in CASES])
     def test_record_bitwise_equals_two_set_evaluation(self, spec, apex, center, r, kind, box,
                                                         incompressible, gamma_medium):
-        # the ball and arc nodes evaluated as one set give every entry of the
-        # record bit for bit as the two sets evaluated apart did
+        # every entry of the record is bit for bit as the ball and arc nodes
+        # evaluated apart give it, whether the record evaluates them as one set
+        # (analytic fields) or its grid cells and arc apart
         fld = profile_field(spec, offset=apex)
         if box is not None:
             fld = fld.resample(*box, 1 / 64)
@@ -128,17 +131,23 @@ class TestHomogeneousApex:
     @pytest.mark.parametrize("spec, apex, kind, medium, radii", CASES,
                              ids=[f"{c[2]}-{c[3]}" for c in CASES])
     def test_records_scaled_from_one_evaluation_equal_direct_ones(self, spec, apex, kind, medium, radii,
-                                                                  request):
-        # at the apex every radius reuses one evaluation of the unit-radius nodes;
+                                                                  request, monkeypatch):
+        # at the apex a sweep's radii reuse one evaluation of the unit-radius nodes;
         # the same profile without a degree evaluates each radius directly
+        from cornerflow import functionals
+
         medium = request.getfixturevalue(medium)
         fld = profile_field(spec, offset=apex)
         evaluate, calls = fld.evaluate_fn, []
         fld.evaluate_fn = lambda x1, x2, grad: calls.append(x1.size) or evaluate(x1, x2, grad)
         direct = AnalyticField(evaluate, fld.apex, fld.rays_phi, None)
-        for r in radii:
-            got = monotonicity_record(fld, medium, apex, float(r), kind)
-            want = monotonicity_record(direct, medium, apex, float(r), kind)
+        record, recs = functionals.monotonicity_record, []
+        monkeypatch.setattr(functionals, "monotonicity_record",
+                            lambda *args, **kwargs: recs.append(record(*args, **kwargs)) or recs[-1])
+        radial_sweep(fld, medium, apex, kind, radii)
+        radial_sweep(direct, medium, apex, kind, radii)
+        assert len(recs) == 2 * radii.size
+        for r, got, want in zip(radii, recs[:radii.size], recs[radii.size:]):
             assert got.keys() == want.keys()
             # the error terms vanish on an exact profile: they are compared on the
             # scale of the Pohozaev identity they enter, the square on that of M'
@@ -221,7 +230,7 @@ class TestNestedGridBalls:
     def test_sweep_columns_bitwise_equal_per_radius_records(self, spec, apex, center, kind, box, radii,
                                                              incompressible, gamma2_medium, monkeypatch):
         # the sweep evaluates the cells of its largest ball once and selects every
-        # ball from them; each record still evaluates its own ball and arc together
+        # ball from them; a lone record does the same with its own radius's cells
         from cornerflow import functionals
 
         fld = profile_field(spec, offset=apex).resample(*box, 1 / 64)
@@ -237,6 +246,30 @@ class TestNestedGridBalls:
             for key in recs[0]:
                 assert sweep.columns[key].tobytes() == np.array([rec[key] for rec in recs]).tobytes(), key
             assert np.all(sweep.columns["J"] > 0) and np.all(sweep.columns["E_F"] != 0)
+
+    def test_sweep_keeps_one_radius_next_to_the_cells(self, incompressible):
+        # sweep-gamma2's field and radii: the traced peak of the sweep is the shared
+        # cells' evaluation plus one radius's ball, arc and record, 2.95 times one
+        # evaluation of the r = 0.1 cells; a node source that kept the previous
+        # radius's arrays alive (a generator) read 4.25
+        from cornerflow import functionals
+
+        stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        fld = stokes.resample(0.75, 1.25, -0.25, 0.25, 1 / 256)
+        fld._gradient_arrays()
+        center, radii = (1.0, 0.0), np.geomspace(0.02, 0.1, 8)
+        cells = grid_ball_cells(fld, center, 0.1)
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(functionals._evaluate, fld, incompressible, cells[0], cells[1])
+        assert peak(radial_sweep, fld, incompressible, center, "stagnation", radii) / one < 3.5
 
 
 class TestStagnation:

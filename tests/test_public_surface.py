@@ -3,7 +3,9 @@
 Every public module-level function or class and every public method in
 ``src/cornerflow`` is referenced by name (``ast.Name`` or
 ``ast.Attribute``) somewhere in ``src/``, or it is listed in ``KEPT`` with
-the reason it stays.  A test-only helper belongs in ``tests/oracles.py``.
+the reason it stays.  An attribute read off ``self`` counts only for the
+methods of its enclosing class.  A test-only helper belongs in
+``tests/oracles.py``.
 """
 
 import ast
@@ -30,6 +32,7 @@ KEPT = {
     "eos.GammaLawMedium.F_dF2": _TRACED + " (eos.medium, solver.energy_evals)",
     "eos.IncompressibleMedium.H_d1_d2": _TRACED + " (eos.incompressible)",
     "eos.IncompressibleMedium.F_dF2": _TRACED + " (eos.incompressible)",
+    "eos.GammaLawMedium.lam_prime": _TRACED + " (eos.medium)",
     "profiles.eval_profile_gradient": _TRACED + " (profiles)",
 }
 
@@ -51,20 +54,32 @@ def public_definitions(modules):
     return out
 
 
+def _on_self(node):
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
 def referenced_names(modules):
-    names = set()
-    for tree in modules.values():
+    """Names referenced anywhere but off ``self``, and per ``module.Class`` the attributes read off ``self``."""
+    names, on_self = set(), {}
+    for mod, tree in modules.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.ClassDef):
+                on_self[f"{mod}.{node.name}"] = {sub.attr for sub in ast.walk(node) if _on_self(sub)}
+            elif isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not _on_self(node):
                 names.add(node.attr)
-    return names
+    return names, on_self
 
 
 def uncalled(modules):
-    refs = referenced_names(modules)
-    return [d for d in public_definitions(modules) if d.rpartition(".")[2] not in refs]
+    names, on_self = referenced_names(modules)
+    out = []
+    for d in public_definitions(modules):
+        owner, _, name = d.rpartition(".")
+        if name not in names and name not in on_self.get(owner, ()):
+            out.append(d)
+    return out
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -81,3 +96,12 @@ def test_an_uncalled_function_is_found():
     modules = _modules()
     modules["eos"].body.append(ast.parse("def pressure(model, rho):\n    return model.A * rho ** model.gamma\n").body[0])
     assert set(uncalled(modules)) - KEPT.keys() == {"eos.pressure"}
+
+
+def test_a_method_read_off_self_in_another_class_is_found():
+    # ProbeA's self.foo vouches for ProbeA.foo, not for ProbeB.foo
+    modules = _modules()
+    modules["eos"].body += ast.parse("class ProbeA:\n    def __init__(self):\n        self.foo()\n\n"
+                                     "    def foo(self):\n        pass\n\n\n"
+                                     "class ProbeB:\n    def foo(self):\n        pass\n").body
+    assert set(uncalled(modules)) - KEPT.keys() == {"eos.ProbeA", "eos.ProbeB", "eos.ProbeB.foo"}
