@@ -9,6 +9,7 @@ in closed form at the current iterate.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,10 @@ from .functionals import _evaluate, _thermo
 # are equal up to rounding, so a step that moves E by less is not uphill
 ROUNDING = 32 * np.finfo(float).eps
 HALVINGS = 30  # damped trials per step before it counts as no descent
+COARSEST = 64  # cells of the coarsest multigrid level, which is solved exactly
+# flexible CG on the coarse system: at most this many V-cycles, stopped once the
+# residual is this fraction of the first
+FCG_CYCLES, FCG_REDUCTION = 3, 0.3
 
 
 @dataclass
@@ -204,15 +209,15 @@ def _coarse_step(disc, v, E, H):
     """Truncated coarse correction: (v, E, H, step), step 0 if rejected.
 
     On the inactive cells (interior, v > 0, v != eps_chi) the frozen
-    quadratic's Newton system L c = -g/2 is solved approximately by one
-    V-cycle over 2x2 aggregates of those cells; c is scaled by the exact
-    minimizing step of the quadratic model along it, and halved until the
-    true energy does not rise.
+    quadratic's Newton system L c = -g/2 is solved approximately by flexible
+    CG over V-cycles on 2x2 aggregates of those cells; c is scaled by the
+    exact minimizing step of the quadratic model along it, and halved until
+    the true energy does not rise.
     """
     coef = _coefficients(disc, H)
     free = disc.interior & (v > 0.0) & (v != disc.cfg.eps_chi)
     g = disc.gradient(v, coef)
-    c = _vcycle(_hierarchy(coef, free), 0, np.where(free, -0.5 * g, 0.0))
+    c = _fcg(_hierarchy(coef, free), np.where(free, -0.5 * g, 0.0))
     curv = float(np.sum(c * _apply(c, *coef)))
     slope = float(np.sum(g * c))
     if not (curv > 0.0 and slope < 0.0):
@@ -254,9 +259,14 @@ def _apply(c, wE, wN, A):
     return A * c - _neighbour_sum(c, wE, wN)
 
 
+@cache
 def _colors(shape):
+    """The red and black cells of a lattice of ``shape``, read-only and built once."""
     parity = np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 2
-    return parity == 0, parity == 1
+    colors = parity == 0, parity == 1
+    for c in colors:
+        c.flags.writeable = False
+    return colors
 
 
 def _pgs_sweep(disc: _Discretization, v, H):
@@ -304,14 +314,14 @@ class _Level(NamedTuple):
 def _hierarchy(coef, free):
     """The stencil ``coef`` restricted to the ``free`` cells (the others held
     at 0: edges to a held cell drop out of the coupling but stay in A), and
-    its aggregates down to one cell."""
+    its aggregates down to the first level of at most ``COARSEST`` cells."""
     wE, wN, A = coef
     fE = np.zeros_like(free)
     fE[:-1] = free[:-1] & free[1:]
     fN = np.zeros_like(free)
     fN[:, :-1] = free[:, :-1] & free[:, 1:]
     levels = [_Level.of(np.where(fE, wE, 0.0), np.where(fN, wN, 0.0), np.where(free, A, 0.0))]
-    while levels[-1].A.shape != (1, 1):
+    while levels[-1].A.size > COARSEST:
         levels.append(_coarsen(levels[-1]))
     return levels
 
@@ -349,8 +359,32 @@ def _prolong(c, shape):
     return np.repeat(np.repeat(c, 2, axis=0), 2, axis=1)[:shape[0], :shape[1]]
 
 
+def _fcg(levels, b):
+    """Flexible CG for L_0 c = b from c = 0, one V-cycle per iteration.
+
+    The V-cycle's level scaling makes it a nonlinear preconditioner, so each
+    direction is made L-orthogonal to the last one explicitly (Notay, SIAM J.
+    Sci. Comput. 22, 2000).
+    """
+    c, r, p = np.zeros_like(b), b, None
+    stop = FCG_REDUCTION * np.linalg.norm(b)
+    for _ in range(FCG_CYCLES):
+        z = _vcycle(levels, 0, r)
+        if p is not None:
+            z = z - (float(np.sum(z * q)) / pq) * p
+        p, q = z, _apply(z, *levels[0][:3])
+        pq = float(np.sum(p * q))
+        if not pq > 0.0:
+            break
+        alpha = float(np.sum(p * r)) / pq
+        c, r = c + alpha * p, r - alpha * q
+        if np.linalg.norm(r) <= stop:
+            break
+    return c
+
+
 def _vcycle(levels, k, r):
-    """One V-cycle for L_k c = r from c = 0, exact on the 1 x 1 level.
+    """One V-cycle for L_k c = r from c = 0, exact on the coarsest level.
 
     A red/black Gauss-Seidel sweep before and after the coarse correction,
     which is scaled to minimize the energy norm of the error: piecewise-
@@ -358,7 +392,7 @@ def _vcycle(levels, k, r):
     """
     lv = levels[k]
     if k == len(levels) - 1:
-        return r * lv.inv
+        return _dense_solve(lv, r)
     c = _gs(lv, np.zeros_like(r), r)
     res = r - _apply(c, *lv[:3])
     e = np.where(lv.A > 0.0, _prolong(_vcycle(levels, k + 1, _restrict(res)), r.shape), 0.0)
@@ -366,6 +400,16 @@ def _vcycle(levels, k, r):
     if curv > 0.0:
         c = c + (float(np.sum(e * res)) / curv) * e
     return _gs(lv, c, r)
+
+
+def _dense_solve(lv, r):
+    """L c = r solved exactly on the free cells of a small level, c = 0 on the others."""
+    n = lv.A.size
+    free = (lv.A > 0.0).ravel()
+    L = _apply(np.eye(n).reshape(*lv.A.shape, n), *(x[..., None] for x in lv[:3]))
+    c = np.zeros(n)
+    c[free] = np.linalg.solve(L.reshape(n, n)[np.ix_(free, free)], r.ravel()[free])
+    return c.reshape(r.shape)
 
 
 def _gs(lv, c, r):

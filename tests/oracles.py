@@ -43,7 +43,7 @@ from cornerflow.profiles import (
 from cornerflow.quadrature import (
     BallNodes,
     _cell_fractions,
-    ball_nodes,
+    arc_nodes,
     polar_ball_nodes,
 )
 
@@ -319,10 +319,13 @@ def grid_ball_one_box(fld, center, r, half=False):
 
 
 def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
-    """Ball nodes and arc nodes evaluated apart, each with separate value and gradient calls."""
+    """Ball nodes and arc nodes evaluated apart, each with separate value and gradient calls;
+    either set may be empty."""
     parts = []
     for sl in (slice(0, n_ball), slice(n_ball, None)):
         a1, a2 = x1[sl], x2[sl]
+        if not a1.size:
+            continue
         if isinstance(field_, GridField):
             u = grid_value_separate(field_, a1, a2)
             g1, g2 = grid_gradient_separate(field_, a1, a2)
@@ -335,10 +338,21 @@ def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
 
 
 def record_two_sets(field_, medium, center, r, kind, n_arc=4096):
-    """``monotonicity_record`` with its ball and arc nodes evaluated as two node sets."""
-    n_ball = ball_nodes(field_, center, r, half=kind != "stagnation").x1.size
+    """``monotonicity_record`` with its ball and arc nodes evaluated as two node sets.
+
+    Each ``_evaluate`` call is split where the record's arc nodes begin, if it
+    ends with them: a call of the ball and the arc together becomes two sets,
+    and a call of a grid's cells or of the arc alone stays one.
+    """
+    arc = arc_nodes(field_, center, r, half=kind != "stagnation", n_arc=n_arc)
+
+    def split_per_call(f, m, x1, x2):
+        n = x1.size - arc.x1.size
+        ends_with_arc = n >= 0 and np.array_equal(x1[n:], arc.x1) and np.array_equal(x2[n:], arc.x2)
+        return _evaluate_two_sets(f, m, x1, x2, n if ends_with_arc else x1.size)
+
     one_set = functionals._evaluate
-    functionals._evaluate = lambda f, m, x1, x2: _evaluate_two_sets(f, m, x1, x2, n_ball)
+    functionals._evaluate = split_per_call
     try:
         return functionals.monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
     finally:

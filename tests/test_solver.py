@@ -89,9 +89,9 @@ class TestMinimize:
         assert np.min(fld.values) >= 0.0
 
     def test_one_inversion_per_trial_energy(self, model_g2, monkeypatch):
-        # test_compressible_run's box at h = 1/64 (41 energy evaluations over
-        # 8 cycles): each energy evaluation inverts its state once, and the
-        # gradient reuses the accepted trial's state
+        # test_compressible_run's box at h = 1/64 and 1/128 (26 + 36 energy
+        # evaluations over 5 + 7 cycles): each energy evaluation inverts its
+        # state once, and the gradient reuses the accepted trial's state
         states = []  # (node-set bytes, any flag) of every lattice inversion
         in_gradient = [False]
         inverted_in_gradient = []
@@ -123,10 +123,10 @@ class TestMinimize:
         monkeypatch.setattr(_Discretization, "gradient", flagged_gradient)
         monkeypatch.setattr(solver, "_smoothed_chi", counting_chi)
         flat = profile_field(flat_origin(beta=0.3))
-        cfg = MinimizeConfig(0.0, 0.25, 0.0, 0.25, 1 / 64, flat.value,
-                             medium=GammaLawMedium(model_g2), max_iter=5000)
-        _, log = minimize_EF(cfg)
-        assert log.converged and len(energies) >= 40
+        logs = [minimize_EF(MinimizeConfig(0.0, 0.25, 0.0, 0.25, h, flat.value,
+                                           medium=GammaLawMedium(model_g2), max_iter=5000))[1]
+                for h in (1 / 64, 1 / 128)]
+        assert all(log.converged for log in logs) and len(energies) >= 40
         assert inverted_in_gradient == []
         assert sum(not flagged for _, flagged in states) == len(energies)
         assert len({key for key, _ in states}) == len(states)  # no state inverted twice
@@ -340,7 +340,7 @@ class TestMultigrid:
         A[1:] += wE[:-1]
         A[:, 1:] += wN[:, :-1]
         free = rng.random(shape) < 0.7
-        fine, coarse = solver._hierarchy((wE, wN, A), free)[:2]
+        coarse = solver._coarsen(solver._hierarchy((wE, wN, A), free)[0])
         # P: each free cell takes its 2x2 aggregate's value, a held cell 0
         agg = (np.arange(n1)[:, None] // 2) * ((n2 + 1) // 2) + np.arange(n2)[None, :] // 2
         P = np.zeros((n1 * n2, coarse[2].size))
@@ -398,6 +398,60 @@ class TestMultigrid:
         assert log.converged and log.iterations[-1][3] <= cfg.tol
         energies = [E for (_, E, _, _) in log.iterations]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+
+
+class TestCoarseSolve:
+    """The coarse system's solve: exact on the coarsest level, flexible CG over V-cycles."""
+
+    @staticmethod
+    def _stencil(shape, seed=3):
+        """A random 5-point stencil with positive weights and a random free set."""
+        rng = np.random.default_rng(seed)
+        wE, wN = rng.uniform(0.5, 2.0, shape), rng.uniform(0.5, 2.0, shape)
+        wE[-1], wN[:, -1] = 0.0, 0.0
+        A = wE + wN + rng.uniform(0.0, 1.0, shape)
+        A[1:] += wE[:-1]
+        A[:, 1:] += wN[:, :-1]
+        return (wE, wN, A), rng.random(shape) < 0.7
+
+    @pytest.mark.parametrize("shape, sizes", [((8, 8), [64]), ((9, 8), [72, 20]),
+                                              ((33, 17), [561, 153, 45]),
+                                              ((64, 64), [4096, 1024, 256, 64])])
+    def test_hierarchy_stops_at_the_first_small_level(self, shape, sizes):
+        coef, free = self._stencil(shape)
+        levels = solver._hierarchy(coef, free)
+        assert [lv.A.size for lv in levels] == sizes
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 5)])
+    def test_coarsest_level_solved_exactly(self, shape):
+        coef, free = self._stencil(shape)
+        levels = solver._hierarchy(coef, free)
+        assert len(levels) == 1
+        r = np.where(free, np.random.default_rng(5).standard_normal(shape), 0.0)
+        c = solver._vcycle(levels, 0, r)
+        L = TestMultigrid._dense(*levels[0][:3])[np.ix_(free.ravel(), free.ravel())]
+        np.testing.assert_allclose(c[free], np.linalg.solve(L, r[free]), rtol=1e-12, atol=0.0)
+        assert np.all(c[~free] == 0.0)
+        assert solver._vcycle(levels, 0, r).tobytes() == c.tobytes()  # a rerun repeats it
+
+    def test_cycles_on_minimize_gamma2(self, model_g2):
+        # one level on its 8 x 8 lattice: the coarse step is the frozen
+        # quadratic's exact Newton step (4 cycles with a 1 x 1 coarsest level)
+        _, log = minimize_EF(TestJacobiDescent._flat_g2(model_g2, 1 / 32))
+        assert log.converged and len(log.iterations) <= 3
+
+    def test_cycles_on_the_lab_box(self, incompressible):
+        # 12 cycles at 64^2 (25 with a 1 x 1 coarsest level and one V-cycle)
+        stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, 1 / 128, stokes.value, medium=incompressible)
+        _, log = minimize_EF(cfg)
+        assert log.converged and len(log.iterations) <= 14
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+    def test_cycles_on_the_flat_gamma2_box(self, model_g2, h):
+        # 5 and 7 cycles (8 and 14 with a 1 x 1 coarsest level and one V-cycle)
+        _, log = minimize_EF(TestJacobiDescent._flat_g2(model_g2, h, max_iter=5000))
+        assert log.converged and len(log.iterations) <= 8
 
 
 class TestFirstVariation:
