@@ -15,6 +15,10 @@ import sys
 from collections import namedtuple
 from contextlib import nullcontext
 
+# before numpy loads OpenBLAS: every BLAS call here is small (dense solves of at most
+# 64 unknowns, norms, short dots), so a worker pool only burns CPU; a user's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import classify as classify_mod

@@ -101,85 +101,73 @@ def invert_many(model: EosModel, t, s, max_iter=120, rest=None):
     (outputs are NaN at flagged nodes).  ``rest`` is ``_rest_density(model, s)``
     where the caller has it already.
 
-    The bracket [sonic density, zero-speed density] contains exactly one
-    root when one exists because the residual is strictly increasing
-    there.  Safeguarded Newton runs until the absolute residual is at
-    most ``NEWTON_TOL``, or at most 16 ulps of the sum of its terms' sizes where
-    that rounding floor is larger (stiff gases, large c0); a node
-    that gets there takes one last plain Newton step (kept only inside
-    the bracket) and leaves the iteration.
+    In w = rho^-2 the residual f(w) = k t w + c0 (w^(-(gamma-1)/2) - e0) - g s
+    is convex for every gamma > 1, decreasing on the subsonic branch (w below
+    its sonic value) and nonnegative at the rest density H(0; s).  Newton's
+    method in w from there therefore rises monotonically to the root: every
+    tangent meets zero at or below it, so no iterate passes the root or
+    reaches the sonic point, and no bracket is needed.  A node stops once
+    the absolute residual is at most ``NEWTON_TOL``, or at most 16 ulps of
+    the sum of its terms' sizes where that rounding floor is larger (stiff
+    gases, large c0), and then takes one last plain Newton step in rho, kept
+    only inside (sonic density, H(0; s)).
     """
     gamma, A, rho0, g = model.gamma, model.A, model.rho_bar0, model.g
-    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if t.shape != s.shape:
+        t, s = np.broadcast_arrays(t, s)
     shape = t.shape
     t = t.ravel()
     s = s.ravel()
-    n = t.size
 
     gm1 = gamma - 1.0
     c0 = A * gamma / gm1
     e0 = rho0 ** gm1
     k = g * rho0 * rho0
 
-    rho = np.full(n, np.nan)
-    flag = np.zeros(n, dtype=np.int32)
+    hi = _rest_density(model, s) if rest is None else np.broadcast_to(rest, shape).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sonic density: rho^2 p'(rho) = 2 g rho0^2 t (NaN where t < 0); a
+        # subsonic root exists at rest (t = 0) or where the residual is
+        # negative at the sonic point and that lies below H(0; s)
+        lo = (2.0 * k * t / (A * gamma)) ** (1.0 / (gamma + 1.0))
+        sub = (k * t / (lo * lo) + c0 * (lo ** gm1 - e0) - g * s < 0.0) & (lo < hi)
+    ok = (hi > 0.0) & ((lo == 0.0) | sub)
+    flag = (~ok).astype(np.int32)
+    rho = np.where(ok, hi, np.nan)
 
-    hi = _rest_density(model, s) if rest is None else np.broadcast_to(rest, shape).ravel().copy()
-    bad = ~(hi > 0.0) | ~np.isfinite(t) | (t < 0.0)
-    flag[bad] = 1
-    good = ~bad
-
-    # sonic density: rho^2 p'(rho) = 2 g rho0^2 t
-    lo = np.zeros(n)
-    pos = good & (t > 0.0)
-    lo[pos] = (2.0 * k * t[pos] / (A * gamma)) ** (1.0 / (gamma + 1.0))
-
-    # no subsonic root when the residual is still nonnegative at the sonic point
-    chk = pos & (lo > 0.0)
-    x = lo[chk]
-    sup = np.zeros(n, dtype=bool)
-    sup[chk] = (k * t[chk] / (x * x) + c0 * (x ** gm1 - e0) - g * s[chk] >= 0.0) | (x >= hi[chk])
-    flag[sup] = 1
-    good &= ~sup
-
-    # [lo, hi] brackets the root of each node from here on
-    rho[good] = hi[good]
-    idx = np.nonzero(good & (t > 0.0))[0]
+    idx = np.flatnonzero(ok & (t > 0.0))
+    start = idx
+    kt, gs = k * t[idx], g * s[idx]
     # at the root the residual's terms sum to 2 (g s + c0 e0); 16 ulps of
     # that is its rounding floor, which tops NEWTON_TOL for stiff gases (large c0)
-    tol_n = np.maximum(NEWTON_TOL, 32.0 * np.finfo(float).eps * (g * s + c0 * e0))
+    tol_n = np.maximum(NEWTON_TOL, 32.0 * np.finfo(float).eps * (gs + c0 * e0))
+    w = hi[idx] ** -2.0
+    w_end = np.full(t.size, np.nan)  # w and residual where each node stopped
+    f_end = np.zeros(t.size)
     for _ in range(max_iter):
         if idx.size == 0:
             break
-        x = rho[idx]
-        ti = t[idx]
-        f = k * ti / (x * x) + c0 * (x ** gm1 - e0) - g * s[idx]
-        fp = A * gamma * x ** (gamma - 2.0) - 2.0 * k * ti / (x ** 3)
-        # update the bracket from the sign of f (residual increasing in rho)
-        up = f < 0.0
-        lo[idx[up]] = x[up]
-        hi[idx[~up]] = x[~up]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - f / fp
-        out = ~np.isfinite(xn) | (xn <= lo[idx]) | (xn >= hi[idx])
-        # the convergence test comes before the safeguard: a converged
-        # node's Newton step lands on the bracket end just moved to x, and
-        # bisecting from there would cost ~48 more passes for nothing
-        done = np.abs(f) <= tol_n[idx]
-        xn[out] = np.where(done[out], x[out], 0.5 * (lo[idx[out]] + hi[idx[out]]))
-        rho[idx] = xn
-        idx = idx[~done]
+        p = w ** (-0.5 * gm1)  # rho^(gamma-1)
+        f = kt * w + c0 * (p - e0) - gs
+        done = np.abs(f) <= tol_n
+        step = f / (kt - 0.5 * c0 * gm1 * p / w)
+        if np.count_nonzero(done):
+            w_end[idx[done]] = w[done]
+            f_end[idx[done]] = f[done]
+            keep = ~done
+            idx, kt, gs, tol_n, w, step = (a[keep] for a in (idx, kt, gs, tol_n, w, step))
+        w = w - step
     flag[idx] = 2
-    good[idx] = False
-    rho[idx] = np.nan
 
-    d1H = np.full(n, np.nan)
-    d2H = np.full(n, np.nan)
-    x = rho[good]
-    fp = A * gamma * x ** (gamma - 2.0) - 2.0 * k * t[good] / (x ** 3)
-    d1H[good] = -(k / (x * x)) / fp
-    d2H[good] = g / fp
+    # the last step in rho; unconverged nodes carry NaN through it
+    x = w_end[start] ** -0.5
+    xn = x - f_end[start] / (A * gamma * x ** (gamma - 2.0) - 2.0 * k * t[start] / (x ** 3))
+    rho[start] = np.where((lo[start] < xn) & (xn < hi[start]), xn, x)
 
+    fp = A * gamma * rho ** (gamma - 2.0) - 2.0 * k * t / (rho ** 3)
+    d1H = -(k / (rho * rho)) / fp
+    d2H = g / fp
     return rho.reshape(shape), d1H.reshape(shape), d2H.reshape(shape), flag.reshape(shape)
 
 

@@ -9,7 +9,7 @@ and checked (docs/decisions.md).  The root hunted below sits at s ~ -0.42.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -63,6 +63,16 @@ def _hyp2f1(a, b, c, s):
                                  residual=float(np.max(last)))
         out[band == i] = tot
     return out.reshape(s.shape)
+
+
+@cache
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only, made on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _check_open_interval(s):

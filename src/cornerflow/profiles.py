@@ -27,11 +27,10 @@ from .errors import DomainError, StencilError
 from .legendre import (
     LegendreConstants,
     find_theta_star,
+    gauss_legendre,
     legendre_P_prime,
     legendre_P_second,
 )
-
-_GL64 = np.polynomial.legendre.leggauss(64)
 
 SQRT2_OVER_3 = math.sqrt(2.0) / 3.0
 
@@ -44,7 +43,7 @@ def garabedian_norm_integral() -> float:
     """integral over the bubble cone of sin^3(theta) P'_{3/2}(-cos theta)^2."""
     c = theta_star_constants()
     a, b = math.pi - c.theta_star_rad, math.pi
-    x, w = _GL64
+    x, w = gauss_legendre(64)
     th = 0.5 * (b - a) * x + 0.5 * (a + b)
     vals = np.sin(th) ** 3 * legendre_P_prime(1.5, -np.cos(th)) ** 2
     return float(0.5 * (b - a) * np.dot(w, vals))
@@ -250,7 +249,7 @@ def profile_pde_residual(spec: ProfileSpec, x, h_fd=1e-3):
 
 def disk_angular_integral(fn, theta_a, theta_b, radial_power):
     """integral over B_1 of rho^radial_power * fn(theta), split-free 64-point panel."""
-    x, w = _GL64
+    x, w = gauss_legendre(64)
     th = 0.5 * (theta_b - theta_a) * x + 0.5 * (theta_a + theta_b)
     ang = float(0.5 * (theta_b - theta_a) * np.dot(w, fn(th)))
     return ang / (radial_power + 2.0)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .fields import AnalyticField, GridField
-
-_GL = {n: np.polynomial.legendre.leggauss(n) for n in (32, 48)}
+from .legendre import gauss_legendre
 
 
 @dataclass
@@ -67,9 +66,9 @@ def _frozen(*parts):
 @lru_cache(maxsize=64)
 def _ball_pattern(splits, half):
     """Unit-disk nodes (p1, p2, w) about the origin: 48 radial x 32 angular per panel."""
-    xr, wr = _GL[48]
+    xr, wr = gauss_legendre(48)
     rho = 0.5 * (xr + 1.0)
-    xt, wt = _GL[32]
+    xt, wt = gauss_legendre(32)
     ps1, ps2, ws = [], [], []
     for a, b in _angle_panels(splits, half):
         phi = 0.5 * (b - a) * xt + 0.5 * (a + b)
@@ -83,7 +82,7 @@ def _ball_pattern(splits, half):
 @lru_cache(maxsize=64)
 def _arc_pattern(splits, half):
     """Unit-circle nodes (p1, p2, w) about the origin: 48 per panel; (p1, p2) is the normal."""
-    xt, wt = _GL[48]
+    xt, wt = gauss_legendre(48)
     panels = _angle_panels(splits, half)
     phi = np.concatenate([0.5 * (b - a) * xt + 0.5 * (a + b) for a, b in panels])
     return _frozen([np.cos(phi)], [np.sin(phi)], [0.5 * (b - a) * wt for a, b in panels])

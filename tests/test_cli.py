@@ -661,6 +661,34 @@ class TestPackageRoot:
         assert set(names) - module == {"KERNEL_BACKEND", "__version__"}
 
 
+def import_cli_fresh(**blas_env):
+    """(OPENBLAS_NUM_THREADS, numpy.polynomial loaded, thread count or None) after a fresh import of the CLI."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(blas_env, PYTHONPATH=src)
+    code = ("import json, os, sys, cornerflow.cli\n"
+            "status = '/proc/self/status'\n"
+            "threads = None\n"
+            "if os.path.exists(status):\n"
+            "    threads = int(open(status).read().split('Threads:')[1].split()[0])\n"
+            "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], 'numpy.polynomial' in sys.modules, threads]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+class TestStartup:
+    def test_one_blas_thread_and_no_polynomial_module(self):
+        blas, polynomial, threads = import_cli_fresh()
+        assert blas == "1"
+        assert not polynomial  # the Gauss-Legendre rules are made on first use
+        assert threads in (None, 1)
+
+    def test_user_thread_count_wins(self):
+        blas, polynomial, _ = import_cli_fresh(OPENBLAS_NUM_THREADS="2")
+        assert blas == "2"
+        assert not polynomial
+
+
 class TestGeometryErrors:
     def test_classify_outside_grid(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", profile="axis_parabola", alpha=1.0,

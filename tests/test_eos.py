@@ -327,6 +327,23 @@ class TestKernelProperties:
         far = np.abs(q - 1.0) > 1e-6
         assert np.array_equal(no_root[far], q[far] > 1.0)
 
+    @KERNEL
+    @given(gamma=GAMMAS, A=STIFFNESS, s=HEIGHTS, gap=st.lists(st.floats(3.0, 9.0), min_size=1, max_size=8))
+    def test_near_the_peak_speed_newton_stays_between_sonic_and_rest(self, gamma, A, s, gap):
+        # q in [1 - 1e-3, 1 - 1e-9]: the root nears the sonic density, where
+        # the residual's slope vanishes; monotone Newton from rest never passes it
+        model = EosModel(gamma=gamma, A=A)
+        t = (1.0 - 10.0 ** -np.array(gap)) * peak_speed(model, s)
+        rho, _, _, flag = invert_many(model, t, s)
+        assert not np.any(flag)
+        gm1 = model.gamma - 1.0
+        c0 = model.A * model.gamma / gm1
+        tol_n = max(1e-13, 32.0 * np.finfo(float).eps * (model.g * s + c0 * model.rho_bar0**gm1))
+        assert np.max(np.abs(bernoulli_residual(model, t, s, rho))) <= tol_n
+        sonic = (2.0 * model.g * model.rho_bar0**2 * t / (model.A * model.gamma)) ** (1.0 / (model.gamma + 1.0))
+        rest = (model.rho_bar0**gm1 + model.g * s / c0) ** (1.0 / gm1)
+        assert np.all(sonic < rho) and np.all(rho <= rest)
+
 
 def separate_calls(model, t, s):
     """H, d1H, d2H from an inversion and F, dF2 from the closed form, each forming its own H(0; s)."""

@@ -26,6 +26,7 @@ from cornerflow.profiles import (
 )
 from cornerflow.quadrature import grid_ball_cells
 
+import oracles
 from conftest import analytic_field, perturbed_flat_field
 from oracles import pohozaev_per_kind, record_per_kind, record_two_sets
 
@@ -106,17 +107,25 @@ class TestOneEvaluationPerRadius:
     @pytest.mark.parametrize("spec, apex, center, r, kind, box", CASES,
                              ids=[f"{c[4]}-{'grid' if c[5] else 'analytic'}" for c in CASES])
     def test_record_bitwise_equals_two_set_evaluation(self, spec, apex, center, r, kind, box,
-                                                        incompressible, gamma_medium):
+                                                        incompressible, gamma_medium, monkeypatch):
         # every entry of the record is bit for bit as the ball and arc nodes
         # evaluated apart give it, whether the record evaluates them as one set
         # (analytic fields) or its grid cells and arc apart
         fld = profile_field(spec, offset=apex)
         if box is not None:
             fld = fld.resample(*box, 1 / 64)
+        else:
+            # at the apex a field with a degree scales its unit-radius values and
+            # evaluates nothing for the oracle to split
+            fld = AnalyticField(fld.evaluate_fn, fld.apex, fld.rays_phi, None)
+        two_sets, calls = oracles._evaluate_two_sets, []
+        monkeypatch.setattr(oracles, "_evaluate_two_sets", lambda *a: calls.append(a) or two_sets(*a))
         media = [incompressible] + [gamma_medium] * (kind == "stagnation")
         for medium in media:
             rec = monotonicity_record(fld, medium, center, r, kind, n_arc=1024)
+            calls.clear()
             assert rec == record_two_sets(fld, medium, center, r, kind, n_arc=1024)
+            assert calls, "the oracle evaluated nothing: the record was compared with itself"
             assert rec["J"] > 0 and rec["E_F"] != 0
 
 
