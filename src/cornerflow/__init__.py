@@ -4,7 +4,7 @@ of axisymmetric compressible gravity flow.
 Subpackages: eos (equation of state and Bernoulli inversion), legendre
 and profiles (blow-up profiles and exact constants), fields/quadrature
 (discrete fields and ball/arc integration), functionals (monotonicity
-and frequency formulas), solver (energy descent + first-variation
+and frequency formulas), solver (multigrid minimizer + first-variation
 validator), classify (trichotomy classifier), cli (batch driver).
 """
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
-from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, radius_window
+from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, point_kind, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
-from .quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
+from .quadrature import _check_holds, ball_nodes, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
@@ -32,18 +32,9 @@ class DegeneratePoint:
     kind: str = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        kind = self.kind
-        if kind is None:
-            if self.x1 == 0.0 and self.x2 == 0.0:
-                kind = "origin"
-            elif self.x2 == 0.0 and self.x1 > 0.0:
-                kind = "stagnation"
-            elif self.x1 == 0.0 and self.x2 > 0.0:
-                kind = "axis"
-            else:
-                raise DomainError("degenerate points satisfy x1*x2 = 0")
-            object.__setattr__(self, "kind", kind)
-        check_kind_center(self.kind, (self.x1, self.x2))
+        if self.kind is None:
+            object.__setattr__(self, "kind", point_kind(self.coords))
+        check_kind_center(self.kind, self.coords)
 
     @property
     def coords(self):
@@ -83,8 +74,7 @@ def blowup(field_, point: DegeneratePoint, r):
     if isinstance(field_, GridField):
         if r < 4.0 * field_.h:
             raise GeometryError("blow-up radius below 4h")
-        if not field_.contains_ball(point.coords, r * math.sqrt(2.0), half=point.kind != "stagnation"):
-            raise GeometryError("blow-up box leaves the grid")
+        _check_holds(field_, point.coords, r * math.sqrt(2.0), point.kind != "stagnation", "blow-up box")
     box = (-1.0 if point.kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, BLOWUP_H)
     X1, X2 = GridField.lattice(*box)
     vals = field_.value(point.x1 + r * X1, point.x2 + r * X2) / r**point.exponent

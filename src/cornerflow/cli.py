@@ -271,25 +271,13 @@ def run_profile_check(cfg, out, opts):
 
 
 def _interior_points(spec, rng, n):
-    pts = []
-    for _ in range(200):
-        if len(pts) >= n:
-            break
-        rho = 0.3 + 0.6 * rng.random()
-        if spec.kind == "StokesCorner":
-            th = (rng.random() - 0.5) * 0.9 * (2 * np.pi / 3)
-        elif spec.kind == "GarabedianBubble":
-            cst = profiles.theta_star_constants()
-            th = np.pi - cst.theta_star_rad * (0.08 + 0.84 * rng.random())
-        elif spec.kind == "FlatOrigin":
-            th = 0.15 + 0.6 * rng.random()
-        else:
-            th = 0.2 + rng.random()
-        x1 = rho * np.sin(th)
-        x2 = rho * np.cos(th)
-        if x1 > 0.05:
-            pts.append((float(x1), float(x2)))
-    return pts
+    """The first n of 200 draws in the half-annulus 0.3 <= |x| <= 0.9 with x1 > 0.05 and u > 0."""
+    rho = 0.3 + 0.6 * rng.random(200)
+    th = np.pi * rng.random(200)
+    x1 = rho * np.sin(th)
+    x2 = rho * np.cos(th)
+    keep = np.flatnonzero((x1 > 0.05) & (profiles.eval_profile(spec, x1, x2) > 0.0))[:n]
+    return list(zip(x1[keep].tolist(), x2[keep].tolist()))
 
 
 def run_profile_table(cfg, out, opts):
@@ -321,11 +309,8 @@ def _write_profile_table(out, box, evaluate, write_field):
 
 
 def run_minimize(cfg, out, opts):
-    if cfg["profile"] is not None:
-        boundary = _profile_field(cfg).value
-    else:
-        boundary = lambda x1, x2: np.zeros_like(np.asarray(x1))
-    mc = solver.MinimizeConfig(*_box(cfg), boundary=boundary, medium=_medium(cfg), eps_chi=cfg["eps_chi"],
+    source = profiles.profile_field(profiles.zero_profile()) if cfg["profile"] is None else _profile_field(cfg)
+    mc = solver.MinimizeConfig(*_box(cfg), boundary=source.value, medium=_medium(cfg), eps_chi=cfg["eps_chi"],
                                max_iter=cfg["max_iter"], tol=cfg["tol"])
     fld_out, log = solver.minimize_EF(mc)
     fld_out.write(os.path.join(out, "field.txt"))

@@ -132,7 +132,7 @@ def invert_many(model: EosModel, t, s, max_iter=120, rest=None):
         # negative at the sonic point and that lies below H(0; s)
         lo = (2.0 * k * t / (A * gamma)) ** (1.0 / (gamma + 1.0))
         sub = (k * t / (lo * lo) + c0 * (lo ** gm1 - e0) - g * s < 0.0) & (lo < hi)
-    ok = (hi > 0.0) & ((lo == 0.0) | sub)
+    ok = (hi > 0.0) & np.isfinite(hi) & ((lo == 0.0) | sub)
     flag = (~ok).astype(np.int32)
     rho = np.where(ok, hi, np.nan)
 

@@ -40,10 +40,6 @@ class NumericalError(CornerflowError):
         self.residual = residual
 
 
-class InternalConsistencyError(CornerflowError):
-    """A bracketing/sanity check failed, indicating an implementation bug."""
-
-
 class FrequencyUndefinedError(CornerflowError):
     """Frequency quantities requested at a radius where J(r) = 0."""
 

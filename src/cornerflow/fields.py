@@ -176,13 +176,7 @@ class GridField:
     # -- geometry ---------------------------------------------------------
     def contains_ball(self, center, r, half=False):
         """Whether the grid holds the ball; a half ball (about the axis) needs an on-axis grid."""
-        c1, c2 = center
-        return (
-            (self.on_axis if half else c1 - r >= self.x1_min - 1e-12)
-            and c1 + r <= self.x1_max + 1e-12
-            and c2 - r >= self.x2_min - 1e-12
-            and c2 + r <= self.x2_max + 1e-12
-        )
+        return (self.on_axis or not half) and r <= self.boundary_distance(center, half) + 1e-12
 
     def boundary_distance(self, center, half=False):
         c1, c2 = center

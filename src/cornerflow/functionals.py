@@ -25,20 +25,36 @@ from .quadrature import arc_nodes, ball_nodes, grid_ball_cells, grid_ball_select
 KINDS = ("stagnation", "axis", "origin")
 SCALING_POWER = {"stagnation": 1.5, "axis": 2.0, "origin": 2.5}
 VOLUME_TERMS = {"stagnation": 3, "axis": 1, "origin": 2}  # k1.. are volume terms, the rest boundary ones
+_CENTER_RULE = {
+    "stagnation": "stagnation centers have x1 > 0 and x2 = 0",
+    "axis": "axis centers have x1 = 0 and x2 > 0",
+    "origin": "the origin kind is centered at (0, 0)",
+}
 
 _T_ACTIVE = 1e-300
+
+
+def point_kind(center):
+    """The kind of the degenerate point at ``center``: which of its coordinates vanish."""
+    c1, c2 = center
+    if c1 == 0 and c2 == 0:
+        return "origin"
+    if c1 > 0 and c2 == 0:
+        return "stagnation"
+    if c1 == 0 and c2 > 0:
+        return "axis"
+    raise DomainError(f"degenerate points have x1, x2 >= 0 and x1*x2 = 0, not {tuple(center)}")
 
 
 def check_kind_center(kind, center):
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
-    c1, c2 = center
-    if kind == "stagnation" and not (c1 > 0 and c2 == 0):
-        raise DomainError("stagnation centers have x1 > 0 and x2 = 0")
-    if kind == "axis" and not (c1 == 0 and c2 > 0):
-        raise DomainError("axis centers have x1 = 0 and x2 > 0")
-    if kind == "origin" and not (c1 == 0 and c2 == 0):
-        raise DomainError("the origin kind is centered at (0, 0)")
+    try:
+        found = point_kind(center)
+    except DomainError:
+        found = None
+    if found != kind:
+        raise DomainError(_CENTER_RULE[kind])
 
 
 def check_radius(field_, center, r, kind):

@@ -13,7 +13,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, NumericalError
+from .errors import DomainError, NumericalError
 
 _TAIL = 1e-17  # absolute tail bound; every series starts with the term 1
 _MAX_TERMS = 2000  # coefficients kept per series; _BANDS: (upper z edge, term cap)
@@ -119,39 +119,23 @@ class LegendreConstants:
 
 
 def find_theta_star() -> LegendreConstants:
-    """Locate the unique root of P'_{3/2} in (-1, 0) and derived constants.
+    """Locate the root of P'_{3/2} near s = -0.42 and derived constants.
 
-    Three rounds of a 64-node sign scan shrink the bracket from 0.75 to
-    0.75/63^3 < 1e-5, then Newton polishes down to |P'| <= 1e-13.  The cone
-    half-angle is arccos of the root; m0 = s*^2/8 is the weighted cone
+    P'_{3/2} is a fixed function, so plain Newton from s = -0.42 stops when
+    a step no longer moves the iterate, which must leave |P'| <= 1e-13.  The
+    cone half-angle is arccos of the root; m0 = s*^2/8 is the weighted cone
     volume and beta = sqrt(15/2) normalizes the flat profile.
     """
     nu = 1.5
-    # the root sits near -0.42; bracket well inside the series' fast zone
-    lo, hi = -0.8, -0.05
-    for _ in range(3):
-        s = np.linspace(lo, hi, 64)
-        f = legendre_P_prime(nu, s)
-        change = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
-        if change.size == 0:
-            raise InternalConsistencyError("P'_{3/2} root not bracketed in (-1, 0)")
-        lo, hi = float(s[change[0]]), float(s[change[0] + 1])
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        f = float(legendre_P_prime(nu, x))
-        fp = float(legendre_P_second(nu, x))
-        step = f / fp
-        xn = x - step
-        if not (lo <= xn <= hi):
-            xn = 0.5 * (lo + hi)
-        if float(legendre_P_prime(nu, xn)) == 0.0 or abs(xn - x) < 1e-16:
-            x = xn
+    x = -0.42
+    for _ in range(20):
+        xn = x - float(legendre_P_prime(nu, x)) / float(legendre_P_second(nu, x))
+        if xn == x:
             break
         x = xn
-    if abs(float(legendre_P_prime(nu, x))) > 1e-13:
-        raise NumericalError(
-            "theta* refinement stalled", residual=float(legendre_P_prime(nu, x))
-        )
+    residual = float(legendre_P_prime(nu, x))
+    if abs(residual) > 1e-13:
+        raise NumericalError("theta* refinement stalled", residual=residual)
     theta = math.acos(x)
     return LegendreConstants(
         s_star=x,

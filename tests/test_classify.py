@@ -96,6 +96,13 @@ class TestBlowup:
         with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0, not at x1 = -0.5"):
             classify(fld, DegeneratePoint(0.0, 0.5))
 
+    def test_axis_blowup_off_the_axis_names_the_axis(self):
+        # the blow-up checks its box as balls and arcs do: this one used to say
+        # only that the box left the grid
+        fld = profile_field(axis_parabola(0.2)).resample(0.25, 1.0, 0.0, 1.0, 1 / 64)
+        with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0, not at x1 = 0.25"):
+            blowup(fld, DegeneratePoint(0.0, 0.5), 0.1)
+
 
 class TestWeightedDensity:
     def test_stokes(self, stokes_grid):

@@ -351,6 +351,23 @@ class TestProfileCheck:
             assert rec["max_pde_residual"] < 1e-6
             assert rec["max_homogeneity_relerr"] < 1e-12
 
+    def test_points_lie_where_each_profile_is_positive(self, tmp_path, monkeypatch):
+        # the points are drawn by the profile's own sign, not by a per-kind angle range
+        drawn = {}
+        interior = cli._interior_points
+
+        def record(spec, rng, n):
+            drawn[spec.kind] = (spec, interior(spec, rng, n))
+            return drawn[spec.kind][1]
+
+        monkeypatch.setattr(cli, "_interior_points", record)
+        assert run("profile-check", write_cfg(tmp_path / "c.cfg"), tmp_path / "o") == 0
+        assert sorted(drawn) == ["AxisParabola", "FlatOrigin", "GarabedianBubble", "StokesCorner"]
+        for spec, pts in drawn.values():
+            x1, x2 = np.array(pts).T
+            assert len(pts) == 24 and np.all(x1 > 0.05)
+            assert np.all(profiles.eval_profile(spec, x1, x2) > 0.0)
+
 
 class TestProfileTableAndClassify:
     def test_end_to_end_stokes(self, tmp_path):

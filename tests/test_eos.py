@@ -219,6 +219,16 @@ class TestInversion:
         assert list(flag) == [0, 2, 2]
         assert rho[0] > 0 and np.all(np.isnan(rho[1:])) and np.all(np.isnan(d1[1:]))
 
+    @pytest.mark.parametrize("t, s", [(0.01, math.inf), (0.01, -math.inf), (0.0, math.inf),
+                                      (math.inf, 0.1), (math.nan, 0.1), (0.01, math.nan)])
+    def test_non_finite_state_has_no_root(self, model_g2, t, s):
+        # an infinite rest density H(0; s) used to pass the no-root test: Newton
+        # then started at w = 0 and ran out its passes (flag 2), or at t = 0
+        # returned rho = inf with flag 0; any warning on the way fails the test
+        rho, d1, d2, flag = invert_many(model_g2, np.array([t]), np.array([s]))
+        assert list(flag) == [1]
+        assert np.all(np.isnan(np.stack((rho, d1, d2))))
+
     def test_matches_mpmath_oracle(self):
         rng = np.random.default_rng(5)
         for gamma in (1.4, 2.0, 3.0):

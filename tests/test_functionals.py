@@ -7,12 +7,14 @@ import pytest
 from cornerflow.errors import DomainError, FrequencyUndefinedError, GeometryError
 from cornerflow.fields import AnalyticField, GridField
 from cornerflow.functionals import (
+    check_kind_center,
     default_radii,
     delta_radius,
     energy_identity_residual,
     frequency_quantities,
     monotonicity_derivative_check,
     monotonicity_record,
+    point_kind,
     pohozaev_residual,
     radial_sweep,
 )
@@ -534,3 +536,20 @@ class TestGeometryHelpers:
             monotonicity_record(flat_field, incompressible, (0.5, 0.5), 0.1, "stagnation")
         with pytest.raises(DomainError):
             radial_sweep(flat_field, incompressible, (0.0, 0.0), "origin", [0.2, 0.1])
+
+    def test_point_kind(self):
+        # the kind is which coordinates of the center vanish
+        assert point_kind((1.0, 0.0)) == "stagnation"
+        assert point_kind((0.0, 0.5)) == "axis"
+        assert point_kind((0.0, 0.0)) == "origin"
+
+    @pytest.mark.parametrize("center", [(0.5, 0.5), (-1.0, 0.0), (0.0, -1.0)])
+    def test_point_kind_off_the_degenerate_set(self, center):
+        with pytest.raises(DomainError, match="degenerate points have"):
+            point_kind(center)
+
+    def test_kind_center_names_the_requirement(self):
+        with pytest.raises(DomainError, match=r"^axis centers have x1 = 0 and x2 > 0$"):
+            check_kind_center("axis", (1.0, 0.0))
+        with pytest.raises(DomainError, match=r"^stagnation centers have x1 > 0 and x2 = 0$"):
+            check_kind_center("stagnation", (0.5, 0.5))

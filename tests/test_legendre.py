@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cornerflow import legendre
 from cornerflow.errors import DomainError, NumericalError
 from cornerflow.legendre import (
     find_theta_star,
@@ -150,3 +151,17 @@ class TestThetaStar:
     def test_beta(self):
         c = find_theta_star()
         assert c.beta**2 == pytest.approx(7.5, rel=1e-14)
+
+    def test_root_is_the_correctly_rounded_one(self):
+        # the 40-digit mpmath root of P'_{3/2}, rounded to a float
+        assert find_theta_star().s_star == -0.41944305104209506
+        with mp.workdps(40):
+            root = mp.findroot(lambda x: mp.diff(lambda y: mp.legenp(1.5, 0, y, type=2), x), -0.42)
+        assert float(root) == -0.41944305104209506
+
+    def test_stalled_newton_raises(self, monkeypatch):
+        # a wrong derivative shrinks every step 1e6-fold: Newton stops short of the root
+        second = legendre.legendre_P_second
+        monkeypatch.setattr(legendre, "legendre_P_second", lambda nu, s: 1e6 * second(nu, s))
+        with pytest.raises(NumericalError, match="theta\\* refinement stalled"):
+            find_theta_star()
