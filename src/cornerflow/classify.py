@@ -8,7 +8,6 @@ breaks the tie (the trivial case is flagged as such).
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,17 +22,12 @@ DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/
 BLOWUP_H = 2.0 / 128  # the blow-up lattice's step: 128 cells across the unit box
 
 
-@dataclass(frozen=True)
 class DegeneratePoint:
     """A degenerate free-boundary point with its kind and scaling exponent."""
 
-    x1: float
-    x2: float
-    kind: str = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.kind is None:
-            object.__setattr__(self, "kind", point_kind(self.coords))
+    def __init__(self, x1, x2, kind=None):
+        self.x1, self.x2 = x1, x2
+        self.kind = point_kind(self.coords) if kind is None else kind
         check_kind_center(self.kind, self.coords)
 
     @property
@@ -182,26 +176,40 @@ def default_radii(field_, point: DegeneratePoint):
     return np.geomspace(max(r_min, r_hi / 8.0), r_hi, 10)
 
 
-@dataclass
 class Classification:
-    kind: str
-    density: float
-    uncertainty: float
-    label: str
-    nearest_density: float
-    gap: float
-    fit_param: float = None
-    fit_residual: float = None
-    candidates: list = field(default_factory=list)
-    notes: str = ""
+    """The classifier's verdict; its attributes are what ``classification.json`` holds."""
+
+    def __init__(self, kind, density, uncertainty, label, nearest_density, gap,
+                 fit_param=None, fit_residual=None, candidates=None, notes=""):
+        self.kind, self.density, self.uncertainty, self.label = kind, density, uncertainty, label
+        self.nearest_density, self.gap = nearest_density, gap
+        self.fit_param, self.fit_residual = fit_param, fit_residual
+        self.candidates = [] if candidates is None else candidates
+        self.notes = notes
+
+
+def _check_near_positive_cell(grid: GridField, point: DegeneratePoint):
+    """GeometryError, with the distance, if ``grid`` has positive cells but none within 2h of the point.
+
+    About a point in the zero phase the fit in r extrapolates the densities'
+    rise to a value below 0; with no positive cell every density is 0, a cusp's.
+    """
+    d2 = np.add.outer((grid.cell_x1 - point.x1) ** 2, (grid.cell_x2 - point.x2) ** 2)
+    dist = math.sqrt(np.min(d2, where=grid.chi(grid.values), initial=np.inf))
+    if 2.0 * grid.h < dist < math.inf:
+        raise GeometryError(f"center {point.coords} is no free-boundary point: the nearest positive "
+                            f"cell lies {dist:.6g} away, beyond 2h = {2.0 * grid.h:.6g}")
 
 
 def classify(field_, point: DegeneratePoint, radii=None):
     """Trichotomy classification by nearest weighted density.
 
     An ambiguous match is labelled "Ambiguous" with the candidate table
-    attached (never a forced label).
+    attached (never a forced label).  On a grid, a center with no positive
+    cell within 2h is no free-boundary point: GeometryError.
     """
+    if isinstance(field_, GridField):
+        _check_near_positive_cell(field_, point)
     if radii is None:
         radii = default_radii(field_, point)
     meas = weighted_density(field_, point, radii)

@@ -1,14 +1,13 @@
 """Batch CLI: deterministic file-based runs of the computational modules.
 
 Config files are flat ``key = value`` text with ``#`` comments.  Every
-run reads one config, writes its artifacts into ``--out`` and exits
-with 0 on success, 1 on domain/geometry/config errors, 2 on numerical
-non-convergence.  Floats are written with 17 significant digits, so
-identical configs produce byte-identical outputs.
+run reads one config, writes its artifacts into ``--out`` (``--plots`` adds
+SVG plots to a sweep or classify run) and exits with 0 on success, 1 on
+domain/geometry/config errors, 2 on numerical non-convergence or a usage
+error.  Floats are written with 17 significant digits, so identical
+configs produce byte-identical outputs.
 """
 
-import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -377,7 +376,7 @@ def run_classify(cfg, out, opts):
     radii = (classify_mod.default_radii(fld, point) if cfg["r_min"] is None
              else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"]))
     result = classify_mod.classify(fld, point, radii=radii)
-    _write_json(os.path.join(out, "classification.json"), dataclasses.asdict(result))
+    _write_json(os.path.join(out, "classification.json"), vars(result))
     if opts.plots:  # the blow-up that classify fits, at its largest radius
         blow = classify_mod.blowup(fld, point, float(radii[-1]))
         write_svg_levels(
@@ -396,16 +395,48 @@ RUNNERS = {
 }
 
 
+USAGE = f"usage: cornerflow {{{','.join(RUNNERS)}}} --config PATH --out DIR [--plots]"
+# what the runners get of the command line
+Options = namedtuple("Options", "subcommand config out plots")
+
+
+def parse_argv(argv):
+    """``<subcommand> --config PATH --out DIR [--plots]``, in any order, as Options.
+
+    Each token is read once as written: no abbreviation, no ``--flag=value``.
+    Raises ValueError, with the message of a usage error, on an unknown or
+    repeated token, a flag without its value, or a missing subcommand,
+    ``--config`` or ``--out``.
+    """
+    got = {}
+    tokens = iter(argv)
+    for tok in tokens:
+        key = "subcommand" if tok in RUNNERS else tok
+        if key not in ("subcommand", "--config", "--out", "--plots"):
+            raise ValueError(f"unrecognized argument {tok!r}")
+        if key in got:
+            raise ValueError(f"{key} given twice")
+        if key in ("--config", "--out"):
+            tok = next(tokens, None)
+            if tok is None or tok.startswith("-"):
+                raise ValueError(f"{key} needs a value")
+        got[key] = tok
+    missing = [key for key in ("subcommand", "--config", "--out") if key not in got]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    return Options(got["subcommand"], got["--config"], got["--out"], "--plots" in got)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="cornerflow",
-        description="Free-boundary singularity laboratory (batch runs)",
-    )
-    parser.add_argument("subcommand", choices=list(RUNNERS))
-    parser.add_argument("--config", required=True, help="flat key = value config file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--plots", action="store_true", help="also write SVG plots")
-    opts = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"{USAGE}\n\n{__doc__}", end="")
+        raise SystemExit(0)
+    try:
+        opts = parse_argv(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\ncornerflow: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
     try:
         cfg = typed_config(parse_config(opts.config), opts.subcommand)

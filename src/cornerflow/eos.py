@@ -7,7 +7,7 @@ physical-frame derivative of the density with respect to height is
 ``-dH/ds`` and is negative on the subsonic branch.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,25 +16,22 @@ from .errors import DomainError, StateError, SubsonicityError
 NEWTON_TOL = 1e-13  # absolute Bernoulli residual at which invert_many stops a node
 
 
-@dataclass(frozen=True)
 class EosModel:
     """Gamma-law gas p = A*rho^gamma with gravity g and surface density rho_bar0."""
 
-    gamma: float
-    A: float = 1.0
-    rho_bar0: float = 1.0
-    g: float = 1.0
-    eps0: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if not self.gamma > 1.0:
+    def __init__(self, gamma, A=1.0, rho_bar0=1.0, g=1.0, eps0=None):
+        if not gamma > 1.0:
             raise DomainError("gamma must exceed 1")
-        if self.A <= 0 or self.rho_bar0 <= 0 or self.g <= 0:
+        if A <= 0 or rho_bar0 <= 0 or g <= 0:
             raise DomainError("A, rho_bar0 and g must be positive")
-        if self.eps0 is None:
-            object.__setattr__(self, "eps0", 1e-3 * self.rho_bar0)
-        if self.eps0 <= 0:
+        if eps0 is None:
+            eps0 = 1e-3 * rho_bar0
+        if eps0 <= 0:
             raise DomainError("eps0 must be positive")
+        self.gamma, self.A, self.rho_bar0, self.g, self.eps0 = gamma, A, rho_bar0, g, eps0
+
+    def __eq__(self, other):
+        return type(other) is EosModel and vars(other) == vars(self)
 
     @property
     def x2_st(self) -> float:
@@ -62,8 +59,7 @@ def critical_density(model: EosModel, x2):
     return np.where(x2 == 0.0, model.rho_bar0, base ** (1.0 / gm1))[()]
 
 
-@dataclass(frozen=True)
-class BernoulliState:
+class BernoulliState(NamedTuple):
     """Inverted density at a rescaled state (t, s) with both H-derivatives.
 
     d1H = dH/dt and d2H = dH/ds in the rescaled frame; d1H < 0 and

@@ -14,7 +14,7 @@ origin kind the frequency quantities D, V, N with their cumulative
 corrections.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def default_radii(field_, center, kind):
     return log_radii(*radius_window(field_, center, kind))
 
 
-@dataclass
-class _NodeEval:
+class _NodeEval(NamedTuple):
     u: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
@@ -116,8 +115,7 @@ class _NodeEval:
     lam_p: np.ndarray
 
 
-@dataclass
-class _Subset:
+class _Subset(NamedTuple):
     """The nodes ``index`` (a slice or an index array) of ``ev``: each attribute is taken when read."""
 
     ev: _NodeEval
@@ -312,12 +310,12 @@ def energy_identity_residual(rec):
 # radial sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RadialSweep:
-    center: tuple
-    kind: str
-    radii: np.ndarray
-    columns: dict = field(default_factory=dict)
+    """The radii of one sweep and, per name, the column of its records' values."""
+
+    def __init__(self, center, kind, radii, columns=None):
+        self.center, self.kind, self.radii = center, kind, radii
+        self.columns = {} if columns is None else columns
 
 
 def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):

@@ -8,8 +8,8 @@ and checked (docs/decisions.md).  The root hunted below sits at s ~ -0.42.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +107,7 @@ def legendre_ode_residual(nu: float, s):
     return (1.0 - s * s) * Ppp - 2.0 * s * Pp + nu * (nu + 1.0) * P
 
 
-@dataclass(frozen=True)
-class LegendreConstants:
+class LegendreConstants(NamedTuple):
     """Cone constants of the degree-3/2 Legendre derivative root."""
 
     s_star: float

@@ -19,7 +19,6 @@ unit half-circle to 1.
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,13 +53,12 @@ def garabedian_beta0() -> float:
     return 1.0 / math.sqrt(garabedian_norm_integral())
 
 
-@dataclass(frozen=True)
 class ProfileSpec:
     """A closed-form blow-up profile with its homogeneity degree."""
 
-    kind: str
-    degree: float
-    params: dict = field(default_factory=dict)
+    def __init__(self, kind, degree, params=None):
+        self.kind, self.degree = kind, degree
+        self.params = {} if params is None else params
 
 
 def stokes_corner(coeff=None, x1_circ=None, rho_bar0=1.0) -> ProfileSpec:

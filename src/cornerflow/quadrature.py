@@ -13,8 +13,8 @@ integrals and ``w_inv`` for integrands with a 1/x1 factor, where the
 per-cell integral of 1/x1 is taken exactly across the cell width.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,16 +23,14 @@ from .fields import AnalyticField, GridField
 from .legendre import gauss_legendre
 
 
-@dataclass
-class BallNodes:
+class BallNodes(NamedTuple):
     x1: np.ndarray
     x2: np.ndarray
     w: np.ndarray
     w_inv: np.ndarray
 
 
-@dataclass
-class ArcNodes:
+class ArcNodes(NamedTuple):
     x1: np.ndarray
     x2: np.ndarray
     w: np.ndarray

@@ -8,7 +8,6 @@ the compressible term needs no lagging: dF/dt = 1/H(t; x2) is available
 in closed form at the current iterate.
 """
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
@@ -29,34 +28,31 @@ COARSEST = 64  # cells of the coarsest multigrid level, which is solved exactly
 FCG_CYCLES, FCG_REDUCTION = 3, 0.3
 
 
-@dataclass
 class MinimizeConfig:
-    x1_min: float
-    x1_max: float
-    x2_min: float
-    x2_max: float
-    h: float
-    boundary: callable  # (x1, x2) -> Dirichlet data, also the initial guess
-    medium: object = field(default_factory=IncompressibleMedium)
-    eps_chi: float = None  # default 2h
-    max_iter: int = 50_000  # multigrid cycles
-    tol: float = 1e-10  # bound on the certificate max|PGS(v) - v| / max|boundary data|
+    """The lattice box, ``boundary(x1, x2)`` (the Dirichlet data, also the initial guess)
+    and the medium; ``eps_chi`` defaults to 2h, ``max_iter`` counts multigrid cycles, and
+    ``tol`` bounds the certificate max|PGS(v) - v| / max|boundary data|."""
 
-    def __post_init__(self):
-        if self.eps_chi is None:
-            self.eps_chi = 2.0 * self.h
-        if self.eps_chi <= 0 or self.tol <= 0:
+    def __init__(self, x1_min, x1_max, x2_min, x2_max, h, boundary, medium=None, eps_chi=None,
+                 max_iter=50_000, tol=1e-10):
+        if eps_chi is None:
+            eps_chi = 2.0 * h
+        if eps_chi <= 0 or tol <= 0:
             raise DomainError("eps_chi and tol must be positive")
-        if self.x1_min < 0:
-            raise DomainError(f"the lattice lies in the half-plane x1 >= 0, got x1_min = {self.x1_min}")
+        if x1_min < 0:
+            raise DomainError(f"the lattice lies in the half-plane x1 >= 0, got x1_min = {x1_min}")
+        self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h = x1_min, x1_max, x2_min, x2_max, h
+        self.boundary = boundary
+        self.medium = IncompressibleMedium() if medium is None else medium
+        self.eps_chi, self.max_iter, self.tol = eps_chi, max_iter, tol
 
 
-@dataclass
 class ConvergenceLog:
-    iterations: list = field(default_factory=list)  # (cycle, energy, coarse step, certificate)
-    converged: bool = False
-    stagnated: bool = False
-    message: str = ""
+    """The cycles of one run, each (cycle, energy, coarse step, certificate), and how it ended."""
+
+    def __init__(self, iterations=None, converged=False, stagnated=False, message=""):
+        self.iterations = [] if iterations is None else iterations
+        self.converged, self.stagnated, self.message = converged, stagnated, message
 
 
 def _smoothed_chi(v, eps):
@@ -303,6 +299,7 @@ class _Level(NamedTuple):
     A: np.ndarray
     inv: np.ndarray  # 1/A on the free cells, 0 elsewhere
     colors: tuple  # the free cells of each red/black color
+    dense: tuple = None  # the coarsest level's (free cells, L on them), from ``_dense_operator``
 
     @classmethod
     def of(cls, wE, wN, A):
@@ -314,7 +311,8 @@ class _Level(NamedTuple):
 def _hierarchy(coef, free):
     """The stencil ``coef`` restricted to the ``free`` cells (the others held
     at 0: edges to a held cell drop out of the coupling but stay in A), and
-    its aggregates down to the first level of at most ``COARSEST`` cells."""
+    its aggregates down to the first level of at most ``COARSEST`` cells,
+    which carries its dense operator: every V-cycle on the hierarchy reads it."""
     wE, wN, A = coef
     fE = np.zeros_like(free)
     fE[:-1] = free[:-1] & free[1:]
@@ -323,6 +321,7 @@ def _hierarchy(coef, free):
     levels = [_Level.of(np.where(fE, wE, 0.0), np.where(fN, wN, 0.0), np.where(free, A, 0.0))]
     while levels[-1].A.size > COARSEST:
         levels.append(_coarsen(levels[-1]))
+    levels[-1] = levels[-1]._replace(dense=_dense_operator(levels[-1]))
     return levels
 
 
@@ -402,13 +401,19 @@ def _vcycle(levels, k, r):
     return _gs(lv, c, r)
 
 
-def _dense_solve(lv, r):
-    """L c = r solved exactly on the free cells of a small level, c = 0 on the others."""
+def _dense_operator(lv):
+    """The free cells of a small level, flat, and L restricted to them as a dense matrix."""
     n = lv.A.size
     free = (lv.A > 0.0).ravel()
     L = _apply(np.eye(n).reshape(*lv.A.shape, n), *(x[..., None] for x in lv[:3]))
-    c = np.zeros(n)
-    c[free] = np.linalg.solve(L.reshape(n, n)[np.ix_(free, free)], r.ravel()[free])
+    return free, L.reshape(n, n)[np.ix_(free, free)]
+
+
+def _dense_solve(lv, r):
+    """L c = r solved exactly on the free cells of the coarsest level, c = 0 on the others."""
+    free, L = lv.dense
+    c = np.zeros(r.size)
+    c[free] = np.linalg.solve(L, r.ravel()[free])
     return c.reshape(r.shape)
 
 

@@ -209,6 +209,21 @@ class TestClassify:
         assert res.label == "Cusp"
         assert res.density == 0.0
 
+    @pytest.mark.parametrize("lift, raises", [(0.1, True), (1 / 128, False)])
+    def test_center_off_the_free_boundary_is_refused(self, lift, raises):
+        # u = (x2 - lift)+: the nearest positive cell centers sit h/2 left and right
+        # of x1 = 1, at x2 = 13.5h (lift 0.1) or 1.5h (lift h); beyond 2h the
+        # point is refused, within it classified
+        fld = GridField.from_function(lambda X1, X2: np.maximum(X2 - lift, 0.0) + 0.0 * X1,
+                                      0.5, 1.5, -0.5, 0.5, 1 / 128)
+        point, radii = DegeneratePoint(1.0, 0.0), np.geomspace(0.04, 0.2, 6)
+        if raises:
+            with pytest.raises(GeometryError, match=r"^center \(1\.0, 0\.0\) is no free-boundary point: "
+                               r"the nearest positive cell lies 0\.105541 away, beyond 2h = 0\.015625$"):
+                classify(fld, point, radii=radii)
+        else:
+            assert classify(fld, point, radii=radii).density >= 0.0
+
     def test_trivial_axis_norm_tiebreak(self):
         cub = GridField.from_function(lambda X1, X2: X1**3, 0.0, 1.0, 0.0, 1.0, H)
         res = classify(cub, DegeneratePoint(0.0, 0.5))

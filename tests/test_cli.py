@@ -199,6 +199,61 @@ class TestConfigParsing:
             run("eos-table", cfg, tmp_path / "o", "--threads", "1")
 
 
+class TestUsage:
+    """The command line: ``<subcommand> --config PATH --out DIR [--plots]``, read without argparse."""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_the_usage_and_exits_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eos-table", flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == cli.USAGE and err == ""
+        assert cli.USAGE.startswith("usage: cornerflow {eos-table,profile-check,")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eos-table", "--config", "C", "--out", "O", "--threads", "1"], "unrecognized argument '--threads'"),
+        (["eos-table", "--conf", "C", "--out", "O"], "unrecognized argument '--conf'"),
+        (["eos-tables", "--config", "C", "--out", "O"], "unrecognized argument 'eos-tables'"),
+        (["eos-table", "--out", "O"], "missing --config"),
+        (["eos-table", "--config", "C"], "missing --out"),
+        (["--config", "C", "--out", "O"], "missing subcommand"),
+        ([], "missing subcommand, --config, --out"),
+        (["eos-table", "--config", "C", "--out"], "--out needs a value"),
+        (["eos-table", "--config", "--out", "O"], "--config needs a value"),
+        (["eos-table", "--config", "C", "--out", "O", "--out", "P"], "--out given twice"),
+        (["eos-table", "sweep", "--config", "C", "--out", "O"], "subcommand given twice"),
+        (["eos-table", "--config", "C", "--out", "O", "--plots", "--plots"], "--plots given twice"),
+    ])
+    def test_usage_error_exits_2_with_the_usage_and_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                                    argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{cli.USAGE}\ncornerflow: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plots_reaches_the_runner(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli.RUNNERS, "eos-table", lambda cfg, out, opts: seen.append(opts) or 0)
+        cfg = write_cfg(tmp_path / "c.cfg", **TestConfigParsing.VALID["eos-table"])
+        assert run("eos-table", cfg, tmp_path / "o") == 0
+        assert cli.main(["--plots", "--out", str(tmp_path / "p"), "--config", cfg, "eos-table"]) == 0
+        assert [o.plots for o in seen] == [False, True]
+        assert seen[1] == ("eos-table", cfg, str(tmp_path / "p"), True)
+
+    def test_module_run_reads_sys_argv(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        cfg = write_cfg(tmp_path / "c.cfg", **TestConfigParsing.VALID["eos-table"])
+        out = subprocess.run([sys.executable, "-m", "cornerflow.cli", "eos-table", "--config", cfg,
+                              "--out", str(tmp_path / "o")], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert (tmp_path / "o" / "eos_table.csv").read_text().count("\n") == 1 + 5 * 5
+
+
 class TestFieldFiles:
     @pytest.mark.parametrize("text", [
         "grid 0 0.5 -0.25 x 0.25\n1 2\n3 4\n",
@@ -706,6 +761,16 @@ class TestStartup:
         assert not polynomial
 
 
+def test_import_loads_no_argument_parser_or_dataclass_machinery():
+    # a fresh process pays only for what its subcommand runs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import json, sys, cornerflow.cli\n"
+            "print(json.dumps(sorted({'argparse', 'gettext', 'locale', 'dataclasses'} & set(sys.modules))))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
+
+
 class TestGeometryErrors:
     def test_classify_outside_grid(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", profile="axis_parabola", alpha=1.0,
@@ -770,3 +835,30 @@ class TestGeometryErrors:
         assert run("classify", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
         assert capsys.readouterr().err == "error: no admissible radius window for this center\n"
         assert not (tmp_path / "o" / "classification.json").exists()
+
+
+class TestClassifyMinimizer:
+    """``classify`` at (1, 0) on the lab box's minimizer (docs/decisions.md, "What a certified minimizer is")."""
+
+    def minimize_then_classify(self, tmp_path, h):
+        cfg = write_cfg(tmp_path / "m.cfg", profile="stokes_corner", x1_circ=1.0, offset_x1=1.0,
+                        x1_min=0.75, x1_max=1.25, x2_min=-0.25, x2_max=0.25, h=h)
+        assert run("minimize", cfg, tmp_path / "m") == 0
+        ccfg = write_cfg(tmp_path / "c.cfg", field=tmp_path / "m" / "field.txt", point_x1=1.0, kind="stagnation")
+        return run("classify", ccfg, tmp_path / "c")
+
+    def test_lab_lattice_is_horizontally_flat(self, tmp_path):
+        # at 64^2 the positive set runs through (1, 0) to the bottom row
+        assert self.minimize_then_classify(tmp_path, 1 / 128) == 0
+        data = json.loads((tmp_path / "c" / "classification.json").read_text())
+        assert data["label"] == "HorizontalFlat"
+        assert data["density"] == pytest.approx(0.685, abs=5e-4)
+
+    def test_center_in_the_zero_phase_is_one_error_line(self, tmp_path, capsys):
+        # at 128^2 the free boundary misses (1, 0) by 0.05: this used to be
+        # "Ambiguous" with density -0.143
+        assert self.minimize_then_classify(tmp_path, 1 / 256) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: center (1.0, 0.0) is no free-boundary point: the nearest positive cell lies 0.04")
+        assert err.endswith(" away, beyond 2h = 0.0078125\n") and err.count("\n") == 1
+        assert list((tmp_path / "c").iterdir()) == []

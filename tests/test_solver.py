@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -433,6 +434,16 @@ class TestCoarseSolve:
         np.testing.assert_allclose(c[free], np.linalg.solve(L, r[free]), rtol=1e-12, atol=0.0)
         assert np.all(c[~free] == 0.0)
         assert solver._vcycle(levels, 0, r).tobytes() == c.tobytes()  # a rerun repeats it
+
+    def test_coarsest_operator_built_once_per_hierarchy(self, incompressible, monkeypatch):
+        # every V-cycle of one coarse step reads the dense operator its hierarchy built
+        calls = Counter()
+        for name in ("_hierarchy", "_dense_operator", "_dense_solve"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+        stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        minimize_EF(MinimizeConfig(0.75, 1.25, -0.25, 0.25, 1 / 128, stokes.value, medium=incompressible))
+        assert 0 < calls["_dense_operator"] == calls["_hierarchy"] < calls["_dense_solve"]
 
     def test_cycles_on_minimize_gamma2(self, model_g2):
         # one level on its 8 x 8 lattice: the coarse step is the frozen
