@@ -4,8 +4,8 @@ of axisymmetric compressible gravity flow.
 Subpackages: eos (equation of state and Bernoulli inversion), legendre
 and profiles (blow-up profiles and exact constants), fields/quadrature
 (discrete fields and ball/arc integration), functionals (monotonicity
-and frequency formulas), solver (multigrid minimizer + first-variation
-validator), classify (trichotomy classifier), cli (batch driver).
+and frequency formulas, first-variation validator), solver (multigrid
+minimizer), classify (trichotomy classifier), cli (batch driver).
 """
 
 __version__ = "0.1.0"

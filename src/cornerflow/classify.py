@@ -205,15 +205,19 @@ def classify(field_, point: DegeneratePoint, radii=None):
     """Trichotomy classification by nearest weighted density.
 
     An ambiguous match is labelled "Ambiguous" with the candidate table
-    attached (never a forced label).  On a grid, a center with no positive
-    cell within 2h is no free-boundary point: GeometryError.
+    attached (never a forced label).  A center is no free-boundary point,
+    a GeometryError, if on a grid no positive cell lies within 2h of it, or
+    off a grid the density is 0 at the smallest radius but not at a larger.
     """
     if isinstance(field_, GridField):
         _check_near_positive_cell(field_, point)
     if radii is None:
         radii = default_radii(field_, point)
     meas = weighted_density(field_, point, radii)
-    d, unc = meas["value"], meas["uncertainty"]
+    d, unc, dens = meas["value"], meas["uncertainty"], meas["densities"]
+    if dens[0] == 0.0 < np.max(dens) and not isinstance(field_, GridField):
+        raise GeometryError(f"center {point.coords} is no free-boundary point: the density is 0 at the "
+                            f"smallest radius {meas['radii'][0]:.6g} but positive at a larger one")
     cands = sorted(candidate_densities(point.kind), key=lambda kv: abs(kv[1] - d))
     label, dstar = cands[0]
     gap = abs(d - dstar)

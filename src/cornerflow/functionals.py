@@ -11,7 +11,8 @@ nodes.  The three point kinds are
 Per-radius records carry I, J, M, the kind's error terms K_i, the
 boundary square term of the monotonicity derivative, and for the
 origin kind the frequency quantities D, V, N with their cumulative
-corrections.
+corrections.  The first-variation validator sets a field's domain-variation
+integrals beside the derivative of its energy along a flow.
 """
 
 from typing import NamedTuple
@@ -125,8 +126,9 @@ class _Subset(NamedTuple):
         return getattr(self.ev, name)[self.index]
 
 
-def _thermo(medium, x1, x2, g1, g2, chi):
-    """Speed t and (H, F, dF2, lambda, lambda') at nodes with gradient g and positivity chi."""
+def _with_thermo(field_, medium, x1, x2, u, g1, g2):
+    """Positivity, speed t and (H, F, dF2, lambda, lambda') at nodes with field values u and (g1, g2)."""
+    chi = field_.chi(u)
     t = (g1 * g1 + g2 * g2) / (x1 * x1)
     H = np.full_like(t, medium.rho0)
     F = np.zeros_like(t)
@@ -141,13 +143,7 @@ def _thermo(medium, x1, x2, g1, g2, chi):
         H[active], _, _, F[active], dF2[active] = medium.thermo(t[active], x2[active])
     if np.any(chi):
         lam[chi], lam_p[chi] = medium.lam_pair(x2[chi])
-    return t, H, F, dF2, lam, lam_p
-
-
-def _with_thermo(field_, medium, x1, x2, u, g1, g2):
-    """Positivity, speed and thermodynamics at nodes with field values u and (g1, g2)."""
-    chi = field_.chi(u)
-    return _NodeEval(u, g1, g2, chi, *_thermo(medium, x1, x2, g1, g2, chi))
+    return _NodeEval(u, g1, g2, chi, t, H, F, dF2, lam, lam_p)
 
 
 def _evaluate(field_, medium, x1, x2):
@@ -415,4 +411,76 @@ def monotonicity_derivative_check(field_, medium, center, kind, radii):
         "sweep": sweep,
         "residuals": resid,
         "max_residual": float(np.max(np.abs(inner))),
+    }
+
+
+# ---------------------------------------------------------------------------
+# first-variation validator
+# ---------------------------------------------------------------------------
+
+def _lattice(field_, h):
+    """The cell centers of the field's box at step h (the field's own by default), flat, and h."""
+    if h is None:
+        h = getattr(field_, "h", 1.0 / 256.0)
+    X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
+    return X1.ravel(), X2.ravel(), h
+
+
+def first_variation_terms(field_, medium, phi, dphi, h=None):
+    """The four domain-variation integrals, evaluated on a lattice.
+
+    ``phi(x1, x2) -> (phi1, phi2)`` must vanish near the lattice hull and
+    on the axis; ``dphi`` returns the Jacobian entries (d1p1, d2p1,
+    d1p2, d2p2).  Returns the total (zero at exact solutions).
+    """
+    x1, x2, h = _lattice(field_, h)
+    ev = _evaluate(field_, medium, x1, x2)
+    g1, g2, t, chi, H = ev.g1, ev.g2, ev.t, ev.chi, ev.H
+    p1, p2 = phi(x1, x2)
+    d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
+    divp = d1p1 + d2p2
+
+    w = h * h
+    gDg = g1 * (d1p1 * g1 + d2p1 * g2) + g2 * (d1p2 * g1 + d2p2 * g2)
+    T1 = np.sum(x1 * (ev.F + ev.lam * chi) * divp) * w
+    T2 = -2.0 * np.sum(gDg / (x1 * H)) * w
+    T3 = np.sum((ev.F - 2.0 * t / H + ev.lam * chi) * p1) * w
+    T4 = np.sum(x1 * (ev.dF2 + ev.lam_p * chi) * p2) * w
+    return {"T1": float(T1), "T2": float(T2), "T3": float(T3), "T4": float(T4),
+            "total": float(T1 + T2 + T3 + T4)}
+
+
+def flow_energy(field_, medium, phi, eps, dphi, h=None):
+    """E_F of the resampled field u(x + eps*phi(x)) on the lattice; ``dphi`` is phi's Jacobian."""
+    x1, x2, h = _lattice(field_, h)
+    p1, p2 = phi(x1, x2)
+    y1 = x1 + eps * p1
+    y2 = x2 + eps * p2
+    try:
+        u, g1, g2 = field_.evaluate(y1, y2)
+    except GeometryError:
+        raise GeometryError("phi transports lattice points outside the field")
+    # gradient of x -> u(x + eps*phi): (I + eps*Dphi)^T grad u(y)
+    d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
+    G1 = (1.0 + eps * d1p1) * g1 + eps * d1p2 * g2
+    G2 = eps * d2p1 * g1 + (1.0 + eps * d2p2) * g2
+    ev = _with_thermo(field_, medium, x1, x2, u, G1, G2)
+    return float(np.sum(x1 * (ev.F + ev.lam * ev.chi)) * h * h)
+
+
+def domain_variation_residual(field_, medium, phi, dphi, eps=1e-4, h=None):
+    """Analytic first-variation total next to the flow finite difference.
+
+    The two must satisfy ``analytic_total ~ -(E(eps) - E(-eps))/(2 eps)``
+    up to O(eps^2) plus the discretization error of the shared lattice.
+    """
+    terms = first_variation_terms(field_, medium, phi, dphi, h=h)
+    Ep = flow_energy(field_, medium, phi, +eps, h=h, dphi=dphi)
+    Em = flow_energy(field_, medium, phi, -eps, h=h, dphi=dphi)
+    flow_fd = (Ep - Em) / (2.0 * eps)
+    return {
+        "analytic_total": terms["total"],
+        "flow_fd": flow_fd,
+        "mismatch": terms["total"] + flow_fd,
+        "terms": terms,
     }

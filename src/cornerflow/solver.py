@@ -1,5 +1,4 @@
-"""Energy minimization for approximate variational solutions, and the
-domain-variation (first variation) validator.
+"""Energy minimization for approximate variational solutions.
 
 The minimizer runs truncated monotone multigrid on the energy with the
 positivity indicator smoothed over a width eps_chi (sub-grid by
@@ -13,10 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, StateError
+from .errors import DomainError, StateError
 from .eos import IncompressibleMedium
 from .fields import GridField
-from .functionals import _evaluate, _thermo
 
 # energies are sums of positive cell terms: two within this relative distance
 # are equal up to rounding, so a step that moves E by less is not uphill
@@ -436,75 +434,3 @@ def axis_compatibility_residual(field_: GridField):
     x2 = field_.cell_x2[1:-1]
     _, g2 = field_.gradient(np.full_like(x2, x1), x2)
     return float(np.max(np.abs(g2 / x1))) if x2.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# first-variation validator
-# ---------------------------------------------------------------------------
-
-def first_variation_terms(field_, medium, phi, dphi, h=None):
-    """The four domain-variation integrals, evaluated on a lattice.
-
-    ``phi(x1, x2) -> (phi1, phi2)`` must vanish near the lattice hull and
-    on the axis; ``dphi`` returns the Jacobian entries (d1p1, d2p1,
-    d1p2, d2p2).  Returns the total (zero at exact solutions).
-    """
-    if h is None:
-        h = getattr(field_, "h", 1.0 / 256.0)
-    X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
-    x1, x2 = X1.ravel(), X2.ravel()
-    ev = _evaluate(field_, medium, x1, x2)
-    g1, g2, t, chi, H = ev.g1, ev.g2, ev.t, ev.chi, ev.H
-    p1, p2 = phi(x1, x2)
-    d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
-    divp = d1p1 + d2p2
-
-    w = h * h
-    gDg = g1 * (d1p1 * g1 + d2p1 * g2) + g2 * (d1p2 * g1 + d2p2 * g2)
-    T1 = np.sum(x1 * (ev.F + ev.lam * chi) * divp) * w
-    T2 = -2.0 * np.sum(gDg / (x1 * H)) * w
-    T3 = np.sum((ev.F - 2.0 * t / H + ev.lam * chi) * p1) * w
-    T4 = np.sum(x1 * (ev.dF2 + ev.lam_p * chi) * p2) * w
-    return {"T1": float(T1), "T2": float(T2), "T3": float(T3), "T4": float(T4),
-            "total": float(T1 + T2 + T3 + T4)}
-
-
-def flow_energy(field_, medium, phi, eps, dphi, h=None):
-    """E_F of the resampled field u(x + eps*phi(x)) on the lattice; ``dphi`` is phi's Jacobian."""
-    if h is None:
-        h = getattr(field_, "h", 1.0 / 256.0)
-    X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
-    x1 = X1.ravel()
-    x2 = X2.ravel()
-    p1, p2 = phi(x1, x2)
-    y1 = x1 + eps * p1
-    y2 = x2 + eps * p2
-    try:
-        u, g1, g2 = field_.evaluate(y1, y2)
-    except GeometryError:
-        raise GeometryError("phi transports lattice points outside the field")
-    # gradient of x -> u(x + eps*phi): (I + eps*Dphi)^T grad u(y)
-    d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
-    G1 = (1.0 + eps * d1p1) * g1 + eps * d1p2 * g2
-    G2 = eps * d2p1 * g1 + (1.0 + eps * d2p2) * g2
-    chi = field_.chi(u)
-    _, _, F, _, lam, _ = _thermo(medium, x1, x2, G1, G2, chi)
-    return float(np.sum(x1 * (F + lam * chi)) * h * h)
-
-
-def domain_variation_residual(field_, medium, phi, dphi, eps=1e-4, h=None):
-    """Analytic first-variation total next to the flow finite difference.
-
-    The two must satisfy ``analytic_total ~ -(E(eps) - E(-eps))/(2 eps)``
-    up to O(eps^2) plus the discretization error of the shared lattice.
-    """
-    terms = first_variation_terms(field_, medium, phi, dphi, h=h)
-    Ep = flow_energy(field_, medium, phi, +eps, h=h, dphi=dphi)
-    Em = flow_energy(field_, medium, phi, -eps, h=h, dphi=dphi)
-    flow_fd = (Ep - Em) / (2.0 * eps)
-    return {
-        "analytic_total": terms["total"],
-        "flow_fd": flow_fd,
-        "mismatch": terms["total"] + flow_fd,
-        "terms": terms,
-    }

@@ -332,8 +332,7 @@ def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
         else:
             u = field_.value(a1, a2)
             g1, g2 = field_.evaluate(a1, a2)[1:]
-        chi = field_.chi(u)
-        parts.append((u, g1, g2, chi, *functionals._thermo(medium, a1, a2, g1, g2, chi)))
+        parts.append(functionals._with_thermo(field_, medium, a1, a2, u, g1, g2))
     return functionals._NodeEval(*(np.concatenate(p) for p in zip(*parts)))
 
 

@@ -25,7 +25,9 @@ from cornerflow.eos import (
 )
 from cornerflow.fields import GridField
 from cornerflow.functionals import (
+    domain_variation_residual,
     energy_identity_residual,
+    first_variation_terms,
     frequency_quantities,
     monotonicity_derivative_check,
     monotonicity_record,
@@ -45,12 +47,7 @@ from cornerflow.profiles import (
     stokes_corner,
     theta_star_constants,
 )
-from cornerflow.solver import (
-    MinimizeConfig,
-    domain_variation_residual,
-    first_variation_terms,
-    minimize_EF,
-)
+from cornerflow.solver import MinimizeConfig, minimize_EF
 
 from conftest import bump_phi, gaussian_field, perturbed_flat_field
 from oracles import lambda_alt
@@ -301,6 +298,9 @@ def test_criterion_08_first_variation_validator():
         ("analytic total vs flow FD < 1e-4 on 5 random pairs (eps 1e-4, h 1/256)",
          worst <= 1e-4, f"worst mismatch {worst:.2e}")
     )
+    # the five mismatches are 6e-8 to 1e-7: 1e-6 keeps a 10x margin and still
+    # sees a 1% error in one term (T3's 2t/H as 2.02t/H gives 6.7e-6)
+    checks.append(("worst mismatch <= 1e-6", worst <= 1e-6, f"worst mismatch {worst:.2e}"))
     stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
     stokes.x1_min, stokes.x1_max, stokes.x2_min, stokes.x2_max = 0.5, 1.5, -0.5, 0.5
     phi, dphi = bump_phi(1.0, 0.05, 0.25)

@@ -836,6 +836,23 @@ class TestGeometryErrors:
         assert capsys.readouterr().err == "error: no admissible radius window for this center\n"
         assert not (tmp_path / "o" / "classification.json").exists()
 
+    def test_classify_profile_center_in_the_zero_phase_is_one_error_line(self, tmp_path, capsys):
+        # the corner's apex lies 0.1 above (1, 0): the densities are 0 up to r = 0.09 and
+        # then rise, and this used to exit 0 with "Cusp" and density -0.0458
+        cfg = write_cfg(tmp_path / "c.cfg", profile="stokes_corner", x1_circ=1.0, offset_x1=1.0,
+                        offset_x2=0.1, point_x1=1.0, kind="stagnation", r_min=0.02, r_max=0.3, n_radii=10)
+        assert run("classify", cfg, tmp_path / "o") == 1
+        assert capsys.readouterr().err == ("error: center (1.0, 0.0) is no free-boundary point: the density "
+                                           "is 0 at the smallest radius 0.02 but positive at a larger one\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_classify_profile_positive_nowhere_stays_a_cusp(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", profile="zero", point_x1=1.0, kind="stagnation",
+                        r_min=0.02, r_max=0.3, n_radii=10)
+        assert run("classify", cfg, tmp_path / "o") == 0
+        data = json.loads((tmp_path / "o" / "classification.json").read_text())
+        assert data["label"] == "Cusp" and data["density"] == 0.0
+
 
 class TestClassifyMinimizer:
     """``classify`` at (1, 0) on the lab box's minimizer (docs/decisions.md, "What a certified minimizer is")."""

@@ -26,7 +26,7 @@ KEPT = {
     "fields.AnalyticField.resample": _CRITERION + ": a profile sampled onto a grid",
     "functionals.monotonicity_derivative_check": _CRITERION + " (6): the monotonicity formula's M'",
     "profiles.cone_density_constants": _CRITERION + ": the exact weighted densities",
-    "solver.domain_variation_residual": _CRITERION + " (8): the first domain variation",
+    "functionals.domain_variation_residual": _CRITERION + " (8): the first domain variation",
     "classify.frequency_blowup": _CRITERION + " (9): normalized blow-ups at the origin",
     "eos.GammaLawMedium.H_d1_d2": _TRACED + " (eos.medium, solver.gradient_evals)",
     "eos.GammaLawMedium.F_dF2": _TRACED + " (eos.medium, solver.energy_evals)",

@@ -1,20 +1,23 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cornerflow import eos, solver
+from cornerflow import eos, functionals, solver
 from cornerflow.eos import GammaLawMedium, IncompressibleMedium
 from cornerflow.errors import DomainError, GeometryError, StateError
 from cornerflow.fields import GridField
+from cornerflow.functionals import domain_variation_residual, first_variation_terms
 from cornerflow.profiles import flat_origin, profile_field, stokes_corner
 from cornerflow.solver import (
     MinimizeConfig,
     _Discretization,
     axis_compatibility_residual,
-    domain_variation_residual,
-    first_variation_terms,
     minimize_EF,
 )
 
@@ -482,14 +485,14 @@ class TestFirstVariation:
         with pytest.raises(DomainError, match="integer multiples of h"):
             first_variation_terms(stokes, incompressible, phi, dphi, h=0.3)
         with pytest.raises(DomainError, match="integer multiples of h"):
-            solver.flow_energy(stokes, incompressible, phi, 1e-4, h=0.3, dphi=dphi)
+            functionals.flow_energy(stokes, incompressible, phi, 1e-4, h=0.3, dphi=dphi)
 
     def test_phi_leaving_the_field_is_a_geometry_error(self, incompressible):
         fld = GridField.from_function(lambda X1, X2: X1 * X1, 0.5, 1.5, -0.5, 0.5, 1 / 16)
         shift = lambda a, b: (np.ones_like(a), np.zeros_like(a))
         zero_dphi = lambda a, b: (np.zeros_like(a),) * 4
         with pytest.raises(GeometryError, match=r"^phi transports lattice points outside the field$"):
-            solver.flow_energy(fld, incompressible, shift, 1.0, zero_dphi)
+            functionals.flow_energy(fld, incompressible, shift, 1.0, zero_dphi)
 
     def test_agreement_on_random_fields(self, incompressible, gamma_medium):
         rng = np.random.default_rng(7)
@@ -511,6 +514,27 @@ class TestFirstVariation:
             res[h] = abs(first_variation_terms(stokes, incompressible, phi, dphi, h=h)["total"])
         assert res[1 / 256] < res[1 / 128]
         assert res[1 / 256] < 1e-4  # reported C = residual/h stays near 0.013
+
+    @pytest.fixture(scope="class")
+    def lab_minimizers(self, incompressible):
+        """Criterion 7's certified minimizers: Stokes data on the lab box, eps_chi = 2h^2, tol 1e-12."""
+        stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+        out = {}
+        for h in (1 / 128, 1 / 256):
+            cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, h, stokes.value, medium=incompressible,
+                                 tol=1e-12, eps_chi=2 * h * h)
+            out[h], log = minimize_EF(cfg)
+            assert log.converged
+        return out
+
+    @pytest.mark.parametrize("bump", [(1.0, 0.05, 0.1), (1.0, 0.0, 0.15)])
+    def test_minimizer_total_falls_with_h(self, incompressible, lab_minimizers, bump):
+        # at each lattice's own h the total falls by 2.81 and 2.73 from h = 1/128 to 1/256,
+        # about h^1.5; a bump at (1.05, 0.12) of width 0.1 stalls at 1.32, cause unknown
+        phi, dphi = bump_phi(*bump)
+        total = {h: abs(first_variation_terms(fld, incompressible, phi, dphi)["total"])
+                 for h, fld in lab_minimizers.items()}
+        assert total[1 / 128] / total[1 / 256] > 2.4
 
     def test_non_minimizer_agrees_but_not_small(self, incompressible):
         # profile plus an interior bump: the variation formula must match
@@ -534,3 +558,13 @@ class TestFirstVariation:
         out = domain_variation_residual(pert, incompressible, phi, dphi, eps=1e-4)
         assert abs(out["analytic_total"]) > 1e-4
         assert abs(out["mismatch"]) < 1e-4 * max(1.0, abs(out["analytic_total"]))
+
+
+def test_import_loads_neither_functionals_nor_quadrature():
+    # the minimizer stands alone: the first-variation validator lives in functionals
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import json, sys, cornerflow.solver\n"
+            "print(json.dumps(sorted({'cornerflow.functionals', 'cornerflow.quadrature'} & set(sys.modules))))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
