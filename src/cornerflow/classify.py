@@ -15,7 +15,7 @@ from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
 from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, point_kind, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
-from .quadrature import _check_holds, ball_nodes, polar_arc_nodes, polar_ball_nodes
+from .quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
@@ -68,7 +68,7 @@ def blowup(field_, point: DegeneratePoint, r):
     if isinstance(field_, GridField):
         if r < 4.0 * field_.h:
             raise GeometryError("blow-up radius below 4h")
-        _check_holds(field_, point.coords, r * math.sqrt(2.0), point.kind != "stagnation", "blow-up box")
+        field_.check_holds(point.coords, r * math.sqrt(2.0), point.kind != "stagnation", "blow-up box")
     box = (-1.0 if point.kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, BLOWUP_H)
     X1, X2 = GridField.lattice(*box)
     vals = field_.value(point.x1 + r * X1, point.x2 + r * X2) / r**point.exponent
@@ -229,8 +229,7 @@ def classify(field_, point: DegeneratePoint, radii=None):
 
     fit_param = None
     fit_resid = None
-    r_fit = float(np.asarray(radii)[-1])
-    r_lo = float(np.asarray(radii)[0])
+    r_lo, r_fit = float(meas["radii"][0]), float(meas["radii"][-1])  # weighted_density sorts them
     if label == "AxisParabola":
         # density 2/3 is shared with the trivial (u_0 = 0) axis case; the
         # blow-up norm separates them: it is r-independent for the

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from contextlib import nullcontext
 
 # before numpy loads OpenBLAS: every BLAS call here is small (dense solves of at most
 # 64 unknowns, norms, short dots), so a worker pool only burns CPU; a user's value wins
@@ -22,9 +21,9 @@ import numpy as np
 
 from . import classify as classify_mod
 from . import functionals, profiles, solver
-from .eos import EosModel, GammaLawMedium, IncompressibleMedium, _F_closed, invert_admissible, lambda_admissible
+from .eos import EosModel, GammaLawMedium, IncompressibleMedium, invert_admissible, lambda_admissible
 from .errors import ConfigError, CornerflowError, NumericalError
-from .fields import _CHUNK, GridField, format_values, header_line, write_columns, write_rows
+from .fields import GridField, write_profile_table, write_rows
 from .legendre import legendre_ode_residual
 from .svgplot import write_svg_levels, write_svg_lines
 
@@ -217,8 +216,7 @@ def run_eos_table(cfg, out, opts):
     tv = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_count"])
     sv = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_count"])
     T, S = np.meshgrid(tv, sv)  # one row per (s, t), t fastest
-    H, d1, d2 = invert_admissible(model, T, S)
-    F, _ = _F_closed(model, T, H, S)
+    H, d1, d2, F, _ = invert_admissible(model, T, S)
     lam, _ = lambda_admissible(model, sv)
     cols = (T, S, H, d1, d2, F, np.broadcast_to(lam[:, None], T.shape))
     _write_csv(os.path.join(out, "eos_table.csv"), ["t", "s", "H", "d1H", "d2H", "F", "lambda"],
@@ -280,31 +278,8 @@ def _interior_points(spec, rng, n):
 
 
 def run_profile_table(cfg, out, opts):
-    _write_profile_table(out, _box(cfg), _profile_field(cfg).evaluate, cfg["write_field"])
+    write_profile_table(out, _box(cfg), _profile_field(cfg).evaluate, cfg["write_field"])
     return 0
-
-
-def _write_profile_table(out, box, evaluate, write_field):
-    """Write ``evaluate(X1, X2) -> (u, ux1, ux2)`` on the box's cells as the table and field file.
-
-    Blocks of grid rows are evaluated and formatted once each; the u strings
-    go into both files, and each distinct x1 and x2 is formatted once.
-    """
-    X1, X2 = GridField.lattice(*box)
-    n1, n2 = X1.shape
-    x1s, x2s = format_values(X1[:, 0]), format_values(X2[0])
-    step = max(1, _CHUNK // n2)  # grid rows per block
-    field_file = open(os.path.join(out, "field.txt"), "w") if write_field else nullcontext()
-    with open(os.path.join(out, "profile_table.csv"), "w") as f, field_file as ff:
-        f.write("x1,x2,u,ux1,ux2\n")
-        if ff:
-            ff.write(header_line(*box) + "\n")
-        for i in range(0, n1, step):
-            us, a, b = (format_values(v) for v in evaluate(X1[i:i + step], X2[i:i + step]))
-            rows = len(us) // n2
-            write_columns(f, ([s for s in x1s[i:i + rows] for _ in range(n2)], x2s * rows, us, a, b), ",")
-            if ff:
-                write_columns(ff, [us[c::n2] for c in range(n2)], " ")
 
 
 def run_minimize(cfg, out, opts):
@@ -450,6 +425,9 @@ def main(argv=None):
         return 1
     except MemoryError as exc:  # counts and h have no upper bound
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an --out that is a file or lies under one, or a failed write
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -178,7 +178,7 @@ def _checked_inversion(model: EosModel, t, s, rest=None):
 
 
 def invert_admissible(model: EosModel, t, s):
-    """(rho, d1H, d2H) at states (t, s) that the paper admits, vectorized.
+    """``GammaLawMedium(model).thermo``'s (H, d1H, d2H, F, dF2) at states (t, s) that the paper admits.
 
     Raises DomainError at a negative t or s, StateError where no subsonic
     root exists and SubsonicityError where the root sits within eps0 of the
@@ -190,7 +190,7 @@ def invert_admissible(model: EosModel, t, s):
     if np.any(neg):
         i = np.flatnonzero(neg)[0]
         raise DomainError(f"t and s must be nonnegative, got (t={t.flat[i]}, s={s.flat[i]})")
-    rho, d1, d2 = _checked_inversion(model, t, s)
+    rho, d1, d2, F, dF2 = GammaLawMedium(model).thermo(t, s)
     x2 = model.x2_st - s
     high = x2 >= 0.0
     rcr = np.full(rho.shape, -np.inf)
@@ -202,12 +202,12 @@ def invert_admissible(model: EosModel, t, s):
             f"margin violated at (t={t.flat[i]}, s={s.flat[i]}): "
             f"rho={rho.flat[i]:.12g}, rho_cr={rcr.flat[i]:.12g}"
         )
-    return rho, d1, d2
+    return rho, d1, d2, F, dF2
 
 
 def invert_density(model: EosModel, t: float, s: float) -> BernoulliState:
     """Invert the Bernoulli law at one admissible state; raises like ``invert_admissible``."""
-    rho, d1, d2 = invert_admissible(model, t, s)
+    rho, d1, d2 = invert_admissible(model, t, s)[:3]
     return BernoulliState(t=t, s=s, rho=float(rho), d1H=float(d1), d2H=float(d2))
 
 

@@ -6,6 +6,8 @@ machinery can query exact values and gradients at quadrature nodes.
 """
 
 import math
+import os
+from contextlib import nullcontext
 from functools import cached_property
 
 import numpy as np
@@ -185,6 +187,14 @@ class GridField:
             d = min(d, c1 - self.x1_min)
         return d
 
+    def check_holds(self, center, r, half, what):
+        """GeometryError unless the grid holds the ball or arc ``what``, with its own message per reason."""
+        if half and not self.on_axis:
+            raise GeometryError(f"half {what} (center={center}, r={r}) needs a grid that starts at x1 = 0, "
+                                f"not at x1 = {self.x1_min!r}")
+        if not self.contains_ball(center, r, half=half):
+            raise GeometryError(f"{what} (center={center}, r={r}) leaves the grid")
+
     # -- file format -------------------------------------------------------
     def write(self, path):
         with open(path, "w") as f:
@@ -212,6 +222,29 @@ class GridField:
             return cls(*bounds, values)
         except (OSError, ValueError) as exc:  # DomainError is a ValueError
             raise DomainError(f"{path}: {exc}") from None
+
+
+def write_profile_table(out, box, evaluate, write_field):
+    """Write ``evaluate(X1, X2) -> (u, ux1, ux2)`` on the box's cells as the table and field file.
+
+    Blocks of grid rows are evaluated and formatted once each; the u strings
+    go into both files, and each distinct x1 and x2 is formatted once.
+    """
+    X1, X2 = GridField.lattice(*box)
+    n1, n2 = X1.shape
+    x1s, x2s = format_values(X1[:, 0]), format_values(X2[0])
+    step = max(1, _CHUNK // n2)  # grid rows per block
+    field_file = open(os.path.join(out, "field.txt"), "w") if write_field else nullcontext()
+    with open(os.path.join(out, "profile_table.csv"), "w") as f, field_file as ff:
+        f.write("x1,x2,u,ux1,ux2\n")
+        if ff:
+            ff.write(header_line(*box) + "\n")
+        for i in range(0, n1, step):
+            us, a, b = (format_values(v) for v in evaluate(X1[i:i + step], X2[i:i + step]))
+            rows = len(us) // n2
+            write_columns(f, ([s for s in x1s[i:i + rows] for _ in range(n2)], x2s * rows, us, a, b), ",")
+            if ff:
+                write_columns(ff, [us[c::n2] for c in range(n2)], " ")
 
 
 class AnalyticField:

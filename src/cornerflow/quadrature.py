@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GeometryError
 from .fields import AnalyticField, GridField
 from .legendre import gauss_legendre
 
@@ -144,18 +143,9 @@ def _cell_fractions(cx, cy, h, center, r):
     return np.clip(area / (h * h), 0.0, 1.0)
 
 
-def _check_holds(field: GridField, center, r, half, what):
-    """GeometryError unless the grid holds the ball or arc ``what``, with its own message per reason."""
-    if half and not field.on_axis:
-        raise GeometryError(f"half {what} (center={center}, r={r}) needs a grid that starts at x1 = 0, "
-                            f"not at x1 = {field.x1_min!r}")
-    if not field.contains_ball(center, r, half=half):
-        raise GeometryError(f"{what} (center={center}, r={r}) leaves the grid")
-
-
 def grid_ball_cells(field: GridField, center, r, half=False):
     """Centers (x1, x2) and squared distances d2 of the bounding box's cells near the ball, i-major."""
-    _check_holds(field, center, r, half, "ball")
+    field.check_holds(center, r, half, "ball")
     h = field.h
     i_lo = max(0, int(np.floor((center[0] - r - field.x1_min) / h)) - 1)
     i_hi = min(field.n1, int(np.ceil((center[0] + r - field.x1_min) / h)) + 1)
@@ -204,7 +194,7 @@ def _unit_circle(n_arc, half):
 
 
 def grid_arc_nodes(field: GridField, center, r, half=False, n_arc=4096):
-    _check_holds(field, center, r, half, "arc")
+    field.check_holds(center, r, half, "arc")
     cos, sin = _unit_circle(n_arc, half)
     w = np.full(cos.shape, 2.0 * np.pi * r / n_arc if not half else np.pi * r / n_arc)
     if half:

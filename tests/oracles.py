@@ -130,7 +130,7 @@ def F_of(model, t, s):
     equal to the vectorized ``eos-table`` column.
     """
     t, s = np.full(1, t, dtype=float), np.full(1, s, dtype=float)
-    rho, _, _ = invert_admissible(model, t, s)
+    rho = invert_admissible(model, t, s)[0]
     F, dF2 = _F_closed(model, t, rho, s)
     return float(F[0]), 1.0 / float(rho[0]), float(dF2[0])
 

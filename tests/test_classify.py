@@ -8,6 +8,7 @@ from cornerflow.classify import (
     blowup,
     candidate_densities,
     classify,
+    default_radii,
     frequency_blowup,
     weighted_density,
 )
@@ -229,6 +230,17 @@ class TestClassify:
         res = classify(cub, DegeneratePoint(0.0, 0.5))
         assert res.label == "HorizontalFlat"
         assert "trivial" in res.notes
+
+    def test_radii_in_any_order_give_one_verdict(self):
+        # the tie-break's blow-ups are taken at the smallest and largest radius,
+        # not at the caller's first and last: reversed, this trivial axis point
+        # was labelled AxisParabola
+        fld = GridField.from_function(lambda X1, X2: X1**3, 0, 1, 0, 1, 1 / 64)
+        point = DegeneratePoint(0.0, 0.5)
+        radii = default_radii(fld, point)
+        want = classify(fld, point, radii=radii)
+        assert want.label == "HorizontalFlat"
+        assert vars(classify(fld, point, radii=radii[::-1])) == vars(want)
 
     def test_scale_robustness(self, parabola_grid):
         for c in (0.1, 10.0):

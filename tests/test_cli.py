@@ -312,7 +312,7 @@ class TestWriters:
             j = np.rint((x2 - box[2]) / h - 0.5).astype(int)
             return tuple(c[i, j] for c in cols)
 
-        cli._write_profile_table(str(tmp_path), box, evaluate, write_field)
+        fields.write_profile_table(str(tmp_path), box, evaluate, write_field)
         X1, X2 = GridField.lattice(*box)
         buf = io.StringIO()
         buf.write("x1,x2,u,ux1,ux2\n")
@@ -370,6 +370,16 @@ class TestEosTable:
         assert run("eos-table", cfg, tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["out-is-a-file", "out-under-a-file"])
+    def test_unusable_out_is_one_error_line(self, tmp_path, capsys, out):
+        # os.makedirs raises FileExistsError or NotADirectoryError here
+        (tmp_path / "afile").write_text("kept\n")
+        cfg = write_cfg(tmp_path / "c.cfg", gamma=2.0, t_max=0.05, s_max=0.2)
+        assert run("eos-table", cfg, tmp_path / out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(tmp_path / out)) in err and err.count("\n") == 1
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_two_inversions_per_run(self, tmp_path, monkeypatch):
         # one for the (t, s) table, one for the (s, s) column behind lambda

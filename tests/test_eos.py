@@ -441,6 +441,19 @@ class TestF:
             assert abs(F[i] - F_q) <= 1e-15
             assert abs(dF2[i] - dF2_q) <= 1e-13
 
+    @pytest.mark.parametrize("gamma, A, rho_bar0, g", [(2.0, 1.0, 2.0, 1.0), (5 / 3, 2.0, 2.0, 9.81),
+                                                        (1.4, 0.7, 0.5, 0.3)])
+    def test_closed_form_matches_quadrature_oracle_off_unit_density(self, gamma, A, rho_bar0, g):
+        # at rho_bar0 = 1 the closed form's rho_bar0 ** 2 factors are invisible;
+        # these states lie inside each model's subsonic range
+        model = EosModel(gamma=gamma, A=A, rho_bar0=rho_bar0, g=g)
+        t, s = (a.ravel() for a in np.meshgrid([0.003, 0.01], [0.05 * model.x2_st, 0.1 * model.x2_st]))
+        F, dF2 = GammaLawMedium(model).F_dF2(t, s)
+        for i in range(t.size):
+            F_q, dF2_q = F_quadrature(model, t[i], s[i], tol=1e-15)
+            assert abs(F[i] - F_q) <= 1e-15
+            assert abs(dF2[i] - dF2_q) <= 1e-13
+
     @pytest.mark.parametrize("A", [1e3, 1e8])
     def test_closed_form_accurate_for_stiff_gas(self, A):
         # H barely moves from H(0;s) here, so F must not be formed as a

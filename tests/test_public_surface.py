@@ -1,4 +1,4 @@
-"""The package keeps no public function that nothing calls.
+"""The package keeps no public function that nothing calls, and no private name crosses a module.
 
 Every public module-level function or class and every public method in
 ``src/cornerflow`` is referenced by name (``ast.Name`` or
@@ -6,6 +6,11 @@ Every public module-level function or class and every public method in
 the reason it stays.  An attribute read off ``self`` counts only for the
 methods of its enclosing class.  A test-only helper belongs in
 ``tests/oracles.py``.
+
+A name that starts with ``_`` is read only by the module that defines it:
+no module imports one from another (``from .eos import _name``) or reads
+one off another module (``eos._name``).  A fact that a second module needs
+gets a public name in its owner, or stays behind a public function there.
 """
 
 import ast
@@ -105,3 +110,47 @@ def test_a_method_read_off_self_in_another_class_is_found():
                                      "    def foo(self):\n        pass\n\n\n"
                                      "class ProbeB:\n    def foo(self):\n        pass\n").body
     assert set(uncalled(modules)) - KEPT.keys() == {"eos.ProbeA", "eos.ProbeB", "eos.ProbeB.foo"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _package_module(node):
+    """The module that ``from <module> import ...`` reads: "" for the package itself, None outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and (node.module + ".").startswith("cornerflow."):
+        return node.module[len("cornerflow."):]
+    return None
+
+
+def private_crossings(modules):
+    """``reader: owner._name`` for each private name of a package module that another module reads."""
+    out = []
+    for mod, tree in modules.items():
+        aliases = {}  # local name -> package module, from ``from . import owner [as alias]``
+        for node in ast.walk(tree):
+            owner = _package_module(node) if isinstance(node, ast.ImportFrom) else None
+            if owner:
+                out += [f"{mod}: {owner}.{a.name}" for a in node.names if _private(a.name)]
+            elif owner == "":
+                aliases.update({a.asname or a.name: a.name for a in node.names})
+        out += [f"{mod}: {aliases[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)]
+    return sorted(out)
+
+
+def test_no_private_name_crosses_a_module():
+    crossings = private_crossings(_modules())
+    assert not crossings, f"private names read outside their module (give each a public owner): {crossings}"
+
+
+def test_a_private_import_is_found():
+    modules = _modules()
+    modules["classify"].body += ast.parse("from .eos import _rest_density\nfrom . import fields as f\n"
+                                          "from cornerflow.quadrature import _frozen\n\n\n"
+                                          "def probe():\n    return f._CHUNK\n").body
+    assert private_crossings(modules) == ["classify: eos._rest_density", "classify: fields._CHUNK",
+                                          "classify: quadrature._frozen"]
