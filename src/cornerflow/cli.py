@@ -88,7 +88,7 @@ KEYS = {
     },
     "profile-check": {},
     "profile-table": {
-        **_PROFILE, "profile": Key(tuple(PROFILES), REQUIRED), **_BOX, "write_field": Key(int, 0),
+        **_PROFILE, "profile": Key(tuple(PROFILES), REQUIRED), **_BOX, "write_field": Key(("0", "1"), "0"),
     },
     "minimize": {
         **_MEDIUM, **_PROFILE, **_BOX,
@@ -278,7 +278,7 @@ def _interior_points(spec, rng, n):
 
 
 def run_profile_table(cfg, out, opts):
-    write_profile_table(out, _box(cfg), _profile_field(cfg).evaluate, cfg["write_field"])
+    write_profile_table(out, _box(cfg), _profile_field(cfg).evaluate, cfg["write_field"] == "1")
     return 0
 
 

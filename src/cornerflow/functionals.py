@@ -116,16 +116,6 @@ class _NodeEval(NamedTuple):
     lam_p: np.ndarray
 
 
-class _Subset(NamedTuple):
-    """The nodes ``index`` (a slice or an index array) of ``ev``: each attribute is taken when read."""
-
-    ev: _NodeEval
-    index: object
-
-    def __getattr__(self, name):
-        return getattr(self.ev, name)[self.index]
-
-
 def _with_thermo(field_, medium, x1, x2, u, g1, g2):
     """Positivity, speed t and (H, F, dF2, lambda, lambda') at nodes with field values u and (g1, g2)."""
     chi = field_.chi(u)
@@ -162,10 +152,11 @@ def _sweep_nodes(field_, medium, center, kind, r_max, n_arc):
     """``at(r)``: the ball nodes, ball values, arc nodes and arc values of one radius r <= r_max.
 
     What the radii share is evaluated once, here: a grid's cells of the r_max
-    ball, from which each ball is selected, or about a homogeneous field's apex
-    the unit-radius nodes, whose values scale to every radius.  Elsewhere each
-    radius evaluates its ball and arc nodes as one set.  Each call builds its
-    radius's arrays afresh, so no radius keeps another's alive.
+    ball, nearest first, of which each ball is a prefix, or about a homogeneous
+    field's apex the unit-radius nodes, whose values scale to every radius.
+    Elsewhere each radius evaluates its ball and arc nodes as one set.  A ball's
+    values are views of that one evaluation; each call builds its radius's other
+    arrays afresh, so no radius keeps another's alive.
     """
     half = kind != "stagnation"
     if isinstance(field_, GridField):
@@ -173,9 +164,9 @@ def _sweep_nodes(field_, medium, center, kind, r_max, n_arc):
         ev = _evaluate(field_, medium, cells[0], cells[1])
 
         def at(r):
-            index, bn = grid_ball_select(field_, cells, center, r)
+            n, bn = grid_ball_select(field_, cells, center, r)
             an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
-            return bn, _Subset(ev, index), an, _evaluate(field_, medium, an.x1, an.x2)
+            return bn, ev._make(a[:n] for a in ev), an, _evaluate(field_, medium, an.x1, an.x2)
         return at
 
     # about a homogeneous field's apex the (polar) nodes are apex + r p for one
@@ -193,7 +184,7 @@ def _sweep_nodes(field_, medium, center, kind, r_max, n_arc):
         else:
             ev = _evaluate(field_, medium, x1, x2)
         n = bn.x1.size
-        return bn, _Subset(ev, slice(None, n)), an, _Subset(ev, slice(n, None))
+        return bn, ev._make(a[:n] for a in ev), an, ev._make(a[n:] for a in ev)
     return at
 
 

@@ -144,7 +144,8 @@ def _cell_fractions(cx, cy, h, center, r):
 
 
 def grid_ball_cells(field: GridField, center, r, half=False):
-    """Centers (x1, x2) and squared distances d2 of the bounding box's cells near the ball, i-major."""
+    """Centers (x1, x2) and squared distances d2 of the bounding box's cells near the ball, nearest
+    first (a stable sort of the i-major box, so ties keep their i-major order)."""
     field.check_holds(center, r, half, "ball")
     h = field.h
     i_lo = max(0, int(np.floor((center[0] - r - field.x1_min) / h)) - 1)
@@ -154,22 +155,22 @@ def grid_ball_cells(field: GridField, center, r, half=False):
     X1, X2 = np.meshgrid(field.cell_x1[i_lo:i_hi], field.cell_x2[j_lo:j_hi], indexing="ij")
     x1, x2 = X1.ravel(), X2.ravel()
     d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
-    near = d2 <= (r + 0.7072 * h) ** 2  # the cells that any radius up to r can cover or cut
-    return x1[near], x2[near], d2[near]
+    near = np.flatnonzero(d2 <= (r + 0.7072 * h) ** 2)  # the cells that any radius up to r can cover or cut
+    order = near[np.argsort(d2[near], kind="stable")]
+    return x1[order], x2[order], d2[order]
 
 
 def grid_ball_select(field: GridField, cells, center, r):
-    """Indices into ``cells`` (at a radius R >= r) and the BallNodes of radius r, bitwise those of r's own."""
+    """The count n of nearest-first ``cells`` (at a radius R >= r) that radius r covers or cuts, and the
+    BallNodes of ``cells[:n]``, bitwise those of r's own; a band cell that r misses weighs 0."""
     x1, x2, d2 = cells
     h = field.h
     rin = r - 0.7072 * h
-    frac = np.zeros_like(x1)
-    full = d2 <= rin * rin if rin > 0 else np.zeros_like(d2, bool)
-    frac[full] = 1.0
-    cut = (~full) & (d2 <= (r + 0.7072 * h) ** 2)
-    frac[cut] = _cell_fractions(x1[cut], x2[cut], h, center, r)
-    keep = np.flatnonzero(frac > 0.0)
-    x1, x2, frac = x1[keep], x2[keep], frac[keep]
+    n_full = int(np.searchsorted(d2, rin * rin, "right")) if rin > 0 else 0
+    n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))
+    x1, x2 = x1[:n], x2[:n]
+    frac = np.ones_like(x1)
+    frac[n_full:] = _cell_fractions(x1[n_full:], x2[n_full:], h, center, r)
     w = frac * h * h
     # exact cross-cell integral of 1/x1 (midpoint fallback at the axis cell)
     x1l = x1 - 0.5 * h
@@ -178,7 +179,7 @@ def grid_ball_select(field: GridField, cells, center, r):
     inv_mean = np.empty_like(x1)
     inv_mean[safe] = np.log(x1r[safe] / x1l[safe]) / h
     inv_mean[~safe] = 1.0 / x1[~safe]
-    return keep, BallNodes(x1=x1, x2=x2, w=w, w_inv=frac * h * h * inv_mean)
+    return n, BallNodes(x1=x1, x2=x2, w=w, w_inv=w * inv_mean)
 
 
 def grid_ball_nodes(field: GridField, center, r, half=False):

@@ -1,4 +1,4 @@
-"""A mutant census of the first-variation validator and of eos's closed forms.
+"""A mutant census of the first-variation validator, of eos's closed forms and of the grid balls.
 
 A mutant is one small edit to a formula line: a coefficient off by 1%, a
 sign flipped, a term dropped, a Jacobian entry swapped for its transpose.
@@ -29,6 +29,11 @@ VALIDATOR = (
     "tests/test_acceptance.py::test_criterion_08_first_variation_validator",
 )
 EOS = ("tests/test_eos.py", "tests/test_cli.py::TestEosTable")
+BALLS = (
+    "tests/test_fields_quadrature.py",
+    "tests/test_functionals.py::TestNestedGridBalls",
+    "tests/test_functionals.py::TestGridBallPrefixes",
+)
 
 # (name, file under src/cornerflow, old text, new text, the tests run against it)
 MUTANTS = [
@@ -86,13 +91,49 @@ MUTANTS = [
     ("lambda': 1.0 / rho_bar0 -> 1.01 / rho_bar0", "eos.py",
      "1.0 / model.rho_bar0 - dF2",
      "1.01 / model.rho_bar0 - dF2", EOS),
+    ("corner area: mid y -> 1.01 * y", "quadrature.py",
+     "mid = y * np.maximum(mid_hi - mid_lo, 0.0)",
+     "mid = 1.01 * y * np.maximum(mid_hi - mid_lo, 0.0)", BALLS),
+    ("corner area: outer's right piece dropped", "quadrature.py",
+     "outer = W(np.full_like(x, -r), np.minimum(x, -xc)) + W(xc, x)",
+     "outer = W(np.full_like(x, -r), np.minimum(x, -xc))", BALLS),
+    ("cell fractions: + a[3] -> - a[3]", "quadrature.py",
+     "area = a[0] - a[1] - a[2] + a[3]",
+     "area = a[0] - a[1] - a[2] - a[3]", BALLS),
+    ("inv_mean: exact 1/x1 integral -> midpoint", "quadrature.py",
+     "inv_mean[safe] = np.log(x1r[safe] / x1l[safe]) / h",
+     "inv_mean[safe] = 1.0 / x1[safe]", BALLS),
+    ("inv_mean: axis guard 1e-3 h -> 0.6 h", "quadrature.py",
+     "safe = x1l > 1e-3 * h",
+     "safe = x1l > 0.6 * h", BALLS),
+    ("band: 0.7072 h -> 0.6 h", "quadrature.py",
+     "near = np.flatnonzero(d2 <= (r + 0.7072 * h) ** 2)",
+     "near = np.flatnonzero(d2 <= (r + 0.6 * h) ** 2)", BALLS),
+    ("full count: rin -> r", "quadrature.py",
+     'np.searchsorted(d2, rin * rin, "right")',
+     'np.searchsorted(d2, r * r, "right")', BALLS),
+    ("full count: right -> left", "quadrature.py",
+     'np.searchsorted(d2, rin * rin, "right")',
+     'np.searchsorted(d2, rin * rin, "left")', BALLS),
+    ("ball count: band dropped", "quadrature.py",
+     'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))',
+     'n = int(np.searchsorted(d2, r ** 2, "right"))', BALLS),
+    ("ball count: right -> left", "quadrature.py",
+     'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))',
+     'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "left"))', BALLS),
 ]
 
 
 def run_tests(tree, tests):
-    """(pytest's exit code, the ids of the failed tests) for ``tests`` in ``tree``."""
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
-                         cwd=tree, capture_output=True, text=True)
+    """(pytest's exit code, the ids of the failed tests) for ``tests`` in ``tree``.
+
+    Without hypothesis's pytest plugin a failing ``@given`` test fails as any
+    other: the plugin's report of a failure imports libcst, whose deprecation
+    warning the suite's ``filterwarnings = error`` turns into a pytest internal
+    error that ends the run.
+    """
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                          "-p", "no:hypothesispytest", *tests], cwd=tree, capture_output=True, text=True)
     failed = [line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAILED ")]
     return out.returncode, failed
 

@@ -291,7 +291,9 @@ def grid_value_separate(fld, x1, x2):
 
 
 def grid_ball_one_box(fld, center, r, half=False):
-    """Grid ball nodes of radius ``r`` built from the bounding box of that radius alone."""
+    """Grid ball nodes of radius ``r`` built from the bounding box of that radius alone: the cells
+    within ``r + 0.7072 h`` of the center, nearest first (ties in i-major order), band cells that the
+    disk misses at weight 0."""
     assert fld.contains_ball(center, r, half=half)
     h = fld.h
     i_lo = max(0, int(np.floor((center[0] - r - fld.x1_min) / h)) - 1)
@@ -308,8 +310,10 @@ def grid_ball_one_box(fld, center, r, half=False):
     cut = (~full) & (d2 <= (r + 0.7072 * h) ** 2)
     if np.any(cut):
         frac[cut] = _cell_fractions(x1[cut], x2[cut], h, center, r)
-    keep = frac > 0.0
-    x1, x2, frac = x1[keep], x2[keep], frac[keep]
+    near = d2 <= (r + 0.7072 * h) ** 2
+    x1, x2, frac, d2 = x1[near], x2[near], frac[near], d2[near]
+    order = sorted(range(d2.size), key=lambda k: d2[k])  # sorted() is stable
+    x1, x2, frac = x1[order], x2[order], frac[order]
     x1l, x1r = x1 - 0.5 * h, x1 + 0.5 * h
     safe = x1l > 1e-3 * h
     inv_mean = np.empty_like(x1)

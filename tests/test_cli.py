@@ -134,6 +134,14 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_write_field_is_0_or_1(self, tmp_path, capsys, value):
+        # both used to write field.txt and exit 0
+        kv = dict(self.VALID["profile-table"], write_field=value)
+        assert run("profile-table", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: write_field must be one of ('0', '1'), got '{value}'\n"
+        assert not (tmp_path / "o" / "field.txt").exists()
+
     BOX = dict(x1_min=0.0, x1_max=0.25, x2_min=0.0, x2_max=0.25, h=1 / 16)
 
     @pytest.mark.parametrize("sub, kv, msg", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from cornerflow.errors import DomainError, GeometryError
 from cornerflow.fields import GridField, format_values
@@ -163,6 +164,19 @@ class TestBallQuadrature:
         assert errs[-1] < 5e-6 * exact
         assert errs[0] / errs[-1] > 8.0  # second order across two halvings
 
+    def test_inverse_weight_exact_across_a_cell_near_the_axis(self):
+        # a lattice whose first column spans [0.3 h, 1.3 h]: the cut cells of that column
+        # take the exact mean of 1/x1 across their width, not 1/x1 at their center
+        h = 1 / 32
+        x1_min = 0.3 * h
+        f = GridField.from_function(lambda X1, X2: np.ones_like(X1), x1_min, x1_min + 1.0, -0.5, 0.5, h)
+        nodes = grid_ball_nodes(f, (x1_min + 0.25 + 0.1 * h, 0.0), 0.25)
+        first = (nodes.x1 == f.cell_x1[0]) & (nodes.w > 0.0)
+        assert np.count_nonzero(first) >= 3
+        mean = [quad(lambda x: 1.0 / x, a - 0.5 * h, a + 0.5 * h, epsabs=0.0, epsrel=1e-13)[0] / h
+                for a in nodes.x1]
+        np.testing.assert_allclose(nodes.w_inv, nodes.w * np.array(mean), rtol=1e-12, atol=0.0)
+
     def test_geometry_error(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.0, 0.0, 1.0, 1 / 16)
         with pytest.raises(GeometryError):
@@ -176,18 +190,18 @@ def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, half, big
     # a radial sweep selects each ball from the cells of its largest one: the
     # nodes, their order and weights are those of the ball's own bounding box,
     # also where the larger box is clamped at the axis (half balls at x1 < R)
-    n = round(1 / h)
-    f = GridField(0.0, 1.0, -0.5, 0.5, h, np.zeros((n, n)))
+    m = round(1 / h)
+    f = GridField(0.0, 1.0, -0.5, 0.5, h, np.zeros((m, m)))
     R = big * min(1.0 - c1, c2 + 0.5, 0.5 - c2, 1.0 if half else c1)
     r = small * R
     assume(r > 0.0)
     cells = grid_ball_cells(f, (c1, c2), R, half=half)
-    index, got = grid_ball_select(f, cells, (c1, c2), r)
+    n, got = grid_ball_select(f, cells, (c1, c2), r)
     want = grid_ball_one_box(f, (c1, c2), r, half=half)
     own = grid_ball_nodes(f, (c1, c2), r, half=half)
     for key in ("x1", "x2", "w", "w_inv"):
         assert getattr(got, key).tobytes() == getattr(want, key).tobytes() == getattr(own, key).tobytes()
-    assert cells[0][index].tobytes() == got.x1.tobytes() and cells[1][index].tobytes() == got.x2.tobytes()
+    assert cells[0][:n].tobytes() == got.x1.tobytes() and cells[1][:n].tobytes() == got.x2.tobytes()
 
 
 class TestArcQuadrature:

@@ -283,6 +283,36 @@ class TestNestedGridBalls:
         assert peak(radial_sweep, fld, incompressible, center, "stagnation", radii) / one < 3.5
 
 
+class TestGridBallPrefixes:
+    @pytest.mark.parametrize("center, kind, box", [
+        ((1.0, 0.0), "stagnation", (0.75, 1.25, -0.25, 0.25)),
+        ((0.0, 0.0), "origin", (0.0, 0.5, -0.25, 0.25)),
+    ], ids=["stagnation", "origin"])
+    def test_each_ball_is_a_prefix_of_the_shared_evaluation(self, center, kind, box, incompressible,
+                                                           monkeypatch):
+        # the shared cells come nearest first, so every ball of a grid sweep is their
+        # first n cells and its values are views of the one evaluation, not copies
+        from cornerflow import functionals
+
+        fld = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0)).resample(*box, 1 / 64)
+        evaluate, calls = functionals._evaluate, []
+        monkeypatch.setattr(functionals, "_evaluate",
+                            lambda f, m, x1, x2: calls.append((x1, x2, evaluate(f, m, x1, x2))) or calls[-1][2])
+        at = functionals._sweep_nodes(fld, incompressible, center, kind, 0.1, 256)
+        x1, x2, shared = calls[0]
+        d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
+        assert np.all(np.diff(d2) >= 0.0)
+        sizes = []
+        for r in np.geomspace(0.02, 0.1, 6):
+            bn, bv, _, _ = at(float(r))
+            n = bn.x1.size
+            sizes.append(n)
+            assert bn.x1.tobytes() == x1[:n].tobytes() and bn.x2.tobytes() == x2[:n].tobytes()
+            for name, a in zip(bv._fields, bv):
+                assert a.size == n and np.shares_memory(a, getattr(shared, name)), name
+        assert sizes == sorted(sizes) and sizes[-1] == x1.size
+
+
 class TestStagnation:
     def test_M_constant_and_value(self, stokes_field, incompressible):
         radii = np.geomspace(0.008, 0.08, 9)
