@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
-from .functionals import SCALING_POWER, check_kind_center, energy_power, frequency_quantities, point_kind, radius_window
+from .functionals import SCALING_POWER, energy_power, frequency_quantities, point_kind, radius_window
 from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
 from .quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
@@ -23,12 +23,11 @@ BLOWUP_H = 2.0 / 128  # the blow-up lattice's step: 128 cells across the unit bo
 
 
 class DegeneratePoint:
-    """A degenerate free-boundary point with its kind and scaling exponent."""
+    """A degenerate free-boundary point with its kind, read from its coordinates, and scaling exponent."""
 
-    def __init__(self, x1, x2, kind=None):
+    def __init__(self, x1, x2):
         self.x1, self.x2 = x1, x2
-        self.kind = point_kind(self.coords) if kind is None else kind
-        check_kind_center(self.kind, self.coords)
+        self.kind = point_kind(self.coords)
 
     @property
     def coords(self):
@@ -172,7 +171,7 @@ def blowup_norm_ratio(blow: GridField):
 
 def default_radii(field_, point: DegeneratePoint):
     """10 log-spaced radii to the top of ``radius_window``, from its bottom or top/8 if larger."""
-    r_min, r_hi = radius_window(field_, point.coords, point.kind)
+    r_min, r_hi = radius_window(field_, point.coords)
     return np.geomspace(max(r_min, r_hi / 8.0), r_hi, 10)
 
 
@@ -276,7 +275,7 @@ def frequency_blowup(field_, medium, radii):
     which decays when the limit is homogeneous).
     """
     radii = np.asarray(sorted(radii), dtype=float)
-    sweep = frequency_quantities(field_, medium, (0.0, 0.0), radii)
+    sweep = frequency_quantities(field_, medium, radii)
     J = sweep.columns["J"]
     N = sweep.columns["N"]
     N0 = float(N[0])

@@ -95,7 +95,7 @@ KEYS = {
         "eps_chi": Key(float), "max_iter": Key(int, 50000, "positive"), "tol": Key(float, 1e-10),
     },
     "sweep": {
-        **_SOURCE, **_MEDIUM, "kind": Key(functionals.KINDS, REQUIRED),
+        **_SOURCE, **_MEDIUM, "kind": Key(functionals.KINDS),
         "center_x1": Key(float, 0.0), "center_x2": Key(float, 0.0),
         **_RADII, "n_radii": Key(int, 0, "nonnegative"), "n_arc": Key(int, 4096, "positive"),
     },
@@ -188,6 +188,14 @@ def _profile_field(cfg):
 
 def _load_field(cfg):
     return _profile_field(cfg) if cfg["field"] is None else GridField.read(cfg["field"])
+
+
+def _kind(cfg, center):
+    """The kind of the point at ``center``; ConfigError if the config's kind names another."""
+    kind = functionals.point_kind(center)
+    if cfg["kind"] not in (None, kind):
+        raise ConfigError(f"kind {cfg['kind']} contradicts the center {center}, whose kind is {kind}")
+    return kind
 
 
 def _box(cfg):
@@ -313,14 +321,15 @@ SWEEP_COLUMNS = (
 
 
 def run_sweep(cfg, out, opts):
-    fld = _load_field(cfg)
-    kind = cfg["kind"]
     center = (cfg["center_x1"], cfg["center_x2"])
+    kind = _kind(cfg, center)
+    fld = _load_field(cfg)
     if cfg["r_min"] is None:
-        radii = functionals.default_radii(fld, center, kind)
+        radii = functionals.default_radii(fld, center)
     else:
         radii = functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
-    sweep = functionals.radial_sweep(fld, _medium(cfg), center, kind, radii, n_arc=cfg["n_arc"])
+    # radii by keyword: perfbench's tracer reads a sweep's radii from the fifth positional or "radii"
+    sweep = functionals.radial_sweep(fld, _medium(cfg), center, radii=radii, n_arc=cfg["n_arc"])
     cols = dict(sweep.columns, r=radii)
     cols["dM_fd"] = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
     # the frequency block is undefined off the origin and where J = 0 (zero field): report 0
@@ -346,8 +355,9 @@ def run_sweep(cfg, out, opts):
 
 
 def run_classify(cfg, out, opts):
+    point = classify_mod.DegeneratePoint(x1=cfg["point_x1"], x2=cfg["point_x2"])
+    _kind(cfg, point.coords)
     fld = _load_field(cfg)
-    point = classify_mod.DegeneratePoint(x1=cfg["point_x1"], x2=cfg["point_x2"], kind=cfg["kind"])
     radii = (classify_mod.default_radii(fld, point) if cfg["r_min"] is None
              else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"]))
     result = classify_mod.classify(fld, point, radii=radii)

@@ -26,11 +26,6 @@ from .quadrature import arc_nodes, ball_nodes, grid_ball_cells, grid_ball_select
 KINDS = ("stagnation", "axis", "origin")
 SCALING_POWER = {"stagnation": 1.5, "axis": 2.0, "origin": 2.5}
 VOLUME_TERMS = {"stagnation": 3, "axis": 1, "origin": 2}  # k1.. are volume terms, the rest boundary ones
-_CENTER_RULE = {
-    "stagnation": "stagnation centers have x1 > 0 and x2 = 0",
-    "axis": "axis centers have x1 = 0 and x2 > 0",
-    "origin": "the origin kind is centered at (0, 0)",
-}
 
 _T_ACTIVE = 1e-300
 
@@ -47,29 +42,19 @@ def point_kind(center):
     raise DomainError(f"degenerate points have x1, x2 >= 0 and x1*x2 = 0, not {tuple(center)}")
 
 
-def check_kind_center(kind, center):
-    if kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
-    try:
-        found = point_kind(center)
-    except DomainError:
-        found = None
-    if found != kind:
-        raise DomainError(_CENTER_RULE[kind])
-
-
-def check_radius(field_, center, r, kind):
-    """DomainError unless ``r`` lies below the kind's admissible delta at ``center``."""
-    delta = delta_radius(field_, center, kind)
+def check_radius(field_, center, r):
+    """DomainError unless ``r`` lies below the admissible delta at ``center``."""
+    delta = delta_radius(field_, center)
     if delta <= 0.0:
         raise DomainError(f"center {tuple(center)} lies outside the grid or on its edge")
     if np.isfinite(delta) and r >= delta * (1.0 + 1e-12):
         raise DomainError(f"radius {r} at or beyond the admissible delta {delta}")
 
 
-def delta_radius(field_, center, kind):
+def delta_radius(field_, center):
     """Largest admissible sweep radius: min(|x1|, dist)/2 off the axis, dist/2 on it."""
-    d = field_.boundary_distance(center, half=kind in ("axis", "origin"))
+    kind = point_kind(center)
+    d = field_.boundary_distance(center, half=kind != "stagnation")
     if kind == "stagnation":
         return 0.5 * min(center[0], d)
     return 0.5 * d
@@ -87,10 +72,10 @@ def log_radii(r_min, r_max, n=0):
     return np.geomspace(r_min, r_max, n)
 
 
-def radius_window(field_, center, kind):
+def radius_window(field_, center):
     """The default radii's bounds (4h, 0.9*delta), h = delta/256 off a grid; GeometryError unless
     4h < 0.9*delta < inf (a profile's delta is inf at an axis or origin point)."""
-    delta = delta_radius(field_, center, kind)
+    delta = delta_radius(field_, center)
     r_min = 4.0 * getattr(field_, "h", delta / 256.0)
     r_max = 0.9 * delta
     if not r_min < r_max < np.inf:
@@ -98,9 +83,9 @@ def radius_window(field_, center, kind):
     return r_min, r_max
 
 
-def default_radii(field_, center, kind):
+def default_radii(field_, center):
     """Log-spaced radii over ``radius_window``."""
-    return log_radii(*radius_window(field_, center, kind))
+    return log_radii(*radius_window(field_, center))
 
 
 class _NodeEval(NamedTuple):
@@ -148,7 +133,7 @@ def _nodes(field_, center, r, half, n_arc):
     return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
-def _sweep_nodes(field_, medium, center, kind, r_max, n_arc):
+def _sweep_nodes(field_, medium, center, r_max, n_arc):
     """``at(r)``: the ball nodes, ball values, arc nodes and arc values of one radius r <= r_max.
 
     What the radii share is evaluated once, here: a grid's cells of the r_max
@@ -158,7 +143,7 @@ def _sweep_nodes(field_, medium, center, kind, r_max, n_arc):
     values are views of that one evaluation; each call builds its radius's other
     arrays afresh, so no radius keeps another's alive.
     """
-    half = kind != "stagnation"
+    half = point_kind(center) != "stagnation"
     if isinstance(field_, GridField):
         cells = grid_ball_cells(field_, center, r_max, half=half)
         ev = _evaluate(field_, medium, cells[0], cells[1])
@@ -203,7 +188,7 @@ def _volume_terms(kind, center, bn, bv, E_H, E_F, rho0):
 # per-radius record
 # ---------------------------------------------------------------------------
 
-def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, nodes=None):
+def monotonicity_record(field_, medium, center, r, n_arc=4096, nodes=None):
     """All monotonicity/frequency ingredients at one radius.
 
     Returns a dict; keys k1..k6 are the kind's error terms (unused ones
@@ -211,10 +196,10 @@ def monotonicity_record(field_, medium, center, r, kind, n_arc=4096, nodes=None)
     monotonicity-formula derivative at this radius.  ``nodes``, if given, is a
     sweep's ``_sweep_nodes`` at a radius >= r; by default r's own.
     """
-    check_kind_center(kind, center)
-    check_radius(field_, center, r, kind)
+    kind = point_kind(center)
+    check_radius(field_, center, r)
     rho0 = medium.rho0
-    bn, bv, an, av = (nodes or _sweep_nodes(field_, medium, center, kind, r, n_arc))(r)
+    bn, bv, an, av = (nodes or _sweep_nodes(field_, medium, center, r, n_arc))(r)
 
     E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bn.x2, 0.0)
@@ -297,30 +282,28 @@ def energy_identity_residual(rec):
 # radial sweeps
 # ---------------------------------------------------------------------------
 
-class RadialSweep:
+class RadialSweep(NamedTuple):
     """The radii of one sweep and, per name, the column of its records' values."""
-
-    def __init__(self, center, kind, radii, columns=None):
-        self.center, self.kind, self.radii = center, kind, radii
-        self.columns = {} if columns is None else columns
+    radii: np.ndarray
+    columns: dict
 
 
-def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):
+def radial_sweep(field_, medium, center, radii, n_arc=4096):
     """Monotonicity + frequency sweep over strictly increasing radii.
 
     One record per radius; every column, the Pohozaev and energy-identity
     residuals included, is read from it.
     """
-    check_kind_center(kind, center)
+    kind = point_kind(center)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing (need at least 2)")
 
     # each radius's own error comes first, then one node source serves every radius
     for r in radii:
-        check_radius(field_, center, float(r), kind)
-    nodes = _sweep_nodes(field_, medium, center, kind, float(radii[-1]), n_arc)
-    recs = [monotonicity_record(field_, medium, center, float(r), kind, n_arc=n_arc, nodes=nodes)
+        check_radius(field_, center, float(r))
+    nodes = _sweep_nodes(field_, medium, center, float(radii[-1]), n_arc)
+    recs = [monotonicity_record(field_, medium, center, float(r), n_arc=n_arc, nodes=nodes)
             for r in radii]
     keys = sorted(recs[0].keys())
     cols = {k: np.array([rec.get(k, 0.0) for rec in recs]) for k in keys}
@@ -328,7 +311,7 @@ def radial_sweep(field_, medium, center, kind, radii, n_arc=4096):
     cols["energy_identity_residual"] = np.array(
         [energy_identity_residual(rec)["residual"] for rec in recs]
     )
-    sweep = RadialSweep(center=tuple(center), kind=kind, radii=radii, columns=cols)
+    sweep = RadialSweep(radii, cols)
 
     # centered finite-difference derivative of M on the (log-spaced) radii
     M = cols["M"]
@@ -376,26 +359,24 @@ def _attach_frequency(sweep: RadialSweep, medium):
     c["J_scaled"] = J / r**5
 
 
-def frequency_quantities(field_, medium, center, radii):
+def frequency_quantities(field_, medium, radii):
     """Frequency sweep D, V, N, e, V+, Vtilde, Pi at the origin.
 
     Raises FrequencyUndefinedError if J vanishes at any radius.
     """
-    if tuple(center) != (0.0, 0.0):
-        raise DomainError("frequency quantities are defined at the origin kind")
-    sweep = radial_sweep(field_, medium, center, "origin", radii)
+    sweep = radial_sweep(field_, medium, (0.0, 0.0), radii)
     if np.any(sweep.columns["J"] <= 0.0):
         bad = sweep.radii[np.argmax(sweep.columns["J"] <= 0.0)]
         raise FrequencyUndefinedError(f"J(r) = 0 at r = {bad}")
     return sweep
 
 
-def monotonicity_derivative_check(field_, medium, center, kind, radii):
+def monotonicity_derivative_check(field_, medium, center, radii):
     """Max |finite-difference M' - (square + scaled K sum)| over the radii."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 5:
         raise DomainError("need at least 5 radii for the derivative check")
-    sweep = radial_sweep(field_, medium, center, kind, radii)
+    sweep = radial_sweep(field_, medium, center, radii)
     resid = sweep.columns["dM_fd"] - sweep.columns["dM_rhs"]
     inner = resid[1:-1]
     return {

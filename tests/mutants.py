@@ -1,4 +1,5 @@
-"""A mutant census of the first-variation validator, of eos's closed forms and of the grid balls.
+"""A mutant census of the first-variation validator, of eos's closed forms, of the grid balls
+and of the lines that read a point's kind from its center.
 
 A mutant is one small edit to a formula line: a coefficient off by 1%, a
 sign flipped, a term dropped, a Jacobian entry swapped for its transpose.
@@ -34,6 +35,8 @@ BALLS = (
     "tests/test_functionals.py::TestNestedGridBalls",
     "tests/test_functionals.py::TestGridBallPrefixes",
 )
+KIND = ("tests/test_functionals.py", "tests/test_classify.py")
+CLI = ("tests/test_cli.py",)
 
 # (name, file under src/cornerflow, old text, new text, the tests run against it)
 MUTANTS = [
@@ -121,19 +124,31 @@ MUTANTS = [
     ("ball count: right -> left", "quadrature.py",
      'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))',
      'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "left"))', BALLS),
+    ("point kind: origin rule takes the axis", "functionals.py",
+     "if c1 == 0 and c2 == 0:",
+     "if c1 == 0 and c2 >= 0:", KIND),
+    ("point kind: stagnation rule takes x2 > 0", "functionals.py",
+     "if c1 > 0 and c2 == 0:",
+     "if c1 > 0 and c2 >= 0:", KIND),
+    ("point kind: axis rule takes x2 < 0", "functionals.py",
+     "if c1 == 0 and c2 > 0:",
+     "if c1 == 0 and c2 != 0:", KIND),
+    ("delta: stagnation bound min(x1, d) -> d", "functionals.py",
+     "return 0.5 * min(center[0], d)",
+     "return 0.5 * d", KIND),
+    ("sweep nodes: half balls at the origin only", "functionals.py",
+     'half = point_kind(center) != "stagnation"',
+     'half = point_kind(center) == "origin"', KIND),
+    ("CLI: a kind that contradicts the center passes", "cli.py",
+     'if cfg["kind"] not in (None, kind):',
+     "if False:", CLI),
 ]
 
 
 def run_tests(tree, tests):
-    """(pytest's exit code, the ids of the failed tests) for ``tests`` in ``tree``.
-
-    Without hypothesis's pytest plugin a failing ``@given`` test fails as any
-    other: the plugin's report of a failure imports libcst, whose deprecation
-    warning the suite's ``filterwarnings = error`` turns into a pytest internal
-    error that ends the run.
-    """
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-                          "-p", "no:hypothesispytest", *tests], cwd=tree, capture_output=True, text=True)
+    """(pytest's exit code, the ids of the failed tests) for ``tests`` in ``tree``."""
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+                         cwd=tree, capture_output=True, text=True)
     failed = [line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAILED ")]
     return out.returncode, failed
 

@@ -357,7 +357,7 @@ def record_two_sets(field_, medium, center, r, kind, n_arc=4096):
     one_set = functionals._evaluate
     functionals._evaluate = split_per_call
     try:
-        return functionals.monotonicity_record(field_, medium, center, r, kind, n_arc=n_arc)
+        return functionals.monotonicity_record(field_, medium, center, r, n_arc=n_arc)
     finally:
         functionals._evaluate = one_set
 
@@ -392,7 +392,7 @@ def fit_shape_reference(blow: GridField, kind, label):
 def frequency_fit_reference(field_, medium, radii):
     """Per radius, the normalized blow-up's (coefficient, relative residual) against the flat profile."""
     radii = np.asarray(sorted(radii), dtype=float)
-    J = functionals.frequency_quantities(field_, medium, (0.0, 0.0), radii).columns["J"]
+    J = functionals.frequency_quantities(field_, medium, radii).columns["J"]
     splits = tuple(getattr(field_, "rays_phi", ())) + (0.0,)
     pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
     shape = eval_profile(flat_origin(), pn.x1, pn.x2)
@@ -415,12 +415,13 @@ def frequency_fit_reference(field_, medium, radii):
 # the monotonicity record as written out per kind before the one formula
 # ---------------------------------------------------------------------------
 
-def record_per_kind(field_, medium, center, r, kind, n_arc=4096, nodes=None):
+def record_per_kind(field_, medium, center, r, n_arc=4096, nodes=None):
     """``monotonicity_record`` with M, the square term, k_scale and the error terms
     written out for each kind; the nodes come from ``functionals._sweep_nodes`` as the library's do."""
     f = functionals
+    kind = f.point_kind(center)
     rho0 = medium.rho0
-    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, kind, r, n_arc))(r)
+    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, r, n_arc))(r)
 
     E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bn.x2, 0.0)

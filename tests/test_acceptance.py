@@ -195,7 +195,7 @@ def test_criterion_06_monotonicity_suite():
     # stagnation: physical-frame Stokes corner at (1, 0)
     stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
     radii = np.geomspace(0.008, 0.08, 24)
-    out = monotonicity_derivative_check(stokes, INC, (1.0, 0.0), "stagnation", radii)
+    out = monotonicity_derivative_check(stokes, INC, (1.0, 0.0), radii)
     M = out["sweep"].columns["M"]
     k_max = max(
         float(np.max(np.abs(out["sweep"].columns[k]))) for k in ("k1", "k2", "k3", "k4", "k5", "k6")
@@ -216,7 +216,7 @@ def test_criterion_06_monotonicity_suite():
     # axis: alpha x1^2 at (0, 0.5)
     par = profile_field(axis_parabola(0.7))
     radii_a = np.geomspace(0.02, 0.2, 12)
-    out_a = monotonicity_derivative_check(par, INC, (0.0, 0.5), "axis", radii_a)
+    out_a = monotonicity_derivative_check(par, INC, (0.0, 0.5), radii_a)
     M_a = out_a["sweep"].columns["M"]
     checks.append(
         ("axis M = 2 x2/(3 rho0) (exact field, tol 1e-9)",
@@ -229,7 +229,7 @@ def test_criterion_06_monotonicity_suite():
     )
     # origin: pointed bubble
     gara = profile_field(garabedian_bubble())
-    out_o = monotonicity_derivative_check(gara, INC, (0.0, 0.0), "origin", radii_a)
+    out_o = monotonicity_derivative_check(gara, INC, (0.0, 0.0), radii_a)
     M_o = out_o["sweep"].columns["M"]
     c = theta_star_constants()
     target_o = -(1.0 - c.s_star**2) / 8.0
@@ -254,7 +254,7 @@ def test_criterion_07_pohozaev_and_energy_identities():
         ("garabedian", profile_field(garabedian_bubble()), (0.0, 0.0), "origin", 0.2),
     ]
     for name, fld, center, kind, r in cases:
-        rec = monotonicity_record(fld, INC, center, r, kind)
+        rec = monotonicity_record(fld, INC, center, r)
         p = pohozaev_residual(rec, kind)
         e = energy_identity_residual(rec)
         rel_p = abs(p["residual"]) / p["scale"]
@@ -270,7 +270,7 @@ def test_criterion_07_pohozaev_and_energy_identities():
         cfg = MinimizeConfig(0.75, 1.25, -0.25, 0.25, h, stokes.value, medium=INC,
                              max_iter=1500, tol=1e-12, eps_chi=2 * h * h)
         fld, _ = minimize_EF(cfg)
-        recs = [monotonicity_record(fld, INC, (1.0, 0.0), r, "stagnation") for r in (0.05, 0.08, 0.11)]
+        recs = [monotonicity_record(fld, INC, (1.0, 0.0), r) for r in (0.05, 0.08, 0.11)]
         poh = np.mean([abs(pohozaev_residual(rec, "stagnation")["residual"]) for rec in recs])
         eni = np.mean([abs(energy_identity_residual(rec)["residual"]) for rec in recs])
         res[h] = (poh, eni)
@@ -330,14 +330,14 @@ def test_criterion_09_frequency_values_as_stated():
     """
     radii = np.geomspace(0.05, 0.5, 12)
     flat_spec = flat_origin()
-    sweep = frequency_quantities(profile_field(flat_spec), INC, (0.0, 0.0), radii)
+    sweep = frequency_quantities(profile_field(flat_spec), INC, radii)
     D = sweep.columns["D"]
     N = sweep.columns["N"]
     dev_D = float(np.max(np.abs(D - flat_spec.degree)))
     dev_N = float(np.max(np.abs(N - flat_spec.degree)))
     bubble_spec = garabedian_bubble()
     bubble = frequency_quantities(
-        profile_field(bubble_spec), INC, (0.0, 0.0), np.geomspace(0.05, 0.5, 6)
+        profile_field(bubble_spec), INC, np.geomspace(0.05, 0.5, 6)
     )
     Db = bubble.columns["D"]
     dev_Db = float(np.max(np.abs(Db - bubble_spec.degree)))
@@ -356,7 +356,7 @@ def test_criterion_09_frequency_values_as_stated():
 def test_criterion_09_frequency_suite_remainder():
     flat = profile_field(flat_origin())
     radii = np.geomspace(0.05, 0.5, 12)
-    sweep = frequency_quantities(flat, INC, (0.0, 0.0), radii)
+    sweep = frequency_quantities(flat, INC, radii)
     vplus = float(np.max(np.abs(sweep.columns["V_plus"])))
     jmono = bool(np.all(np.diff(sweep.columns["J_scaled"]) > 0))
     nbound = bool(np.all(sweep.columns["N"] >= 2.5 - 1e-3))

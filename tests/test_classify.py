@@ -65,11 +65,6 @@ class TestDegeneratePoint:
         with pytest.raises(DomainError):
             DegeneratePoint(0.5, 0.5)
 
-    def test_unknown_kind(self):
-        # used to be accepted, and to fail only deep inside the density sweep
-        with pytest.raises(DomainError, match="kind must be one of"):
-            DegeneratePoint(1.0, 0.0, kind="nowhere")
-
 
 class TestBlowup:
     def test_homogeneous_field_blowup_invariant(self):
@@ -312,7 +307,7 @@ class TestClassify:
         # the shared least-squares fit keeps the order of every sum: bit for bit
         fld = request.getfixturevalue(grid)
         res = classify(fld, point)
-        blow = blowup(fld, point, radius_window(fld, point.coords, point.kind)[1])
+        blow = blowup(fld, point, radius_window(fld, point.coords)[1])
         assert res.label == label
         assert (res.fit_param, res.fit_residual) == fit_shape_reference(blow, point.kind, label)
 

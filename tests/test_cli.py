@@ -13,7 +13,7 @@ from cornerflow import cli, eos, fields, functionals, profiles, solver
 from cornerflow.eos import EosModel, invert_density, lambda_of
 from cornerflow.fields import GridField
 
-from oracles import F_of
+from oracles import F_of, F_quadrature
 
 # values whose 17-digit text is easy to get wrong: signed zero, the smallest
 # subnormal, near-overflow, a repeating fraction, and the non-finite values
@@ -133,6 +133,19 @@ class TestConfigParsing:
         assert run(sub, cfg, tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("sub, kv, given, center", [
+        ("sweep", dict(kind="axis", center_x1=1.0), "axis", "(1.0, 0.0), whose kind is stagnation"),
+        ("sweep", dict(kind="stagnation"), "stagnation", "(0.0, 0.0), whose kind is origin"),
+        ("classify", dict(kind="origin", point_x2=0.5), "origin", "(0.0, 0.5), whose kind is axis"),
+    ], ids=["sweep-axis-at-stagnation", "sweep-stagnation-at-origin", "classify-origin-at-axis"])
+    def test_kind_that_contradicts_the_center_is_config_error(self, tmp_path, capsys, sub, kv, given, center):
+        # the given kind is checked against the center's before the field is read:
+        # the field file does not exist, and its error does not come first
+        cfg = write_cfg(tmp_path / "c.cfg", field=tmp_path / "missing.txt", r_min=0.05, r_max=0.2, **kv)
+        assert run(sub, cfg, tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: kind {given} contradicts the center {center}\n"
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("value", [2, -1])
     def test_write_field_is_0_or_1(self, tmp_path, capsys, value):
@@ -370,6 +383,20 @@ class TestEosTable:
                 rows.append((t, s, st.rho, st.d1H, st.d2H, F, lambda_of(model, float(s))))
         text = (tmp_path / "o" / "eos_table.csv").read_text()
         assert text == "t,s,H,d1H,d2H,F,lambda\n" + reference_text(rows, ",")
+
+    @pytest.mark.parametrize("kv", [
+        dict(gamma=2.0, A=1.0, rho_bar0=1.0, g=1.0, t_max=0.05, t_count=3, s_max=0.2, s_count=3),
+        dict(gamma=5 / 3, A=2.0, rho_bar0=2.0, g=9.81, t_max=0.01, t_count=3, s_max=0.25, s_count=30),
+    ], ids=["gamma2", "gamma5_3"])
+    def test_F_column_matches_the_quadrature_of_1_over_H(self, tmp_path, kv):
+        # F_of above evaluates the table's own closed form; F_quadrature integrates
+        # 1/H over [0, t] instead.  On these two tables (one off unit density) the
+        # worst error is 3.4e-16 of the column's largest |F|; the bound is 10x that
+        assert run("eos-table", write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 0
+        model = EosModel(**{k: kv[k] for k in ("gamma", "A", "rho_bar0", "g")})
+        table = np.loadtxt(tmp_path / "o" / "eos_table.csv", delimiter=",", skiprows=1)
+        F = np.array([F_quadrature(model, t, s)[0] for t, s in table[:, :2]])
+        assert np.max(np.abs(table[:, 5] - F)) <= 3.4e-15 * np.max(np.abs(F))
 
     def test_table_beyond_the_address_space_is_one_error_line(self, tmp_path, capsys):
         # 2.5e13 rows need 182 TiB per column, more than a 47-bit address
@@ -654,6 +681,25 @@ class TestSweep:
         assert err.count("\n") == 1 and " at height -" in err
         assert "subsonic inversion failed" not in err and "t=" not in err
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("kind, kv", [
+        ("stagnation", dict(center_x1=1.0)),
+        ("axis", dict(profile="axis_parabola", alpha=0.7, center_x2=0.5, r_min=0.05, r_max=0.3, n_radii=6)),
+        ("origin", dict(profile="flat_origin", r_min=0.05, r_max=0.5, n_radii=6)),
+    ], ids=["stagnation-grid", "axis", "origin"])
+    def test_kind_key_is_optional(self, tmp_path, kind, kv):
+        # the kind is read from the center: a config without it writes the same
+        # bytes as one that names the center's kind (the grid on its default radii)
+        if "profile" not in kv:
+            path = tmp_path / "f.txt"
+            stokes = profiles.profile_field(profiles.stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
+            stokes.resample(0.75, 1.25, -0.25, 0.25, 1 / 64).write(path)
+            kv = dict(kv, field=path)
+        assert run("sweep", write_cfg(tmp_path / "k.cfg", kind=kind, **kv), tmp_path / "k") == 0
+        assert run("sweep", write_cfg(tmp_path / "n.cfg", **kv), tmp_path / "n") == 0
+        assert filecmp.cmp(tmp_path / "k" / "sweep.csv", tmp_path / "n" / "sweep.csv", shallow=False)
+        rows = np.loadtxt(tmp_path / "n" / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape[0] >= 5 and np.all(rows[:, 2] > 0)  # J > 0 at every radius
 
 
 class TestMinimize:

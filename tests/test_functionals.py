@@ -7,7 +7,6 @@ import pytest
 from cornerflow.errors import DomainError, FrequencyUndefinedError, GeometryError
 from cornerflow.fields import AnalyticField, GridField
 from cornerflow.functionals import (
-    check_kind_center,
     default_radii,
     delta_radius,
     energy_identity_residual,
@@ -64,15 +63,15 @@ class TestEnergies:
     def test_zero_field_has_zero_energy(self, incompressible):
         f = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -0.5, 0.5, 1 / 64)
         # r = 0.2: the record admits radii below delta = 0.25 at this center
-        assert monotonicity_record(f, incompressible, (0.5, 0.0), 0.2, "stagnation")["E_F"] == 0.0
+        assert monotonicity_record(f, incompressible, (0.5, 0.0), 0.2)["E_F"] == 0.0
 
     def test_incompressible_EF_equals_EH(self, stokes_field, incompressible):
-        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.2, "stagnation")
+        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.2)
         assert rec["E_F"] == pytest.approx(rec["E_H"], rel=1e-12)
 
     def test_EH_minus_EF_is_K1_same_nodes(self, stokes_field, gamma_medium):
         # algebraic identity on shared quadrature nodes (compressible)
-        rec = monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1, "stagnation")
+        rec = monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1)
         assert rec["k1"] == pytest.approx(rec["E_H"] - rec["E_F"], abs=1e-15)
         scale = abs(rec["E_H"]) + abs(rec["E_F"])
         assert abs((rec["E_H"] - rec["E_F"]) - rec["k1"]) <= 1e-12 * max(scale, 1.0)
@@ -91,7 +90,7 @@ class TestEnergies:
             return invert(model, t, s, *args, **kwargs)
 
         monkeypatch.setattr(eos, "invert_many", counting_invert)
-        monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1, "stagnation")
+        monotonicity_record(stokes_field, gamma_medium, (1.0, 0.0), 0.1)
         assert len(node_sets) == 1
 
 
@@ -124,7 +123,7 @@ class TestOneEvaluationPerRadius:
         monkeypatch.setattr(oracles, "_evaluate_two_sets", lambda *a: calls.append(a) or two_sets(*a))
         media = [incompressible] + [gamma_medium] * (kind == "stagnation")
         for medium in media:
-            rec = monotonicity_record(fld, medium, center, r, kind, n_arc=1024)
+            rec = monotonicity_record(fld, medium, center, r, n_arc=1024)
             calls.clear()
             assert rec == record_two_sets(fld, medium, center, r, kind, n_arc=1024)
             assert calls, "the oracle evaluated nothing: the record was compared with itself"
@@ -155,8 +154,8 @@ class TestHomogeneousApex:
         record, recs = functionals.monotonicity_record, []
         monkeypatch.setattr(functionals, "monotonicity_record",
                             lambda *args, **kwargs: recs.append(record(*args, **kwargs)) or recs[-1])
-        radial_sweep(fld, medium, apex, kind, radii)
-        radial_sweep(direct, medium, apex, kind, radii)
+        radial_sweep(fld, medium, apex, radii)
+        radial_sweep(direct, medium, apex, radii)
         assert len(recs) == 2 * radii.size
         for r, got, want in zip(radii, recs[:radii.size], recs[radii.size:]):
             assert got.keys() == want.keys()
@@ -206,7 +205,7 @@ class TestOneFormula:
             return pairs[-1][0]
 
         monkeypatch.setattr(functionals, "monotonicity_record", both)
-        sweep = radial_sweep(fld, medium, center, kind, np.geomspace(0.03, 0.1, 9), n_arc=1024)
+        sweep = radial_sweep(fld, medium, center, np.geomspace(0.03, 0.1, 9), n_arc=1024)
         assert len(pairs) == 9
         for got, want in pairs:
             assert _bits(got) == _bits(want)
@@ -250,10 +249,10 @@ class TestNestedGridBalls:
                             lambda f, m, x1, x2: sizes.append(x1.size) or evaluate(f, m, x1, x2))
         for medium in [incompressible] + [gamma2_medium] * (kind == "stagnation"):
             sizes.clear()
-            sweep = radial_sweep(fld, medium, center, kind, radii, n_arc=1024)
+            sweep = radial_sweep(fld, medium, center, radii, n_arc=1024)
             n_arc = 1024 + (kind != "stagnation")
             assert len(sizes) == radii.size + 1 and sizes[1:] == [n_arc] * radii.size
-            recs = [monotonicity_record(fld, medium, center, float(r), kind, n_arc=1024) for r in radii]
+            recs = [monotonicity_record(fld, medium, center, float(r), n_arc=1024) for r in radii]
             for key in recs[0]:
                 assert sweep.columns[key].tobytes() == np.array([rec[key] for rec in recs]).tobytes(), key
             assert np.all(sweep.columns["J"] > 0) and np.all(sweep.columns["E_F"] != 0)
@@ -280,7 +279,7 @@ class TestNestedGridBalls:
                 tracemalloc.stop()
 
         one = peak(functionals._evaluate, fld, incompressible, cells[0], cells[1])
-        assert peak(radial_sweep, fld, incompressible, center, "stagnation", radii) / one < 3.5
+        assert peak(radial_sweep, fld, incompressible, center, radii) / one < 3.5
 
 
 class TestGridBallPrefixes:
@@ -298,7 +297,7 @@ class TestGridBallPrefixes:
         evaluate, calls = functionals._evaluate, []
         monkeypatch.setattr(functionals, "_evaluate",
                             lambda f, m, x1, x2: calls.append((x1, x2, evaluate(f, m, x1, x2))) or calls[-1][2])
-        at = functionals._sweep_nodes(fld, incompressible, center, kind, 0.1, 256)
+        at = functionals._sweep_nodes(fld, incompressible, center, 0.1, 256)
         x1, x2, shared = calls[0]
         d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
         assert np.all(np.diff(d2) >= 0.0)
@@ -316,38 +315,38 @@ class TestGridBallPrefixes:
 class TestStagnation:
     def test_M_constant_and_value(self, stokes_field, incompressible):
         radii = np.geomspace(0.008, 0.08, 9)
-        sw = radial_sweep(stokes_field, incompressible, (1.0, 0.0), "stagnation", radii)
+        sw = radial_sweep(stokes_field, incompressible, (1.0, 0.0), radii)
         M = sw.columns["M"]
         assert np.max(np.abs(M - SQRT3_3)) < 5e-3
         assert np.max(M) - np.min(M) < 5e-4
 
     def test_error_terms_small_on_exact_profile(self, stokes_field, incompressible):
-        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.08, "stagnation")
+        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.08)
         for k in ("k1", "k2", "k3", "k4", "k5", "k6"):
             assert abs(rec[k]) < 1e-6
         # at small radii the surviving terms shrink like r^5
-        rec_small = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.02, "stagnation")
+        rec_small = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.02)
         for k in ("k1", "k2", "k3", "k4", "k5", "k6"):
             assert abs(rec_small[k]) < 1e-8
 
     def test_derivative_matches_rhs(self, stokes_field, incompressible):
         radii = np.geomspace(0.01, 0.08, 24)
         out = monotonicity_derivative_check(
-            stokes_field, incompressible, (1.0, 0.0), "stagnation", radii
+            stokes_field, incompressible, (1.0, 0.0), radii
         )
         assert out["max_residual"] < 5e-5
 
     def test_zero_field(self, incompressible):
         f = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 2.0, -1.0, 1.0, 1 / 64)
         for r in (0.1, 0.3):
-            rec = monotonicity_record(f, incompressible, (1.0, 0.0), r, "stagnation")
+            rec = monotonicity_record(f, incompressible, (1.0, 0.0), r)
             assert rec["M"] == 0.0 and rec["J"] == 0.0
 
 
 class TestAxis:
     def test_M_exactly_constant(self, parabola_field, incompressible):
         radii = np.geomspace(0.02, 0.2, 9)
-        sw = radial_sweep(parabola_field, incompressible, (0.0, 0.5), "axis", radii)
+        sw = radial_sweep(parabola_field, incompressible, (0.0, 0.5), radii)
         M = sw.columns["M"]
         target = 2.0 * 0.5 / 3.0
         assert np.max(np.abs(M - target)) < 1e-10
@@ -355,7 +354,7 @@ class TestAxis:
     def test_derivative_matches_rhs(self, parabola_field, incompressible):
         radii = np.geomspace(0.02, 0.2, 12)
         out = monotonicity_derivative_check(
-            parabola_field, incompressible, (0.0, 0.5), "axis", radii
+            parabola_field, incompressible, (0.0, 0.5), radii
         )
         assert out["max_residual"] < 1e-10
 
@@ -372,7 +371,7 @@ class TestAxis:
 
         f = analytic_field(fn, grad, apex=(0.0, 0.5))
         radii = np.geomspace(0.02, 0.2, 10)
-        sw = radial_sweep(f, incompressible, (0.0, 0.5), "axis", radii)
+        sw = radial_sweep(f, incompressible, (0.0, 0.5), radii)
         dM = sw.columns["dM_fd"][1:-1]
         assert np.all(dM > -1e-9)
         assert np.max(np.abs(dM)) > 1e-6  # genuinely non-constant
@@ -382,7 +381,7 @@ class TestAxis:
         # it the sweep used to divide by zero
         fld = profile_field(axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64)
         with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0, not at x1 = -0.5"):
-            radial_sweep(fld, incompressible, (0.0, 0.5), "axis", np.geomspace(0.05, 0.2, 5))
+            radial_sweep(fld, incompressible, (0.0, 0.5), np.geomspace(0.05, 0.2, 5))
 
 
 class TestOrigin:
@@ -390,13 +389,13 @@ class TestOrigin:
         c = theta_star_constants()
         target = -(1.0 - c.s_star**2) / 8.0
         radii = np.geomspace(0.02, 0.2, 9)
-        sw = radial_sweep(garabedian_field, incompressible, (0.0, 0.0), "origin", radii)
+        sw = radial_sweep(garabedian_field, incompressible, (0.0, 0.0), radii)
         assert np.max(np.abs(sw.columns["M"] - target)) < 1e-10
 
     def test_derivative_matches_rhs(self, garabedian_field, incompressible):
         radii = np.geomspace(0.02, 0.2, 12)
         out = monotonicity_derivative_check(
-            garabedian_field, incompressible, (0.0, 0.0), "origin", radii
+            garabedian_field, incompressible, (0.0, 0.0), radii
         )
         assert out["max_residual"] < 1e-10
 
@@ -409,7 +408,7 @@ class TestPohozaevAndEnergyIdentity:
             (garabedian_field, (0.0, 0.0), "origin", 0.2, 1e-12),
         ]
         for fld, center, kind, r, tol in cases:
-            rec = monotonicity_record(fld, incompressible, center, r, kind)
+            rec = monotonicity_record(fld, incompressible, center, r)
             poh = pohozaev_residual(rec, kind)
             assert abs(poh["residual"]) < tol * poh["scale"]
             eni = energy_identity_residual(rec)
@@ -417,22 +416,22 @@ class TestPohozaevAndEnergyIdentity:
 
     def test_stokes_small_radius_tight(self, stokes_field, incompressible):
         # the identity defect of the frozen-weight profile decays like r^2
-        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.005, "stagnation")
+        rec = monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.005)
         poh = pohozaev_residual(rec, "stagnation")
         assert abs(poh["residual"]) < 1e-6 * poh["scale"]
 
     def test_sweep_columns_are_record_residuals(self, garabedian_field, incompressible):
         radii = np.geomspace(0.05, 0.2, 3)
-        sw = radial_sweep(garabedian_field, incompressible, (0.0, 0.0), "origin", radii)
+        sw = radial_sweep(garabedian_field, incompressible, (0.0, 0.0), radii)
         for i, r in enumerate(radii):
-            rec = monotonicity_record(garabedian_field, incompressible, (0.0, 0.0), r, "origin")
+            rec = monotonicity_record(garabedian_field, incompressible, (0.0, 0.0), r)
             assert sw.columns["pohozaev_residual"][i] == pohozaev_residual(rec, "origin")["residual"]
             assert sw.columns["energy_identity_residual"][i] == energy_identity_residual(rec)["residual"]
 
     def test_zero_field(self, incompressible):
         f = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 2.0, -1.0, 1.0, 1 / 64)
         poh = pohozaev_residual(
-            monotonicity_record(f, incompressible, (1.0, 0.0), 0.3, "stagnation"), "stagnation"
+            monotonicity_record(f, incompressible, (1.0, 0.0), 0.3), "stagnation"
         )
         assert poh["lhs"] == 0.0 and poh["rhs"] == 0.0
 
@@ -441,7 +440,7 @@ class TestFrequency:
     def test_flat_profile_values(self, flat_field, incompressible):
         # D equals the homogeneity degree (= 3 for the cubic flat profile)
         radii = np.geomspace(0.05, 0.5, 12)
-        sw = frequency_quantities(flat_field, incompressible, (0.0, 0.0), radii)
+        sw = frequency_quantities(flat_field, incompressible, radii)
         assert np.max(np.abs(sw.columns["D"] - 3.0)) < 1e-3
         assert np.max(np.abs(sw.columns["N"] - 3.0)) < 1e-3
         assert np.all(sw.columns["N"] >= 2.5 - 1e-3)  # the theoretical lower bound
@@ -452,19 +451,19 @@ class TestFrequency:
 
     def test_positivity_gap_makes_V_plus_positive(self, garabedian_field, incompressible):
         radii = np.geomspace(0.05, 0.3, 6)
-        sw = frequency_quantities(garabedian_field, incompressible, (0.0, 0.0), radii)
+        sw = frequency_quantities(garabedian_field, incompressible, radii)
         assert np.all(sw.columns["V_plus"] > 0)
 
     def test_zero_field_undefined(self, incompressible):
         f = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -1.0, 1.0, 1 / 64)
         with pytest.raises(FrequencyUndefinedError):
-            frequency_quantities(f, incompressible, (0.0, 0.0), np.geomspace(0.05, 0.3, 5))
+            frequency_quantities(f, incompressible, np.geomspace(0.05, 0.3, 5))
 
     def test_compressible_error_terms_bounded(self, gamma_medium):
         # K * r^-5 stays bounded on a growth-respecting (subsonic) field
         fld = profile_field(flat_origin(beta=0.5))
         radii = np.geomspace(0.02, 0.3, 10)
-        sw = radial_sweep(fld, gamma_medium, (0.0, 0.0), "origin", radii)
+        sw = radial_sweep(fld, gamma_medium, (0.0, 0.0), radii)
         scaled = np.abs(sw.columns["K_sum"]) * sw.columns["k_scale"]
         assert np.all(np.isfinite(scaled))
         assert np.max(scaled) < 10.0 * max(np.median(scaled), 1e-12)
@@ -494,7 +493,7 @@ class TestFrequency:
         ext[:, n2:] = fld.values
         full = GridField(0.0, 0.5, -0.25, 0.25, h, ext)
         radii = np.geomspace(8 * h, 0.11, 6)  # below delta = dist/2
-        sw = frequency_quantities(full, incompressible, (0.0, 0.0), radii)
+        sw = frequency_quantities(full, incompressible, radii)
         assert np.all(sw.columns["N"] >= 2.5 - 1e-2)
 
 
@@ -506,10 +505,10 @@ class TestBallArcConsistency:
         r0, dr = 0.2, 5e-4
 
         def EF(r):
-            return monotonicity_record(fld, gamma_medium, (0.0, 0.0), r, "origin")["E_F"]
+            return monotonicity_record(fld, gamma_medium, (0.0, 0.0), r)["E_F"]
 
         fd = (-EF(r0 + 2 * dr) + 8 * EF(r0 + dr) - 8 * EF(r0 - dr) + EF(r0 - 2 * dr)) / (12 * dr)
-        mid = monotonicity_record(fld, gamma_medium, (0.0, 0.0), r0, "origin")
+        mid = monotonicity_record(fld, gamma_medium, (0.0, 0.0), r0)
         assert fd == pytest.approx(mid["E_F_arc"], rel=1e-6)
 
     def test_stiffening_limit_matches_incompressible(self, incompressible):
@@ -517,8 +516,8 @@ class TestBallArcConsistency:
 
         stiff = GammaLawMedium(EosModel(gamma=2.0, A=1e8, rho_bar0=1.0, g=1.0))
         fld = profile_field(flat_origin(beta=0.5))
-        a = monotonicity_record(fld, stiff, (0.0, 0.0), 0.2, "origin")
-        b = monotonicity_record(fld, incompressible, (0.0, 0.0), 0.2, "origin")
+        a = monotonicity_record(fld, stiff, (0.0, 0.0), 0.2)
+        b = monotonicity_record(fld, incompressible, (0.0, 0.0), 0.2)
         assert a["M"] == pytest.approx(b["M"], abs=1e-6)
         assert a["E_F"] == pytest.approx(b["E_F"], rel=1e-6)
         assert abs(a["k1"]) < 1e-6  # compressible error terms fade away
@@ -540,7 +539,7 @@ class TestHomogeneousInvariance:
         fld = maker()
         d = {"stagnation": 1.5, "axis": 2.0, "origin": 3.0}[kind]
         radii = np.geomspace(0.02, 0.2, 6)
-        sw = radial_sweep(fld, incompressible, center, kind, radii)
+        sw = radial_sweep(fld, incompressible, center, radii)
         power = 2 * d + 1 if kind == "stagnation" else 2 * d
         vals = sw.columns["J"] / radii**power
         if kind == "stagnation":
@@ -552,20 +551,27 @@ class TestHomogeneousInvariance:
 class TestGeometryHelpers:
     def test_delta_radius(self, incompressible):
         f = GridField.from_function(lambda X1, X2: X1, 0.0, 2.0, -1.0, 1.0, 1 / 32)
-        assert delta_radius(f, (0.5, 0.0), "stagnation") == pytest.approx(0.25)
-        assert delta_radius(f, (0.0, 0.5), "axis") == pytest.approx(0.25)
+        assert delta_radius(f, (0.5, 0.0)) == pytest.approx(0.25)
+        assert delta_radius(f, (0.0, 0.5)) == pytest.approx(0.25)
+
+    def test_stagnation_delta_off_a_grid_is_half_the_axis_distance(self, stokes_field, incompressible):
+        # a grid with x1_min >= 0 lies nearer than the axis to a stagnation point, so
+        # only a field without edges shows the axis bound: delta = x1/2, not inf
+        assert delta_radius(stokes_field, (1.0, 0.0)) == 0.5
+        with pytest.raises(DomainError, match=r"^radius 0.6 at or beyond the admissible delta 0.5$"):
+            monotonicity_record(stokes_field, incompressible, (1.0, 0.0), 0.6)
 
     def test_default_radii(self):
         f = GridField.from_function(lambda X1, X2: X1, 0.0, 2.0, -1.0, 1.0, 1 / 128)
-        radii = default_radii(f, (1.0, 0.0), "stagnation")
+        radii = default_radii(f, (1.0, 0.0))
         assert radii[0] == pytest.approx(4.0 / 128.0)
         assert radii[-1] == pytest.approx(0.45)
 
     def test_kind_center_validation(self, incompressible, flat_field):
         with pytest.raises(DomainError):
-            monotonicity_record(flat_field, incompressible, (0.5, 0.5), 0.1, "stagnation")
+            monotonicity_record(flat_field, incompressible, (0.5, 0.5), 0.1)
         with pytest.raises(DomainError):
-            radial_sweep(flat_field, incompressible, (0.0, 0.0), "origin", [0.2, 0.1])
+            radial_sweep(flat_field, incompressible, (0.0, 0.0), [0.2, 0.1])
 
     def test_point_kind(self):
         # the kind is which coordinates of the center vanish
@@ -577,9 +583,3 @@ class TestGeometryHelpers:
     def test_point_kind_off_the_degenerate_set(self, center):
         with pytest.raises(DomainError, match="degenerate points have"):
             point_kind(center)
-
-    def test_kind_center_names_the_requirement(self):
-        with pytest.raises(DomainError, match=r"^axis centers have x1 = 0 and x2 > 0$"):
-            check_kind_center("axis", (1.0, 0.0))
-        with pytest.raises(DomainError, match=r"^stagnation centers have x1 > 0 and x2 = 0$"):
-            check_kind_center("stagnation", (0.5, 0.5))
