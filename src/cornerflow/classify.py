@@ -22,22 +22,6 @@ DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/
 BLOWUP_H = 2.0 / 128  # the blow-up lattice's step: 128 cells across the unit box
 
 
-class DegeneratePoint:
-    """A degenerate free-boundary point with its kind, read from its coordinates, and scaling exponent."""
-
-    def __init__(self, x1, x2):
-        self.x1, self.x2 = x1, x2
-        self.kind = point_kind(self.coords)
-
-    @property
-    def coords(self):
-        return (self.x1, self.x2)
-
-    @property
-    def exponent(self):
-        return SCALING_POWER[self.kind]
-
-
 def candidate_densities(kind):
     """Admissible normalized densities with their labels, per kind."""
     if kind == "stagnation":
@@ -62,15 +46,16 @@ def candidate_densities(kind):
 # blow-up rescaling
 # ---------------------------------------------------------------------------
 
-def blowup(field_, point: DegeneratePoint, r):
+def blowup(field_, center, r):
     """Resampled rescaled field u(x0 + r x)/r^d on a unit-box grid."""
+    kind = point_kind(center)
     if isinstance(field_, GridField):
         if r < 4.0 * field_.h:
             raise GeometryError("blow-up radius below 4h")
-        field_.check_holds(point.coords, r * math.sqrt(2.0), point.kind != "stagnation", "blow-up box")
-    box = (-1.0 if point.kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, BLOWUP_H)
+        field_.check_holds(center, r * math.sqrt(2.0), kind != "stagnation", "blow-up box")
+    box = (-1.0 if kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, BLOWUP_H)
     X1, X2 = GridField.lattice(*box)
-    vals = field_.value(point.x1 + r * X1, point.x2 + r * X2) / r**point.exponent
+    vals = field_.value(center[0] + r * X1, center[1] + r * X2) / r**SCALING_POWER[kind]
     return GridField(*box, vals)
 
 
@@ -88,7 +73,7 @@ def _density(kind, nodes, chi, r):
     return float(np.sum(weight * chi) / r**energy_power(kind))
 
 
-def weighted_density(field_, point: DegeneratePoint, radii):
+def weighted_density(field_, center, radii):
     """Per-radius densities and an affine-in-r extrapolation to r = 0.
 
     The fit uses the smallest decade of the supplied radii; the
@@ -99,9 +84,10 @@ def weighted_density(field_, point: DegeneratePoint, radii):
     if radii.size < 3:
         raise InsufficientDataError("need at least 3 radii for extrapolation")
     radii = np.sort(radii)
-    kind, half = point.kind, point.kind != "stagnation"
+    kind = point_kind(center)
+    half = kind != "stagnation"
     balls = ((b, field_.chi(field_.value(b.x1, b.x2)))
-             for b in (ball_nodes(field_, point.coords, r, half=half) for r in radii))
+             for b in (ball_nodes(field_, center, r, half=half) for r in radii))
     dens = np.array([_density(kind, nodes, pos, r) for r, (nodes, pos) in zip(radii, balls)])
     use = radii <= radii[0] * 10.0
     ru, du = radii[use], dens[use]
@@ -169,9 +155,9 @@ def blowup_norm_ratio(blow: GridField):
     return nu / max(ns, 1e-300)
 
 
-def default_radii(field_, point: DegeneratePoint):
+def default_radii(field_, center):
     """10 log-spaced radii to the top of ``radius_window``, from its bottom or top/8 if larger."""
-    r_min, r_hi = radius_window(field_, point.coords)
+    r_min, r_hi = radius_window(field_, center)
     return np.geomspace(max(r_min, r_hi / 8.0), r_hi, 10)
 
 
@@ -187,20 +173,20 @@ class Classification:
         self.notes = notes
 
 
-def _check_near_positive_cell(grid: GridField, point: DegeneratePoint):
-    """GeometryError, with the distance, if ``grid`` has positive cells but none within 2h of the point.
+def _check_near_positive_cell(grid: GridField, center):
+    """GeometryError, with the distance, if ``grid`` has positive cells but none within 2h of ``center``.
 
     About a point in the zero phase the fit in r extrapolates the densities'
     rise to a value below 0; with no positive cell every density is 0, a cusp's.
     """
-    d2 = np.add.outer((grid.cell_x1 - point.x1) ** 2, (grid.cell_x2 - point.x2) ** 2)
+    d2 = np.add.outer((grid.cell_x1 - center[0]) ** 2, (grid.cell_x2 - center[1]) ** 2)
     dist = math.sqrt(np.min(d2, where=grid.chi(grid.values), initial=np.inf))
     if 2.0 * grid.h < dist < math.inf:
-        raise GeometryError(f"center {point.coords} is no free-boundary point: the nearest positive "
+        raise GeometryError(f"center {tuple(center)} is no free-boundary point: the nearest positive "
                             f"cell lies {dist:.6g} away, beyond 2h = {2.0 * grid.h:.6g}")
 
 
-def classify(field_, point: DegeneratePoint, radii=None):
+def classify(field_, center, radii=None):
     """Trichotomy classification by nearest weighted density.
 
     An ambiguous match is labelled "Ambiguous" with the candidate table
@@ -208,16 +194,17 @@ def classify(field_, point: DegeneratePoint, radii=None):
     a GeometryError, if on a grid no positive cell lies within 2h of it, or
     off a grid the density is 0 at the smallest radius but not at a larger.
     """
+    kind = point_kind(center)
     if isinstance(field_, GridField):
-        _check_near_positive_cell(field_, point)
+        _check_near_positive_cell(field_, center)
     if radii is None:
-        radii = default_radii(field_, point)
-    meas = weighted_density(field_, point, radii)
+        radii = default_radii(field_, center)
+    meas = weighted_density(field_, center, radii)
     d, unc, dens = meas["value"], meas["uncertainty"], meas["densities"]
     if dens[0] == 0.0 < np.max(dens) and not isinstance(field_, GridField):
-        raise GeometryError(f"center {point.coords} is no free-boundary point: the density is 0 at the "
+        raise GeometryError(f"center {tuple(center)} is no free-boundary point: the density is 0 at the "
                             f"smallest radius {meas['radii'][0]:.6g} but positive at a larger one")
-    cands = sorted(candidate_densities(point.kind), key=lambda kv: abs(kv[1] - d))
+    cands = sorted(candidate_densities(kind), key=lambda kv: abs(kv[1] - d))
     label, dstar = cands[0]
     gap = abs(d - dstar)
     second_gap = abs(d - cands[1][1]) if len(cands) > 1 else np.inf
@@ -233,8 +220,8 @@ def classify(field_, point: DegeneratePoint, radii=None):
         # density 2/3 is shared with the trivial (u_0 = 0) axis case; the
         # blow-up norm separates them: it is r-independent for the
         # parabola and decays for a trivial point
-        blow_hi = blowup(field_, point, r_fit)
-        ratio_lo = blowup_norm_ratio(blowup(field_, point, r_lo))
+        blow_hi = blowup(field_, center, r_fit)
+        ratio_lo = blowup_norm_ratio(blowup(field_, center, r_lo))
         ratio_hi = blowup_norm_ratio(blow_hi)
         decaying = ratio_hi > 0 and ratio_lo / max(ratio_hi, 1e-300) < 0.6
         if ratio_lo < NORM_THRESHOLD or decaying:
@@ -244,11 +231,11 @@ def classify(field_, point: DegeneratePoint, radii=None):
                 "(the trivial 2/3 case is not excluded by the theory)"
             )
         else:
-            fit_param, fit_resid = _fit_shape(blow_hi, point.kind, "AxisParabola")
+            fit_param, fit_resid = _fit_shape(blow_hi, kind, "AxisParabola")
     elif label in ("StokesCorner", "GarabedianBubble"):
-        fit_param, fit_resid = _fit_shape(blowup(field_, point, r_fit), point.kind, label)
+        fit_param, fit_resid = _fit_shape(blowup(field_, center, r_fit), kind, label)
     return Classification(
-        kind=point.kind,
+        kind=kind,
         density=d,
         uncertainty=unc,
         label=label,

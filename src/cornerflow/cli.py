@@ -97,7 +97,7 @@ KEYS = {
     "sweep": {
         **_SOURCE, **_MEDIUM, "kind": Key(functionals.KINDS),
         "center_x1": Key(float, 0.0), "center_x2": Key(float, 0.0),
-        **_RADII, "n_radii": Key(int, 0, "nonnegative"), "n_arc": Key(int, 4096, "positive"),
+        **_RADII, "n_radii": Key(int, 0, "nonnegative"),
     },
     "classify": {
         **_SOURCE, "point_x1": Key(float, 0.0), "point_x2": Key(float, 0.0),
@@ -329,7 +329,7 @@ def run_sweep(cfg, out, opts):
     else:
         radii = functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
     # radii by keyword: perfbench's tracer reads a sweep's radii from the fifth positional or "radii"
-    sweep = functionals.radial_sweep(fld, _medium(cfg), center, radii=radii, n_arc=cfg["n_arc"])
+    sweep = functionals.radial_sweep(fld, _medium(cfg), center, radii=radii)
     cols = dict(sweep.columns, r=radii)
     cols["dM_fd"] = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
     # the frequency block is undefined off the origin and where J = 0 (zero field): report 0
@@ -355,15 +355,15 @@ def run_sweep(cfg, out, opts):
 
 
 def run_classify(cfg, out, opts):
-    point = classify_mod.DegeneratePoint(x1=cfg["point_x1"], x2=cfg["point_x2"])
-    _kind(cfg, point.coords)
+    center = (cfg["point_x1"], cfg["point_x2"])
+    _kind(cfg, center)
     fld = _load_field(cfg)
-    radii = (classify_mod.default_radii(fld, point) if cfg["r_min"] is None
+    radii = (classify_mod.default_radii(fld, center) if cfg["r_min"] is None
              else functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"]))
-    result = classify_mod.classify(fld, point, radii=radii)
+    result = classify_mod.classify(fld, center, radii=radii)
     _write_json(os.path.join(out, "classification.json"), vars(result))
     if opts.plots:  # the blow-up that classify fits, at its largest radius
-        blow = classify_mod.blowup(fld, point, float(radii[-1]))
+        blow = classify_mod.blowup(fld, center, float(radii[-1]))
         write_svg_levels(
             os.path.join(out, "blowup.svg"), blow, title=f"blow-up level sets ({result.label})"
         )

@@ -198,11 +198,8 @@ class GridField:
     # -- file format -------------------------------------------------------
     def write(self, path):
         with open(path, "w") as f:
-            f.write(self.header_line() + "\n")
+            f.write(header_line(self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h) + "\n")
             write_rows(f, self.values, " ")
-
-    def header_line(self):
-        return header_line(self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h)
 
     @classmethod
     def read(cls, path):

@@ -126,14 +126,14 @@ def _evaluate(field_, medium, x1, x2):
     return _with_thermo(field_, medium, x1, x2, *field_.evaluate(x1, x2))
 
 
-def _nodes(field_, center, r, half, n_arc):
+def _nodes(field_, center, r, half):
     """Ball and arc nodes of radius ``r``, and the ball's then the arc's as one point set (x1, x2)."""
     bn = ball_nodes(field_, center, r, half=half)
-    an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+    an = arc_nodes(field_, center, r, half=half)
     return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
-def _sweep_nodes(field_, medium, center, r_max, n_arc):
+def _sweep_nodes(field_, medium, center, r_max):
     """``at(r)``: the ball nodes, ball values, arc nodes and arc values of one radius r <= r_max.
 
     What the radii share is evaluated once, here: a grid's cells of the r_max
@@ -150,18 +150,18 @@ def _sweep_nodes(field_, medium, center, r_max, n_arc):
 
         def at(r):
             n, bn = grid_ball_select(field_, cells, center, r)
-            an = arc_nodes(field_, center, r, half=half, n_arc=n_arc)
+            an = arc_nodes(field_, center, r, half=half)
             return bn, ev._make(a[:n] for a in ev), an, _evaluate(field_, medium, an.x1, an.x2)
         return at
 
     # about a homogeneous field's apex the (polar) nodes are apex + r p for one
     # unit pattern p at every radius: u scales as r^k and grad u as r^(k-1)
     apex = getattr(field_, "degree", None) is not None and tuple(center) == field_.apex
-    unit = field_.evaluate(*_nodes(field_, center, 1.0, half, n_arc)[2:]) if apex else None
+    unit = field_.evaluate(*_nodes(field_, center, 1.0, half)[2:]) if apex else None
 
     def at(r):
         # one evaluation of the ball and arc nodes together, split back after
-        bn, an, x1, x2 = _nodes(field_, center, r, half, n_arc)
+        bn, an, x1, x2 = _nodes(field_, center, r, half)
         if apex:
             u, g1, g2 = unit
             s = r ** (field_.degree - 1.0)
@@ -188,18 +188,21 @@ def _volume_terms(kind, center, bn, bv, E_H, E_F, rho0):
 # per-radius record
 # ---------------------------------------------------------------------------
 
-def monotonicity_record(field_, medium, center, r, n_arc=4096, nodes=None):
+def monotonicity_record(field_, medium, center, r, nodes=None):
     """All monotonicity/frequency ingredients at one radius.
 
     Returns a dict; keys k1..k6 are the kind's error terms (unused ones
     are zero).  ``square`` is the boundary square term of the
-    monotonicity-formula derivative at this radius.  ``nodes``, if given, is a
-    sweep's ``_sweep_nodes`` at a radius >= r; by default r's own.
+    monotonicity-formula derivative at this radius.  ``nodes``, if given, is
+    a sweep's ``_sweep_nodes`` at a radius >= r, which the sweep checked; by
+    default r's own, after checking r.
     """
     kind = point_kind(center)
-    check_radius(field_, center, r)
+    if nodes is None:
+        check_radius(field_, center, r)
+        nodes = _sweep_nodes(field_, medium, center, r)
     rho0 = medium.rho0
-    bn, bv, an, av = (nodes or _sweep_nodes(field_, medium, center, r, n_arc))(r)
+    bn, bv, an, av = nodes(r)
 
     E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bn.x2, 0.0)
@@ -288,7 +291,7 @@ class RadialSweep(NamedTuple):
     columns: dict
 
 
-def radial_sweep(field_, medium, center, radii, n_arc=4096):
+def radial_sweep(field_, medium, center, radii):
     """Monotonicity + frequency sweep over strictly increasing radii.
 
     One record per radius; every column, the Pohozaev and energy-identity
@@ -302,8 +305,8 @@ def radial_sweep(field_, medium, center, radii, n_arc=4096):
     # each radius's own error comes first, then one node source serves every radius
     for r in radii:
         check_radius(field_, center, float(r))
-    nodes = _sweep_nodes(field_, medium, center, float(radii[-1]), n_arc)
-    recs = [monotonicity_record(field_, medium, center, float(r), n_arc=n_arc, nodes=nodes)
+    nodes = _sweep_nodes(field_, medium, center, float(radii[-1]))
+    recs = [monotonicity_record(field_, medium, center, float(r), nodes=nodes)
             for r in radii]
     keys = sorted(recs[0].keys())
     cols = {k: np.array([rec.get(k, 0.0) for rec in recs]) for k in keys}

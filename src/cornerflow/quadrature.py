@@ -21,6 +21,8 @@ import numpy as np
 from .fields import AnalyticField, GridField
 from .legendre import gauss_legendre
 
+N_ARC = 4096  # trapezoid intervals of every grid arc, on the circle or the half circle
+
 
 class BallNodes(NamedTuple):
     x1: np.ndarray
@@ -186,18 +188,18 @@ def grid_ball_nodes(field: GridField, center, r, half=False):
     return grid_ball_select(field, grid_ball_cells(field, center, r, half=half), center, r)[1]
 
 
-@lru_cache(maxsize=16)
-def _unit_circle(n_arc, half):
-    """cos and sin of the trapezoid angles: n_arc + 1 on the closed half circle, n_arc on the circle."""
-    phi = (np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_arc + 1) if half
-           else np.linspace(-np.pi, np.pi, n_arc + 1)[:-1])
+@lru_cache(maxsize=2)
+def _unit_circle(half):
+    """cos and sin of the trapezoid angles: N_ARC + 1 on the closed half circle, N_ARC on the circle."""
+    phi = (np.linspace(-0.5 * np.pi, 0.5 * np.pi, N_ARC + 1) if half
+           else np.linspace(-np.pi, np.pi, N_ARC + 1)[:-1])
     return _frozen([np.cos(phi)], [np.sin(phi)])
 
 
-def grid_arc_nodes(field: GridField, center, r, half=False, n_arc=4096):
+def grid_arc_nodes(field: GridField, center, r, half=False):
     field.check_holds(center, r, half, "arc")
-    cos, sin = _unit_circle(n_arc, half)
-    w = np.full(cos.shape, 2.0 * np.pi * r / n_arc if not half else np.pi * r / n_arc)
+    cos, sin = _unit_circle(half)
+    w = np.full(cos.shape, 2.0 * np.pi * r / N_ARC if not half else np.pi * r / N_ARC)
     if half:
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -211,11 +213,11 @@ def ball_nodes(field, center, r, half=False):
     return grid_ball_nodes(field, center, r, half=half)
 
 
-def arc_nodes(field, center, r, half=False, n_arc=4096):
+def arc_nodes(field, center, r, half=False):
     if isinstance(field, AnalyticField):
         splits = _apex_splits(field, center)
         return polar_arc_nodes(center, r, splits=splits, half=half)
-    return grid_arc_nodes(field, center, r, half=half, n_arc=n_arc)
+    return grid_arc_nodes(field, center, r, half=half)
 
 
 def _apex_splits(field: AnalyticField, center):

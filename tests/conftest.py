@@ -8,19 +8,28 @@ from cornerflow.eos import EosModel, GammaLawMedium, IncompressibleMedium
 from cornerflow.fields import AnalyticField
 from cornerflow.legendre import legendre_P_prime
 
-# hypothesis's report of a failing @given test imports hypothesis.extra._patching,
-# and that imports libcst, whose import raises a DeprecationWarning
-# (mypy_extensions.TypedDict).  filterwarnings = error turns it into an error
-# inside a pytest hook: the run ends in INTERNALERROR (exit 3) and no later test
-# runs.  Imported here once, with that warning ignored, the report finds the
-# module loaded.  Without libcst the plugin skips the report, so there is
-# nothing to import.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
+
+def pytest_runtest_makereport(item, call):
+    """Load hypothesis.extra._patching, with DeprecationWarning ignored, once a test phase fails.
+
+    hypothesis's report of a failing @given test imports that module at the
+    test's teardown, and it imports libcst, whose import raises a
+    DeprecationWarning (mypy_extensions.TypedDict).  filterwarnings = error turns
+    it into an error inside a pytest hook: the run ends in INTERNALERROR (exit 3)
+    and no later test runs.  Imported here first, the report finds the module
+    loaded; a run in which nothing fails never pays for libcst's import.  This
+    is a plain hook, not a wrapper: it runs inside hypothesis's hook wrapper,
+    before that wrapper's import.  Without libcst the plugin skips the report,
+    so there is nothing to import.
+    """
+    if call.excinfo is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:
+            pass
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
-"""A mutant census of the first-variation validator, of eos's closed forms, of the grid balls
-and of the lines that read a point's kind from its center.
+"""A mutant census of the first-variation validator, of eos's closed forms, of the grid balls,
+of the lines that read a point's kind from its center and of the classify densities and blow-ups.
 
 A mutant is one small edit to a formula line: a coefficient off by 1%, a
 sign flipped, a term dropped, a Jacobian entry swapped for its transpose.
@@ -37,6 +37,10 @@ BALLS = (
 )
 KIND = ("tests/test_functionals.py", "tests/test_classify.py")
 CLI = ("tests/test_cli.py",)
+CLASSIFY = ("tests/test_classify.py", "tests/test_acceptance.py")
+# every arc integrand of classify and the acceptance criteria vanishes at a half arc's
+# end nodes (docs/decisions.md): the arc's length is what sees their weights
+ARC = (*CLASSIFY, "tests/test_fields_quadrature.py::TestArcQuadrature")
 
 # (name, file under src/cornerflow, old text, new text, the tests run against it)
 MUTANTS = [
@@ -142,6 +146,24 @@ MUTANTS = [
     ("CLI: a kind that contradicts the center passes", "cli.py",
      'if cfg["kind"] not in (None, kind):',
      "if False:", CLI),
+    ("density: x1 weight at the origin only", "classify.py",
+     'if kind != "stagnation":\n        weight = weight * nodes.x1',
+     'if kind == "origin":\n        weight = weight * nodes.x1', CLASSIFY),
+    ("density: x2+ weight at the origin only", "classify.py",
+     'if kind != "axis":\n        weight = weight * np.maximum(nodes.x2, 0.0)',
+     'if kind == "origin":\n        weight = weight * np.maximum(nodes.x2, 0.0)', CLASSIFY),
+    ("blow-up: every kind's power the axis's", "classify.py",
+     "/ r**SCALING_POWER[kind]",
+     '/ r**SCALING_POWER["axis"]', CLASSIFY),
+    ("blow-up: stagnation box from x1 = 0", "classify.py",
+     'box = (-1.0 if kind == "stagnation" else 0.0,',
+     "box = (0.0,", CLASSIFY),
+    ("weighted density: half balls at the origin only", "classify.py",
+     'half = kind != "stagnation"',
+     'half = kind == "origin"', CLASSIFY),
+    ("grid arc: end weights not halved", "quadrature.py",
+     "w[0] *= 0.5\n        w[-1] *= 0.5",
+     "pass", ARC),
 ]
 
 

@@ -1,26 +1,42 @@
 """Test-only oracles: independent or earlier forms of what the library computes.
 
-* Quadrature oracles for the EOS layer.  The library evaluates F(t;s) and
-  lambda(x2) in closed form (docs/decisions.md); these routines integrate
-  the defining expressions numerically instead, so they check the closed
-  form independently of its derivation.
-* The separate value and gradient evaluations that ``GridField.evaluate``,
-  ``profiles.evaluate_profile`` and the one-evaluation-per-radius
-  ``monotonicity_record`` replaced, and the one-box grid ball that the
-  selection from a larger ball's cells replaced; the new paths must match
-  them bit for bit.
-* The blow-up fits as ``classify`` and ``frequency_blowup`` each wrote
-  them out before they shared one least-squares helper; the shared fit
-  must match them bit for bit.
-* The monotonicity record and Pohozaev residual with M, the square term,
-  k_scale and the error terms written out for each point kind, as they were
-  before one formula served all three; the formula must match them bit for bit.
-* Helpers that only the tests use: the degree-1 Legendre Q function, the
-  EOS model's text round trip and the ray slopes of a Stokes-corner blow-up.
-* The EOS in the paper's own terms, p'(rho) and the enthalpy h(rho), which
-  state the sonic condition independently of ``eos.critical_density``, and
-  ``F_of``, the scalar F that the ``eos-table`` column must match byte for
-  byte.
+Each oracle is one of two kinds.  An *independent* oracle reaches its value
+another way: a quadrature, mpmath or scipy, or a closed form derived apart
+from the library's.  A *split* evaluates the library's own formula in another
+order or grouping; it checks a refactoring bit for bit, but an error in the
+formula is in both sides and shows in neither.
+
+* Independent, quadrature oracles for the EOS layer: ``F_quadrature`` and
+  ``lambda_alt`` integrate the defining expressions of F(t;s), dF2 and
+  lambda(x2), where the library uses closed forms (docs/decisions.md).  They
+  share the library's Bernoulli inversion (``invert_many``), not its F.
+* Independent, the EOS in the paper's own terms: ``pressure_derivative``
+  p'(rho) and ``enthalpy`` h(rho) state the sonic condition apart from
+  ``eos.critical_density``.
+* Independent, closed forms: the degree-1 Legendre Q function and its two
+  derivatives (``legendre_Q1``, ``legendre_Q1_prime``, ``legendre_Q1_second``).
+* Split, ``F_of``: the scalar F from ``eos._F_closed``, the function the
+  ``eos-table`` column uses, which that column must match byte for byte.
+* Split, the separate value and gradient evaluations that one evaluation
+  replaced: ``profile_value_separate`` and ``profile_gradient_separate`` for
+  ``profiles.evaluate_profile``, ``grid_value_separate`` and
+  ``grid_gradient_separate`` for ``GridField.evaluate``, and
+  ``record_two_sets`` (with ``_evaluate_two_sets``) for the
+  one-evaluation-per-radius ``monotonicity_record``.
+* Split, ``grid_ball_one_box``: the grid ball built from its own bounding
+  box, which the selection from a larger ball's cells replaced.
+* Split, the blow-up fits as ``classify`` and ``frequency_blowup`` each wrote
+  them out before they shared one least-squares helper:
+  ``fit_shape_reference`` and ``frequency_fit_reference``.
+* Split, ``record_per_kind`` and ``pohozaev_per_kind``: the monotonicity
+  record and Pohozaev residual with M, the square term, k_scale and the error
+  terms written out for each point kind, as they were before one formula
+  served all three.
+* Neither, helpers that only the tests use: the adaptive Gauss-Legendre rule
+  under the quadrature oracles, the EOS model's text round trip
+  (``eos_to_text``, ``eos_from_text``) and ``measure_corner_slopes``, which
+  reads the ray slopes of a Stokes-corner blow-up for a test to compare with
+  the closed form +-1/sqrt(3).
 """
 
 import math
@@ -340,14 +356,14 @@ def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
     return functionals._NodeEval(*(np.concatenate(p) for p in zip(*parts)))
 
 
-def record_two_sets(field_, medium, center, r, kind, n_arc=4096):
+def record_two_sets(field_, medium, center, r, kind):
     """``monotonicity_record`` with its ball and arc nodes evaluated as two node sets.
 
     Each ``_evaluate`` call is split where the record's arc nodes begin, if it
     ends with them: a call of the ball and the arc together becomes two sets,
     and a call of a grid's cells or of the arc alone stays one.
     """
-    arc = arc_nodes(field_, center, r, half=kind != "stagnation", n_arc=n_arc)
+    arc = arc_nodes(field_, center, r, half=kind != "stagnation")
 
     def split_per_call(f, m, x1, x2):
         n = x1.size - arc.x1.size
@@ -357,7 +373,7 @@ def record_two_sets(field_, medium, center, r, kind, n_arc=4096):
     one_set = functionals._evaluate
     functionals._evaluate = split_per_call
     try:
-        return functionals.monotonicity_record(field_, medium, center, r, n_arc=n_arc)
+        return functionals.monotonicity_record(field_, medium, center, r)
     finally:
         functionals._evaluate = one_set
 
@@ -415,13 +431,13 @@ def frequency_fit_reference(field_, medium, radii):
 # the monotonicity record as written out per kind before the one formula
 # ---------------------------------------------------------------------------
 
-def record_per_kind(field_, medium, center, r, n_arc=4096, nodes=None):
+def record_per_kind(field_, medium, center, r, nodes=None):
     """``monotonicity_record`` with M, the square term, k_scale and the error terms
     written out for each kind; the nodes come from ``functionals._sweep_nodes`` as the library's do."""
     f = functionals
     kind = f.point_kind(center)
     rho0 = medium.rho0
-    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, r, n_arc))(r)
+    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, r))(r)
 
     E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bn.x2, 0.0)

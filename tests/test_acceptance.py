@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from cornerflow.classify import DegeneratePoint, classify, frequency_blowup
+from cornerflow.classify import classify, frequency_blowup
 from cornerflow.eos import (
     EosModel,
     GammaLawMedium,
@@ -380,14 +380,14 @@ def test_criterion_10_end_to_end_classification():
     stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0)).resample(
         0.25, 1.75, -0.75, 0.75, h
     )
-    res = classify(stokes, DegeneratePoint(1.0, 0.0))
+    res = classify(stokes, (1.0, 0.0))
     checks.append(
         ("Stokes corner field -> StokesCorner, fit residual < 1e-2",
          res.label == "StokesCorner" and res.fit_residual < 1e-2,
          f"label {res.label}, residual {res.fit_residual:.1e}")
     )
     par = profile_field(axis_parabola(0.8)).resample(0.0, 1.0, 0.0, 1.0, h)
-    res = classify(par, DegeneratePoint(0.0, 0.5))
+    res = classify(par, (0.0, 0.5))
     ok = (
         res.label == "AxisParabola"
         and res.fit_residual < 1e-2
@@ -398,7 +398,7 @@ def test_criterion_10_end_to_end_classification():
          ok, f"label {res.label}, alpha {res.fit_param:.5f} (true 0.8)")
     )
     gara = profile_field(garabedian_bubble()).resample(0.0, 1.0, -1.0, 1.0, h)
-    res = classify(gara, DegeneratePoint(0.0, 0.0))
+    res = classify(gara, (0.0, 0.0))
     b0 = garabedian_beta0()
     ok = (
         res.label == "GarabedianBubble"
@@ -410,11 +410,11 @@ def test_criterion_10_end_to_end_classification():
          ok, f"label {res.label}, beta0 {res.fit_param:.5f} (true {b0:.5f})")
     )
     flat = profile_field(flat_origin()).resample(0.0, 1.0, -1.0, 1.0, h)
-    res = classify(flat, DegeneratePoint(0.0, 0.0))
+    res = classify(flat, (0.0, 0.0))
     checks.append(
         ("flat field -> HorizontalFlat", res.label == "HorizontalFlat", f"label {res.label}")
     )
     zero = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -1.0, 1.0, 1 / 128)
-    res = classify(zero, DegeneratePoint(0.0, 0.0))
+    res = classify(zero, (0.0, 0.0))
     checks.append(("zero field -> Cusp", res.label == "Cusp", f"label {res.label}"))
     report(10, checks)

@@ -205,8 +205,7 @@ def cli_cases(draw):
         if draw(st.booleans()):
             grid, source = dict(**source, **draw(boxes(None if draw(rare()) else kind))), {}
         if sub == "sweep":
-            kv = dict(**source, **draw(media()), **draw(windows(0)), kind=kind, center_x1=c1, center_x2=c2,
-                      n_arc=draw(st.sampled_from([8, 64, 256])))
+            kv = dict(**source, **draw(media()), **draw(windows(0)), kind=kind, center_x1=c1, center_x2=c2)
         else:
             kv = dict(**source, **draw(windows(3)), point_x1=c1, point_x2=c2)
             if not draw(rare()):

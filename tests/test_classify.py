@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cornerflow.classify import (
-    DegeneratePoint,
     blowup,
     candidate_densities,
     classify,
@@ -14,7 +13,7 @@ from cornerflow.classify import (
 )
 from cornerflow.errors import DomainError, GeometryError, InsufficientDataError
 from cornerflow.fields import AnalyticField, GridField
-from cornerflow.functionals import radius_window
+from cornerflow.functionals import point_kind, radius_window
 from cornerflow.profiles import (
     axis_parabola,
     flat_origin,
@@ -25,6 +24,7 @@ from cornerflow.profiles import (
 )
 from cornerflow.quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
+from conftest import analytic_field
 from oracles import fit_shape_reference, frequency_fit_reference, measure_corner_slopes
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
@@ -52,75 +52,80 @@ def flat_grid():
     return profile_field(flat_origin()).resample(0.0, 1.0, -1.0, 1.0, H)
 
 
-class TestDegeneratePoint:
-    def test_kind_inference(self):
-        assert DegeneratePoint(1.0, 0.0).kind == "stagnation"
-        assert DegeneratePoint(0.0, 0.5).kind == "axis"
-        assert DegeneratePoint(0.0, 0.0).kind == "origin"
-        assert DegeneratePoint(1.0, 0.0).exponent == 1.5
-        assert DegeneratePoint(0.0, 0.5).exponent == 2.0
-        assert DegeneratePoint(0.0, 0.0).exponent == 2.5
+class TestPointKind:
+    # the center alone states the point: its kind sets the blow-up box and power
+    @pytest.mark.parametrize("center, x1_min, power", [
+        ((1.0, 0.0), -1.0, 1.5), ((0.0, 0.5), 0.0, 2.0), ((0.0, 0.0), 0.0, 2.5),
+    ], ids=["stagnation", "axis", "origin"])
+    def test_blowup_box_and_scaling_power(self, center, x1_min, power):
+        # u = 1 rescales to 1/r^power: 4^power at r = 1/4, exact in binary
+        one = analytic_field(lambda x1, x2: np.ones_like(x1), lambda x1, x2: (0.0 * x1, 0.0 * x2))
+        b = blowup(one, center, 0.25)
+        assert (b.x1_min, b.x1_max, b.x2_min, b.x2_max, b.h) == (x1_min, 1.0, -1.0, 1.0, 2.0 / 128)
+        assert np.all(b.values == 4.0**power)
 
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            DegeneratePoint(0.5, 0.5)
+    def test_invalid(self, stokes_grid):
+        not_degenerate = r"degenerate points have x1, x2 >= 0 and x1\*x2 = 0, not \(0\.5, 0\.5\)"
+        with pytest.raises(DomainError, match=not_degenerate):
+            classify(stokes_grid, (0.5, 0.5))
+        with pytest.raises(DomainError, match=not_degenerate):
+            blowup(stokes_grid, (0.5, 0.5), 0.1)
 
 
 class TestBlowup:
     def test_homogeneous_field_blowup_invariant(self):
         fld = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
         grid = fld.resample(0.25, 1.75, -0.75, 0.75, 1 / 512)
-        pt = DegeneratePoint(1.0, 0.0)
-        b1 = blowup(grid, pt, 0.1)
-        b2 = blowup(grid, pt, 0.05)
+        b1 = blowup(grid, (1.0, 0.0), 0.1)
+        b2 = blowup(grid, (1.0, 0.0), 0.05)
         l2 = math.sqrt(float(np.mean((b1.values - b2.values) ** 2)))
         assert l2 < 1e-3
 
     def test_zero_field(self):
         z = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -1.0, 1.0, 1 / 64)
-        b = blowup(z, DegeneratePoint(0.0, 0.0), 0.25)
+        b = blowup(z, (0.0, 0.0), 0.25)
         assert np.all(b.values == 0.0)
 
     def test_radius_guard(self, stokes_grid):
         with pytest.raises(GeometryError):
-            blowup(stokes_grid, DegeneratePoint(1.0, 0.0), 2.0 * stokes_grid.h)
+            blowup(stokes_grid, (1.0, 0.0), 2.0 * stokes_grid.h)
 
     def test_grid_across_the_axis_is_a_geometry_error(self):
         # an axis point's half balls need a grid that starts at the axis: this
         # one used to be labelled Cusp with density 3e-16
         fld = profile_field(axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64)
         with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0, not at x1 = -0.5"):
-            classify(fld, DegeneratePoint(0.0, 0.5))
+            classify(fld, (0.0, 0.5))
 
     def test_axis_blowup_off_the_axis_names_the_axis(self):
         # the blow-up checks its box as balls and arcs do: this one used to say
         # only that the box left the grid
         fld = profile_field(axis_parabola(0.2)).resample(0.25, 1.0, 0.0, 1.0, 1 / 64)
         with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0, not at x1 = 0.25"):
-            blowup(fld, DegeneratePoint(0.0, 0.5), 0.1)
+            blowup(fld, (0.0, 0.5), 0.1)
 
 
 class TestWeightedDensity:
     def test_stokes(self, stokes_grid):
-        out = weighted_density(stokes_grid, DegeneratePoint(1.0, 0.0), np.geomspace(0.05, 0.3, 8))
+        out = weighted_density(stokes_grid, (1.0, 0.0), np.geomspace(0.05, 0.3, 8))
         assert out["value"] == pytest.approx(SQRT3_3, abs=5e-3)
 
     def test_full_positivity_at_stagnation(self):
         f = GridField.from_function(lambda X1, X2: np.maximum(X2, 0.0) ** 1.5, 0.25, 1.75, -0.75, 0.75, H)
-        out = weighted_density(f, DegeneratePoint(1.0, 0.0), np.geomspace(0.05, 0.3, 8))
+        out = weighted_density(f, (1.0, 0.0), np.geomspace(0.05, 0.3, 8))
         assert out["value"] == pytest.approx(2.0 / 3.0, abs=5e-3)
 
     def test_garabedian(self, garabedian_grid):
         c = theta_star_constants()
-        out = weighted_density(garabedian_grid, DegeneratePoint(0.0, 0.0), np.geomspace(0.05, 0.3, 8))
+        out = weighted_density(garabedian_grid, (0.0, 0.0), np.geomspace(0.05, 0.3, 8))
         assert out["value"] == pytest.approx(c.m0, abs=2e-3)
 
-    @pytest.mark.parametrize("grid, point", [
-        ("stokes_grid", DegeneratePoint(1.0, 0.0)),
-        ("parabola_grid", DegeneratePoint(0.0, 0.5)),
-        ("garabedian_grid", DegeneratePoint(0.0, 0.0)),
+    @pytest.mark.parametrize("grid, center", [
+        ("stokes_grid", (1.0, 0.0)),
+        ("parabola_grid", (0.0, 0.5)),
+        ("garabedian_grid", (0.0, 0.0)),
     ], ids=["stagnation", "axis", "origin"])
-    def test_grid_densities_equal_per_ball_evaluation(self, grid, point, request):
+    def test_grid_densities_equal_per_ball_evaluation(self, grid, center, request):
         # each density equals the one from its own ball's nodes and values, bit
         # for bit, whatever the order of the radii given
         from cornerflow import classify as classify_mod
@@ -129,21 +134,21 @@ class TestWeightedDensity:
         radii = np.geomspace(0.05, 0.3, 8)
         want = []
         for r in radii:
-            nodes = ball_nodes(fld, point.coords, r, half=point.kind != "stagnation")
-            want.append(classify_mod._density(point.kind, nodes, fld.chi(fld.value(nodes.x1, nodes.x2)), r))
-        got = weighted_density(fld, point, radii[::-1])["densities"]
+            nodes = ball_nodes(fld, center, r, half=point_kind(center) != "stagnation")
+            want.append(classify_mod._density(point_kind(center), nodes, fld.chi(fld.value(nodes.x1, nodes.x2)), r))
+        got = weighted_density(fld, center, radii[::-1])["densities"]
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_insufficient_radii(self, stokes_grid):
         with pytest.raises(InsufficientDataError):
-            weighted_density(stokes_grid, DegeneratePoint(1.0, 0.0), [0.1, 0.2])
+            weighted_density(stokes_grid, (1.0, 0.0), [0.1, 0.2])
 
     @pytest.mark.parametrize("radii", [[0.01, 0.15, 0.3], [0.01, 0.05, 0.3]],
                              ids=["one-in-first-decade", "two-in-first-decade"])
     def test_fewer_than_three_radii_in_the_first_decade(self, stokes_grid, radii):
         # no affine fit: the value is the smallest radius's density, and the
         # uncertainty the spread of the first decade's densities about it
-        out = weighted_density(stokes_grid, DegeneratePoint(1.0, 0.0), radii)
+        out = weighted_density(stokes_grid, (1.0, 0.0), radii)
         d = out["densities"][out["radii"] <= 10.0 * radii[0]]
         assert d.size < 3
         assert out["value"] == out["densities"][0]
@@ -152,7 +157,7 @@ class TestWeightedDensity:
     def test_exactly_r_independent_on_cone(self):
         # polar densities of a homogeneous positivity set do not drift in r
         fld = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
-        out = weighted_density(fld, DegeneratePoint(1.0, 0.0), np.geomspace(0.02, 0.2, 6))
+        out = weighted_density(fld, (1.0, 0.0), np.geomspace(0.02, 0.2, 6))
         drift = np.max(np.abs(out["densities"] - out["densities"][0]))
         assert drift < 1e-12
 
@@ -175,14 +180,14 @@ class TestWeightedDensity:
 
 class TestClassify:
     def test_stokes_self_classification(self, stokes_grid):
-        res = classify(stokes_grid, DegeneratePoint(1.0, 0.0))
+        res = classify(stokes_grid, (1.0, 0.0))
         assert res.label == "StokesCorner"
         assert res.fit_residual < 1e-2
         # the fitted coefficient recovers sqrt(2)/3 * x1 * rho0
         assert res.fit_param == pytest.approx(math.sqrt(2.0) / 3.0, rel=0.01)
 
     def test_parabola_recovers_alpha(self, parabola_grid):
-        res = classify(parabola_grid, DegeneratePoint(0.0, 0.5))
+        res = classify(parabola_grid, (0.0, 0.5))
         assert res.label == "AxisParabola"
         assert res.fit_param == pytest.approx(0.8, rel=0.01)
         assert res.fit_residual < 1e-2
@@ -190,18 +195,18 @@ class TestClassify:
     def test_garabedian_recovers_beta0(self, garabedian_grid):
         from cornerflow.profiles import garabedian_beta0
 
-        res = classify(garabedian_grid, DegeneratePoint(0.0, 0.0))
+        res = classify(garabedian_grid, (0.0, 0.0))
         assert res.label == "GarabedianBubble"
         assert res.fit_param == pytest.approx(garabedian_beta0(), rel=0.01)
         assert res.fit_residual < 1e-2
 
     def test_flat_origin(self, flat_grid):
-        res = classify(flat_grid, DegeneratePoint(0.0, 0.0))
+        res = classify(flat_grid, (0.0, 0.0))
         assert res.label == "HorizontalFlat"
 
     def test_zero_is_cusp(self):
         z = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -1.0, 1.0, 1 / 128)
-        res = classify(z, DegeneratePoint(0.0, 0.0))
+        res = classify(z, (0.0, 0.0))
         assert res.label == "Cusp"
         assert res.density == 0.0
 
@@ -212,17 +217,17 @@ class TestClassify:
         # point is refused, within it classified
         fld = GridField.from_function(lambda X1, X2: np.maximum(X2 - lift, 0.0) + 0.0 * X1,
                                       0.5, 1.5, -0.5, 0.5, 1 / 128)
-        point, radii = DegeneratePoint(1.0, 0.0), np.geomspace(0.04, 0.2, 6)
+        center, radii = (1.0, 0.0), np.geomspace(0.04, 0.2, 6)
         if raises:
             with pytest.raises(GeometryError, match=r"^center \(1\.0, 0\.0\) is no free-boundary point: "
                                r"the nearest positive cell lies 0\.105541 away, beyond 2h = 0\.015625$"):
-                classify(fld, point, radii=radii)
+                classify(fld, center, radii=radii)
         else:
-            assert classify(fld, point, radii=radii).density >= 0.0
+            assert classify(fld, center, radii=radii).density >= 0.0
 
     def test_trivial_axis_norm_tiebreak(self):
         cub = GridField.from_function(lambda X1, X2: X1**3, 0.0, 1.0, 0.0, 1.0, H)
-        res = classify(cub, DegeneratePoint(0.0, 0.5))
+        res = classify(cub, (0.0, 0.5))
         assert res.label == "HorizontalFlat"
         assert "trivial" in res.notes
 
@@ -231,11 +236,11 @@ class TestClassify:
         # not at the caller's first and last: reversed, this trivial axis point
         # was labelled AxisParabola
         fld = GridField.from_function(lambda X1, X2: X1**3, 0, 1, 0, 1, 1 / 64)
-        point = DegeneratePoint(0.0, 0.5)
-        radii = default_radii(fld, point)
-        want = classify(fld, point, radii=radii)
+        center = (0.0, 0.5)
+        radii = default_radii(fld, center)
+        want = classify(fld, center, radii=radii)
         assert want.label == "HorizontalFlat"
-        assert vars(classify(fld, point, radii=radii[::-1])) == vars(want)
+        assert vars(classify(fld, center, radii=radii[::-1])) == vars(want)
 
     def test_scale_robustness(self, parabola_grid):
         for c in (0.1, 10.0):
@@ -247,11 +252,11 @@ class TestClassify:
                 parabola_grid.h,
                 c * parabola_grid.values,
             )
-            res = classify(scaled, DegeneratePoint(0.0, 0.5))
+            res = classify(scaled, (0.0, 0.5))
             assert res.label == "AxisParabola"
             assert res.fit_param == pytest.approx(0.8 * c, rel=0.01)
         z = GridField.from_function(lambda X1, X2: 0.0 * X1, 0.0, 1.0, -1.0, 1.0, 1 / 128)
-        assert classify(z, DegeneratePoint(0.0, 0.0)).label == "Cusp"
+        assert classify(z, (0.0, 0.0)).label == "Cusp"
 
     def test_ambiguous_density(self):
         # cone whose density sits midway between the two admissible values
@@ -263,18 +268,18 @@ class TestClassify:
             return np.where(np.abs(th) < theta_c, rho**1.5 * np.cos(np.abs(th) * 0.5 * np.pi / theta_c), 0.0)
 
         fld2 = GridField.from_function(lambda X1, X2: fn(X1 - 1.0, X2), 0.25, 1.75, -0.75, 0.75, 1 / 128)
-        res = classify(fld2, DegeneratePoint(1.0, 0.0))
+        res = classify(fld2, (1.0, 0.0))
         assert res.label == "Ambiguous"
         assert res.candidates
         assert res.fit_param is None and res.fit_residual is None
         assert res.notes == "two theoretical densities within twice the uncertainty"
 
-    @pytest.mark.parametrize("grid, point", [
-        ("stokes_grid", DegeneratePoint(1.0, 0.0)),
-        ("parabola_grid", DegeneratePoint(0.0, 0.5)),
-        ("garabedian_grid", DegeneratePoint(0.0, 0.0)),
+    @pytest.mark.parametrize("grid, center", [
+        ("stokes_grid", (1.0, 0.0)),
+        ("parabola_grid", (0.0, 0.5)),
+        ("garabedian_grid", (0.0, 0.0)),
     ], ids=["stagnation", "axis", "origin"])
-    def test_default_radii(self, grid, point, request, monkeypatch):
+    def test_default_radii(self, grid, center, request, monkeypatch):
         from cornerflow import classify as classify_mod
 
         fld = request.getfixturevalue(grid)
@@ -283,33 +288,33 @@ class TestClassify:
         class Stop(Exception):
             pass
 
-        def capture(field_, point_, radii):
+        def capture(field_, center_, radii):
             seen.append(radii)
             raise Stop
 
         monkeypatch.setattr(classify_mod, "weighted_density", capture)
         with pytest.raises(Stop):
-            classify(fld, point)
+            classify(fld, center)
         # the old formula: 0.45 of the boundary distance, capped by x1 at a stagnation point
-        delta = fld.boundary_distance(point.coords, half=point.kind != "stagnation")
-        if point.kind == "stagnation":
-            delta = min(delta, point.x1)
+        delta = fld.boundary_distance(center, half=point_kind(center) != "stagnation")
+        if point_kind(center) == "stagnation":
+            delta = min(delta, center[0])
         r_hi = 0.45 * delta
         want = np.geomspace(max(4 * fld.h, r_hi / 8.0), r_hi, 10)
         assert np.array_equal(seen[0], want)
 
-    @pytest.mark.parametrize("grid, point, label", [
-        ("stokes_grid", DegeneratePoint(1.0, 0.0), "StokesCorner"),
-        ("parabola_grid", DegeneratePoint(0.0, 0.5), "AxisParabola"),
-        ("garabedian_grid", DegeneratePoint(0.0, 0.0), "GarabedianBubble"),
+    @pytest.mark.parametrize("grid, center, label", [
+        ("stokes_grid", (1.0, 0.0), "StokesCorner"),
+        ("parabola_grid", (0.0, 0.5), "AxisParabola"),
+        ("garabedian_grid", (0.0, 0.0), "GarabedianBubble"),
     ], ids=["stagnation", "axis", "origin"])
-    def test_fit_matches_the_written_out_formula(self, grid, point, label, request):
+    def test_fit_matches_the_written_out_formula(self, grid, center, label, request):
         # the shared least-squares fit keeps the order of every sum: bit for bit
         fld = request.getfixturevalue(grid)
-        res = classify(fld, point)
-        blow = blowup(fld, point, radius_window(fld, point.coords)[1])
+        res = classify(fld, center)
+        blow = blowup(fld, center, radius_window(fld, center)[1])
         assert res.label == label
-        assert (res.fit_param, res.fit_residual) == fit_shape_reference(blow, point.kind, label)
+        assert (res.fit_param, res.fit_residual) == fit_shape_reference(blow, point_kind(center), label)
 
     def test_candidate_tables(self):
         c = theta_star_constants()
@@ -323,7 +328,7 @@ class TestClassify:
 
 class TestCornerSlopes:
     def test_slopes(self, stokes_grid):
-        blow = blowup(stokes_grid, DegeneratePoint(1.0, 0.0), 0.25)
+        blow = blowup(stokes_grid, (1.0, 0.0), 0.25)
         slopes = measure_corner_slopes(blow)
         assert len(slopes) == 2
         hb = blow.h

@@ -351,7 +351,8 @@ class TestWriters:
         n1, n2, h = k * (fields._CHUNK // 7) + r, 7, 1 / 8
         fld = GridField(0.0, n1 * h, -0.5, n2 * h - 0.5, h, awkward_table(n1, n2))
         fld.write(tmp_path / "field.txt")
-        expect = fld.header_line() + "\n" + reference_text(fld.values, " ")
+        header = fields.header_line(0.0, n1 * h, -0.5, n2 * h - 0.5, h)
+        expect = header + "\n" + reference_text(fld.values, " ")
         assert (tmp_path / "field.txt").read_text() == expect
 
 
@@ -603,9 +604,9 @@ class TestSweep:
         assert calls == list(rows[:, 0])
 
     @pytest.mark.parametrize("bad", [
-        dict(n_arc=0), dict(n_radii=-5), dict(center_x1="nan"), dict(center_x2="inf"),
+        dict(n_radii=-5), dict(center_x1="nan"), dict(center_x2="inf"),
         dict(r_min="nan"), dict(r_max="inf"),
-    ], ids=["n_arc", "n_radii", "center_x1", "center_x2", "r_min", "r_max"])
+    ], ids=["n_radii", "center_x1", "center_x2", "r_min", "r_max"])
     def test_bad_sweep_input_is_config_error(self, tmp_path, capsys, bad):
         kv = dict(profile="flat_origin", kind="stagnation", center_x1=0.5,
                   center_x2=0.0, r_min=0.05, r_max=0.2, n_radii=5)
@@ -614,6 +615,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(bad)) in err
+
+    def test_n_arc_is_an_unknown_key(self, tmp_path, capsys):
+        # a grid arc has N_ARC nodes: the count is no config key
+        cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="stagnation", center_x1=0.5,
+                        center_x2=0.0, r_min=0.05, r_max=0.2, n_radii=5, n_arc=4096)
+        assert run("sweep", cfg, tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: unknown key 'n_arc' for sweep\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_kind(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", profile="zero", kind="nowhere",

@@ -10,6 +10,7 @@ from cornerflow.errors import DomainError, GeometryError
 from cornerflow.fields import GridField, format_values
 from cornerflow.profiles import flat_origin, profile_field
 from cornerflow.quadrature import (
+    N_ARC,
     arc_nodes,
     ball_nodes,
     grid_arc_nodes,
@@ -79,7 +80,7 @@ class TestGridField:
         f = GridField.from_function(lambda X1, X2: 0.2 * X1**2, 0.0, 0.5, 0.0, 1.0, 1 / 64)
         x2 = np.linspace(0.1, 0.9, 9)
         assert all(np.all(a == 0.0) for a in f.evaluate(np.zeros_like(x2), x2))
-        an = grid_arc_nodes(f, (0.0, 0.5), 0.2, half=True, n_arc=1024)
+        an = grid_arc_nodes(f, (0.0, 0.5), 0.2, half=True)
         assert 0.0 < an.x1[0] < 1e-16 and 0.0 < an.x1[-1] < 1e-16
         _, g1, g2 = f.evaluate(an.x1, an.x2)
         t = (g1 * g1 + g2 * g2) / (an.x1 * an.x1)
@@ -207,13 +208,14 @@ def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, half, big
 class TestArcQuadrature:
     @pytest.mark.parametrize("half", [False, True])
     def test_unit_circle_cached_and_read_only(self, half):
-        # every arc shares one cos/sin pair per (n_arc, half); x = c + r cos(phi) as before
+        # every arc shares one cos/sin pair per half; x = c + r cos(phi) as before
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.0, -0.5, 0.5, 1 / 16)
-        a = grid_arc_nodes(f, (0.5, 0.0), 0.25, half=half, n_arc=64)
-        b = grid_arc_nodes(f, (0.25, 0.1), 0.125, half=half, n_arc=64)
+        a = grid_arc_nodes(f, (0.5, 0.0), 0.25, half=half)
+        b = grid_arc_nodes(f, (0.25, 0.1), 0.125, half=half)
         assert a.n1 is b.n1 and a.n2 is b.n2
         assert not (a.n1.flags.writeable or a.n2.flags.writeable)
-        phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65) if half else np.linspace(-np.pi, np.pi, 65)[:-1]
+        phi = (np.linspace(-0.5 * np.pi, 0.5 * np.pi, N_ARC + 1) if half
+               else np.linspace(-np.pi, np.pi, N_ARC + 1)[:-1])
         assert a.n1.tobytes() == np.cos(phi).tobytes() and a.n2.tobytes() == np.sin(phi).tobytes()
         assert a.x1.tobytes() == (0.5 + 0.25 * np.cos(phi)).tobytes()
 
@@ -227,7 +229,7 @@ class TestArcQuadrature:
         f = GridField.from_function(
             lambda X1, X2: X1**2 * np.maximum(X2, 0.0), 0.0, 1.5, -1.5, 1.5, 1 / 512
         )
-        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True, n_arc=4096))
+        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True))
         assert val == pytest.approx(2.0 / 15.0, abs=1e-6)
 
     def test_normalized_flat_profile_unit_norm(self):
@@ -240,7 +242,7 @@ class TestArcQuadrature:
         f = GridField.from_function(
             lambda X1, X2: beta * X1**2 * np.maximum(X2, 0.0), 0.0, 1.5, -1.5, 1.5, 1 / 512
         )
-        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True, n_arc=4096))
+        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True))
         assert val == pytest.approx(1.0, abs=1e-5)
 
 

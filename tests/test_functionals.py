@@ -25,7 +25,7 @@ from cornerflow.profiles import (
     stokes_corner,
     theta_star_constants,
 )
-from cornerflow.quadrature import grid_ball_cells
+from cornerflow.quadrature import N_ARC, grid_ball_cells
 
 import oracles
 from conftest import analytic_field, perturbed_flat_field
@@ -123,9 +123,9 @@ class TestOneEvaluationPerRadius:
         monkeypatch.setattr(oracles, "_evaluate_two_sets", lambda *a: calls.append(a) or two_sets(*a))
         media = [incompressible] + [gamma_medium] * (kind == "stagnation")
         for medium in media:
-            rec = monotonicity_record(fld, medium, center, r, n_arc=1024)
+            rec = monotonicity_record(fld, medium, center, r)
             calls.clear()
-            assert rec == record_two_sets(fld, medium, center, r, kind, n_arc=1024)
+            assert rec == record_two_sets(fld, medium, center, r, kind)
             assert calls, "the oracle evaluated nothing: the record was compared with itself"
             assert rec["J"] > 0 and rec["E_F"] != 0
 
@@ -205,7 +205,7 @@ class TestOneFormula:
             return pairs[-1][0]
 
         monkeypatch.setattr(functionals, "monotonicity_record", both)
-        sweep = radial_sweep(fld, medium, center, np.geomspace(0.03, 0.1, 9), n_arc=1024)
+        sweep = radial_sweep(fld, medium, center, np.geomspace(0.03, 0.1, 9))
         assert len(pairs) == 9
         for got, want in pairs:
             assert _bits(got) == _bits(want)
@@ -249,13 +249,27 @@ class TestNestedGridBalls:
                             lambda f, m, x1, x2: sizes.append(x1.size) or evaluate(f, m, x1, x2))
         for medium in [incompressible] + [gamma2_medium] * (kind == "stagnation"):
             sizes.clear()
-            sweep = radial_sweep(fld, medium, center, radii, n_arc=1024)
-            n_arc = 1024 + (kind != "stagnation")
-            assert len(sizes) == radii.size + 1 and sizes[1:] == [n_arc] * radii.size
-            recs = [monotonicity_record(fld, medium, center, float(r), n_arc=1024) for r in radii]
+            sweep = radial_sweep(fld, medium, center, radii)
+            arc_size = N_ARC + (kind != "stagnation")
+            assert len(sizes) == radii.size + 1 and sizes[1:] == [arc_size] * radii.size
+            recs = [monotonicity_record(fld, medium, center, float(r)) for r in radii]
             for key in recs[0]:
                 assert sweep.columns[key].tobytes() == np.array([rec[key] for rec in recs]).tobytes(), key
             assert np.all(sweep.columns["J"] > 0) and np.all(sweep.columns["E_F"] != 0)
+
+    def test_sweep_checks_each_radius_once(self, incompressible, monkeypatch):
+        # the sweep checks every radius before it builds its nodes; a record given
+        # those nodes checks nothing again (it used to: 14 checks for 7 radii)
+        from cornerflow import functionals
+
+        fld = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0)).resample(0.75, 1.25, -0.25, 0.25, 1 / 64)
+        check, radii = functionals.check_radius, []
+        monkeypatch.setattr(functionals, "check_radius", lambda f, c, r: radii.append(r) or check(f, c, r))
+        radial_sweep(fld, incompressible, (1.0, 0.0), np.geomspace(0.03, 0.12, 7))
+        assert radii == list(np.geomspace(0.03, 0.12, 7))
+        radii.clear()
+        monotonicity_record(fld, incompressible, (1.0, 0.0), 0.1)
+        assert radii == [0.1]
 
     def test_sweep_keeps_one_radius_next_to_the_cells(self, incompressible):
         # sweep-gamma2's field and radii: the traced peak of the sweep is the shared
@@ -297,7 +311,7 @@ class TestGridBallPrefixes:
         evaluate, calls = functionals._evaluate, []
         monkeypatch.setattr(functionals, "_evaluate",
                             lambda f, m, x1, x2: calls.append((x1, x2, evaluate(f, m, x1, x2))) or calls[-1][2])
-        at = functionals._sweep_nodes(fld, incompressible, center, 0.1, 256)
+        at = functionals._sweep_nodes(fld, incompressible, center, 0.1)
         x1, x2, shared = calls[0]
         d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
         assert np.all(np.diff(d2) >= 0.0)
