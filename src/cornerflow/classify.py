@@ -14,12 +14,15 @@ import numpy as np
 from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
 from .functionals import SCALING_POWER, energy_power, frequency_quantities, point_kind, radius_window
-from .profiles import eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
+from .profiles import axis_parabola, eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
 from .quadrature import ball_nodes, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
 BLOWUP_H = 2.0 / 128  # the blow-up lattice's step: 128 cells across the unit box
+# the unit profile that each kind's blow-up is fitted to; its label is the kind's one fitted label
+_UNIT_SHAPE = {"stagnation": stokes_corner(coeff=1.0), "axis": axis_parabola(1.0),
+               "origin": garabedian_bubble(beta0=1.0)}
 
 
 def candidate_densities(kind):
@@ -135,23 +138,17 @@ def _unit_disk(blow: GridField, kind):
     return X1, X2, np.where(inside, 1.0 / X1, 0.0)
 
 
-def _fit_shape(blow: GridField, kind, label):
-    """``_weighted_fit`` of the blow-up to the unit shape of ``label`` on the unit disk."""
+def _fit_shape(blow: GridField, kind):
+    """``_weighted_fit`` of the blow-up to its kind's unit profile on the unit disk."""
     X1, X2, w = _unit_disk(blow, kind)
-    if label == "StokesCorner":
-        shape = eval_profile(stokes_corner(coeff=1.0), X1, X2)
-    elif label == "AxisParabola":
-        shape = X1 * X1
-    else:
-        shape = eval_profile(garabedian_bubble(beta0=1.0), X1, X2)
-    return _weighted_fit(w, blow.values, shape)
+    return _weighted_fit(w, blow.values, eval_profile(_UNIT_SHAPE[kind], X1, X2))
 
 
 def blowup_norm_ratio(blow: GridField):
     """Blow-up L^2 size relative to the unit quadratic shape (axis tie-break)."""
-    X1, _, w = _unit_disk(blow, "axis")
+    X1, X2, w = _unit_disk(blow, "axis")
     nu = math.sqrt(float(np.sum(w * blow.values**2)))
-    ns = math.sqrt(float(np.sum(w * (X1 * X1) ** 2)))
+    ns = math.sqrt(float(np.sum(w * eval_profile(_UNIT_SHAPE["axis"], X1, X2) ** 2)))
     return nu / max(ns, 1e-300)
 
 
@@ -165,11 +162,11 @@ class Classification:
     """The classifier's verdict; its attributes are what ``classification.json`` holds."""
 
     def __init__(self, kind, density, uncertainty, label, nearest_density, gap,
-                 fit_param=None, fit_residual=None, candidates=None, notes=""):
+                 fit_param, fit_residual, candidates, notes):
         self.kind, self.density, self.uncertainty, self.label = kind, density, uncertainty, label
         self.nearest_density, self.gap = nearest_density, gap
         self.fit_param, self.fit_residual = fit_param, fit_residual
-        self.candidates = [] if candidates is None else candidates
+        self.candidates = candidates
         self.notes = notes
 
 
@@ -231,9 +228,9 @@ def classify(field_, center, radii=None):
                 "(the trivial 2/3 case is not excluded by the theory)"
             )
         else:
-            fit_param, fit_resid = _fit_shape(blow_hi, kind, "AxisParabola")
+            fit_param, fit_resid = _fit_shape(blow_hi, kind)
     elif label in ("StokesCorner", "GarabedianBubble"):
-        fit_param, fit_resid = _fit_shape(blowup(field_, center, r_fit), kind, label)
+        fit_param, fit_resid = _fit_shape(blowup(field_, center, r_fit), kind)
     return Classification(
         kind=kind,
         density=d,

@@ -264,7 +264,7 @@ def run_profile_check(cfg, out, opts):
         "theta_star_deg": c.theta_star_deg,
         "theta_star_rad": c.theta_star_rad,
         "m0": c.m0,
-        "beta": c.beta,
+        "beta": profiles.flat_origin().params["beta"],
         "beta0": profiles.garabedian_beta0(),
         "legendre_ode_max_residual": float(
             np.max(np.abs(legendre_ode_residual(1.5, np.linspace(-0.9, 0.9, 37))))
@@ -330,7 +330,7 @@ def run_sweep(cfg, out, opts):
         radii = functionals.log_radii(cfg["r_min"], cfg["r_max"], cfg["n_radii"])
     # radii by keyword: perfbench's tracer reads a sweep's radii from the fifth positional or "radii"
     sweep = functionals.radial_sweep(fld, _medium(cfg), center, radii=radii)
-    cols = dict(sweep.columns, r=radii)
+    cols = dict(sweep.columns)
     cols["dM_fd"] = np.where(np.isfinite(cols["dM_fd"]), cols["dM_fd"], 0.0)
     # the frequency block is undefined off the origin and where J = 0 (zero field): report 0
     for k in ("D", "V", "N", "e", "Pi"):
@@ -349,7 +349,6 @@ def run_sweep(cfg, out, opts):
             title=f"{kind} sweep",
             xlabel="log10 r",
             ylabel="M, N",
-            logx=True,
         )
     return 0
 

@@ -308,8 +308,7 @@ def radial_sweep(field_, medium, center, radii):
     nodes = _sweep_nodes(field_, medium, center, float(radii[-1]))
     recs = [monotonicity_record(field_, medium, center, float(r), nodes=nodes)
             for r in radii]
-    keys = sorted(recs[0].keys())
-    cols = {k: np.array([rec.get(k, 0.0) for rec in recs]) for k in keys}
+    cols = {k: np.array([rec[k] for rec in recs]) for k in recs[0]}  # every record has the kind's keys
     cols["pohozaev_residual"] = np.array([pohozaev_residual(rec, kind)["residual"] for rec in recs])
     cols["energy_identity_residual"] = np.array(
         [energy_identity_residual(rec)["residual"] for rec in recs]
@@ -330,11 +329,11 @@ def radial_sweep(field_, medium, center, radii):
 
 
 def _cumtrapz0(radii, f):
-    """Cumulative trapezoid from r = 0 with the integrand extended by 0 there."""
+    """Cumulative trapezoid from r = 0, the integrand extended there by its value at the smallest radius:
+    exact for a homogeneous blow-up's constant integrand, first order in the smallest radius otherwise."""
     r = np.concatenate(([0.0], radii))
-    g = np.concatenate(([0.0], f))
-    out = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(r))))
-    return out[1:]
+    g = np.concatenate((f[:1], f))
+    return np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(r))
 
 
 def _attach_frequency(sweep: RadialSweep, medium):
@@ -343,9 +342,7 @@ def _attach_frequency(sweep: RadialSweep, medium):
     J = c["J"]
     K1 = c["k1"]
     Ko = c["k2"] + c["k3"] + c["k4"]
-    cum_k1 = _cumtrapz0(r, K1 / r**5)
-    cum_ko = _cumtrapz0(r, Ko / r**5)
-    e = r * K1 + r**5 * (cum_k1 + cum_ko)
+    e = r * K1 + r**5 * _cumtrapz0(r, (K1 + Ko) / r**5)
     Pi = _cumtrapz0(r, c["S_void"] / r**4)
     with np.errstate(divide="ignore", invalid="ignore"):
         D = np.where(J > 0, r * c["dirichlet"] / J, np.nan)

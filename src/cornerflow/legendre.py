@@ -114,7 +114,6 @@ class LegendreConstants(NamedTuple):
     theta_star_rad: float
     theta_star_deg: float
     m0: float
-    beta: float
 
 
 def find_theta_star() -> LegendreConstants:
@@ -122,8 +121,7 @@ def find_theta_star() -> LegendreConstants:
 
     P'_{3/2} is a fixed function, so plain Newton from s = -0.42 stops when
     a step no longer moves the iterate, which must leave |P'| <= 1e-13.  The
-    cone half-angle is arccos of the root; m0 = s*^2/8 is the weighted cone
-    volume and beta = sqrt(15/2) normalizes the flat profile.
+    cone half-angle is arccos of the root; m0 = s*^2/8 is the weighted cone volume.
     """
     nu = 1.5
     x = -0.42
@@ -141,5 +139,4 @@ def find_theta_star() -> LegendreConstants:
         theta_star_rad=theta,
         theta_star_deg=math.degrees(theta),
         m0=x * x / 8.0,
-        beta=math.sqrt(7.5),
     )

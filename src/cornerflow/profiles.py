@@ -38,14 +38,18 @@ def theta_star_constants() -> LegendreConstants:
     return find_theta_star()
 
 
+def _angular_integral(fn, a, b):
+    """integral of fn(theta) over [a, b] by one 64-point Gauss-Legendre panel."""
+    x, w = gauss_legendre(64)
+    half = 0.5 * (b - a)
+    return float(half * np.dot(w, fn(half * x + 0.5 * (a + b))))
+
+
 def garabedian_norm_integral() -> float:
     """integral over the bubble cone of sin^3(theta) P'_{3/2}(-cos theta)^2."""
     c = theta_star_constants()
-    a, b = math.pi - c.theta_star_rad, math.pi
-    x, w = gauss_legendre(64)
-    th = 0.5 * (b - a) * x + 0.5 * (a + b)
-    vals = np.sin(th) ** 3 * legendre_P_prime(1.5, -np.cos(th)) ** 2
-    return float(0.5 * (b - a) * np.dot(w, vals))
+    return _angular_integral(lambda th: np.sin(th) ** 3 * legendre_P_prime(1.5, -np.cos(th)) ** 2,
+                             math.pi - c.theta_star_rad, math.pi)
 
 
 def garabedian_beta0() -> float:
@@ -56,9 +60,9 @@ def garabedian_beta0() -> float:
 class ProfileSpec:
     """A closed-form blow-up profile with its homogeneity degree."""
 
-    def __init__(self, kind, degree, params=None):
+    def __init__(self, kind, degree, params):
         self.kind, self.degree = kind, degree
-        self.params = {} if params is None else params
+        self.params = params
 
 
 def stokes_corner(coeff=None, x1_circ=None, rho_bar0=1.0) -> ProfileSpec:
@@ -247,10 +251,7 @@ def profile_pde_residual(spec: ProfileSpec, x, h_fd=1e-3):
 
 def disk_angular_integral(fn, theta_a, theta_b, radial_power):
     """integral over B_1 of rho^radial_power * fn(theta), split-free 64-point panel."""
-    x, w = gauss_legendre(64)
-    th = 0.5 * (theta_b - theta_a) * x + 0.5 * (theta_a + theta_b)
-    ang = float(0.5 * (theta_b - theta_a) * np.dot(w, fn(th)))
-    return ang / (radial_power + 2.0)
+    return _angular_integral(fn, theta_a, theta_b) / (radial_power + 2.0)
 
 
 def cone_density_constants():

@@ -22,6 +22,7 @@ from .fields import AnalyticField, GridField
 from .legendre import gauss_legendre
 
 N_ARC = 4096  # trapezoid intervals of every grid arc, on the circle or the half circle
+_BAND = 0.7072  # a cell's half-diagonal over h, rounded up: a disk's edge cuts cells within _BAND h of it
 
 
 class BallNodes(NamedTuple):
@@ -157,7 +158,7 @@ def grid_ball_cells(field: GridField, center, r, half=False):
     X1, X2 = np.meshgrid(field.cell_x1[i_lo:i_hi], field.cell_x2[j_lo:j_hi], indexing="ij")
     x1, x2 = X1.ravel(), X2.ravel()
     d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
-    near = np.flatnonzero(d2 <= (r + 0.7072 * h) ** 2)  # the cells that any radius up to r can cover or cut
+    near = np.flatnonzero(d2 <= (r + _BAND * h) ** 2)  # the cells that any radius up to r can cover or cut
     order = near[np.argsort(d2[near], kind="stable")]
     return x1[order], x2[order], d2[order]
 
@@ -167,9 +168,9 @@ def grid_ball_select(field: GridField, cells, center, r):
     BallNodes of ``cells[:n]``, bitwise those of r's own; a band cell that r misses weighs 0."""
     x1, x2, d2 = cells
     h = field.h
-    rin = r - 0.7072 * h
+    rin = r - _BAND * h
     n_full = int(np.searchsorted(d2, rin * rin, "right")) if rin > 0 else 0
-    n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))
+    n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))
     x1, x2 = x1[:n], x2[:n]
     frac = np.ones_like(x1)
     frac[n_full:] = _cell_fractions(x1[n_full:], x2[n_full:], h, center, r)

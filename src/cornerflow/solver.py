@@ -48,9 +48,9 @@ class MinimizeConfig:
 class ConvergenceLog:
     """The cycles of one run, each (cycle, energy, coarse step, certificate), and how it ended."""
 
-    def __init__(self, iterations=None, converged=False, stagnated=False, message=""):
-        self.iterations = [] if iterations is None else iterations
-        self.converged, self.stagnated, self.message = converged, stagnated, message
+    def __init__(self):
+        self.iterations = []
+        self.converged, self.stagnated, self.message = False, False, ""
 
 
 def _smoothed_chi(v, eps):

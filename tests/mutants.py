@@ -1,5 +1,6 @@
 """A mutant census of the first-variation validator, of eos's closed forms, of the grid balls,
-of the lines that read a point's kind from its center and of the classify densities and blow-ups.
+of the lines that read a point's kind from its center, of the classify densities and blow-ups,
+of the profiles' angular rule and of the frequency block's integrals from r = 0.
 
 A mutant is one small edit to a formula line: a coefficient off by 1%, a
 sign flipped, a term dropped, a Jacobian entry swapped for its transpose.
@@ -38,6 +39,8 @@ BALLS = (
 KIND = ("tests/test_functionals.py", "tests/test_classify.py")
 CLI = ("tests/test_cli.py",)
 CLASSIFY = ("tests/test_classify.py", "tests/test_acceptance.py")
+PROFILES = ("tests/test_profiles.py", "tests/test_acceptance.py")
+FREQUENCY = ("tests/test_functionals.py::TestFrequency",)
 # every arc integrand of classify and the acceptance criteria vanishes at a half arc's
 # end nodes (docs/decisions.md): the arc's length is what sees their weights
 ARC = (*CLASSIFY, "tests/test_fields_quadrature.py::TestArcQuadrature")
@@ -114,7 +117,7 @@ MUTANTS = [
      "safe = x1l > 1e-3 * h",
      "safe = x1l > 0.6 * h", BALLS),
     ("band: 0.7072 h -> 0.6 h", "quadrature.py",
-     "near = np.flatnonzero(d2 <= (r + 0.7072 * h) ** 2)",
+     "near = np.flatnonzero(d2 <= (r + _BAND * h) ** 2)",
      "near = np.flatnonzero(d2 <= (r + 0.6 * h) ** 2)", BALLS),
     ("full count: rin -> r", "quadrature.py",
      'np.searchsorted(d2, rin * rin, "right")',
@@ -123,11 +126,11 @@ MUTANTS = [
      'np.searchsorted(d2, rin * rin, "right")',
      'np.searchsorted(d2, rin * rin, "left")', BALLS),
     ("ball count: band dropped", "quadrature.py",
-     'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))',
+     'n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))',
      'n = int(np.searchsorted(d2, r ** 2, "right"))', BALLS),
     ("ball count: right -> left", "quadrature.py",
-     'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "right"))',
-     'n = int(np.searchsorted(d2, (r + 0.7072 * h) ** 2, "left"))', BALLS),
+     'n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))',
+     'n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "left"))', BALLS),
     ("point kind: origin rule takes the axis", "functionals.py",
      "if c1 == 0 and c2 == 0:",
      "if c1 == 0 and c2 >= 0:", KIND),
@@ -164,6 +167,24 @@ MUTANTS = [
     ("grid arc: end weights not halved", "quadrature.py",
      "w[0] *= 0.5\n        w[-1] *= 0.5",
      "pass", ARC),
+    ("unit shape: axis parabola 1.0 -> 1.01", "classify.py",
+     '"axis": axis_parabola(1.0)',
+     '"axis": axis_parabola(1.01)', CLASSIFY),
+    ("angular rule: half-width 0.5 -> 0.505", "profiles.py",
+     "half = 0.5 * (b - a)",
+     "half = 0.505 * (b - a)", PROFILES),
+    ("e: the r K1 term dropped", "functionals.py",
+     "e = r * K1 + r**5 *",
+     "e = r**5 *", FREQUENCY),
+    ("e: K1 dropped from the integral", "functionals.py",
+     "_cumtrapz0(r, (K1 + Ko) / r**5)",
+     "_cumtrapz0(r, Ko / r**5)", FREQUENCY),
+    ("Pi: S_void / r**4 -> / r**5", "functionals.py",
+     'c["S_void"] / r**4',
+     'c["S_void"] / r**5', FREQUENCY),
+    ("integral from r = 0: integrand extended by 0", "functionals.py",
+     "g = np.concatenate((f[:1], f))",
+     "g = np.concatenate(([0.0], f))", FREQUENCY),
 ]
 
 

