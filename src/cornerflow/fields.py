@@ -74,6 +74,7 @@ class GridField:
         self.on_axis = abs(x1_min) < 1e-12
         self._padded = None
         self._grad = None
+        self._support = None
 
     # -- construction ---------------------------------------------------
     @staticmethod
@@ -124,8 +125,8 @@ class GridField:
         p[:, -1] = p[:, -2]
         return p
 
-    def _interp(self, padded, x1, x2):
-        """Bilinear interpolation of ``padded[..., i, j]`` (one array or a stack) at the points."""
+    def _stencil(self, x1, x2):
+        """Each point's bilinear stencil: the flat index k of its lower-left padded entry and offsets (ax, ay)."""
         fx = (np.asarray(x1, float) - self.x1_min) / self.h + 0.5
         fy = (np.asarray(x2, float) - self.x2_min) / self.h + 0.5
         if np.any(fx < -0.5) or np.any(fx > self.n1 + 1.5) or np.any(fy < -0.5) or np.any(fy > self.n2 + 1.5):
@@ -134,10 +135,11 @@ class GridField:
         fy = np.clip(fy, 0.0, float(self.n2 + 1) - 1e-12)
         i0 = np.floor(fx).astype(int)
         j0 = np.floor(fy).astype(int)
-        ax = fx - i0
-        ay = fy - j0
-        # one flat index per point; summed in place in the four-term expression's order
-        k = i0 * (self.n2 + 2) + j0
+        return i0 * (self.n2 + 2) + j0, fx - i0, fy - j0
+
+    def _gather(self, padded, k, ax, ay):
+        """The stencils' bilinear combination of ``padded[..., i, j]`` (one array or a stack)."""
+        # summed in place in the four-term expression's order
         flat = padded.reshape(padded.shape[:-2] + (-1,))
         out = ((1 - ax) * (1 - ay)) * flat.take(k, axis=-1)
         out += (ax * (1 - ay)) * flat.take(k + (self.n2 + 2), axis=-1)
@@ -145,13 +147,17 @@ class GridField:
         out += (ax * ay) * flat.take(k + (self.n2 + 3), axis=-1)
         return out
 
+    def _interp(self, padded, x1, x2):
+        """Bilinear interpolation of ``padded[..., i, j]`` (one array or a stack) at the points."""
+        return self._gather(padded, *self._stencil(x1, x2))
+
     def value(self, x1, x2):
         if self._padded is None:
             self._padded = self._pad(self.values)
         return self._interp(self._padded, x1, x2)
 
     def _gradient_arrays(self):
-        """Padded u, du/dx1 and du/dx2 stacked on a leading axis, built once."""
+        """Padded u, du/dx1 and du/dx2 stacked on a leading axis, built once with their support."""
         if self._grad is None:
             if min(self.n1, self.n2) < 3:
                 raise DomainError(f"the gradient stencil needs 3 cells per axis, got {self.n1} x {self.n2}")
@@ -163,11 +169,24 @@ class GridField:
             self._grad = np.empty((3, self.n1 + 2, self.n2 + 2))
             for k, arr in enumerate((self.values, g1, g2)):
                 self._pad(arr, self._grad[k])
+            # whether the stencil at flat index k touches a nonzero u, du/dx1 or du/dx2 (-0.0 is zero)
+            nz = np.any(self._grad != 0.0, axis=0)
+            support = np.zeros_like(nz)
+            support[:-1, :-1] = nz[:-1, :-1] | nz[1:, :-1] | nz[:-1, 1:] | nz[1:, 1:]
+            self._support = support.ravel()
         return self._grad
 
     def evaluate(self, x1, x2):
         """u, du/dx1 and du/dx2 at the points from one bilinear stencil."""
         return tuple(self._interp(self._gradient_arrays(), x1, x2))
+
+    def evaluate_support(self, x1, x2):
+        """The indices ``keep`` of the 1-D points whose stencil touches a nonzero u, du/dx1 or du/dx2, and
+        the three at those points, bitwise ``evaluate``'s; at every other point all three are 0."""
+        grad = self._gradient_arrays()
+        k, ax, ay = self._stencil(x1, x2)
+        keep = np.flatnonzero(self._support[k])
+        return keep, tuple(self._gather(grad, k[keep], ax[keep], ay[keep]))
 
     def gradient(self, x1, x2):
         return self.evaluate(x1, x2)[1:]

@@ -133,25 +133,33 @@ def _nodes(field_, center, r, half):
     return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
-def _sweep_nodes(field_, medium, center, r_max):
-    """``at(r)``: the ball nodes, ball values, arc nodes and arc values of one radius r <= r_max.
+def _sweep_nodes(field_, medium, center, radii):
+    """``at(r)``: the ball nodes, ball values, arc nodes and arc values of one radius r of ``radii``.
 
-    What the radii share is evaluated once, here: a grid's cells of the r_max
-    ball, nearest first, of which each ball is a prefix, or about a homogeneous
-    field's apex the unit-radius nodes, whose values scale to every radius.
-    Elsewhere each radius evaluates its ball and arc nodes as one set.  A ball's
-    values are views of that one evaluation; each call builds its radius's other
-    arrays afresh, so no radius keeps another's alive.
+    What the radii share is evaluated once, here: a grid's cells of the largest
+    ball, nearest first, of which each ball is a prefix, with every radius's cut
+    cells measured in one call, or about a homogeneous field's apex the
+    unit-radius nodes, whose values scale to every radius.  Elsewhere each radius
+    evaluates its ball and arc nodes as one set.  A ball's values are views of
+    that one evaluation; each call builds its radius's other arrays afresh, so no
+    radius keeps another's alive.
     """
     half = point_kind(center) != "stagnation"
     if isinstance(field_, GridField):
-        cells = grid_ball_cells(field_, center, r_max, half=half)
+        cells = grid_ball_cells(field_, center, float(max(radii)), half=half)
         ev = _evaluate(field_, medium, cells[0], cells[1])
+        ball = grid_ball_select(field_, cells, center, radii)
 
         def at(r):
-            n, bn = grid_ball_select(field_, cells, center, r)
+            n, bn = ball(r)
+            # a grid arc keeps only the nodes whose stencil touches the flow: at the
+            # others u and grad u are 0, so every arc integrand of the record is 0
+            # there (J, E_F_arc, arc_un_sq, arc_uun and the square term, and k4-k6,
+            # whose dw is 0 because H = rho0 off the active set)
             an = arc_nodes(field_, center, r, half=half)
-            return bn, ev._make(a[:n] for a in ev), an, _evaluate(field_, medium, an.x1, an.x2)
+            keep, (u, g1, g2) = field_.evaluate_support(an.x1, an.x2)
+            an = an._make(a[keep] for a in an)
+            return bn, ev._make(a[:n] for a in ev), an, _with_thermo(field_, medium, an.x1, an.x2, u, g1, g2)
         return at
 
     # about a homogeneous field's apex the (polar) nodes are apex + r p for one
@@ -194,13 +202,13 @@ def monotonicity_record(field_, medium, center, r, nodes=None):
     Returns a dict; keys k1..k6 are the kind's error terms (unused ones
     are zero).  ``square`` is the boundary square term of the
     monotonicity-formula derivative at this radius.  ``nodes``, if given, is
-    a sweep's ``_sweep_nodes`` at a radius >= r, which the sweep checked; by
+    a sweep's ``_sweep_nodes`` of radii that hold r, which the sweep checked; by
     default r's own, after checking r.
     """
     kind = point_kind(center)
     if nodes is None:
         check_radius(field_, center, r)
-        nodes = _sweep_nodes(field_, medium, center, r)
+        nodes = _sweep_nodes(field_, medium, center, [r])
     rho0 = medium.rho0
     bn, bv, an, av = nodes(r)
 
@@ -305,7 +313,7 @@ def radial_sweep(field_, medium, center, radii):
     # each radius's own error comes first, then one node source serves every radius
     for r in radii:
         check_radius(field_, center, float(r))
-    nodes = _sweep_nodes(field_, medium, center, float(radii[-1]))
+    nodes = _sweep_nodes(field_, medium, center, radii)
     recs = [monotonicity_record(field_, medium, center, float(r), nodes=nodes)
             for r in radii]
     cols = {k: np.array([rec[k] for rec in recs]) for k in recs[0]}  # every record has the kind's keys
@@ -329,10 +337,11 @@ def radial_sweep(field_, medium, center, radii):
 
 
 def _cumtrapz0(radii, f):
-    """Cumulative trapezoid from r = 0, the integrand extended there by its value at the smallest radius:
-    exact for a homogeneous blow-up's constant integrand, first order in the smallest radius otherwise."""
+    """Cumulative trapezoid from r = 0, the integrand extended there by the line through its first two
+    values: exact for a homogeneous blow-up's constant integrand, second order in the smallest radius otherwise."""
     r = np.concatenate(([0.0], radii))
-    g = np.concatenate((f[:1], f))
+    f0 = f[0] - radii[0] * (f[1] - f[0]) / (radii[1] - radii[0])
+    g = np.concatenate(([f0], f))
     return np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(r))
 
 

@@ -107,7 +107,7 @@ def polar_arc_nodes(center, r, splits=(), half=False):
 # ---------------------------------------------------------------------------
 
 def _corner_area(x, y, r):
-    """Area of disk(0, r) intersected with {X <= x, Y <= y} (vectorized)."""
+    """Area of disk(0, r) intersected with {X <= x, Y <= y} (vectorized; r broadcasts against x and y)."""
     x = np.clip(x, -r, r)
     y = np.clip(y, -r, r)
 
@@ -121,17 +121,17 @@ def _corner_area(x, y, r):
         return F(b) - F(a)
 
     xc = np.sqrt(np.maximum(r * r - y * y, 0.0))
-    base = W(np.full_like(x, -r), x)
+    base = W(-r, x)
     # integral of clamp(y, -w, w): y on |X| < xc, +-w outside
     mid_lo = np.maximum(-xc, -r)
     mid_hi = np.minimum(x, xc)
     mid = y * np.maximum(mid_hi - mid_lo, 0.0)
-    outer = W(np.full_like(x, -r), np.minimum(x, -xc)) + W(xc, x)
+    outer = W(-r, np.minimum(x, -xc)) + W(xc, x)
     return base + mid + np.sign(y) * outer
 
 
 def _cell_fractions(cx, cy, h, center, r):
-    """Exact covered-area fraction of each cell by the disk.
+    """Exact covered-area fraction of each cell by the disk of radius r (one per cell, or one for all).
 
     Inclusion-exclusion of the corner areas keeps the cut-cell weights
     exact, so the midpoint rule retains its O(h^2) order (sub-sampled
@@ -141,7 +141,8 @@ def _cell_fractions(cx, cy, h, center, r):
     x_hi = cx + 0.5 * h - center[0]
     y_lo = cy - 0.5 * h - center[1]
     y_hi = cy + 0.5 * h - center[1]
-    a = _corner_area(np.stack((x_hi, x_lo, x_hi, x_lo)), np.stack((y_hi, y_hi, y_lo, y_lo)), r)
+    # one corner at a time: a sweep's cut cells of every radius come in one call, and a (4, N) stack raises its peak
+    a = [_corner_area(x, y, r) for x, y in ((x_hi, y_hi), (x_lo, y_hi), (x_hi, y_lo), (x_lo, y_lo))]
     area = a[0] - a[1] - a[2] + a[3]
     return np.clip(area / (h * h), 0.0, 1.0)
 
@@ -163,30 +164,44 @@ def grid_ball_cells(field: GridField, center, r, half=False):
     return x1[order], x2[order], d2[order]
 
 
-def grid_ball_select(field: GridField, cells, center, r):
-    """The count n of nearest-first ``cells`` (at a radius R >= r) that radius r covers or cuts, and the
-    BallNodes of ``cells[:n]``, bitwise those of r's own; a band cell that r misses weighs 0."""
+def grid_ball_select(field: GridField, cells, center, radii):
+    """``at(r)`` for each r of ``radii`` (none above the radius of the nearest-first ``cells``): the count n
+    of cells that r covers or cuts and the BallNodes of ``cells[:n]``, bitwise those of r's own; a band
+    cell that r misses weighs 0.  One ``_cell_fractions`` call measures every radius's band."""
     x1, x2, d2 = cells
     h = field.h
-    rin = r - _BAND * h
-    n_full = int(np.searchsorted(d2, rin * rin, "right")) if rin > 0 else 0
-    n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))
-    x1, x2 = x1[:n], x2[:n]
-    frac = np.ones_like(x1)
-    frac[n_full:] = _cell_fractions(x1[n_full:], x2[n_full:], h, center, r)
-    w = frac * h * h
-    # exact cross-cell integral of 1/x1 (midpoint fallback at the axis cell)
-    x1l = x1 - 0.5 * h
-    x1r = x1 + 0.5 * h
+    counts = {}  # per radius: the cells it covers (n_full) and those it covers or cuts (n)
+    for r in map(float, radii):
+        rin = r - _BAND * h
+        n_full = int(np.searchsorted(d2, rin * rin, "right")) if rin > 0 else 0
+        n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))
+        counts[r] = (n_full, n)
+    bands = [slice(n_full, n) for n_full, n in counts.values()]
+    sizes = [b.stop - b.start for b in bands]
+    band_r = np.repeat(list(counts), sizes)
+    fracs = _cell_fractions(np.concatenate([x1[b] for b in bands]), np.concatenate([x2[b] for b in bands]),
+                            h, center, band_r)
+    starts = dict(zip(counts, np.cumsum([0] + sizes)))
+    # exact cross-cell integral of 1/x1 (midpoint fallback at the axis cell), once for the largest ball
+    xm = x1[:max(n for _, n in counts.values())]
+    x1l = xm - 0.5 * h
+    x1r = xm + 0.5 * h
     safe = x1l > 1e-3 * h
-    inv_mean = np.empty_like(x1)
+    inv_mean = np.empty_like(xm)
     inv_mean[safe] = np.log(x1r[safe] / x1l[safe]) / h
-    inv_mean[~safe] = 1.0 / x1[~safe]
-    return n, BallNodes(x1=x1, x2=x2, w=w, w_inv=w * inv_mean)
+    inv_mean[~safe] = 1.0 / xm[~safe]
+
+    def at(r):
+        n_full, n = counts[r]
+        frac = np.ones(n)
+        frac[n_full:] = fracs[starts[r]:starts[r] + n - n_full]
+        w = frac * h * h
+        return n, BallNodes(x1=x1[:n], x2=x2[:n], w=w, w_inv=w * inv_mean[:n])
+    return at
 
 
 def grid_ball_nodes(field: GridField, center, r, half=False):
-    return grid_ball_select(field, grid_ball_cells(field, center, r, half=half), center, r)[1]
+    return grid_ball_select(field, grid_ball_cells(field, center, r, half=half), center, [r])(r)[1]
 
 
 @lru_cache(maxsize=2)

@@ -1,6 +1,7 @@
 """A mutant census of the first-variation validator, of eos's closed forms, of the grid balls,
-of the lines that read a point's kind from its center, of the classify densities and blow-ups,
-of the profiles' angular rule and of the frequency block's integrals from r = 0.
+of the grid arcs' support, of the lines that read a point's kind from its center, of the classify
+densities and blow-ups, of the profiles' angular rule and of the frequency block's integrals from
+r = 0.
 
 A mutant is one small edit to a formula line: a coefficient off by 1%, a
 sign flipped, a term dropped, a Jacobian entry swapped for its transpose.
@@ -41,6 +42,8 @@ CLI = ("tests/test_cli.py",)
 CLASSIFY = ("tests/test_classify.py", "tests/test_acceptance.py")
 PROFILES = ("tests/test_profiles.py", "tests/test_acceptance.py")
 FREQUENCY = ("tests/test_functionals.py::TestFrequency",)
+# the grid arcs' support: which points a sweep's arcs keep
+SUPPORT = ("tests/test_fields_quadrature.py", "tests/test_functionals.py::TestNestedGridBalls")
 # every arc integrand of classify and the acceptance criteria vanishes at a half arc's
 # end nodes (docs/decisions.md): the arc's length is what sees their weights
 ARC = (*CLASSIFY, "tests/test_fields_quadrature.py::TestArcQuadrature")
@@ -105,8 +108,8 @@ MUTANTS = [
      "mid = y * np.maximum(mid_hi - mid_lo, 0.0)",
      "mid = 1.01 * y * np.maximum(mid_hi - mid_lo, 0.0)", BALLS),
     ("corner area: outer's right piece dropped", "quadrature.py",
-     "outer = W(np.full_like(x, -r), np.minimum(x, -xc)) + W(xc, x)",
-     "outer = W(np.full_like(x, -r), np.minimum(x, -xc))", BALLS),
+     "outer = W(-r, np.minimum(x, -xc)) + W(xc, x)",
+     "outer = W(-r, np.minimum(x, -xc))", BALLS),
     ("cell fractions: + a[3] -> - a[3]", "quadrature.py",
      "area = a[0] - a[1] - a[2] + a[3]",
      "area = a[0] - a[1] - a[2] - a[3]", BALLS),
@@ -131,6 +134,15 @@ MUTANTS = [
     ("ball count: right -> left", "quadrature.py",
      'n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))',
      'n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "left"))', BALLS),
+    ("cut cells: radius array shifted by one cell", "quadrature.py",
+     "band_r = np.repeat(list(counts), sizes)",
+     "band_r = np.roll(np.repeat(list(counts), sizes), 1)", BALLS),
+    ("arc support: the union drops a stencil corner", "fields.py",
+     "nz[:-1, :-1] | nz[1:, :-1] | nz[:-1, 1:] | nz[1:, 1:]",
+     "nz[:-1, :-1] | nz[1:, :-1] | nz[:-1, 1:]", SUPPORT),
+    ("arc support: keep read from u alone", "fields.py",
+     "nz = np.any(self._grad != 0.0, axis=0)",
+     "nz = self._grad[0] != 0.0", SUPPORT),
     ("point kind: origin rule takes the axis", "functionals.py",
      "if c1 == 0 and c2 == 0:",
      "if c1 == 0 and c2 >= 0:", KIND),
@@ -183,8 +195,11 @@ MUTANTS = [
      'c["S_void"] / r**4',
      'c["S_void"] / r**5', FREQUENCY),
     ("integral from r = 0: integrand extended by 0", "functionals.py",
-     "g = np.concatenate((f[:1], f))",
+     "g = np.concatenate(([f0], f))",
      "g = np.concatenate(([0.0], f))", FREQUENCY),
+    ("integral from r = 0: integrand extended by its first value", "functionals.py",
+     "g = np.concatenate(([f0], f))",
+     "g = np.concatenate((f[:1], f))", FREQUENCY),
 ]
 
 

@@ -32,8 +32,11 @@ formula is in both sides and shows in neither.
   record and Pohozaev residual with M, the square term, k_scale and the error
   terms written out for each point kind, as they were before one formula
   served all three.
-* Neither, helpers that only the tests use: the adaptive Gauss-Legendre rule
-  under the quadrature oracles, the EOS model's text round trip
+* Split, ``record_full_arc``: the monotonicity record with its grid arc summed
+  over every one of its N_ARC nodes, the air included, where a sweep's arcs keep
+  only the nodes whose stencil touches the flow.
+* Neither, helpers that only the tests use: the 15-point Gauss-Legendre panel
+  and the adaptive rule over it under the quadrature oracles, the EOS model's text round trip
   (``eos_to_text``, ``eos_from_text``) and ``measure_corner_slopes``, which
   reads the ray slopes of a Stokes-corner blow-up for a test to compare with
   the closed form +-1/sqrt(3).
@@ -60,13 +63,15 @@ from cornerflow.quadrature import (
     BallNodes,
     _cell_fractions,
     arc_nodes,
+    grid_ball_nodes,
     polar_ball_nodes,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _gl_panel(f, a, b):
+def gauss_legendre_panel(f, a, b):
+    """The 15-point Gauss-Legendre rule of ``f`` on [a, b]."""
     x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
     return 0.5 * (b - a) * (f(x) @ _GL_WEIGHTS)
 
@@ -76,15 +81,15 @@ def adaptive_gauss_legendre(f, a, b, tol=1e-11, max_depth=30):
 
     def rec(a, b, whole, depth):
         m = 0.5 * (a + b)
-        left = _gl_panel(f, a, m)
-        right = _gl_panel(f, m, b)
+        left = gauss_legendre_panel(f, a, m)
+        right = gauss_legendre_panel(f, m, b)
         if abs(left + right - whole) <= tol or depth >= max_depth:
             return left + right
         return rec(a, m, left, depth + 1) + rec(m, b, right, depth + 1)
 
     if a == b:
         return 0.0
-    return rec(a, b, _gl_panel(f, a, b), 0)
+    return rec(a, b, gauss_legendre_panel(f, a, b), 0)
 
 
 def _inverted(model, tau, s):
@@ -378,6 +383,17 @@ def record_two_sets(field_, medium, center, r, kind):
         functionals._evaluate = one_set
 
 
+def record_full_arc(field_, medium, center, r):
+    """``monotonicity_record`` on a grid from r's own ball and its whole arc, each evaluated as one set:
+    the arc's sums run over all of its N_ARC nodes (N_ARC + 1 on a half circle), the air included."""
+    half = functionals.point_kind(center) != "stagnation"
+    bn = grid_ball_nodes(field_, center, r, half=half)
+    an = arc_nodes(field_, center, r, half=half)
+    bv = functionals._evaluate(field_, medium, bn.x1, bn.x2)
+    av = functionals._evaluate(field_, medium, an.x1, an.x2)
+    return functionals.monotonicity_record(field_, medium, center, r, nodes=lambda _: (bn, bv, an, av))
+
+
 # ---------------------------------------------------------------------------
 # blow-up fits as written out before the shared least-squares helper
 # ---------------------------------------------------------------------------
@@ -437,7 +453,7 @@ def record_per_kind(field_, medium, center, r, nodes=None):
     f = functionals
     kind = f.point_kind(center)
     rho0 = medium.rho0
-    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, r))(r)
+    bn, bv, an, av = (nodes or f._sweep_nodes(field_, medium, center, [r]))(r)
 
     E_F = float(np.sum(bn.w * bn.x1 * (bv.F + bv.lam * bv.chi)))
     x2p = np.maximum(bn.x2, 0.0)

@@ -118,6 +118,36 @@ class TestGridField:
             f.evaluate(np.array([0.1]), np.array([0.1]))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n1=st.integers(3, 9), n2=st.integers(3, 9), x1_min=st.sampled_from([0.0, 0.25]),
+       fill=st.sampled_from([0.2, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_evaluate_support_drops_only_points_where_the_field_is_zero(n1, n2, x1_min, fill, seed):
+    # a grid sweep's arcs skip the air: ``keep`` lists the points whose stencil touches
+    # a nonzero u, du/dx1 or du/dx2, a dropped point's three values are exactly 0 and a
+    # kept one's are evaluate's bit for bit.  The grids have random zero cells (none at
+    # fill = 1), and an on-axis grid's odd ghost column holds -0.0 beside a zero cell.
+    # The points are every stencil's midpoint and random ones up to h outside the box
+    rng = np.random.default_rng(seed)
+    h = 1 / 16
+    values = (0.1 + rng.random((n1, n2))) * (rng.random((n1, n2)) < fill)
+    f = GridField(x1_min, x1_min + n1 * h, 0.0, n2 * h, h, values)
+    I, J = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
+    x1 = np.concatenate((x1_min + h * I.ravel(), x1_min - h + (n1 + 2) * h * rng.random(200)))
+    x2 = np.concatenate((h * J.ravel(), -h + (n2 + 2) * h * rng.random(200)))
+    keep, kept = f.evaluate_support(x1, x2)
+    grad = f._gradient_arrays()
+    i0 = np.floor(np.clip((x1 - x1_min) / h + 0.5, 0.0, n1 + 1 - 1e-12)).astype(int)
+    j0 = np.floor(np.clip(x2 / h + 0.5, 0.0, n2 + 1 - 1e-12)).astype(int)
+    touches = [np.any(grad[:, i:i + 2, j:j + 2] != 0.0) for i, j in zip(i0, j0)]
+    assert keep.tolist() == np.flatnonzero(touches).tolist()
+    dropped = np.setdiff1d(np.arange(x1.size), keep)
+    for a, b in zip(kept, f.evaluate(x1, x2)):
+        assert a.tobytes() == b[keep].tobytes()
+        assert np.all(b[dropped] == 0.0)
+    if fill == 1.0:
+        assert dropped.size == 0
+
+
 # finite doubles, with the zeros and the subnormals drawn often
 FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -188,16 +218,17 @@ class TestBallQuadrature:
 @given(h=st.sampled_from([1 / 16, 1 / 24, 1 / 64]), c1=st.floats(0.0, 1.0), c2=st.floats(-0.5, 0.5),
        half=st.booleans(), big=st.floats(0.0, 1.0), small=st.floats(0.0, 1.0, exclude_max=True))
 def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, half, big, small):
-    # a radial sweep selects each ball from the cells of its largest one: the
-    # nodes, their order and weights are those of the ball's own bounding box,
-    # also where the larger box is clamped at the axis (half balls at x1 < R)
+    # a radial sweep selects each ball from the cells of its largest one, with
+    # every radius's cut cells measured in one call: the nodes, their order and
+    # weights are those of the ball's own bounding box, also where the larger box
+    # is clamped at the axis (half balls at x1 < R)
     m = round(1 / h)
     f = GridField(0.0, 1.0, -0.5, 0.5, h, np.zeros((m, m)))
     R = big * min(1.0 - c1, c2 + 0.5, 0.5 - c2, 1.0 if half else c1)
     r = small * R
     assume(r > 0.0)
     cells = grid_ball_cells(f, (c1, c2), R, half=half)
-    n, got = grid_ball_select(f, cells, (c1, c2), r)
+    n, got = grid_ball_select(f, cells, (c1, c2), [r, 0.5 * (r + R), R])(r)
     want = grid_ball_one_box(f, (c1, c2), r, half=half)
     own = grid_ball_nodes(f, (c1, c2), r, half=half)
     for key in ("x1", "x2", "w", "w_inv"):
