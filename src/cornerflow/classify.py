@@ -15,7 +15,7 @@ from .errors import DomainError, GeometryError, InsufficientDataError
 from .fields import GridField
 from .functionals import SCALING_POWER, energy_power, frequency_quantities, point_kind, radius_window
 from .profiles import axis_parabola, eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
-from .quadrature import ball_nodes, grid_ball_cells, grid_ball_select, polar_arc_nodes, polar_ball_nodes
+from .quadrature import ball_nodes, grid_balls, polar_arc_nodes, polar_ball_nodes
 
 NORM_THRESHOLD = 0.05  # blow-up norm below this fraction of the unit shape => trivial
 DEFICIT_R_MIN = 0.5  # frequency_blowup's homogeneity deficit integrates over 1/2 <= |x| <= 1
@@ -90,13 +90,11 @@ def weighted_density(field_, center, radii):
     kind = point_kind(center)
     half = kind != "stagnation"
     if isinstance(field_, GridField):
-        # each radius's own error comes first; every ball is a prefix of the largest
-        # one's cells, nearest first, whose positivity is read once
-        for r in radii:
-            field_.check_holds(center, r, half, "ball")
-        cells = grid_ball_cells(field_, center, float(radii[-1]), half=half)
-        pos = field_.chi(field_.value(cells[0], cells[1]))
-        balls = ((b, pos[:n]) for n, b in map(grid_ball_select(field_, cells, center, radii), radii))
+        # each radius's own error comes first, in the order given; every ball is a prefix
+        # of the largest one's cells, nearest first, whose positivity is read once
+        x1, x2, ball = grid_balls(field_, center, radii, half=half)
+        pos = field_.chi(field_.value(x1, x2))
+        balls = ((b, pos[:n]) for n, b in map(ball, radii))
     else:
         balls = ((b, field_.chi(field_.value(b.x1, b.x2)))
                  for b in (ball_nodes(field_, center, r, half=half) for r in radii))

@@ -147,14 +147,10 @@ class GridField:
         out += (ax * ay) * flat.take(k + (self.n2 + 3), axis=-1)
         return out
 
-    def _interp(self, padded, x1, x2):
-        """Bilinear interpolation of ``padded[..., i, j]`` (one array or a stack) at the points."""
-        return self._gather(padded, *self._stencil(x1, x2))
-
     def value(self, x1, x2):
         if self._padded is None:
             self._padded = self._pad(self.values)
-        return self._interp(self._padded, x1, x2)
+        return self._gather(self._padded, *self._stencil(x1, x2))
 
     def _gradient_arrays(self):
         """Padded u, du/dx1 and du/dx2 stacked on a leading axis, built once with their support."""
@@ -178,7 +174,7 @@ class GridField:
 
     def evaluate(self, x1, x2):
         """u, du/dx1 and du/dx2 at the points from one bilinear stencil."""
-        return tuple(self._interp(self._gradient_arrays(), x1, x2))
+        return tuple(self._gather(self._gradient_arrays(), *self._stencil(x1, x2)))
 
     def evaluate_support(self, x1, x2):
         """The indices ``keep`` of the 1-D points whose stencil touches a nonzero u, du/dx1 or du/dx2, and

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, FrequencyUndefinedError, GeometryError
 from .fields import GridField
-from .quadrature import arc_nodes, ball_nodes, grid_ball_cells, grid_ball_select
+from .quadrature import arc_nodes, ball_nodes, grid_balls
 
 KINDS = ("stagnation", "axis", "origin")
 SCALING_POWER = {"stagnation": 1.5, "axis": 2.0, "origin": 2.5}
@@ -146,9 +146,8 @@ def _sweep_nodes(field_, medium, center, radii):
     """
     half = point_kind(center) != "stagnation"
     if isinstance(field_, GridField):
-        cells = grid_ball_cells(field_, center, float(max(radii)), half=half)
-        ev = _evaluate(field_, medium, cells[0], cells[1])
-        ball = grid_ball_select(field_, cells, center, radii)
+        x1, x2, ball = grid_balls(field_, center, radii, half=half)
+        ev = _evaluate(field_, medium, x1, x2)
 
         def at(r):
             n, bn = ball(r)

@@ -147,10 +147,16 @@ def _cell_fractions(cx, cy, h, center, r):
     return np.clip(area / (h * h), 0.0, 1.0)
 
 
-def grid_ball_cells(field: GridField, center, r, half=False):
-    """Centers (x1, x2) and squared distances d2 of the bounding box's cells near the ball, nearest
-    first (a stable sort of the i-major box, so ties keep their i-major order)."""
-    field.check_holds(center, r, half, "ball")
+def grid_balls(field: GridField, center, radii, half=False):
+    """The centers (x1, x2) of the cells near the largest ball of ``radii``, nearest first (a stable sort
+    of the i-major box, so ties keep their i-major order), and ``at(r)`` for each r of ``radii``: the
+    count n of cells that r covers or cuts and the BallNodes of the first n cells, bitwise those of r's
+    own ball; a band cell that r misses weighs 0.  Each radius is checked in the order given, and one
+    ``_cell_fractions`` call measures every radius's band."""
+    radii = list(map(float, radii))
+    for r in radii:
+        field.check_holds(center, r, half, "ball")
+    r = max(radii)  # every ball is a prefix of the largest one's cells
     h = field.h
     i_lo = max(0, int(np.floor((center[0] - r - field.x1_min) / h)) - 1)
     i_hi = min(field.n1, int(np.ceil((center[0] + r - field.x1_min) / h)) + 1)
@@ -161,17 +167,9 @@ def grid_ball_cells(field: GridField, center, r, half=False):
     d2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
     near = np.flatnonzero(d2 <= (r + _BAND * h) ** 2)  # the cells that any radius up to r can cover or cut
     order = near[np.argsort(d2[near], kind="stable")]
-    return x1[order], x2[order], d2[order]
-
-
-def grid_ball_select(field: GridField, cells, center, radii):
-    """``at(r)`` for each r of ``radii`` (none above the radius of the nearest-first ``cells``): the count n
-    of cells that r covers or cuts and the BallNodes of ``cells[:n]``, bitwise those of r's own; a band
-    cell that r misses weighs 0.  One ``_cell_fractions`` call measures every radius's band."""
-    x1, x2, d2 = cells
-    h = field.h
+    x1, x2, d2 = x1[order], x2[order], d2[order]
     counts = {}  # per radius: the cells it covers (n_full) and those it covers or cuts (n)
-    for r in map(float, radii):
+    for r in radii:
         rin = r - _BAND * h
         n_full = int(np.searchsorted(d2, rin * rin, "right")) if rin > 0 else 0
         n = int(np.searchsorted(d2, (r + _BAND * h) ** 2, "right"))
@@ -183,13 +181,12 @@ def grid_ball_select(field: GridField, cells, center, radii):
                             h, center, band_r)
     starts = dict(zip(counts, np.cumsum([0] + sizes)))
     # exact cross-cell integral of 1/x1 (midpoint fallback at the axis cell), once for the largest ball
-    xm = x1[:max(n for _, n in counts.values())]
-    x1l = xm - 0.5 * h
-    x1r = xm + 0.5 * h
+    x1l = x1 - 0.5 * h
+    x1r = x1 + 0.5 * h
     safe = x1l > 1e-3 * h
-    inv_mean = np.empty_like(xm)
+    inv_mean = np.empty_like(x1)
     inv_mean[safe] = np.log(x1r[safe] / x1l[safe]) / h
-    inv_mean[~safe] = 1.0 / xm[~safe]
+    inv_mean[~safe] = 1.0 / x1[~safe]
 
     def at(r):
         n_full, n = counts[r]
@@ -197,11 +194,7 @@ def grid_ball_select(field: GridField, cells, center, radii):
         frac[n_full:] = fracs[starts[r]:starts[r] + n - n_full]
         w = frac * h * h
         return n, BallNodes(x1=x1[:n], x2=x2[:n], w=w, w_inv=w * inv_mean[:n])
-    return at
-
-
-def grid_ball_nodes(field: GridField, center, r, half=False):
-    return grid_ball_select(field, grid_ball_cells(field, center, r, half=half), center, [r])(r)[1]
+    return x1, x2, at
 
 
 @lru_cache(maxsize=2)
@@ -226,7 +219,7 @@ def ball_nodes(field, center, r, half=False):
     if isinstance(field, AnalyticField):
         splits = _apex_splits(field, center)
         return polar_ball_nodes(center, r, splits=splits, half=half)
-    return grid_ball_nodes(field, center, r, half=half)
+    return grid_balls(field, center, [r], half=half)[2](r)[1]
 
 
 def arc_nodes(field, center, r, half=False):

@@ -144,11 +144,11 @@ def minimize_EF(cfg: MinimizeConfig):
 
     log = ConvergenceLog()
     for it in range(cfg.max_iter):
-        v, E, H, cert = _smooth(disc, v, E, H, 2)
+        v, E, H, cert = _smooth(disc, v, E, H)
         step = 0.0
         if cert is not None:
             v, E, H, step = _coarse_step(disc, v, E, H)
-            v, E, H, cert = _smooth(disc, v, E, H, 2)
+            v, E, H, cert = _smooth(disc, v, E, H)
         if cert is None:
             log.stagnated = True
             log.message = f"no PGS sweep lowers the energy in cycle {it}"
@@ -184,12 +184,12 @@ def _descend(disc, v, E, H, d):
     return None
 
 
-def _smooth(disc, v, E, H, sweeps):
-    """``sweeps`` PGS sweeps, each damped until the true energy does not
+def _smooth(disc, v, E, H):
+    """Two PGS sweeps, each damped until the true energy does not
     rise: (v, E, H, max|PGS(v) - v| of the last); the certificate is None
     when a sweep finds no descent."""
     cert = None
-    for _ in range(sweeps):
+    for _ in range(2):
         d = _pgs_sweep(disc, v, H) - v
         out = _descend(disc, v, E, H, d)
         if out is None:

@@ -63,7 +63,7 @@ from cornerflow.quadrature import (
     BallNodes,
     _cell_fractions,
     arc_nodes,
-    grid_ball_nodes,
+    ball_nodes,
     polar_ball_nodes,
 )
 
@@ -387,7 +387,7 @@ def record_full_arc(field_, medium, center, r):
     """``monotonicity_record`` on a grid from r's own ball and its whole arc, each evaluated as one set:
     the arc's sums run over all of its N_ARC nodes (N_ARC + 1 on a half circle), the air included."""
     half = functionals.point_kind(center) != "stagnation"
-    bn = grid_ball_nodes(field_, center, r, half=half)
+    bn = ball_nodes(field_, center, r, half=half)
     an = arc_nodes(field_, center, r, half=half)
     bv = functionals._evaluate(field_, medium, bn.x1, bn.x2)
     av = functionals._evaluate(field_, medium, an.x1, an.x2)

@@ -560,6 +560,18 @@ class TestSweep:
         D = rows[:, header.index("D")]
         assert np.max(np.abs(D - 3.0)) < 1e-6
 
+    def test_plot_of_radii_with_one_log10(self, tmp_path):
+        # two neighbouring floats are strictly increasing radii, but their log10 is one
+        # value: the plot's x range is widened by 1 rather than divided by 0
+        r_min = 0.05587922366839003
+        r_max = float(np.nextafter(r_min, 1.0))
+        assert r_min < r_max and math.log10(r_min) == math.log10(r_max)
+        cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",
+                        r_min=repr(r_min), r_max=repr(r_max), n_radii=2)
+        assert run("sweep", cfg, tmp_path / "o", "--plots") == 0
+        svg = (tmp_path / "o" / "sweep.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+
     def test_header_and_undefined_dM_fd_ends(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",
                         r_min=0.05, r_max=0.5, n_radii=6)
@@ -867,14 +879,14 @@ class TestGeometryErrors:
         assert capsys.readouterr().err == f"error: center {center} lies outside the grid or on its edge\n"
 
     @pytest.mark.parametrize("sub, kv, r", [
-        ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5), 0.225),
+        ("sweep", dict(kind="axis", center_x1=0.0, center_x2=0.5), 0.0625),
         ("classify", dict(kind="axis", point_x1=0.0, point_x2=0.5), 0.0625),
     ])
     def test_axis_point_on_a_grid_across_the_axis_is_one_error_line(self, tmp_path, capsys, sub, kv, r):
         # half balls need a grid that starts at the axis: on this one the sweep used
         # to divide by zero and classify to label the point Cusp with density 3e-16,
         # and then both to say that the ball, which lies inside the box, left the grid.
-        # The sweep builds its largest ball first, classify its smallest
+        # Both check their radii in increasing order and name the smallest
         path = tmp_path / "f.txt"
         profiles.profile_field(profiles.axis_parabola(0.2)).resample(-0.5, 0.5, 0.0, 1.0, 1 / 64).write(path)
         assert run(sub, write_cfg(tmp_path / "c.cfg", field=path, **kv), tmp_path / "o") == 1

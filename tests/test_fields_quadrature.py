@@ -14,9 +14,7 @@ from cornerflow.quadrature import (
     arc_nodes,
     ball_nodes,
     grid_arc_nodes,
-    grid_ball_cells,
-    grid_ball_nodes,
-    grid_ball_select,
+    grid_balls,
     polar_arc_nodes,
     polar_ball_nodes,
 )
@@ -190,7 +188,7 @@ class TestBallQuadrature:
         errs = []
         for h in (1 / 64, 1 / 128, 1 / 256):
             f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 2.0, -1.0, 1.0, h)
-            nodes = grid_ball_nodes(f, (1.0, 0.0), 0.5)
+            nodes = ball_nodes(f, (1.0, 0.0), 0.5)
             errs.append(abs(float(np.sum(nodes.w_inv)) - exact))
         assert errs[-1] < 5e-6 * exact
         assert errs[0] / errs[-1] > 8.0  # second order across two halvings
@@ -201,7 +199,7 @@ class TestBallQuadrature:
         h = 1 / 32
         x1_min = 0.3 * h
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), x1_min, x1_min + 1.0, -0.5, 0.5, h)
-        nodes = grid_ball_nodes(f, (x1_min + 0.25 + 0.1 * h, 0.0), 0.25)
+        nodes = ball_nodes(f, (x1_min + 0.25 + 0.1 * h, 0.0), 0.25)
         first = (nodes.x1 == f.cell_x1[0]) & (nodes.w > 0.0)
         assert np.count_nonzero(first) >= 3
         mean = [quad(lambda x: 1.0 / x, a - 0.5 * h, a + 0.5 * h, epsabs=0.0, epsrel=1e-13)[0] / h
@@ -227,13 +225,28 @@ def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, half, big
     R = big * min(1.0 - c1, c2 + 0.5, 0.5 - c2, 1.0 if half else c1)
     r = small * R
     assume(r > 0.0)
-    cells = grid_ball_cells(f, (c1, c2), R, half=half)
-    n, got = grid_ball_select(f, cells, (c1, c2), [r, 0.5 * (r + R), R])(r)
+    x1, x2, at = grid_balls(f, (c1, c2), [r, 0.5 * (r + R), R], half=half)
+    n, got = at(r)
     want = grid_ball_one_box(f, (c1, c2), r, half=half)
-    own = grid_ball_nodes(f, (c1, c2), r, half=half)
+    own = ball_nodes(f, (c1, c2), r, half=half)
     for key in ("x1", "x2", "w", "w_inv"):
         assert getattr(got, key).tobytes() == getattr(want, key).tobytes() == getattr(own, key).tobytes()
-    assert cells[0][:n].tobytes() == got.x1.tobytes() and cells[1][:n].tobytes() == got.x2.tobytes()
+    assert x1[:n].tobytes() == got.x1.tobytes() and x2[:n].tobytes() == got.x2.tobytes()
+
+
+@pytest.mark.parametrize("box, center, radii, half, message", [
+    ((0.0, 1.0, -0.5, 0.5), (0.5, 0.0), [0.1, 0.55, 0.7, 0.2], False,
+     "ball (center=(0.5, 0.0), r=0.55) leaves the grid"),
+    ((-0.5, 0.5, -0.5, 0.5), (0.0, 0.0), [0.2, 0.3, 0.1], True,
+     "half ball (center=(0.0, 0.0), r=0.2) needs a grid that starts at x1 = 0, not at x1 = -0.5"),
+], ids=["middle-radius-leaves-the-box", "half-ball-across-the-axis"])
+def test_grid_balls_name_the_first_radius_the_grid_cannot_hold(box, center, radii, half, message):
+    # every radius is checked in the order given, before any cell is taken: a sweep
+    # and a classification over the same radii name the same one
+    f = GridField.from_function(lambda X1, X2: np.ones_like(X1), *box, 1 / 16)
+    with pytest.raises(GeometryError) as err:
+        grid_balls(f, center, radii, half=half)
+    assert str(err.value) == message
 
 
 class TestArcQuadrature:

@@ -25,7 +25,7 @@ from cornerflow.profiles import (
     stokes_corner,
     theta_star_constants,
 )
-from cornerflow.quadrature import N_ARC, arc_nodes, grid_ball_cells
+from cornerflow.quadrature import N_ARC, arc_nodes, grid_balls
 
 import oracles
 from conftest import analytic_field, perturbed_flat_field
@@ -301,7 +301,7 @@ class TestNestedGridBalls:
         fld = stokes.resample(0.75, 1.25, -0.25, 0.25, 1 / 256)
         fld._gradient_arrays()
         center, radii = (1.0, 0.0), np.geomspace(0.02, 0.1, 8)
-        cells = grid_ball_cells(fld, center, 0.1)
+        x1, x2, _ = grid_balls(fld, center, [0.1])
 
         def peak(fn, *args):
             tracemalloc.start()
@@ -311,7 +311,7 @@ class TestNestedGridBalls:
             finally:
                 tracemalloc.stop()
 
-        one = peak(functionals._evaluate, fld, incompressible, cells[0], cells[1])
+        one = peak(functionals._evaluate, fld, incompressible, x1, x2)
         assert peak(radial_sweep, fld, incompressible, center, radii) / one < 3.5
 
 
