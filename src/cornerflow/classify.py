@@ -55,7 +55,7 @@ def blowup(field_, center, r):
     if isinstance(field_, GridField):
         if r < 4.0 * field_.h:
             raise GeometryError("blow-up radius below 4h")
-        field_.check_holds(center, r * math.sqrt(2.0), kind != "stagnation", "blow-up box")
+        field_.check_holds(center, r * math.sqrt(2.0), "blow-up box")
     box = (-1.0 if kind == "stagnation" else 0.0, 1.0, -1.0, 1.0, BLOWUP_H)
     X1, X2 = GridField.lattice(*box)
     vals = field_.value(center[0] + r * X1, center[1] + r * X2) / r**SCALING_POWER[kind]
@@ -88,16 +88,15 @@ def weighted_density(field_, center, radii):
         raise InsufficientDataError("need at least 3 radii for extrapolation")
     radii = np.sort(radii)
     kind = point_kind(center)
-    half = kind != "stagnation"
     if isinstance(field_, GridField):
         # each radius's own error comes first, in the order given; every ball is a prefix
         # of the largest one's cells, nearest first, whose positivity is read once
-        x1, x2, ball = grid_balls(field_, center, radii, half=half)
+        x1, x2, ball = grid_balls(field_, center, radii)
         pos = field_.chi(field_.value(x1, x2))
         balls = ((b, pos[:n]) for n, b in map(ball, radii))
     else:
         balls = ((b, field_.chi(field_.value(b.x1, b.x2)))
-                 for b in (ball_nodes(field_, center, r, half=half) for r in radii))
+                 for b in (ball_nodes(field_, center, r) for r in radii))
     dens = np.array([_density(kind, nodes, pos, r) for r, (nodes, pos) in zip(radii, balls)])
     use = radii <= radii[0] * 10.0
     ru, du = radii[use], dens[use]
@@ -272,8 +271,8 @@ def frequency_blowup(field_, medium, radii):
     N0 = float(N[0])
     flat = flat_origin()
     splits = tuple(getattr(field_, "rays_phi", ())) + (0.0,)
-    arc = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
-    pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
+    arc = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits)
+    pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits)
     shape = eval_profile(flat, pn.x1, pn.x2)
     wgt = pn.w_inv
     ann = (pn.x1**2 + pn.x2**2) >= DEFICIT_R_MIN**2

@@ -129,7 +129,8 @@ def typed_config(raw, sub):
     """The keys of subcommand ``sub`` from the parsed text ``raw``: typed, bounded, defaulted.
 
     Raises ConfigError on a key outside the subcommand's table, a missing
-    required key, a bad or out-of-bound value, or a window out of order.
+    required key, a bad or out-of-bound value, a window out of order, or
+    ``n_radii`` without its radius window.
     """
     table = KEYS[sub]
     for key in raw:
@@ -151,6 +152,8 @@ def typed_config(raw, sub):
             continue
         if lo is None or hi is None or not (lo < hi and (lo > 0 or not floor)):
             raise ConfigError(f"need {floor}{lo_key} < {hi_key}, got {lo} and {hi}")
+    if "n_radii" in raw and cfg["r_min"] is None:
+        raise ConfigError("key 'n_radii' does not apply without r_min and r_max")
     return cfg
 
 
@@ -342,14 +345,7 @@ def run_sweep(cfg, out, opts):
         series = [("M(r)", list(cols["M"]))]
         if kind == "origin":
             series.append(("N(r)", list(cols["N"])))
-        write_svg_lines(
-            os.path.join(out, "sweep.svg"),
-            list(radii),
-            series,
-            title=f"{kind} sweep",
-            xlabel="log10 r",
-            ylabel="M, N",
-        )
+        write_svg_lines(os.path.join(out, "sweep.svg"), list(radii), series, title=f"{kind} sweep")
     return 0
 
 

@@ -30,9 +30,6 @@ class EosModel:
             raise DomainError("eps0 must be positive")
         self.gamma, self.A, self.rho_bar0, self.g, self.eps0 = gamma, A, rho_bar0, g, eps0
 
-    def __eq__(self, other):
-        return type(other) is EosModel and vars(other) == vars(self)
-
     @property
     def x2_st(self) -> float:
         """Stagnation height p'(rho_bar0)/(2g)."""

@@ -44,6 +44,11 @@ def write_rows(f, rows, sep):
         write_columns(f, [s[c::width] for c in range(width)], sep)
 
 
+def half_ball(center):
+    """Whether a ball about ``center`` is a half ball: the axis cuts every ball about an axis or origin point."""
+    return center[0] == 0
+
+
 def header_line(x1_min, x1_max, x2_min, x2_max, h):
     """The first line of a field file on this box."""
     return "grid " + " ".join(format(float(v), ".17g") for v in (x1_min, x1_max, x2_min, x2_max, h))
@@ -191,23 +196,20 @@ class GridField:
         return u > CHI_REL_THRESHOLD * max(self.umax, 1e-300)
 
     # -- geometry ---------------------------------------------------------
-    def contains_ball(self, center, r, half=False):
-        """Whether the grid holds the ball; a half ball (about the axis) needs an on-axis grid."""
-        return (self.on_axis or not half) and r <= self.boundary_distance(center, half) + 1e-12
-
-    def boundary_distance(self, center, half=False):
+    def boundary_distance(self, center):
         c1, c2 = center
         d = min(self.x1_max - c1, c2 - self.x2_min, self.x2_max - c2)
-        if not (half and self.on_axis):
+        if not (half_ball(center) and self.on_axis):
             d = min(d, c1 - self.x1_min)
         return d
 
-    def check_holds(self, center, r, half, what):
-        """GeometryError unless the grid holds the ball or arc ``what``, with its own message per reason."""
-        if half and not self.on_axis:
+    def check_holds(self, center, r, what):
+        """GeometryError unless the grid holds the ball or arc ``what``, with its own message per reason:
+        a half one (about the axis) needs an on-axis grid."""
+        if half_ball(center) and not self.on_axis:
             raise GeometryError(f"half {what} (center={center}, r={r}) needs a grid that starts at x1 = 0, "
                                 f"not at x1 = {self.x1_min!r}")
-        if not self.contains_ball(center, r, half=half):
+        if not r <= self.boundary_distance(center) + 1e-12:
             raise GeometryError(f"{what} (center={center}, r={r}) leaves the grid")
 
     # -- file format -------------------------------------------------------
@@ -285,7 +287,7 @@ class AnalyticField:
     def chi(self, u):
         return u > 0.0
 
-    def boundary_distance(self, center, half=False):
+    def boundary_distance(self, center):
         return np.inf
 
     def resample(self, x1_min, x1_max, x2_min, x2_max, h):

@@ -54,7 +54,7 @@ def check_radius(field_, center, r):
 def delta_radius(field_, center):
     """Largest admissible sweep radius: min(|x1|, dist)/2 off the axis, dist/2 on it."""
     kind = point_kind(center)
-    d = field_.boundary_distance(center, half=kind != "stagnation")
+    d = field_.boundary_distance(center)
     if kind == "stagnation":
         return 0.5 * min(center[0], d)
     return 0.5 * d
@@ -126,10 +126,10 @@ def _evaluate(field_, medium, x1, x2):
     return _with_thermo(field_, medium, x1, x2, *field_.evaluate(x1, x2))
 
 
-def _nodes(field_, center, r, half):
+def _nodes(field_, center, r):
     """Ball and arc nodes of radius ``r``, and the ball's then the arc's as one point set (x1, x2)."""
-    bn = ball_nodes(field_, center, r, half=half)
-    an = arc_nodes(field_, center, r, half=half)
+    bn = ball_nodes(field_, center, r)
+    an = arc_nodes(field_, center, r)
     return bn, an, np.concatenate((bn.x1, an.x1)), np.concatenate((bn.x2, an.x2))
 
 
@@ -144,9 +144,8 @@ def _sweep_nodes(field_, medium, center, radii):
     that one evaluation; each call builds its radius's other arrays afresh, so no
     radius keeps another's alive.
     """
-    half = point_kind(center) != "stagnation"
     if isinstance(field_, GridField):
-        x1, x2, ball = grid_balls(field_, center, radii, half=half)
+        x1, x2, ball = grid_balls(field_, center, radii)
         ev = _evaluate(field_, medium, x1, x2)
 
         def at(r):
@@ -155,7 +154,7 @@ def _sweep_nodes(field_, medium, center, radii):
             # others u and grad u are 0, so every arc integrand of the record is 0
             # there (J, E_F_arc, arc_un_sq, arc_uun and the square term, and k4-k6,
             # whose dw is 0 because H = rho0 off the active set)
-            an = arc_nodes(field_, center, r, half=half)
+            an = arc_nodes(field_, center, r)
             keep, (u, g1, g2) = field_.evaluate_support(an.x1, an.x2)
             an = an._make(a[keep] for a in an)
             return bn, ev._make(a[:n] for a in ev), an, _with_thermo(field_, medium, an.x1, an.x2, u, g1, g2)
@@ -164,11 +163,11 @@ def _sweep_nodes(field_, medium, center, radii):
     # about a homogeneous field's apex the (polar) nodes are apex + r p for one
     # unit pattern p at every radius: u scales as r^k and grad u as r^(k-1)
     apex = getattr(field_, "degree", None) is not None and tuple(center) == field_.apex
-    unit = field_.evaluate(*_nodes(field_, center, 1.0, half)[2:]) if apex else None
+    unit = field_.evaluate(*_nodes(field_, center, 1.0)[2:]) if apex else None
 
     def at(r):
         # one evaluation of the ball and arc nodes together, split back after
-        bn, an, x1, x2 = _nodes(field_, center, r, half)
+        bn, an, x1, x2 = _nodes(field_, center, r)
         if apex:
             u, g1, g2 = unit
             s = r ** (field_.degree - 1.0)

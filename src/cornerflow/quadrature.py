@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import AnalyticField, GridField
+from .fields import AnalyticField, GridField, half_ball
 from .legendre import gauss_legendre
 
 N_ARC = 4096  # trapezoid intervals of every grid arc, on the circle or the half circle
@@ -88,17 +88,17 @@ def _arc_pattern(splits, half):
     return _frozen([np.cos(phi)], [np.sin(phi)], [0.5 * (b - a) * wt for a, b in panels])
 
 
-def polar_ball_nodes(center, r, splits=(), half=False):
+def polar_ball_nodes(center, r, splits=()):
     """Nodes ``center + r p`` and weights ``r^2 w`` of the cached unit pattern (p, w)."""
-    p1, p2, w = _ball_pattern(tuple(splits), half)
+    p1, p2, w = _ball_pattern(tuple(splits), half_ball(center))
     x1 = center[0] + r * p1
     w = r * r * w
     return BallNodes(x1=x1, x2=center[1] + r * p2, w=w, w_inv=w / x1)
 
 
-def polar_arc_nodes(center, r, splits=(), half=False):
+def polar_arc_nodes(center, r, splits=()):
     """Nodes ``center + r p``, weights ``r w`` and normals ``p`` of the cached unit pattern."""
-    p1, p2, w = _arc_pattern(tuple(splits), half)
+    p1, p2, w = _arc_pattern(tuple(splits), half_ball(center))
     return ArcNodes(x1=center[0] + r * p1, x2=center[1] + r * p2, w=r * w, n1=p1, n2=p2)
 
 
@@ -147,7 +147,7 @@ def _cell_fractions(cx, cy, h, center, r):
     return np.clip(area / (h * h), 0.0, 1.0)
 
 
-def grid_balls(field: GridField, center, radii, half=False):
+def grid_balls(field: GridField, center, radii):
     """The centers (x1, x2) of the cells near the largest ball of ``radii``, nearest first (a stable sort
     of the i-major box, so ties keep their i-major order), and ``at(r)`` for each r of ``radii``: the
     count n of cells that r covers or cuts and the BallNodes of the first n cells, bitwise those of r's
@@ -155,7 +155,7 @@ def grid_balls(field: GridField, center, radii, half=False):
     ``_cell_fractions`` call measures every radius's band."""
     radii = list(map(float, radii))
     for r in radii:
-        field.check_holds(center, r, half, "ball")
+        field.check_holds(center, r, "ball")
     r = max(radii)  # every ball is a prefix of the largest one's cells
     h = field.h
     i_lo = max(0, int(np.floor((center[0] - r - field.x1_min) / h)) - 1)
@@ -205,8 +205,9 @@ def _unit_circle(half):
     return _frozen([np.cos(phi)], [np.sin(phi)])
 
 
-def grid_arc_nodes(field: GridField, center, r, half=False):
-    field.check_holds(center, r, half, "arc")
+def grid_arc_nodes(field: GridField, center, r):
+    field.check_holds(center, r, "arc")
+    half = half_ball(center)
     cos, sin = _unit_circle(half)
     w = np.full(cos.shape, 2.0 * np.pi * r / N_ARC if not half else np.pi * r / N_ARC)
     if half:
@@ -215,18 +216,18 @@ def grid_arc_nodes(field: GridField, center, r, half=False):
     return ArcNodes(x1=center[0] + r * cos, x2=center[1] + r * sin, w=w, n1=cos, n2=sin)
 
 
-def ball_nodes(field, center, r, half=False):
+def ball_nodes(field, center, r):
     if isinstance(field, AnalyticField):
         splits = _apex_splits(field, center)
-        return polar_ball_nodes(center, r, splits=splits, half=half)
-    return grid_balls(field, center, [r], half=half)[2](r)[1]
+        return polar_ball_nodes(center, r, splits=splits)
+    return grid_balls(field, center, [r])[2](r)[1]
 
 
-def arc_nodes(field, center, r, half=False):
+def arc_nodes(field, center, r):
     if isinstance(field, AnalyticField):
         splits = _apex_splits(field, center)
-        return polar_arc_nodes(center, r, splits=splits, half=half)
-    return grid_arc_nodes(field, center, r, half=half)
+        return polar_arc_nodes(center, r, splits=splits)
+    return grid_arc_nodes(field, center, r)
 
 
 def _apex_splits(field: AnalyticField, center):

@@ -6,6 +6,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _LEVELS = (0.25, 0.5, 0.75)  # level sets drawn, as fractions of the field maximum
+_XLABEL, _YLABEL = "log10 r", "M, N"  # the axes of the one line plot, a sweep's
 
 
 def _ticks(lo, hi):
@@ -54,7 +55,7 @@ def _write(path, parts):
         f.write("\n".join(parts + ["</svg>"]) + "\n")
 
 
-def write_svg_lines(path, xs, series, title, xlabel, ylabel):
+def write_svg_lines(path, xs, series, title):
     """Write polyline series ([(label, ys), ...]) against log10 of xs to an SVG file."""
     xv = [math.log10(x) for x in xs]
     ys_all = [y for _, ys in series for y in ys if y == y and abs(y) != float("inf")]
@@ -90,11 +91,11 @@ def write_svg_lines(path, xs, series, title, xlabel, ylabel):
             f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{tv:.4g}</text>'
         )
     parts.append(
-        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-size="12">{xlabel}</text>'
+        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-size="12">{_XLABEL}</text>'
     )
     parts.append(
         f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {_H / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {_H / 2:.1f})">{_YLABEL}</text>'
     )
     for k, (label, ys) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]

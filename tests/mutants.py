@@ -155,9 +155,6 @@ MUTANTS = [
     ("delta: stagnation bound min(x1, d) -> d", "functionals.py",
      "return 0.5 * min(center[0], d)",
      "return 0.5 * d", KIND),
-    ("sweep nodes: half balls at the origin only", "functionals.py",
-     'half = point_kind(center) != "stagnation"',
-     'half = point_kind(center) == "origin"', KIND),
     ("CLI: a kind that contradicts the center passes", "cli.py",
      'if cfg["kind"] not in (None, kind):',
      "if False:", CLI),
@@ -173,9 +170,9 @@ MUTANTS = [
     ("blow-up: stagnation box from x1 = 0", "classify.py",
      'box = (-1.0 if kind == "stagnation" else 0.0,',
      "box = (0.0,", CLASSIFY),
-    ("weighted density: half balls at the origin only", "classify.py",
-     'half = kind != "stagnation"',
-     'half = kind == "origin"', CLASSIFY),
+    ("half ball: at the origin only", "fields.py",
+     "return center[0] == 0",
+     "return center[0] == 0 and center[1] == 0", KIND + CLASSIFY),
     ("grid arc: end weights not halved", "quadrature.py",
      "w[0] *= 0.5\n        w[-1] *= 0.5",
      "pass", ARC),

@@ -311,11 +311,11 @@ def grid_value_separate(fld, x1, x2):
     return _interp_one(fld, fld._pad(fld.values), x1, x2)
 
 
-def grid_ball_one_box(fld, center, r, half=False):
+def grid_ball_one_box(fld, center, r):
     """Grid ball nodes of radius ``r`` built from the bounding box of that radius alone: the cells
     within ``r + 0.7072 h`` of the center, nearest first (ties in i-major order), band cells that the
     disk misses at weight 0."""
-    assert fld.contains_ball(center, r, half=half)
+    fld.check_holds(center, r, "ball")
     h = fld.h
     i_lo = max(0, int(np.floor((center[0] - r - fld.x1_min) / h)) - 1)
     i_hi = min(fld.n1, int(np.ceil((center[0] + r - fld.x1_min) / h)) + 1)
@@ -361,14 +361,14 @@ def _evaluate_two_sets(field_, medium, x1, x2, n_ball):
     return functionals._NodeEval(*(np.concatenate(p) for p in zip(*parts)))
 
 
-def record_two_sets(field_, medium, center, r, kind):
+def record_two_sets(field_, medium, center, r):
     """``monotonicity_record`` with its ball and arc nodes evaluated as two node sets.
 
     Each ``_evaluate`` call is split where the record's arc nodes begin, if it
     ends with them: a call of the ball and the arc together becomes two sets,
     and a call of a grid's cells or of the arc alone stays one.
     """
-    arc = arc_nodes(field_, center, r, half=kind != "stagnation")
+    arc = arc_nodes(field_, center, r)
 
     def split_per_call(f, m, x1, x2):
         n = x1.size - arc.x1.size
@@ -386,9 +386,8 @@ def record_two_sets(field_, medium, center, r, kind):
 def record_full_arc(field_, medium, center, r):
     """``monotonicity_record`` on a grid from r's own ball and its whole arc, each evaluated as one set:
     the arc's sums run over all of its N_ARC nodes (N_ARC + 1 on a half circle), the air included."""
-    half = functionals.point_kind(center) != "stagnation"
-    bn = ball_nodes(field_, center, r, half=half)
-    an = arc_nodes(field_, center, r, half=half)
+    bn = ball_nodes(field_, center, r)
+    an = arc_nodes(field_, center, r)
     bv = functionals._evaluate(field_, medium, bn.x1, bn.x2)
     av = functionals._evaluate(field_, medium, an.x1, an.x2)
     return functionals.monotonicity_record(field_, medium, center, r, nodes=lambda _: (bn, bv, an, av))
@@ -426,7 +425,7 @@ def frequency_fit_reference(field_, medium, radii):
     radii = np.asarray(sorted(radii), dtype=float)
     J = functionals.frequency_quantities(field_, medium, radii).columns["J"]
     splits = tuple(getattr(field_, "rays_phi", ())) + (0.0,)
-    pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
+    pn = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits)
     shape = eval_profile(flat_origin(), pn.x1, pn.x2)
     wgt = pn.w / np.maximum(pn.x1, 1e-12)
     out = []

@@ -134,7 +134,7 @@ class TestWeightedDensity:
         radii = np.geomspace(0.05, 0.3, 8)
         want = []
         for r in radii:
-            nodes = ball_nodes(fld, center, r, half=point_kind(center) != "stagnation")
+            nodes = ball_nodes(fld, center, r)
             want.append(classify_mod._density(point_kind(center), nodes, fld.chi(fld.value(nodes.x1, nodes.x2)), r))
         got = weighted_density(fld, center, radii[::-1])["densities"]
         assert got.tobytes() == np.array(want).tobytes()
@@ -166,8 +166,8 @@ class TestWeightedDensity:
         # weighted boundary mass (polar factorization with rho^3)
         c = theta_star_constants()
         splits = (0.0, c.theta_star_rad - 0.5 * np.pi)
-        pb = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
-        pa = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits, half=True)
+        pb = polar_ball_nodes((0.0, 0.0), 1.0, splits=splits)
+        pa = polar_arc_nodes((0.0, 0.0), 1.0, splits=splits)
 
         def chi_cone(x1, x2):
             th = 0.5 * np.pi - np.arctan2(x2, x1)
@@ -296,7 +296,7 @@ class TestClassify:
         with pytest.raises(Stop):
             classify(fld, center)
         # the old formula: 0.45 of the boundary distance, capped by x1 at a stagnation point
-        delta = fld.boundary_distance(center, half=point_kind(center) != "stagnation")
+        delta = fld.boundary_distance(center)
         if point_kind(center) == "stagnation":
             delta = min(delta, center[0])
         r_hi = 0.45 * delta

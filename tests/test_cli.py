@@ -180,6 +180,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == f"error: {msg}\n"
 
+    STOKES = dict(profile="stokes_corner", x1_circ=1.0, offset_x1=1.0)
+
+    @pytest.mark.parametrize("sub, kv", [
+        ("sweep", dict(STOKES, center_x1=1.0, n_radii=3)),
+        ("classify", dict(STOKES, point_x1=1.0, n_radii=3)),
+    ], ids=["sweep", "classify"])
+    def test_n_radii_without_a_window_is_config_error(self, tmp_path, capsys, sub, kv):
+        # both used to ignore n_radii and take the default window's count: the sweep wrote 43 radii
+        assert run(sub, write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: key 'n_radii' does not apply without r_min and r_max\n"
+        assert not (tmp_path / "o").exists()
+
     def test_rho_bar0_is_also_a_medium_key(self, tmp_path):
         # minimize and sweep read rho_bar0 for the medium whatever the profile
         kv = dict(profile="axis_parabola", rho_bar0=2.0, **self.BOX)

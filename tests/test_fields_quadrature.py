@@ -62,15 +62,16 @@ class TestGridField:
 
     def test_geometry_checks(self):
         f = GridField.from_function(lambda X1, X2: X1, 0.0, 1.0, 0.0, 1.0, 1 / 16)
-        assert f.contains_ball((0.5, 0.5), 0.4)
-        assert not f.contains_ball((0.5, 0.5), 0.6)
-        assert f.contains_ball((0.0, 0.5), 0.4, half=True)
+        f.check_holds((0.5, 0.5), 0.4, "ball")
+        with pytest.raises(GeometryError, match="leaves the grid"):
+            f.check_holds((0.5, 0.5), 0.6, "ball")
+        f.check_holds((0.0, 0.5), 0.4, "ball")
         with pytest.raises(GeometryError):
             f.value(np.array([2.5]), np.array([0.5]))
         # a half ball about the axis needs the grid to start there, not to cross it
         crossing = GridField.from_function(lambda X1, X2: X1**2, -1.0, 1.0, 0.0, 1.0, 1 / 16)
-        assert crossing.contains_ball((0.0, 0.5), 0.4)
-        assert not crossing.contains_ball((0.0, 0.5), 0.4, half=True)
+        with pytest.raises(GeometryError, match="needs a grid that starts at x1 = 0"):
+            crossing.check_holds((0.0, 0.5), 0.4, "ball")
 
     def test_gradient_vanishes_on_the_axis(self):
         # u = O(x1^2): u, du/dx1 and du/dx2 are exactly 0 on x1 = 0, so the speed
@@ -78,7 +79,7 @@ class TestGridField:
         f = GridField.from_function(lambda X1, X2: 0.2 * X1**2, 0.0, 0.5, 0.0, 1.0, 1 / 64)
         x2 = np.linspace(0.1, 0.9, 9)
         assert all(np.all(a == 0.0) for a in f.evaluate(np.zeros_like(x2), x2))
-        an = grid_arc_nodes(f, (0.0, 0.5), 0.2, half=True)
+        an = grid_arc_nodes(f, (0.0, 0.5), 0.2)
         assert 0.0 < an.x1[0] < 1e-16 and 0.0 < an.x1[-1] < 1e-16
         _, g1, g2 = f.evaluate(an.x1, an.x2)
         t = (g1 * g1 + g2 * g2) / (an.x1 * an.x1)
@@ -178,7 +179,7 @@ class TestBallQuadrature:
 
     def test_half_ball_quarter_weight(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.25, -1.25, 1.25, 1 / 256)
-        nodes = ball_nodes(f, (0.0, 0.0), 1.0, half=True)
+        nodes = ball_nodes(f, (0.0, 0.0), 1.0)
         val = float(np.sum(nodes.w * nodes.x1 * np.maximum(nodes.x2, 0.0)))
         assert val == pytest.approx(0.125, abs=5e-6)
 
@@ -213,59 +214,62 @@ class TestBallQuadrature:
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(h=st.sampled_from([1 / 16, 1 / 24, 1 / 64]), c1=st.floats(0.0, 1.0), c2=st.floats(-0.5, 0.5),
-       half=st.booleans(), big=st.floats(0.0, 1.0), small=st.floats(0.0, 1.0, exclude_max=True))
-def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, half, big, small):
+@given(h=st.sampled_from([1 / 16, 1 / 24, 1 / 64]), c1=st.just(0.0) | st.floats(0.0, 1.0),
+       c2=st.floats(-0.5, 0.5), big=st.floats(0.0, 1.0), small=st.floats(0.0, 1.0, exclude_max=True))
+def test_ball_selected_from_a_larger_balls_cells_is_its_own(h, c1, c2, big, small):
     # a radial sweep selects each ball from the cells of its largest one, with
     # every radius's cut cells measured in one call: the nodes, their order and
     # weights are those of the ball's own bounding box, also where the larger box
     # is clamped at the axis (half balls at x1 < R)
     m = round(1 / h)
     f = GridField(0.0, 1.0, -0.5, 0.5, h, np.zeros((m, m)))
+    half = c1 == 0
     R = big * min(1.0 - c1, c2 + 0.5, 0.5 - c2, 1.0 if half else c1)
     r = small * R
     assume(r > 0.0)
-    x1, x2, at = grid_balls(f, (c1, c2), [r, 0.5 * (r + R), R], half=half)
+    x1, x2, at = grid_balls(f, (c1, c2), [r, 0.5 * (r + R), R])
     n, got = at(r)
-    want = grid_ball_one_box(f, (c1, c2), r, half=half)
-    own = ball_nodes(f, (c1, c2), r, half=half)
+    want = grid_ball_one_box(f, (c1, c2), r)
+    own = ball_nodes(f, (c1, c2), r)
     for key in ("x1", "x2", "w", "w_inv"):
         assert getattr(got, key).tobytes() == getattr(want, key).tobytes() == getattr(own, key).tobytes()
     assert x1[:n].tobytes() == got.x1.tobytes() and x2[:n].tobytes() == got.x2.tobytes()
 
 
-@pytest.mark.parametrize("box, center, radii, half, message", [
-    ((0.0, 1.0, -0.5, 0.5), (0.5, 0.0), [0.1, 0.55, 0.7, 0.2], False,
+@pytest.mark.parametrize("box, center, radii, message", [
+    ((0.0, 1.0, -0.5, 0.5), (0.5, 0.0), [0.1, 0.55, 0.7, 0.2],
      "ball (center=(0.5, 0.0), r=0.55) leaves the grid"),
-    ((-0.5, 0.5, -0.5, 0.5), (0.0, 0.0), [0.2, 0.3, 0.1], True,
+    ((-0.5, 0.5, -0.5, 0.5), (0.0, 0.0), [0.2, 0.3, 0.1],
      "half ball (center=(0.0, 0.0), r=0.2) needs a grid that starts at x1 = 0, not at x1 = -0.5"),
 ], ids=["middle-radius-leaves-the-box", "half-ball-across-the-axis"])
-def test_grid_balls_name_the_first_radius_the_grid_cannot_hold(box, center, radii, half, message):
+def test_grid_balls_name_the_first_radius_the_grid_cannot_hold(box, center, radii, message):
     # every radius is checked in the order given, before any cell is taken: a sweep
     # and a classification over the same radii name the same one
     f = GridField.from_function(lambda X1, X2: np.ones_like(X1), *box, 1 / 16)
     with pytest.raises(GeometryError) as err:
-        grid_balls(f, center, radii, half=half)
+        grid_balls(f, center, radii)
     assert str(err.value) == message
 
 
 class TestArcQuadrature:
     @pytest.mark.parametrize("half", [False, True])
     def test_unit_circle_cached_and_read_only(self, half):
-        # every arc shares one cos/sin pair per half; x = c + r cos(phi) as before
+        # every arc shares one cos/sin pair per half; x = c + r cos(phi) as before.
+        # An arc about an axis center is a half circle
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.0, -0.5, 0.5, 1 / 16)
-        a = grid_arc_nodes(f, (0.5, 0.0), 0.25, half=half)
-        b = grid_arc_nodes(f, (0.25, 0.1), 0.125, half=half)
+        c1 = 0.0 if half else 0.5
+        a = grid_arc_nodes(f, (c1, 0.0), 0.25)
+        b = grid_arc_nodes(f, (0.5 * c1, 0.1), 0.125)
         assert a.n1 is b.n1 and a.n2 is b.n2
         assert not (a.n1.flags.writeable or a.n2.flags.writeable)
         phi = (np.linspace(-0.5 * np.pi, 0.5 * np.pi, N_ARC + 1) if half
                else np.linspace(-np.pi, np.pi, N_ARC + 1)[:-1])
         assert a.n1.tobytes() == np.cos(phi).tobytes() and a.n2.tobytes() == np.sin(phi).tobytes()
-        assert a.x1.tobytes() == (0.5 + 0.25 * np.cos(phi)).tobytes()
+        assert a.x1.tobytes() == (c1 + 0.25 * np.cos(phi)).tobytes()
 
     def test_half_circumference(self):
         f = GridField.from_function(lambda X1, X2: np.ones_like(X1), 0.0, 1.5, -1.5, 1.5, 1 / 64)
-        val = float(np.sum(arc_nodes(f, (0.0, 0.0), 1.0, half=True).w))
+        val = float(np.sum(arc_nodes(f, (0.0, 0.0), 1.0).w))
         assert val == pytest.approx(math.pi, rel=1e-10)
 
     def test_flat_profile_weighted_arc(self):
@@ -273,39 +277,40 @@ class TestArcQuadrature:
         f = GridField.from_function(
             lambda X1, X2: X1**2 * np.maximum(X2, 0.0), 0.0, 1.5, -1.5, 1.5, 1 / 512
         )
-        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True))
+        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0))
         assert val == pytest.approx(2.0 / 15.0, abs=1e-6)
 
     def test_normalized_flat_profile_unit_norm(self):
         # analytic path: exact profile evaluation through the polar panels
         fld = profile_field(flat_origin())
-        val = _u_sq_over_x1(fld, arc_nodes(fld, (0.0, 0.0), 1.0, half=True))
+        val = _u_sq_over_x1(fld, arc_nodes(fld, (0.0, 0.0), 1.0))
         assert val == pytest.approx(1.0, abs=1e-10)
         # grid-interpolation path carries the documented O(h^2) floor
         beta = math.sqrt(7.5)
         f = GridField.from_function(
             lambda X1, X2: beta * X1**2 * np.maximum(X2, 0.0), 0.0, 1.5, -1.5, 1.5, 1 / 512
         )
-        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0, half=True))
+        val = _u_sq_over_x1(f, arc_nodes(f, (0.0, 0.0), 1.0))
         assert val == pytest.approx(1.0, abs=1e-5)
 
 
 class TestPolarQuadrature:
     def test_cone_split_density(self):
-        # panels split at the Stokes rays integrate the cone indicator exactly
-        nodes = polar_ball_nodes((0.0, 0.0), 1.0, splits=(np.pi / 6, 5 * np.pi / 6))
-        theta = 0.5 * np.pi - np.arctan2(nodes.x2, nodes.x1)
+        # panels split at the Stokes rays integrate the cone indicator exactly; the
+        # ball is a full one about a center off the axis
+        nodes = polar_ball_nodes((2.0, 0.0), 1.0, splits=(np.pi / 6, 5 * np.pi / 6))
+        theta = 0.5 * np.pi - np.arctan2(nodes.x2, nodes.x1 - 2.0)
         chi = np.abs(theta) <= np.pi / 3.0
         val = float(np.sum(nodes.w * np.maximum(nodes.x2, 0.0) * chi))
         assert val == pytest.approx(math.sqrt(3.0) / 3.0, abs=1e-12)
 
     def test_arc_weights_sum(self):
-        nodes = polar_arc_nodes((0.0, 0.0), 2.0, half=True)
+        nodes = polar_arc_nodes((0.0, 0.0), 2.0)
         assert float(np.sum(nodes.w)) == pytest.approx(2.0 * math.pi, rel=1e-13)
 
     def test_analytic_field_dispatch(self):
         fld = profile_field(flat_origin())
-        nodes = ball_nodes(fld, (0.0, 0.0), 1.0, half=True)
+        nodes = ball_nodes(fld, (0.0, 0.0), 1.0)
         chi = fld.chi(fld.value(nodes.x1, nodes.x2))
         val = float(np.sum(nodes.w * nodes.x1 * np.maximum(nodes.x2, 0.0) * chi))
         assert val == pytest.approx(0.125, abs=1e-10)

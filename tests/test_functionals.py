@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerflow.errors import DomainError, FrequencyUndefinedError, GeometryError
-from cornerflow.fields import AnalyticField, GridField
+from cornerflow.fields import AnalyticField, GridField, half_ball
 from cornerflow.functionals import (
     default_radii,
     delta_radius,
@@ -125,7 +127,7 @@ class TestOneEvaluationPerRadius:
         for medium in media:
             rec = monotonicity_record(fld, medium, center, r)
             calls.clear()
-            assert rec == record_two_sets(fld, medium, center, r, kind)
+            assert rec == record_two_sets(fld, medium, center, r)
             assert calls, "the oracle evaluated nothing: the record was compared with itself"
             assert rec["J"] > 0 and rec["E_F"] != 0
 
@@ -266,7 +268,7 @@ class TestNestedGridBalls:
         # integrand is 0; summed over the whole arc every column moves at roundoff only
         # (measured: at most 3.8e-15 of the column's size, the origin's M)
         fld = profile_field(spec, offset=apex).resample(*box, 1 / 64)
-        an = arc_nodes(fld, center, float(radii[-1]), half=kind != "stagnation")
+        an = arc_nodes(fld, center, float(radii[-1]))
         dropped = an.x1.size - fld.evaluate_support(an.x1, an.x2)[0].size
         assert dropped > 0 or kind == "axis"  # the axis parabola is positive off the axis
         for medium in [incompressible] + [gamma2_medium] * (kind == "stagnation"):
@@ -644,6 +646,13 @@ class TestGeometryHelpers:
         assert point_kind((1.0, 0.0)) == "stagnation"
         assert point_kind((0.0, 0.5)) == "axis"
         assert point_kind((0.0, 0.0)) == "origin"
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(zero=st.sampled_from([0.0, -0.0]), x=st.floats(0.0, 1e6), axis=st.booleans())
+    def test_a_ball_is_half_unless_about_a_stagnation_point(self, zero, x, axis):
+        # on every degenerate center the half-ball rule and the point's kind agree
+        center = (zero, x) if axis else (x, zero)
+        assert half_ball(center) == (point_kind(center) != "stagnation")
 
     @pytest.mark.parametrize("center", [(0.5, 0.5), (-1.0, 0.0), (0.0, -1.0)])
     def test_point_kind_off_the_degenerate_set(self, center):

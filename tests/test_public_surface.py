@@ -142,6 +142,14 @@ def private_crossings(modules):
     return sorted(out)
 
 
+def test_no_public_function_takes_half():
+    # whether a ball is half is read from its center (fields.half_ball), not passed beside it
+    takers = [f"{mod}.{fn.name}" for mod, tree in _modules().items() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and "half" in [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]]
+    assert not takers, f"public functions that take a half flag: {takers}"
+
+
 def test_no_private_name_crosses_a_module():
     crossings = private_crossings(_modules())
     assert not crossings, f"private names read outside their module (give each a public owner): {crossings}"
