@@ -4,8 +4,9 @@ Config files are flat ``key = value`` text with ``#`` comments.  Every
 run reads one config, writes its artifacts into ``--out`` (``--plots`` adds
 SVG plots to a sweep or classify run) and exits with 0 on success, 1 on
 domain/geometry/config errors, 2 on numerical non-convergence or a usage
-error.  Floats are written with 17 significant digits, so identical
-configs produce byte-identical outputs.
+error.  CSV and field files write floats with 17 significant digits, JSON
+with the shortest repr that reads back the same float, so identical configs
+produce byte-identical outputs.
 """
 
 import json

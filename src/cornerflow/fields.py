@@ -19,7 +19,7 @@ _CHUNK = 2048  # values formatted per write: memory stays bounded
 
 
 def format_values(values):
-    """``'%.17g'`` strings of ``values`` in C order: the one float format of every written file."""
+    """``'%.17g'`` strings of ``values`` in C order: the one float format of every CSV and field file."""
     a = np.ravel(values)
     formatted = (a != 0.0) | np.signbit(a)  # an exact +0.0 (most of a profile table) is just "0"
     v = a[formatted].tolist()

@@ -76,7 +76,7 @@ def radius_window(field_, center):
     """The default radii's bounds (4h, 0.9*delta), h = delta/256 off a grid; GeometryError unless
     4h < 0.9*delta < inf (a profile's delta is inf at an axis or origin point)."""
     delta = delta_radius(field_, center)
-    r_min = 4.0 * getattr(field_, "h", delta / 256.0)
+    r_min = 4.0 * (field_.h if isinstance(field_, GridField) else delta / 256.0)
     r_max = 0.9 * delta
     if not r_min < r_max < np.inf:
         raise GeometryError("no admissible radius window for this center")
@@ -162,7 +162,7 @@ def _sweep_nodes(field_, medium, center, radii):
 
     # about a homogeneous field's apex the (polar) nodes are apex + r p for one
     # unit pattern p at every radius: u scales as r^k and grad u as r^(k-1)
-    apex = getattr(field_, "degree", None) is not None and tuple(center) == field_.apex
+    apex = field_.degree is not None and tuple(center) == field_.apex
     unit = field_.evaluate(*_nodes(field_, center, 1.0)[2:]) if apex else None
 
     def at(r):
@@ -397,29 +397,22 @@ def monotonicity_derivative_check(field_, medium, center, radii):
 # first-variation validator
 # ---------------------------------------------------------------------------
 
-def _lattice(field_, h):
-    """The cell centers of the field's box at step h (the field's own by default), flat, and h."""
-    if h is None:
-        h = getattr(field_, "h", 1.0 / 256.0)
-    X1, X2 = GridField.lattice(field_.x1_min, field_.x1_max, field_.x2_min, field_.x2_max, h)
-    return X1.ravel(), X2.ravel(), h
+def first_variation_terms(field_, medium, phi, dphi, box):
+    """The four domain-variation integrals on the cell centers of ``box``.
 
-
-def first_variation_terms(field_, medium, phi, dphi, h=None):
-    """The four domain-variation integrals, evaluated on a lattice.
-
-    ``phi(x1, x2) -> (phi1, phi2)`` must vanish near the lattice hull and
-    on the axis; ``dphi`` returns the Jacobian entries (d1p1, d2p1,
-    d1p2, d2p2).  Returns the total (zero at exact solutions).
+    ``box`` is ``(x1_min, x1_max, x2_min, x2_max, h)``, a ``GridField.lattice``
+    box that h divides.  ``phi(x1, x2) -> (phi1, phi2)`` must vanish near the
+    box's edge and on the axis; ``dphi`` returns the Jacobian entries (d1p1,
+    d2p1, d1p2, d2p2).  Returns the total (zero at exact solutions).
     """
-    x1, x2, h = _lattice(field_, h)
+    x1, x2 = (a.ravel() for a in GridField.lattice(*box))
     ev = _evaluate(field_, medium, x1, x2)
     g1, g2, t, chi, H = ev.g1, ev.g2, ev.t, ev.chi, ev.H
     p1, p2 = phi(x1, x2)
     d1p1, d2p1, d1p2, d2p2 = dphi(x1, x2)
     divp = d1p1 + d2p2
 
-    w = h * h
+    w = box[4] * box[4]
     gDg = g1 * (d1p1 * g1 + d2p1 * g2) + g2 * (d1p2 * g1 + d2p2 * g2)
     T1 = np.sum(x1 * (ev.F + ev.lam * chi) * divp) * w
     T2 = -2.0 * np.sum(gDg / (x1 * H)) * w
@@ -429,9 +422,9 @@ def first_variation_terms(field_, medium, phi, dphi, h=None):
             "total": float(T1 + T2 + T3 + T4)}
 
 
-def flow_energy(field_, medium, phi, eps, dphi, h=None):
-    """E_F of the resampled field u(x + eps*phi(x)) on the lattice; ``dphi`` is phi's Jacobian."""
-    x1, x2, h = _lattice(field_, h)
+def flow_energy(field_, medium, phi, eps, dphi, box):
+    """E_F of the resampled field u(x + eps*phi(x)) on the cell centers of ``box``; ``dphi`` is phi's Jacobian."""
+    x1, x2 = (a.ravel() for a in GridField.lattice(*box))
     p1, p2 = phi(x1, x2)
     y1 = x1 + eps * p1
     y2 = x2 + eps * p2
@@ -444,18 +437,18 @@ def flow_energy(field_, medium, phi, eps, dphi, h=None):
     G1 = (1.0 + eps * d1p1) * g1 + eps * d1p2 * g2
     G2 = eps * d2p1 * g1 + (1.0 + eps * d2p2) * g2
     ev = _with_thermo(field_, medium, x1, x2, u, G1, G2)
-    return float(np.sum(x1 * (ev.F + ev.lam * ev.chi)) * h * h)
+    return float(np.sum(x1 * (ev.F + ev.lam * ev.chi)) * box[4] * box[4])
 
 
-def domain_variation_residual(field_, medium, phi, dphi, eps=1e-4, h=None):
-    """Analytic first-variation total next to the flow finite difference.
+def domain_variation_residual(field_, medium, phi, dphi, box, eps=1e-4):
+    """Analytic first-variation total next to the flow finite difference, both on ``box``.
 
     The two must satisfy ``analytic_total ~ -(E(eps) - E(-eps))/(2 eps)``
     up to O(eps^2) plus the discretization error of the shared lattice.
     """
-    terms = first_variation_terms(field_, medium, phi, dphi, h=h)
-    Ep = flow_energy(field_, medium, phi, +eps, h=h, dphi=dphi)
-    Em = flow_energy(field_, medium, phi, -eps, h=h, dphi=dphi)
+    terms = first_variation_terms(field_, medium, phi, dphi, box)
+    Ep = flow_energy(field_, medium, phi, +eps, dphi, box)
+    Em = flow_energy(field_, medium, phi, -eps, dphi, box)
     flow_fd = (Ep - Em) / (2.0 * eps)
     return {
         "analytic_total": terms["total"],

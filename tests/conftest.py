@@ -113,10 +113,7 @@ def gaussian_field(rng, box, n_bumps=3, base=0.5, amp=(0.02, 0.08)):
             g2 += e * (-2.0 * (x2 - d) / (w * w))
         return g1, g2
 
-    f = analytic_field(fn, grad, apex=(box[0], 0.0))
-    f.x1_min, f.x1_max, f.x2_min, f.x2_max = box
-    f.h = 1.0 / 256.0
-    return f
+    return analytic_field(fn, grad, apex=(box[0], 0.0))
 
 
 def perturbed_flat_field(eps=0.3, nu=2.5):

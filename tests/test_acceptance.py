@@ -292,7 +292,7 @@ def test_criterion_08_first_variation_validator():
         fld = gaussian_field(rng, box)
         phi, dphi = bump_phi(1.3 + 0.02 * i, 0.7, 0.3, a1=0.1 + 0.01 * i, a2=0.5)
         med = GammaLawMedium(G14) if i in (1, 3) else INC
-        out = domain_variation_residual(fld, med, phi, dphi, eps=1e-4, h=1 / 256)
+        out = domain_variation_residual(fld, med, phi, dphi, (*box, 1 / 256), eps=1e-4)
         worst = max(worst, abs(out["mismatch"]))
     checks.append(
         ("analytic total vs flow FD < 1e-4 on 5 random pairs (eps 1e-4, h 1/256)",
@@ -302,10 +302,9 @@ def test_criterion_08_first_variation_validator():
     # sees a 1% error in one term (T3's 2t/H as 2.02t/H gives 6.7e-6)
     checks.append(("worst mismatch <= 1e-6", worst <= 1e-6, f"worst mismatch {worst:.2e}"))
     stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
-    stokes.x1_min, stokes.x1_max, stokes.x2_min, stokes.x2_max = 0.5, 1.5, -0.5, 0.5
     phi, dphi = bump_phi(1.0, 0.05, 0.25)
     res = {
-        h: abs(first_variation_terms(stokes, INC, phi, dphi, h=h)["total"])
+        h: abs(first_variation_terms(stokes, INC, phi, dphi, (0.5, 1.5, -0.5, 0.5, h))["total"])
         for h in (1 / 128, 1 / 256)
     }
     C = res[1 / 256] / (1 / 256)

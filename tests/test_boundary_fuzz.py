@@ -58,14 +58,21 @@ def configs(draw):
     return sub, text + b"\xff" * (draw(st.integers(0, 7)) == 7)
 
 
+def _new_file(tmp_path, content):
+    """A new file in ``tmp_path`` holding ``content``: each example writes its own, since ext4
+    flushes a truncated and rewritten file to disk on close, which costs tens of ms."""
+    fd, name = tempfile.mkstemp(dir=tmp_path)
+    with os.fdopen(fd, "wb") as f:
+        f.write(content)
+    return pathlib.Path(name)
+
+
 @FUZZ
 @given(configs())
 def test_typed_config_returns_the_table_or_config_error(tmp_path, case):
     sub, content = case
-    path = tmp_path / "c.cfg"
-    path.write_bytes(content)
     try:
-        cfg = cli.typed_config(cli.parse_config(path), sub)
+        cfg = cli.typed_config(cli.parse_config(_new_file(tmp_path, content)), sub)
     except ConfigError:
         return
     table = cli.KEYS[sub]
@@ -104,10 +111,8 @@ def field_files(draw):
 @FUZZ
 @given(field_files())
 def test_field_read_returns_a_field_or_domain_error(tmp_path, content):
-    path = tmp_path / "f.txt"
-    path.write_bytes(content)
     try:
-        fld = GridField.read(path)
+        fld = GridField.read(_new_file(tmp_path, content))
     except DomainError:
         return
     assert fld.values.shape == (fld.n1, fld.n2) and np.all(np.isfinite(fld.values))
@@ -214,9 +219,8 @@ def cli_cases(draw):
 
 
 def _write_config(tmp_path, kv):
-    path = tmp_path / "c.cfg"
-    path.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n" for k, v in kv.items()))
-    return path
+    text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n" for k, v in kv.items())
+    return _new_file(tmp_path, text.encode())
 
 
 def _run_main(tmp_path, sub, cfg):
@@ -237,8 +241,7 @@ def test_cli_main_exits_with_at_most_one_error_line_and_reruns_identically(tmp_p
     if grid is not None:  # the field file that profile-table writes
         code, _, files = _run_main(tmp_path, "profile-table", _write_config(tmp_path, dict(grid, write_field=1)))
         assert code == 0
-        (tmp_path / "field.txt").write_bytes(files["field.txt"])
-        kv = dict(kv, field=tmp_path / "field.txt")
+        kv = dict(kv, field=_new_file(tmp_path, files["field.txt"]))
     cfg = _write_config(tmp_path, kv)
     first = _run_main(tmp_path, sub, cfg)
     code, err, files = first

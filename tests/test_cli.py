@@ -50,6 +50,12 @@ class TestConfigParsing:
         p.write_text("this is not a key value pair\n")
         assert run("sweep", p, tmp_path / "o") == 1
 
+    def test_empty_key(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("= 1\n")
+        assert run("sweep", p, tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {p}:1: empty key\n"
+
     def test_missing_key(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", gamma=2.0)
         assert run("eos-table", cfg, tmp_path / "o") == 1
@@ -146,6 +152,18 @@ class TestConfigParsing:
         assert run(sub, cfg, tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: kind {given} contradicts the center {center}\n"
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("sub, kv, msg", [
+        ("sweep", dict(profile="flat_origin", kind="origin", r_min=0.05, r_max=0.2, rho_bar0=0),
+         "rho_bar0 must be positive"),
+        ("sweep", dict(profile="garabedian_bubble", beta0=-1, kind="origin", r_min=0.05, r_max=0.2),
+         "beta0 must be positive"),
+        ("profile-table", dict(profile="zero", x1_min=0, x1_max=1e-12, x2_min=0, x2_max=1, h=1),
+         "the box holds no cell"),
+    ], ids=["sweep-incompressible-rho_bar0", "sweep-garabedian-beta0", "profile-table-no-cell"])
+    def test_out_of_range_value_is_one_error_line(self, tmp_path, capsys, sub, kv, msg):
+        assert run(sub, write_cfg(tmp_path / "c.cfg", **kv), tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
 
     @pytest.mark.parametrize("value", [2, -1])
     def test_write_field_is_0_or_1(self, tmp_path, capsys, value):
@@ -558,6 +576,13 @@ class TestSweep:
         assert run("sweep", cfg, tmp_path / "o") == 0
         rows = np.loadtxt(tmp_path / "o" / "sweep.csv", delimiter=",", skiprows=1)
         assert np.all(rows[:, 1:] == 0.0)
+
+    def test_zero_field_plot(self, tmp_path):
+        # every plotted value is 0: the y range is widened by 1 rather than divided by 0
+        cfg = write_cfg(tmp_path / "s.cfg", profile="zero", kind="origin", r_min=0.05, r_max=0.2)
+        assert run("sweep", cfg, tmp_path / "o", "--plots") == 0
+        svg = (tmp_path / "o" / "sweep.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
 
     def test_profile_sweep_and_plot(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",

@@ -640,6 +640,8 @@ class TestGeometryHelpers:
             monotonicity_record(flat_field, incompressible, (0.5, 0.5), 0.1)
         with pytest.raises(DomainError):
             radial_sweep(flat_field, incompressible, (0.0, 0.0), [0.2, 0.1])
+        with pytest.raises(DomainError, match=r"^need at least 5 radii for the derivative check$"):
+            monotonicity_derivative_check(flat_field, incompressible, (0.0, 0.0), [0.1, 0.2, 0.3, 0.4])
 
     def test_point_kind(self):
         # the kind is which coordinates of the center vanish

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from cornerflow.profiles import (
     flat_origin,
     garabedian_beta0,
     garabedian_bubble,
-    garabedian_norm_integral,
     profile_field,
     profile_pde_residual,
     profile_rays_phi,
@@ -195,6 +195,9 @@ class TestPdeResiduals:
             profile_pde_residual(stokes_corner(), (0.86, 0.5), h_fd=1e-2)  # on the ray
         with pytest.raises(StencilError):
             profile_pde_residual(flat_origin(), (0.5, 0.001))
+        # the weighted operator's stencil reaches x1 = 0 within 2 h_fd of the axis
+        with pytest.raises(StencilError, match="too close to the symmetry axis"):
+            profile_pde_residual(garabedian_bubble(), (0.0015, -0.55))
 
 
 class TestConstants:
@@ -218,8 +221,14 @@ class TestConstants:
         assert beta**2 * arc == pytest.approx(1.0, abs=1e-10)
 
     def test_garabedian_normalization(self):
-        b0 = garabedian_beta0()
-        assert b0**2 * garabedian_norm_integral() == pytest.approx(1.0, abs=1e-12)
+        # beta0 from the Legendre ODE, apart from the library's angular quadrature of
+        # P'^2: its boundary terms vanish at s = 1 and at the root s* of P',
+        # so int (1 - s^2) P'^2 ds = nu (nu + 1) int P^2 ds over [s*, 1]
+        with mpmath.workdps(30):
+            P = lambda s: mpmath.legenp(1.5, 0, s)
+            s_star = mpmath.findroot(lambda s: mpmath.diff(P, s), -0.42)
+            b0 = 1 / mpmath.sqrt(1.5 * 2.5 * mpmath.quad(lambda s: P(s) ** 2, [s_star, 1]))
+        assert abs(garabedian_beta0() / float(b0) - 1.0) <= 1e-14  # measured 6.7e-16
         # weighted boundary norm of the actual profile equals 1
         gb = garabedian_bubble()
         x, w = np.polynomial.legendre.leggauss(96)

@@ -468,31 +468,34 @@ class TestCoarseSolve:
         assert log.converged and len(log.iterations) <= 8
 
 
+# the validator's box about the Stokes profile's apex (1, 0)
+STOKES_BOX = (0.5, 1.5, -0.5, 0.5)
+
+
 class TestFirstVariation:
     def test_zero_vector_field(self, incompressible):
         stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
-        stokes.x1_min, stokes.x1_max, stokes.x2_min, stokes.x2_max = 0.5, 1.5, -0.5, 0.5
         zero_phi = lambda a, b: (np.zeros_like(a), np.zeros_like(a))
         zero_dphi = lambda a, b: (np.zeros_like(a),) * 4
-        t = first_variation_terms(stokes, incompressible, zero_phi, zero_dphi, h=1 / 64)
+        t = first_variation_terms(stokes, incompressible, zero_phi, zero_dphi, (*STOKES_BOX, 1 / 64))
         assert t["total"] == 0.0
 
     def test_lattice_step_must_divide_the_box(self, incompressible):
         # the lattice is GridField.lattice's: cell centers of a box that h divides
         stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
-        stokes.x1_min, stokes.x1_max, stokes.x2_min, stokes.x2_max = 0.5, 1.5, -0.5, 0.5
         phi, dphi = bump_phi(1.0, 0.05, 0.25)
         with pytest.raises(DomainError, match="integer multiples of h"):
-            first_variation_terms(stokes, incompressible, phi, dphi, h=0.3)
+            first_variation_terms(stokes, incompressible, phi, dphi, (*STOKES_BOX, 0.3))
         with pytest.raises(DomainError, match="integer multiples of h"):
-            functionals.flow_energy(stokes, incompressible, phi, 1e-4, h=0.3, dphi=dphi)
+            functionals.flow_energy(stokes, incompressible, phi, 1e-4, dphi, (*STOKES_BOX, 0.3))
 
     def test_phi_leaving_the_field_is_a_geometry_error(self, incompressible):
-        fld = GridField.from_function(lambda X1, X2: X1 * X1, 0.5, 1.5, -0.5, 0.5, 1 / 16)
+        box = (0.5, 1.5, -0.5, 0.5, 1 / 16)
+        fld = GridField.from_function(lambda X1, X2: X1 * X1, *box)
         shift = lambda a, b: (np.ones_like(a), np.zeros_like(a))
         zero_dphi = lambda a, b: (np.zeros_like(a),) * 4
         with pytest.raises(GeometryError, match=r"^phi transports lattice points outside the field$"):
-            functionals.flow_energy(fld, incompressible, shift, 1.0, zero_dphi)
+            functionals.flow_energy(fld, incompressible, shift, 1.0, zero_dphi, box)
 
     def test_agreement_on_random_fields(self, incompressible, gamma_medium):
         rng = np.random.default_rng(7)
@@ -501,17 +504,16 @@ class TestFirstVariation:
             fld = gaussian_field(rng, box)
             phi, dphi = bump_phi(1.3 + 0.03 * i, 0.7, 0.3, a1=0.1 + 0.02 * i, a2=0.5)
             med = gamma_medium if i == 1 else incompressible
-            out = domain_variation_residual(fld, med, phi, dphi, eps=1e-4)
+            out = domain_variation_residual(fld, med, phi, dphi, (*box, 1 / 256), eps=1e-4)
             assert abs(out["mismatch"]) < 1e-4
             assert abs(out["analytic_total"]) > 1e-5  # a nontrivial variation
 
     def test_exact_profile_residual_order(self, incompressible):
         stokes = profile_field(stokes_corner(x1_circ=1.0), offset=(1.0, 0.0))
-        stokes.x1_min, stokes.x1_max, stokes.x2_min, stokes.x2_max = 0.5, 1.5, -0.5, 0.5
         phi, dphi = bump_phi(1.0, 0.05, 0.25)
         res = {}
         for h in (1 / 128, 1 / 256):
-            res[h] = abs(first_variation_terms(stokes, incompressible, phi, dphi, h=h)["total"])
+            res[h] = abs(first_variation_terms(stokes, incompressible, phi, dphi, (*STOKES_BOX, h))["total"])
         assert res[1 / 256] < res[1 / 128]
         assert res[1 / 256] < 1e-4  # reported C = residual/h stays near 0.013
 
@@ -532,7 +534,8 @@ class TestFirstVariation:
         # at each lattice's own h the total falls by 2.81 and 2.73 from h = 1/128 to 1/256,
         # about h^1.5; a bump at (1.05, 0.12) of width 0.1 stalls at 1.32, cause unknown
         phi, dphi = bump_phi(*bump)
-        total = {h: abs(first_variation_terms(fld, incompressible, phi, dphi)["total"])
+        total = {h: abs(first_variation_terms(fld, incompressible, phi, dphi,
+                                              (0.75, 1.25, -0.25, 0.25, h))["total"])
                  for h, fld in lab_minimizers.items()}
         assert total[1 / 128] / total[1 / 256] > 2.4
 
@@ -553,9 +556,8 @@ class TestFirstVariation:
                     (fn(x1, x2 + d) - fn(x1, x2 - d)) / (2 * d))
 
         pert = analytic_field(fn, grad, apex=(1.0, 0.0))
-        pert.x1_min, pert.x1_max, pert.x2_min, pert.x2_max = 0.5, 1.5, -0.5, 0.5
         phi, dphi = bump_phi(1.0, 0.12, 0.06, a1=0.05, a2=0.3)
-        out = domain_variation_residual(pert, incompressible, phi, dphi, eps=1e-4)
+        out = domain_variation_residual(pert, incompressible, phi, dphi, (*STOKES_BOX, 1 / 256), eps=1e-4)
         assert abs(out["analytic_total"]) > 1e-4
         assert abs(out["mismatch"]) < 1e-4 * max(1.0, abs(out["analytic_total"]))
 
