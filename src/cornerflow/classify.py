@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, InsufficientDataError
+from .errors import GeometryError, InsufficientDataError
 from .fields import GridField
 from .functionals import SCALING_POWER, energy_power, frequency_quantities, point_kind, radius_window
 from .profiles import axis_parabola, eval_profile, flat_origin, garabedian_bubble, stokes_corner, theta_star_constants
@@ -26,7 +26,7 @@ _UNIT_SHAPE = {"stagnation": stokes_corner(coeff=1.0), "axis": axis_parabola(1.0
 
 
 def candidate_densities(kind):
-    """Admissible normalized densities with their labels, per kind."""
+    """Admissible normalized densities with their labels, per kind: the one statement of the cone densities."""
     if kind == "stagnation":
         return [
             ("StokesCorner", math.sqrt(3.0) / 3.0),
@@ -35,14 +35,11 @@ def candidate_densities(kind):
         ]
     if kind == "axis":
         return [("AxisParabola", 2.0 / 3.0), ("Cusp", 0.0)]
-    if kind == "origin":
-        c = theta_star_constants()
-        return [
-            ("GarabedianBubble", c.m0),
-            ("HorizontalFlat", 0.125),
-            ("Cusp", 0.0),
-        ]
-    raise DomainError(f"unknown kind {kind!r}")
+    return [
+        ("GarabedianBubble", theta_star_constants().m0),
+        ("HorizontalFlat", 0.125),
+        ("Cusp", 0.0),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import classify as classify_mod
 from . import functionals, profiles, solver
 from .eos import EosModel, GammaLawMedium, IncompressibleMedium, invert_admissible, lambda_admissible
 from .errors import ConfigError, CornerflowError, NumericalError
-from .fields import GridField, write_profile_table, write_rows
+from .fields import GridField, open_new, write_profile_table, write_rows
 from .legendre import legendre_ode_residual
 from .svgplot import write_svg_levels, write_svg_lines
 
@@ -208,13 +208,13 @@ def _box(cfg):
 
 def _write_csv(path, header, rows):
     """``rows``: a 2-D array, or a sequence of rows, of len(header) floats."""
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write(",".join(header) + "\n")
         write_rows(f, np.reshape(np.asarray(rows, dtype=float), (-1, len(header))), ",")
 
 
 def _write_json(path, obj):
-    with open(path, "w") as f:
+    with open_new(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
 

@@ -28,6 +28,20 @@ def format_values(values):
     return out.tolist()
 
 
+def open_new(path):
+    """Open ``path`` for writing as a new file: whatever is there, a file or a symlink, is unlinked first.
+
+    On ext4 (``auto_da_alloc``) closing a truncated file starts its writeback,
+    and the next rerun's truncation waits for it: several times the write
+    itself (docs/decisions.md, "A rerun writes a new file").
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w")
+
+
 def write_columns(f, columns, sep):
     """Write line k as the k-th strings of ``columns`` joined by ``sep``."""
     lines = "\n".join(map(sep.join, zip(*columns)))
@@ -214,7 +228,7 @@ class GridField:
 
     # -- file format -------------------------------------------------------
     def write(self, path):
-        with open(path, "w") as f:
+        with open_new(path) as f:
             f.write(header_line(self.x1_min, self.x1_max, self.x2_min, self.x2_max, self.h) + "\n")
             write_rows(f, self.values, " ")
 
@@ -248,8 +262,8 @@ def write_profile_table(out, box, evaluate, write_field):
     n1, n2 = X1.shape
     x1s, x2s = format_values(X1[:, 0]), format_values(X2[0])
     step = max(1, _CHUNK // n2)  # grid rows per block
-    field_file = open(os.path.join(out, "field.txt"), "w") if write_field else nullcontext()
-    with open(os.path.join(out, "profile_table.csv"), "w") as f, field_file as ff:
+    field_file = open_new(os.path.join(out, "field.txt")) if write_field else nullcontext()
+    with open_new(os.path.join(out, "profile_table.csv")) as f, field_file as ff:
         f.write("x1,x2,u,ux1,ux2\n")
         if ff:
             ff.write(header_line(*box) + "\n")

@@ -38,18 +38,13 @@ def theta_star_constants() -> LegendreConstants:
     return find_theta_star()
 
 
-def _angular_integral(fn, a, b):
-    """integral of fn(theta) over [a, b] by one 64-point Gauss-Legendre panel."""
+def garabedian_norm_integral() -> float:
+    """integral over the bubble cone of sin^3(theta) P'_{3/2}(-cos theta)^2, one 64-point Gauss-Legendre panel."""
+    a, b = math.pi - theta_star_constants().theta_star_rad, math.pi
     x, w = gauss_legendre(64)
     half = 0.5 * (b - a)
-    return float(half * np.dot(w, fn(half * x + 0.5 * (a + b))))
-
-
-def garabedian_norm_integral() -> float:
-    """integral over the bubble cone of sin^3(theta) P'_{3/2}(-cos theta)^2."""
-    c = theta_star_constants()
-    return _angular_integral(lambda th: np.sin(th) ** 3 * legendre_P_prime(1.5, -np.cos(th)) ** 2,
-                             math.pi - c.theta_star_rad, math.pi)
+    th = half * x + 0.5 * (a + b)
+    return float(half * np.dot(w, np.sin(th) ** 3 * legendre_P_prime(1.5, -np.cos(th)) ** 2))
 
 
 def garabedian_beta0() -> float:
@@ -135,8 +130,6 @@ def evaluate_profile(spec: ProfileSpec, x1, x2, grad=True):
         g1 = np.where(pos, 2.0 * b * x1 * x2, 0.0) + np.zeros(shape)
         g2 = np.where(pos, b * x1 * x1, 0.0) + np.zeros(shape)
         return b * x1 * x1 * np.maximum(x2, 0.0), g1, g2
-    if spec.kind not in ("StokesCorner", "GarabedianBubble"):
-        raise DomainError(f"unknown profile kind {spec.kind!r}")
     rho, theta = _polar(x1, x2)
     safe_rho = np.where(rho > 0, rho, 1.0)
     sin_t = np.where(rho > 0, x1 / safe_rho, 0.0)
@@ -243,33 +236,3 @@ def profile_pde_residual(spec: ProfileSpec, x, h_fd=1e-3):
         return lap
     u1 = float(np.dot(_D1_4TH, ux)) / h_fd
     return lap / x1 - u1 / (x1 * x1)
-
-
-# ---------------------------------------------------------------------------
-# exact cone/arc constants by polar quadrature (oracle-grade)
-# ---------------------------------------------------------------------------
-
-def disk_angular_integral(fn, theta_a, theta_b, radial_power):
-    """integral over B_1 of rho^radial_power * fn(theta), split-free 64-point panel."""
-    return _angular_integral(fn, theta_a, theta_b) / (radial_power + 2.0)
-
-
-def cone_density_constants():
-    """The exact weighted-density constants reproduced by quadrature."""
-    c = theta_star_constants()
-    stokes = disk_angular_integral(np.cos, -np.pi / 3.0, np.pi / 3.0, 1.0)
-    flat_stag = disk_angular_integral(np.cos, -np.pi / 2.0, np.pi / 2.0, 1.0)
-    axis = disk_angular_integral(np.sin, 0.0, np.pi, 1.0)
-    flat_origin_ = disk_angular_integral(
-        lambda th: np.sin(th) * np.cos(th), 0.0, np.pi / 2.0, 2.0
-    )
-    gara = disk_angular_integral(
-        lambda th: np.sin(th) * np.cos(th), np.pi - c.theta_star_rad, np.pi / 2.0, 2.0
-    )
-    return {
-        "stokes_cone_x2": stokes,          # sqrt(3)/3
-        "full_disk_x2": flat_stag,         # 2/3
-        "half_disk_x1": axis,              # 2/3
-        "quarter_disk_x1x2": flat_origin_,  # 1/8
-        "garabedian_cone_x1x2": gara,      # m0 = s*^2/8 (positive-part weight)
-    }

@@ -2,6 +2,8 @@
 
 import math
 
+from .fields import open_new
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
@@ -51,7 +53,7 @@ def _maps(xlo, xhi, ylo, yhi):
 
 def _write(path, parts):
     """Close the svg element after ``parts`` and write the lines to ``path``."""
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write("\n".join(parts + ["</svg>"]) + "\n")
 
 

@@ -1,7 +1,7 @@
 """A mutant census of the first-variation validator, of eos's closed forms, of the grid balls,
 of the grid arcs' support, of the lines that read a point's kind from its center, of the classify
-densities and blow-ups, of the profiles' angular rule and of the frequency block's integrals from
-r = 0.
+densities and blow-ups, of the cone densities that classify states, of the profiles' angular rule
+and of the frequency block's integrals from r = 0.
 
 A mutant is one small edit to a formula line: a coefficient off by 1%, a
 sign flipped, a term dropped, a Jacobian entry swapped for its transpose.
@@ -179,6 +179,21 @@ MUTANTS = [
     ("unit shape: axis parabola 1.0 -> 1.01", "classify.py",
      '"axis": axis_parabola(1.0)',
      '"axis": axis_parabola(1.01)', CLASSIFY),
+    ("candidate: StokesCorner sqrt(3)/3 -> 1.01x", "classify.py",
+     '("StokesCorner", math.sqrt(3.0) / 3.0)',
+     '("StokesCorner", 1.01 * math.sqrt(3.0) / 3.0)', CLASSIFY),
+    ("candidate: stagnation HorizontalFlat 2/3 -> 1.01x", "classify.py",
+     '("HorizontalFlat", 2.0 / 3.0)',
+     '("HorizontalFlat", 1.01 * 2.0 / 3.0)', CLASSIFY),
+    ("candidate: AxisParabola 2/3 -> 1.01x", "classify.py",
+     '("AxisParabola", 2.0 / 3.0)',
+     '("AxisParabola", 1.01 * 2.0 / 3.0)', CLASSIFY),
+    ("candidate: GarabedianBubble m0 -> 1.01x", "classify.py",
+     '("GarabedianBubble", theta_star_constants().m0)',
+     '("GarabedianBubble", 1.01 * theta_star_constants().m0)', CLASSIFY),
+    ("candidate: origin HorizontalFlat 1/8 -> 1.01x", "classify.py",
+     '("HorizontalFlat", 0.125)',
+     '("HorizontalFlat", 1.01 * 0.125)', CLASSIFY),
     ("angular rule: half-width 0.5 -> 0.505", "profiles.py",
      "half = 0.5 * (b - a)",
      "half = 0.505 * (b - a)", PROFILES),

@@ -13,6 +13,10 @@ formula is in both sides and shows in neither.
 * Independent, the EOS in the paper's own terms: ``pressure_derivative``
   p'(rho) and ``enthalpy`` h(rho) state the sonic condition apart from
   ``eos.critical_density``.
+* Independent, a quadrature for the cone densities: ``cone_density_constants``
+  integrates each blow-up's weight over its cone by a 64-point polar rule of
+  its own (``disk_angular_integral``), where ``classify.candidate_densities``
+  states the five densities in closed form.
 * Independent, closed forms: the degree-1 Legendre Q function and its two
   derivatives (``legendre_Q1``, ``legendre_Q1_prime``, ``legendre_Q1_second``).
 * Split, ``F_of``: the scalar F from ``eos._F_closed``, the function the
@@ -174,6 +178,38 @@ def legendre_Q1_prime(s):
 def legendre_Q1_second(s):
     s = _check_open_interval(s)
     return 1.0 / (1.0 - s * s) + (1.0 + s * s) / (1.0 - s * s) ** 2
+
+
+_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def disk_angular_integral(fn, theta_a, theta_b, radial_power):
+    """integral over the unit disk's sector theta_a < theta < theta_b of rho^radial_power * fn(theta).
+
+    The radial factor integrates in closed form, 1 / (radial_power + 2); the
+    angular one by one 64-point Gauss-Legendre panel.
+    """
+    mid, half_width = 0.5 * (theta_a + theta_b), 0.5 * (theta_b - theta_a)
+    angular = half_width * float(fn(mid + half_width * _GL64_NODES) @ _GL64_WEIGHTS)
+    return angular / (radial_power + 2.0)
+
+
+def cone_density_constants():
+    """The five nonzero weighted densities, theta from the +x2 axis, by polar quadrature.
+
+    Each is the integral of the density's weight over the blow-up's positivity
+    cone in the unit disk: x2 on the stagnation cones, x1 on the axis half disk,
+    x1 x2+ at the origin (the bubble cone's x2 > 0 part).
+    """
+    theta_star = theta_star_constants().theta_star_rad
+    sin_cos = lambda th: np.sin(th) * np.cos(th)
+    return {
+        "stokes_cone_x2": disk_angular_integral(np.cos, -np.pi / 3.0, np.pi / 3.0, 1.0),  # sqrt(3)/3
+        "full_disk_x2": disk_angular_integral(np.cos, -np.pi / 2.0, np.pi / 2.0, 1.0),  # 2/3
+        "half_disk_x1": disk_angular_integral(np.sin, 0.0, np.pi, 1.0),  # 2/3
+        "quarter_disk_x1x2": disk_angular_integral(sin_cos, 0.0, np.pi / 2.0, 2.0),  # 1/8
+        "garabedian_cone_x1x2": disk_angular_integral(sin_cos, np.pi - theta_star, np.pi / 2.0, 2.0),  # m0
+    }
 
 
 def eos_to_text(model):

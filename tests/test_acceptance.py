@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from cornerflow.classify import classify, frequency_blowup
+from cornerflow.classify import candidate_densities, classify, frequency_blowup
 from cornerflow.eos import (
     EosModel,
     GammaLawMedium,
@@ -36,7 +36,6 @@ from cornerflow.functionals import (
 from cornerflow.legendre import find_theta_star, legendre_P_prime
 from cornerflow.profiles import (
     axis_parabola,
-    cone_density_constants,
     eval_profile,
     eval_profile_gradient,
     flat_origin,
@@ -50,7 +49,7 @@ from cornerflow.profiles import (
 from cornerflow.solver import MinimizeConfig, minimize_EF
 
 from conftest import bump_phi, gaussian_field, perturbed_flat_field
-from oracles import lambda_alt
+from oracles import cone_density_constants, lambda_alt
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 INC = IncompressibleMedium(1.0)
@@ -77,20 +76,32 @@ def test_criterion_01_theta_star():
     report(1, checks)
 
 
+# each nonzero density that classify reads, by its kind and label: its report line and its cone
+_CONES = {
+    ("stagnation", "StokesCorner"): ("stokes cone", "stokes_cone_x2"),
+    ("stagnation", "HorizontalFlat"): ("full disk (stagnation)", "full_disk_x2"),
+    ("axis", "AxisParabola"): ("half disk (axis)", "half_disk_x1"),
+    ("origin", "HorizontalFlat"): ("quarter disk (origin flat)", "quarter_disk_x1x2"),
+    ("origin", "GarabedianBubble"): ("bubble cone m0 = s*^2/8", "garabedian_cone_x1x2"),
+}
+
+
 def test_criterion_02_density_constants():
-    c = theta_star_constants()
-    vals = cone_density_constants()
-    targets = [
-        ("stokes cone", vals["stokes_cone_x2"], SQRT3_3),
-        ("full disk (stagnation)", vals["full_disk_x2"], 2.0 / 3.0),
-        ("half disk (axis)", vals["half_disk_x1"], 2.0 / 3.0),
-        ("quarter disk (origin flat)", vals["quarter_disk_x1x2"], 0.125),
-        ("bubble cone m0 = s*^2/8", vals["garabedian_cone_x1x2"], c.s_star**2 / 8.0),
-    ]
-    checks = [
-        (name, abs(got - want) <= 1e-6, f"{got:.12f} vs {want:.12f}")
-        for name, got, want in targets
-    ]
+    quad = cone_density_constants()
+    table = {(kind, label): value for kind in ("stagnation", "axis", "origin")
+             for label, value in candidate_densities(kind) if value != 0.0}
+    assert table.keys() == _CONES.keys(), f"classify's nonzero densities: {sorted(table)}"
+    checks = []
+    rel = 0.0
+    for key, (name, cone) in _CONES.items():
+        got, want = table[key], quad[cone]
+        checks.append((name, abs(got - want) <= 1e-6,
+                       f"{key[1]} {got:.12f} vs quadrature {want:.12f}, gap {abs(got - want):.1e}"))
+        rel = max(rel, abs(got - want) / want)
+    # the five gaps measure 1.7e-15 relative or less: 1e-13 is no tighter, so a last-bit
+    # change in numpy or libm cannot fail it
+    checks.append(("all five within 1e-13 relative of the quadrature", rel <= 1e-13,
+                   f"max relative gap {rel:.1e}"))
     report(2, checks)
 
 

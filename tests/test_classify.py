@@ -5,7 +5,6 @@ import pytest
 
 from cornerflow.classify import (
     blowup,
-    candidate_densities,
     classify,
     default_radii,
     frequency_blowup,
@@ -315,15 +314,6 @@ class TestClassify:
         blow = blowup(fld, center, radius_window(fld, center)[1])
         assert res.label == label
         assert (res.fit_param, res.fit_residual) == fit_shape_reference(blow, point_kind(center), label)
-
-    def test_candidate_tables(self):
-        c = theta_star_constants()
-        stag = dict(candidate_densities("stagnation"))
-        assert stag["StokesCorner"] == pytest.approx(SQRT3_3)
-        assert stag["HorizontalFlat"] == pytest.approx(2.0 / 3.0)
-        orig = dict(candidate_densities("origin"))
-        assert orig["GarabedianBubble"] == pytest.approx(c.m0)
-        assert orig["HorizontalFlat"] == pytest.approx(0.125)
 
 
 class TestCornerSlopes:

@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from cornerflow import cli, eos, fields, functionals, profiles, solver
+from cornerflow import cli, eos, fields, functionals, profiles, solver, svgplot
 from cornerflow.eos import EosModel, invert_density, lambda_of
 from cornerflow.fields import GridField
 
@@ -386,6 +387,46 @@ class TestWriters:
         assert (tmp_path / "field.txt").read_text() == expect
 
 
+class TestRerun:
+    """A step rerun into its own --out writes each artifact anew: the same bytes in a new file."""
+
+    @pytest.mark.parametrize("sub, kv, extra", [
+        ("profile-table", dict(profile="stokes_corner", x1_circ=1.0, offset_x1=1.0, x1_min=0.75, x1_max=1.25,
+                               x2_min=-0.25, x2_max=0.25, h=1 / 32, write_field=1), ()),
+        ("minimize", dict(profile="stokes_corner", x1_circ=1.0, offset_x1=1.0, x1_min=0.875, x1_max=1.125,
+                          x2_min=-0.125, x2_max=0.125, h=1 / 64), ()),
+        ("sweep", dict(profile="flat_origin", kind="origin", r_min=0.05, r_max=0.5, n_radii=8), ("--plots",)),
+    ], ids=["profile-table", "minimize", "sweep"])
+    def test_rerun_gives_equal_files_with_new_inodes(self, tmp_path, sub, kv, extra):
+        cfg = write_cfg(tmp_path / "c.cfg", **kv)
+        out = tmp_path / "o"
+        assert run(sub, cfg, out, *extra) == 0
+        # an open handle keeps each first file's inode alive, so no new file can reuse its number
+        held = {p.name: open(p, "rb") for p in out.iterdir()}
+        try:
+            first = {name: f.read() for name, f in held.items()}
+            assert run(sub, cfg, out, *extra) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(held)
+            for name, f in held.items():
+                assert (out / name).read_bytes() == first[name]
+                assert (out / name).stat().st_ino != os.fstat(f.fileno()).st_ino
+        finally:
+            for f in held.values():
+                f.close()
+
+    def test_a_symlink_at_an_artifact_is_replaced_not_followed(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", gamma=2.0, t_max=0.05, s_max=0.2)
+        assert run("eos-table", cfg, tmp_path / "fresh") == 0
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("kept\n")
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "eos_table.csv").symlink_to(target)
+        assert run("eos-table", cfg, tmp_path / "o") == 0
+        assert not (tmp_path / "o" / "eos_table.csv").is_symlink()
+        assert target.read_text() == "kept\n"
+        assert filecmp.cmp(tmp_path / "o" / "eos_table.csv", tmp_path / "fresh" / "eos_table.csv", shallow=False)
+
+
 class TestEosTable:
     def test_columns_and_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", gamma=2.0, A=1.0, rho_bar0=1.0, g=1.0,
@@ -583,6 +624,17 @@ class TestSweep:
         assert run("sweep", cfg, tmp_path / "o", "--plots") == 0
         svg = (tmp_path / "o" / "sweep.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
+
+    def test_plot_of_no_finite_value(self, tmp_path):
+        # run_sweep plots only finite values, so the writer is called directly: with no
+        # finite y it takes the unit range, and every polyline has no point
+        path = tmp_path / "p.svg"
+        svgplot.write_svg_lines(path, [0.1, 0.2, 0.4], [("M(r)", [math.nan] * 3),
+                                                        ("N(r)", [math.inf, -math.inf, math.nan])], "no data")
+        root = ElementTree.parse(path).getroot()
+        lines = root.findall("{http://www.w3.org/2000/svg}polyline")
+        assert [line.get("points") for line in lines] == ["", ""]
+        assert "nan" not in path.read_text() and "inf" not in path.read_text()
 
     def test_profile_sweep_and_plot(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", profile="flat_origin", kind="origin",

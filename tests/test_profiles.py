@@ -8,7 +8,6 @@ from cornerflow.errors import DomainError, StencilError
 from cornerflow.legendre import find_theta_star
 from cornerflow.profiles import (
     axis_parabola,
-    cone_density_constants,
     eval_profile,
     eval_profile_gradient,
     evaluate_profile,
@@ -23,7 +22,7 @@ from cornerflow.profiles import (
     zero_profile,
 )
 
-from oracles import profile_gradient_separate, profile_value_separate
+from oracles import cone_density_constants, profile_gradient_separate, profile_value_separate
 
 ALL_SPECS = [
     stokes_corner(),
@@ -202,6 +201,7 @@ class TestPdeResiduals:
 
 class TestConstants:
     def test_density_constants_by_polar_quadrature(self):
+        # the oracle that criterion 2 holds classify's closed forms to, against the paper's values
         c = find_theta_star()
         vals = cone_density_constants()
         assert vals["stokes_cone_x2"] == pytest.approx(math.sqrt(3.0) / 3.0, abs=1e-8)
